@@ -82,38 +82,18 @@ def _cmd_pit(args) -> int:
 def _cmd_measure(args) -> int:
     with open(args.tensor) as fh:
         t = formats.read_tensor_or_lowrank(fh.read())
-    ctx = t.ctx
-    if args.family == "Dprime":
-        synd = lrr.measure_D(t, args.r)
-    elif args.family == "Bprime":
-        fam = hitting.hitting_set_B_prime(ctx, 2 * args.r, t.dims[0], t.dims[1])
-        synd = lrr.measure_syndromes(t, fam)
-    elif args.family == "TensorB":
-        synd = lrr.tensor_measure(t, args.r)
-    else:
-        raise TensorhitError(f"family {args.family} is not measurable for recovery")
-    text = formats.write_syndromes(ctx, args.family, args.r, t.dims, synd)
+    synd = lrr.measure(t, args.family, args.r)
+    text = formats.write_syndromes(t.ctx, args.family, args.r, t.dims, synd)
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {len(synd)} syndromes to {args.out}")
     return 0
 
 
-def _recover_tensor(ctx, family, r, dims, synd):
-    if family == "Dprime":
-        return lrr.recover_from_D(ctx, dims[0], dims[1], r, synd)
-    if family == "Bprime":
-        d_synd = lrr.convert_B_to_D(ctx, dims[0], dims[1], 2 * r, synd)
-        return lrr.recover_from_D(ctx, dims[0], dims[1], r, d_synd)
-    if family == "TensorB":
-        return lrr.tensor_recover(ctx, len(dims), dims[0], r, synd)
-    raise TensorhitError(f"family {family} is not recoverable")
-
-
 def _cmd_recover(args) -> int:
     with open(args.syndromes) as fh:
         ctx, family, r, dims, synd = formats.read_syndromes(fh.read())
-    t = _recover_tensor(ctx, family, r, dims, synd)
+    t = lrr.recover(ctx, family, dims, r, synd)
     with open(args.out, "w") as fh:
         fh.write(formats.write_tensor(t))
     print(f"recovered tensor written to {args.out}")
@@ -303,7 +283,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen-hit", help="write a measurement-set file")
     add_field_flags(sp)
     sp.add_argument("--family", required=True,
-                    choices=["B", "D", "Dprime", "Bprime", "TensorB", "Naive"])
+                    choices=hitting.FAMILIES)
     sp.add_argument("--dims", required=True)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--extend", type=int, default=0,
@@ -315,7 +295,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pit", help="identity-test a tensor file")
     sp.add_argument("--tensor", required=True)
     sp.add_argument("--family", required=True,
-                    choices=["B", "D", "Dprime", "Bprime", "TensorB", "Naive"])
+                    choices=hitting.FAMILIES)
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--extend", type=int, default=0)
     sp.add_argument("--simulate", choices=["improper", "proper"], default=None)
@@ -323,7 +303,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("measure", help="write recovery syndromes for a tensor")
     sp.add_argument("--tensor", required=True)
-    sp.add_argument("--family", required=True, choices=["Dprime", "Bprime", "TensorB"])
+    sp.add_argument("--family", required=True, choices=lrr.RECOVERY_FAMILIES)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_measure)
@@ -337,7 +317,7 @@ def _parser() -> argparse.ArgumentParser:
     add_field_flags(sp)
     sp.add_argument("--dims", required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--family", default="Dprime", choices=rankcode.DECODE_FAMILIES)
+    sp.add_argument("--family", default="Dprime", choices=lrr.RECOVERY_FAMILIES)
     sp.add_argument("--message", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_encode)
@@ -346,7 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     add_field_flags(sp)
     sp.add_argument("--dims", required=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--family", default="Dprime", choices=rankcode.DECODE_FAMILIES)
+    sp.add_argument("--family", default="Dprime", choices=lrr.RECOVERY_FAMILIES)
     sp.add_argument("--word", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--error-out", dest="error_out", default=None)

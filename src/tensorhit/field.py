@@ -20,11 +20,9 @@ requested degree, which makes every derived construction byte-reproducible.
 Order certification
 -------------------
 ``find_element_of_order(ctx, b)`` returns the first enumerated element whose
-multiplicative order is at least ``b``.  For small bounds this is certified
-by direct power iteration (``g^t != 1`` for all ``t < b``).  For large
-bounds, where iteration is hopeless, the exact order is computed from the
-factorization of ``p^k - 1``; both methods decide the identical predicate,
-so the selected element never depends on the code path.
+multiplicative order is at least ``b``.  The order is computed exactly from
+the factorization of ``p^k - 1`` (factored once per field), so certifying
+costs a few exponentiations per candidate whatever the bound.
 
 Everything here is immutable after construction apart from memoized order
 discoveries, which are write-once and race-benign; contexts may be shared
@@ -37,29 +35,9 @@ from .errors import CompositeCharacteristic, FieldTooSmall, OrderUnreachable
 
 Fel = int | tuple[int, ...]
 
-# Above this bound, order checks switch from power iteration to exact order
-# computation via the factored group order.
-_POWER_ITERATION_LIMIT = 1_000_000
-
 
 def _is_prime(n: int) -> bool:
-    """Trial-division primality check; fine for desk-scale characteristics."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _is_probable_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin for n < 3.3e24 with the standard witness set.
+    """Miller-Rabin on the first twelve prime bases; deterministic below 3.3e24."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -112,7 +90,7 @@ def _factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_probable_prime(m):
+        if _is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
@@ -387,16 +365,9 @@ class FieldCtx:
 
     def order_at_least(self, a: Fel, bound: int) -> bool:
         """Whether a has multiplicative order >= bound (a nonzero)."""
-        if bound <= 1:
-            return a != self.zero
-        if bound <= _POWER_ITERATION_LIMIT:
-            acc = a
-            for _ in range(bound - 1):
-                if acc == self.one:
-                    return False
-                acc = self.mul(acc, a)
-            return True
-        return self._exact_order(a) >= bound
+        if a == self.zero:
+            return False
+        return bound <= 1 or self._exact_order(a) >= bound
 
     def element_of_order(self, min_order: int) -> Fel:
         """First canonical element of multiplicative order >= min_order."""

@@ -198,23 +198,24 @@ def hitting_set_B_prime(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet
     return MeasurementSet(ctx, (n, m), "Bprime", r, tuple(meas))
 
 
-def _diag_weights(
-    ctx: FieldCtx, g: Fel, n: int, m: int, k: int, l: int
-) -> tuple[Fel, ...]:
-    """Weights g^(l j) over the k-diagonal, ordered by increasing row index i."""
-    lo, hi = diag_bounds(n, m, k)
-    gl = ctx.pow(g, l)
-    w = ctx.pow(gl, k - hi)  # smallest column index on this diagonal
-    by_col = []
-    for _ in range(hi - lo + 1):
-        by_col.append(w)
-        w = ctx.mul(w, gl)
-    by_col.reverse()  # increasing i means decreasing column j
-    return tuple(by_col)
-
-
-def _diag_l_count(r: int, n: int, m: int, k: int) -> int:
+def diag_row_count(r: int, n: int, m: int, k: int) -> int:
+    """How many rows l < r of the diagonal family D' measure the k-diagonal."""
     return min(r, k + 1, (n + m) - (k + 1))
+
+
+def diag_weight_rows(
+    ctx: FieldCtx, g: Fel, count: int, n: int, m: int, k: int
+) -> list[tuple[Fel, ...]]:
+    """Weights g^(l j) over the k-diagonal for l < count, in column order."""
+    lo, hi = diag_bounds(n, m, k)
+    rows = []
+    for l in range(count):
+        gl = ctx.pow(g, l)
+        w = [ctx.pow(gl, k - hi)]  # smallest column index on this diagonal
+        for _ in range(hi - lo):
+            w.append(ctx.mul(w[-1], gl))
+        rows.append(tuple(w))
+    return rows
 
 
 def hitting_set_D(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
@@ -223,10 +224,8 @@ def hitting_set_D(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
     g = _element_of_order(ctx, m)
     meas = []
     for k in range(n + m - 1):
-        for l in range(r):
-            meas.append(
-                Measurement(k=k, ls=(l,), diag=(k, _diag_weights(ctx, g, n, m, k, l)))
-            )
+        for l, w in enumerate(diag_weight_rows(ctx, g, r, n, m, k)):
+            meas.append(Measurement(k=k, ls=(l,), diag=(k, w[::-1])))
     return MeasurementSet(ctx, (n, m), "D", r, tuple(meas))
 
 
@@ -236,10 +235,9 @@ def hitting_set_D_prime(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet
     g = _element_of_order(ctx, m)
     meas = []
     for k in range(n + m - 1):
-        for l in range(_diag_l_count(r, n, m, k)):
-            meas.append(
-                Measurement(k=k, ls=(l,), diag=(k, _diag_weights(ctx, g, n, m, k, l)))
-            )
+        count = diag_row_count(r, n, m, k)
+        for l, w in enumerate(diag_weight_rows(ctx, g, count, n, m, k)):
+            meas.append(Measurement(k=k, ls=(l,), diag=(k, w[::-1])))
     return MeasurementSet(ctx, (n, m), "Dprime", r, tuple(meas))
 
 
@@ -444,6 +442,8 @@ def hard_tensor(h: MeasurementSet) -> DenseTensor:
         raise NoNullspace("measurement system has full rank")
     return DenseTensor(h.ctx, h.dims, basis[0])
 
+
+FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB", "Naive")
 
 FAMILY_BUILDERS = {
     "B": hitting_set_B,

@@ -20,6 +20,8 @@ because measurement weights and evaluation points are indexed by column.
 Beyond matrices, the module converts rank-1-family syndromes into diagonal
 syndromes by staircase interpolation, and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family.
+``measure`` and ``recover`` are the one entry point for each family in
+``RECOVERY_FAMILIES``.
 """
 
 import itertools
@@ -37,13 +39,19 @@ from .errors import (
     TensorhitError,
 )
 from .field import Fel, FieldCtx
-from .hitting import hitting_set_tensor
-from .tensor import DenseTensor
+from .hitting import (
+    diag_row_count,
+    diag_weight_rows,
+    hitting_set_B_prime,
+    hitting_set_tensor,
+)
+from .tensor import DenseTensor, diag_bounds
 
 
 def _col_bounds(n: int, m: int, k: int) -> tuple[int, int]:
     """Column range [lo, hi] of the k-diagonal of an n x m matrix."""
-    return max(0, k - (n - 1)), min(m - 1, k)
+    lo, hi = diag_bounds(n, m, k)
+    return k - hi, k - lo
 
 
 def lne_scan(m: DenseTensor, k: int | None = None) -> set[tuple[int, int]]:
@@ -279,23 +287,6 @@ def low_rank_recovery(
 # ---------------------------------------------------------------------------
 
 
-def _rows_per_diag(R: int, n: int, m: int, k: int) -> int:
-    return min(R, k + 1, (n + m) - (k + 1))
-
-
-def _diag_weight_rows(ctx, g, R, n, m, k) -> list[tuple[Fel, ...]]:
-    j_lo, j_hi = _col_bounds(n, m, k)
-    length = j_hi - j_lo + 1
-    rows = []
-    for l in range(_rows_per_diag(R, n, m, k)):
-        gl = ctx.pow(g, l)
-        w = [ctx.pow(gl, j_lo)]
-        for _ in range(length - 1):
-            w.append(ctx.mul(w[-1], gl))
-        rows.append(tuple(w))
-    return rows
-
-
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     """Syndromes of mat against the diagonal family with parameter 2r.
 
@@ -310,7 +301,8 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     for k in range(n + m - 1):
         j_lo, j_hi = _col_bounds(n, m, k)
         vals = [rows[k - j][j] for j in range(j_lo, j_hi + 1)]
-        for w in _diag_weight_rows(ctx, g, 2 * r, n, m, k):
+        count = diag_row_count(2 * r, n, m, k)
+        for w in diag_weight_rows(ctx, g, count, n, m, k):
             acc = ctx.zero
             for v, c in zip(vals, w):
                 if v != ctx.zero and c != ctx.zero:
@@ -322,47 +314,40 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
 def _recover_from_diag(ctx, g, n, m, r, syndromes, hooks=None) -> DenseTensor:
     from .sparse import pronys_method
 
-    R = 2 * r
-    expected = sum(_rows_per_diag(R, n, m, k) for k in range(n + m - 1))
-    if len(syndromes) != expected:
-        raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
+    if r < 1:
+        raise ValueError(f"rank bound must be >= 1, got r={r}")
+    counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
+    if len(syndromes) != sum(counts):
+        raise ShapeMismatch(f"expected {sum(counts)} syndromes, got {len(syndromes)}")
 
     weights_by_k = []
     synd_by_k = []
-    points_by_k = []
     off = 0
-    for k in range(n + m - 1):
-        cnt = _rows_per_diag(R, n, m, k)
-        weights_by_k.append(tuple(_diag_weight_rows(ctx, g, R, n, m, k)))
+    for k, cnt in enumerate(counts):
+        weights_by_k.append(tuple(diag_weight_rows(ctx, g, cnt, n, m, k)))
         synd_by_k.append(tuple(syndromes[off : off + cnt]))
         off += cnt
-        j_lo, j_hi = _col_bounds(n, m, k)
-        pts = [ctx.pow(g, j_lo)]
-        for _ in range(j_hi - j_lo):
-            pts.append(ctx.mul(pts[-1], g))
-        points_by_k.append(pts)
     meas = DiagonalMeasurements(
         ctx, n, m, tuple(weights_by_k), tuple(synd_by_k)
     )
 
     def oracle(k, advice, y):
-        pts = points_by_k[k]
-        length = len(pts)
-        cnt = len(y)
-        if cnt >= length:
+        weights = meas.weights_by_k[k]
+        length = len(weights[0])
+        if len(y) >= length:
             # short diagonal: plain Vandermonde solve, remaining rows verify
-            rows = [list(w) for w in meas.weights_by_k[k][:length]]
-            x = linalg.solve(ctx, rows, list(y[:length]))
+            x = linalg.solve(ctx, weights[:length], list(y[:length]))
             if x is None:
                 raise InconsistentSyndrome(f"diagonal {k}: unsolvable square system")
-            for w, target in zip(meas.weights_by_k[k][length:], y[length:]):
+            for w, target in zip(weights[length:], y[length:]):
                 acc = ctx.zero
                 for c, v in zip(w, x):
                     acc = ctx.add(acc, ctx.mul(c, v))
                 if acc != target:
                     raise InconsistentSyndrome(f"diagonal {k}: redundant row mismatch")
             return x
-        return pronys_method(ctx, length, r, advice, list(y), pts)
+        # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
+        return pronys_method(ctx, length, r, advice, list(y), list(weights[1]))
 
     return low_rank_recovery(ctx, n, m, r, meas, oracle, hooks=hooks)
 
@@ -420,16 +405,8 @@ def convert_B_to_D(
             return
         j_lo, j_hi = _col_bounds(n, m, kp)
         d = j_hi - j_lo + 1
-        rows = []
-        rhs = []
-        for lp in range(d):
-            glp = ctx.pow(g, lp)
-            w = [ctx.pow(glp, j_lo)]
-            for _ in range(d - 1):
-                w.append(ctx.mul(w[-1], glp))
-            rows.append(w)
-            rhs.append(coeff[lp][kp])
-        vals = linalg.solve(ctx, rows, rhs)
+        rows = diag_weight_rows(ctx, g, d, n, m, kp)
+        vals = linalg.solve(ctx, rows, [coeff[lp][kp] for lp in range(d)])
         if vals is None:
             raise InconsistentEvaluations(f"diagonal {kp}: fringe system unsolvable")
         diag_vals[kp] = vals
@@ -475,7 +452,7 @@ def convert_B_to_D(
 
     out = []
     for k in range(width):
-        for l in range(_rows_per_diag(R, n, m, k)):
+        for l in range(diag_row_count(R, n, m, k)):
             out.append(coeff[l][k])
     return out
 
@@ -597,7 +574,7 @@ def tensor_recover(
             ]
             synd = []
             for k in range(univ_len):
-                for i in range(_rows_per_diag(R, n_rows, n_cols, k)):
+                for i in range(diag_row_count(R, n_rows, n_cols, k)):
                     synd.append(univs[i][k])
             w = _recover_from_diag(ctx, g, n_rows, n_cols, r, synd)
             new_polys[prefix] = _unmerge(w, tgt, stride)
@@ -612,3 +589,46 @@ def tensor_recover(
 def measure_syndromes(t: DenseTensor, fam) -> list[Fel]:
     """Inner products against an arbitrary measurement family, family order."""
     return [m.inner(t.ctx, t) for m in fam.measurements]
+
+
+# ---------------------------------------------------------------------------
+# one entry point per recovery family: measure at 2r, recover rank <= r
+# ---------------------------------------------------------------------------
+
+RECOVERY_FAMILIES = ("Dprime", "Bprime", "TensorB")
+
+
+def _check_recovery(family: str, dims: tuple[int, ...], r: int) -> None:
+    if family not in RECOVERY_FAMILIES:
+        raise ValueError(f"family {family} is not a recovery family")
+    if r < 1:
+        raise ValueError(f"rank bound must be >= 1, got r={r}")
+    if family == "TensorB":
+        if len(dims) < 2 or len(set(dims)) != 1:
+            raise ShapeMismatch("TensorB requires shape [n]^d with d >= 2")
+    elif len(dims) != 2:
+        raise ShapeMismatch(f"family {family} is for matrices, got dims {dims}")
+
+
+def measure(t: DenseTensor, family: str, r: int) -> list[Fel]:
+    """Syndromes of t against the family built for rank <= r recovery."""
+    _check_recovery(family, t.dims, r)
+    if family == "Dprime":
+        return measure_D(t, r)
+    if family == "Bprime":
+        n, m = t.dims
+        return measure_syndromes(t, hitting_set_B_prime(t.ctx, 2 * r, n, m))
+    return tensor_measure(t, r)
+
+
+def recover(
+    ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int, syndromes: list[Fel]
+) -> DenseTensor:
+    """The rank <= r tensor of shape dims whose ``measure`` output is syndromes."""
+    _check_recovery(family, dims, r)
+    if family == "TensorB":
+        return tensor_recover(ctx, len(dims), dims[0], r, syndromes)
+    n, m = dims
+    if family == "Bprime":
+        syndromes = convert_B_to_D(ctx, n, m, 2 * r, syndromes)
+    return recover_from_D(ctx, n, m, r, syndromes)

@@ -22,15 +22,8 @@ from .errors import (
     TooLarge,
 )
 from .field import FieldCtx
-from .hitting import (
-    MeasurementSet,
-    hitting_set_B_prime,
-    hitting_set_D_prime,
-    hitting_set_tensor,
-)
+from .hitting import MeasurementSet, generate_family
 from .tensor import DenseTensor, matrix_rank
-
-DECODE_FAMILIES = ("Dprime", "Bprime", "TensorB")
 
 
 @dataclass(frozen=True)
@@ -55,17 +48,10 @@ def build_code(
     """Code correcting r rank errors, from the chosen parity family at 2r."""
     if r < 1:
         raise ValueError("error-correction radius r must be >= 1")
-    dims = tuple(dims)
-    if family == "Dprime":
-        parity = hitting_set_D_prime(ctx, 2 * r, dims[0], dims[1])
-    elif family == "Bprime":
-        parity = hitting_set_B_prime(ctx, 2 * r, dims[0], dims[1])
-    elif family == "TensorB":
-        if len(set(dims)) != 1:
-            raise ShapeMismatch("TensorB codes need a cubic shape")
-        parity = hitting_set_tensor(ctx, len(dims), dims[0], 2 * r)
-    else:
+    if family not in lrr.RECOVERY_FAMILIES:
         raise ValueError(f"unsupported parity family {family!r}")
+    dims = tuple(dims)
+    parity = generate_family(ctx, family, dims, 2 * r)
     rows = parity.dense_rows()
     basis = linalg.nullspace_basis(ctx, rows, math.prod(dims))
     return RankMetricCode(ctx, dims, r, family, parity, tuple(tuple(v) for v in basis))
@@ -91,18 +77,6 @@ def encode(code: RankMetricCode, message: list) -> DenseTensor:
 
 def syndrome(code: RankMetricCode, word: DenseTensor) -> list:
     return lrr.measure_syndromes(word, code.parity)
-
-
-def _recover_error(code: RankMetricCode, synd: list) -> DenseTensor:
-    ctx = code.ctx
-    if code.family == "Dprime":
-        n, m = code.dims
-        return lrr.recover_from_D(ctx, n, m, code.r, synd)
-    if code.family == "Bprime":
-        n, m = code.dims
-        d_synd = lrr.convert_B_to_D(ctx, n, m, 2 * code.r, synd)
-        return lrr.recover_from_D(ctx, n, m, code.r, d_synd)
-    return lrr.tensor_recover(ctx, len(code.dims), code.dims[0], code.r, synd)
 
 
 def error_rank_bound(t: DenseTensor) -> int:
@@ -136,14 +110,16 @@ def decode(
     The syndrome depends on the error alone; recovery reconstructs it, and
     the result is re-verified (zero residual syndrome, error within the
     radius) so an out-of-promise input raises DecodeFailure rather than
-    returning an unflagged wrong word.
+    returning an unflagged wrong word.  For d > 2 the radius check uses the
+    largest flattening rank, which is only a lower bound on tensor rank, so
+    an error of tensor rank above r may still pass it.
     """
     ctx = code.ctx
     if received.dims != code.dims or received.ctx != ctx:
         raise ShapeMismatch("received word does not match the code's shape/field")
     synd = syndrome(code, received)
     try:
-        err = _recover_error(code, synd)
+        err = lrr.recover(ctx, code.family, code.dims, code.r, synd)
     except PromiseViolation as e:
         raise DecodeFailure(f"error recovery failed: {e}") from e
     word = DenseTensor(

@@ -127,6 +127,46 @@ def test_usage_error_exit_code_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def _syndrome_file(tmp_path, family, header_dims):
+    # a valid 3x3 syndrome file whose header then claims other dims
+    ctx = make_prime_field(157)
+    cube = DenseTensor(ctx, (3, 3), [ctx.mul(a, b) for a in (1, 2, 3)
+                                     for b in (4, 5, 6)])
+    src = tmp_path / "m.txt"
+    src.write_text(formats.write_tensor(cube))
+    synd = tmp_path / "synd.txt"
+    assert run("measure", "--tensor", str(src), "--family", family, "--r", "1",
+               "--out", str(synd)) == 0
+    synd.write_text(synd.read_text().replace("dims=3x3", f"dims={header_dims}"))
+    return ["recover", "--syndromes", str(synd), "--out", str(tmp_path / "rec.txt")]
+
+
+def _rank_zero_file(tmp_path):
+    synd = tmp_path / "synd.txt"
+    synd.write_text("field p=7 k=1\nsyndromes family=Dprime r=0 dims=3x3\n")
+    return ["recover", "--syndromes", str(synd), "--out", str(tmp_path / "rec.txt")]
+
+
+def _one_axis_bprime(tmp_path):
+    src = tmp_path / "v.txt"
+    src.write_text(formats.write_tensor(DenseTensor(GF13, (4,), [1, 2, 3, 4])))
+    return ["measure", "--tensor", str(src), "--family", "Bprime", "--r", "1",
+            "--out", str(tmp_path / "synd.txt")]
+
+
+@pytest.mark.parametrize("argv", [
+    _rank_zero_file,
+    lambda tmp: _syndrome_file(tmp, "TensorB", "3x4"),
+    lambda tmp: _syndrome_file(tmp, "Dprime", "3x3x3"),
+    _one_axis_bprime,
+], ids=["rank-zero", "tensorb-non-cubic", "dprime-three-axes", "bprime-one-axis"])
+def test_malformed_recovery_inputs_exit_2(tmp_path, capsys, argv):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert run(*args) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_file_outputs_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from tensorhit import linalg
 from tensorhit.errors import CompositeCharacteristic, OrderUnreachable
 from tensorhit.field import (
     FieldCtx,
+    _is_prime,
     embed_as_matrix,
     find_element_of_order,
     make_extension,
@@ -93,17 +95,42 @@ def test_order_unreachable():
         find_element_of_order(make_prime_field(5), 5)
 
 
+def _brute_order(ctx, a):
+    t, acc = 1, a
+    while acc != ctx.one:
+        acc = ctx.mul(acc, a)
+        t += 1
+    return t
+
+
 def test_order_certification_paths_agree():
-    # the exact-order route must select the same element power iteration does
-    ctx = make_prime_field(101)
-    for bound in (3, 10, 50, 100):
-        by_iteration = find_element_of_order(make_prime_field(101), bound)
-        exact = ctx._exact_order(by_iteration)
-        assert exact >= bound
-        for earlier in make_prime_field(101).nonzero_elements():
-            if earlier == by_iteration:
-                break
-            assert ctx._exact_order(earlier) < bound
+    # the factored-group-order certificate must agree with the least t, a^t = 1
+    for ctx in (make_prime_field(101), make_extension(make_prime_field(3), 2)):
+        orders = [_brute_order(ctx, a) for a in ctx.nonzero_elements()]
+        for bound in range(ctx.size):
+            expected = next(a for a, t in zip(ctx.nonzero_elements(), orders) if t >= bound)
+            assert find_element_of_order(ctx, bound) == expected
+            for a, t in zip(ctx.nonzero_elements(), orders):
+                assert ctx.order_at_least(a, bound) == (t >= bound)
+        assert not ctx.order_at_least(ctx.zero, 2)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10_000):
+        assert _is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_large_and_pseudoprime_characteristics():
+    t0 = time.perf_counter()
+    assert make_prime_field(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - t0 < 1.0
+    for n in (2**61 + 1, 561, 2047):  # 561: Carmichael; 2047: strong pseudoprime base 2
+        with pytest.raises(CompositeCharacteristic):
+            make_prime_field(n)
 
 
 def test_embed_as_matrix_examples():
