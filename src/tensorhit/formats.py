@@ -10,6 +10,7 @@ are whitespace-tolerant on read and canonical on write, so identical
 invocations produce byte-identical files.
 """
 
+import itertools
 import math
 
 from .errors import ShapeMismatch
@@ -25,24 +26,71 @@ def field_header(ctx: FieldCtx) -> str:
     return f"field p={ctx.p} k={ctx.k} mod={mod}"
 
 
-def parse_field_header(line: str) -> FieldCtx:
+def _numbered(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of text, each with its 1-based line number."""
+    return [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _line(lines: list[tuple[int, str]], at: int, what: str) -> tuple[int, str]:
+    if at >= len(lines):
+        end = lines[-1][0] + 1 if lines else 1
+        raise ShapeMismatch(f"line {end}: file ends before the {what}")
+    return lines[at]
+
+
+def _parse(no: int, parse, s: str):
+    """parse(s), with a ValueError turned into a ShapeMismatch naming line no."""
+    try:
+        return parse(s)
+    except ValueError as e:
+        raise ShapeMismatch(f"line {no}: {e}") from e
+
+
+def _keyed(no: int, line: str, tag: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The key=value pairs of a ``tag`` line, which must hold every key."""
     parts = line.split()
-    if not parts or parts[0] != "field":
-        raise ShapeMismatch(f"expected field header, got {line!r}")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    p = int(kv["p"])
-    k = int(kv["k"])
+    if not parts or parts[0] != tag:
+        raise ShapeMismatch(f"line {no}: expected {tag} line, got {line!r}")
+    kv = {}
+    for part in parts[1:]:
+        key, eq, val = part.partition("=")
+        if not eq:
+            raise ShapeMismatch(f"line {no}: expected key=value, got {part!r}")
+        kv[key] = val
+    missing = [k + "=" for k in keys if k not in kv]
+    if missing:
+        raise ShapeMismatch(f"line {no}: {tag} line lacks {', '.join(missing)}")
+    return kv
+
+
+def parse_field_header(line: str, no: int = 1) -> FieldCtx:
+    kv = _keyed(no, line, "field", ("p", "k"))
+    p = _parse(no, int, kv["p"])
+    k = _parse(no, int, kv["k"])
     ctx = make_prime_field(p)
     if k == 1:
         return ctx
     ext = make_extension(ctx, k)
     if "mod" in kv:
-        mod = tuple(int(c) for c in kv["mod"].split(","))
+        mod = _parse(no, _parse_ints, kv["mod"])
         if mod != ext.modulus:
             raise ShapeMismatch(
-                f"modulus {kv['mod']} is not the canonical one for GF({p}^{k})"
+                f"line {no}: modulus {kv['mod']} is not the canonical one "
+                f"for GF({p}^{k})"
             )
     return ext
+
+
+def _read_field(lines) -> FieldCtx:
+    no, line = _line(lines, 0, "field header")
+    return parse_field_header(line, no)
+
+
+def _read_header(lines, tag: str, keys: tuple[str, ...]):
+    """(field, line number, key=value pairs) of a file's first two lines."""
+    ctx = _read_field(lines)
+    no, line = _line(lines, 1, f"{tag} line")
+    return ctx, no, _keyed(no, line, tag, keys)
 
 
 def _dims_str(dims) -> str:
@@ -50,7 +98,14 @@ def _dims_str(dims) -> str:
 
 
 def _parse_dims(s: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in s.split("x"))
+    dims = tuple(int(t) for t in s.split("x"))
+    if min(dims) < 1:
+        raise ValueError(f"dimensions must be positive, got {s!r}")
+    return dims
+
+
+def _parse_ints(s: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in s.split(",")) if s else ()
 
 
 def _tensor_body(ctx: FieldCtx, t: DenseTensor) -> list[str]:
@@ -67,32 +122,33 @@ def write_tensor(t: DenseTensor) -> str:
     return "\n".join([field_header(t.ctx)] + _tensor_body(t.ctx, t)) + "\n"
 
 
-def _read_tensor_body(ctx: FieldCtx, header: str, tokens) -> DenseTensor:
-    parts = header.split()
-    if not parts or parts[0] != "tensor":
-        raise ShapeMismatch(f"expected tensor block, got {header!r}")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    dims = _parse_dims(kv["dims"])
+def _read_tensor_body(ctx: FieldCtx, lines, at: int, end: int | None = None):
+    """The tensor block headed by lines[at], its values read from lines[at+1:end]."""
+    no, header = _line(lines, at, "tensor block")
+    kv = _keyed(no, header, "tensor", ("dims",))
+    dims = _parse(no, _parse_dims, kv["dims"])
     total = math.prod(dims)
-    entries = [ctx.parse(next(tokens)) for _ in range(total)]
+    tokens = ((vno, tok) for vno, ln in lines[at + 1 : end] for tok in ln.split())
+    entries = [
+        _parse(vno, ctx.parse, tok) for vno, tok in itertools.islice(tokens, total)
+    ]
+    if len(entries) < total:
+        raise ShapeMismatch(
+            f"line {no}: tensor dims={kv['dims']} needs {total} values, "
+            f"found {len(entries)}"
+        )
     return DenseTensor(ctx, dims, entries)
 
 
-def _token_stream(lines):
-    for line in lines:
-        yield from line.split()
-
-
 def read_tensor(text: str) -> DenseTensor:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    ctx = parse_field_header(lines[0])
-    return _read_tensor_body(ctx, lines[1], _token_stream(lines[2:]))
+    lines = _numbered(text)
+    return _read_tensor_body(_read_field(lines), lines, 1)
 
 
 def read_tensor_or_lowrank(text: str) -> DenseTensor:
     """Read either format, expanding a factored file to its dense tensor."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) > 1 and lines[1].startswith("lowrank"):
+    lines = _numbered(text)
+    if len(lines) > 1 and lines[1][1].startswith("lowrank"):
         from .tensor import expand
 
         return expand(read_lowrank(text))
@@ -112,23 +168,21 @@ def write_lowrank(t: LowRankTensor) -> str:
 
 
 def read_lowrank(text: str) -> LowRankTensor:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    ctx = parse_field_header(lines[0])
-    parts = lines[1].split()
-    if parts[0] != "lowrank":
-        raise ShapeMismatch(f"expected lowrank header, got {lines[1]!r}")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    dims = _parse_dims(kv["dims"])
-    terms = int(kv["terms"])
-    d = len(dims)
+    lines = _numbered(text)
+    ctx, no, kv = _read_header(lines, "lowrank", ("dims", "terms"))
+    dims = _parse(no, _parse_dims, kv["dims"])
+    terms = _parse(no, int, kv["terms"])
     at = 2
     factor_lists = []
     for _ in range(terms):
         factors = []
-        for a in range(d):
-            vec = [ctx.parse(tok) for tok in lines[at].split()]
-            if len(vec) != dims[a]:
-                raise ShapeMismatch("factor vector length does not match dims")
+        for n in dims:
+            vno, line = _line(lines, at, "factor vectors")
+            vec = [_parse(vno, ctx.parse, tok) for tok in line.split()]
+            if len(vec) != n:
+                raise ShapeMismatch(
+                    f"line {vno}: factor vector length does not match dims"
+                )
             factors.append(tuple(vec))
             at += 1
         factor_lists.append(tuple(factors))
@@ -153,33 +207,24 @@ def write_measurements(ms: MeasurementSet) -> str:
 
 
 def read_measurements(text: str) -> MeasurementSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    ctx = parse_field_header(lines[0])
-    parts = lines[1].split()
-    if parts[0] != "measurements":
-        raise ShapeMismatch(f"expected measurements header, got {lines[1]!r}")
-    kv = dict(p.split("=", 1) for p in parts[1:])
+    lines = _numbered(text)
+    ctx, no, kv = _read_header(lines, "measurements", ("family", "count", "dims"))
     family = kv["family"]
-    count = int(kv["count"])
-    dims = _parse_dims(kv["dims"])
+    count = _parse(no, int, kv["count"])
+    dims = _parse(no, _parse_dims, kv["dims"])
     total = math.prod(dims)
     at = 2
     meas = []
     for _ in range(count):
-        mparts = lines[at].split()
-        if mparts[0] != "meta":
-            raise ShapeMismatch(f"expected meta line, got {lines[at]!r}")
-        mkv = dict(p.split("=", 1) for p in mparts[1:])
-        k = int(mkv["k"])
-        ls = () if mkv["l"] == "-" else tuple(int(v) for v in mkv["l"].split(","))
-        phi = (
-            tuple(int(v) for v in mkv["phi"].split(",")) if "phi" in mkv else ()
-        )
+        mno, line = _line(lines, at, "meta line")
+        mkv = _keyed(mno, line, "meta", ("k", "l"))
+        k = _parse(mno, int, mkv["k"])
+        ls = _parse(mno, _parse_ints, "" if mkv["l"] == "-" else mkv["l"])
+        phi = _parse(mno, _parse_ints, mkv.get("phi", ""))
         at += 1
         # tensor block: header line + ceil(total / dims[-1]) value lines
         value_lines = (total + dims[-1] - 1) // dims[-1]
-        block = lines[at : at + 1 + value_lines]
-        t = _read_tensor_body(ctx, block[0], _token_stream(block[1:]))
+        t = _read_tensor_body(ctx, lines, at, at + 1 + value_lines)
         at += 1 + value_lines
         meas.append(
             Measurement(k=k, ls=ls, phi=phi, entries=tuple(t.entries))
@@ -200,11 +245,9 @@ def write_syndromes(
 
 def read_syndromes(text: str):
     """Returns (ctx, family, r, dims, syndromes)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    ctx = parse_field_header(lines[0])
-    parts = lines[1].split()
-    if parts[0] != "syndromes":
-        raise ShapeMismatch(f"expected syndromes header, got {lines[1]!r}")
-    kv = dict(p.split("=", 1) for p in parts[1:])
-    syndromes = [ctx.parse(ln.strip()) for ln in lines[2:]]
-    return ctx, kv["family"], int(kv["r"]), _parse_dims(kv["dims"]), syndromes
+    lines = _numbered(text)
+    ctx, no, kv = _read_header(lines, "syndromes", ("family", "r", "dims"))
+    r = _parse(no, int, kv["r"])
+    dims = _parse(no, _parse_dims, kv["dims"])
+    syndromes = [_parse(sno, ctx.parse, ln.strip()) for sno, ln in lines[2:]]
+    return ctx, kv["family"], r, dims, syndromes

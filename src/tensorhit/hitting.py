@@ -18,6 +18,10 @@ reproducible):
 * ``SimImproper`` / ``SimProper``  base-field simulations of a family built
                over an extension; source-major, projection index minor.
 
+``moment_schedule`` is the one definition of the alphas and multipliers of
+the rank-1 families B, Bprime and TensorB; their builders and
+``lrr.measure_moments`` both read it.
+
 The alphas are the first canonical nonzero field elements, so they are
 distinct and nonzero; nonzero matters because downstream interpolation
 divides by powers of evaluation points.
@@ -47,10 +51,12 @@ from .tensor import (
     _inner_dense_factors,
     diag_bounds,
     diagonal,
+    expand,
 )
 
 
-def _powers(ctx: FieldCtx, x: Fel, count: int) -> tuple[Fel, ...]:
+def moment_vector(ctx: FieldCtx, x: Fel, count: int) -> tuple[Fel, ...]:
+    """(1, x, x^2, ..., x^(count-1))."""
     out = [ctx.one]
     for _ in range(count - 1):
         out.append(ctx.mul(out[-1], x))
@@ -162,40 +168,78 @@ def rank_preserver(
     rows = []
     base = alpha
     for _ in range(r):
-        rows.append(list(_powers(ctx, base, n)))
+        rows.append(list(moment_vector(ctx, base, n)))
         base = ctx.mul(base, g)
     return DenseTensor.from_rows(ctx, rows)
 
 
-def hitting_set_B(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
-    """(n+m-1)r rank-1 matrices: r polynomials interpolated at n+m-1 points."""
+MOMENT_FAMILIES = ("B", "Bprime", "TensorB")
+
+
+def moment_schedule(
+    ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
+) -> tuple[list[Fel], list[tuple[tuple[int, ...], tuple[Fel, ...], int]]]:
+    """Evaluation points and multipliers of a rank-1 moment family.
+
+    Returns ``(alphas, blocks)``; each block ``(ls, mults, count)`` lists, in
+    family order, the members (k, ls) for k < count, whose axis-a factor is
+    the moment vector of mults[a] * alphas[k].  So member (k, ls) evaluates
+    the polynomial sum_idx T[idx] prod_a mults[a]^idx_a x^(sum idx) at
+    alphas[k].  ``family`` is ``B``, ``Bprime`` (dims (n, m), multipliers
+    (1, g^l)) or ``TensorB`` (dims [n]^d, multipliers g^L(n, b, a, ls)).
+    """
+    if family not in MOMENT_FAMILIES:
+        raise ValueError(f"family {family} is not a rank-1 moment family")
+    if family == "TensorB":
+        d = len(dims)
+        n = dims[0] if dims else 0
+        if d < 2 or n < 1 or r < 1:
+            raise ValueError(f"need d >= 2, n >= 1, r >= 1, got d={d}, n={n}, r={r}")
+        b = (d - 1).bit_length()
+        g = _element_of_order(ctx, (2 * d * n) ** d)
+        alphas = ctx.first_elements(d * n)
+        blocks = [
+            (ls, tuple(ctx.pow(g, L(n, b, a, ls)) for a in range(d)), d * n)
+            for ls in itertools.product(range(r), repeat=b)
+        ]
+        return alphas, blocks
+    n, m = dims
     _check_matrix_params(r, n, m)
     g = _element_of_order(ctx, m)
     alphas = ctx.first_elements(n + m - 1)
+    shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
+    blocks = [
+        ((l,), (ctx.one, ctx.pow(g, l)), (n + m - 1) - shrink * l) for l in range(r)
+    ]
+    return alphas, blocks
+
+
+def _moment_family(
+    ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
+) -> MeasurementSet:
+    alphas, blocks = moment_schedule(ctx, family, dims, r)
+    # a multiplier of one reuses the moment vector of alpha_k itself
+    moments = [moment_vector(ctx, a, max(dims)) for a in alphas]
     meas = []
-    for l in range(r):
-        gl = ctx.pow(g, l)
-        for k, a in enumerate(alphas):
-            u = _powers(ctx, a, n)
-            v = _powers(ctx, ctx.mul(gl, a), m)
-            meas.append(Measurement(k=k, ls=(l,), factors=(u, v)))
-    return MeasurementSet(ctx, (n, m), "B", r, tuple(meas))
+    for ls, mults, count in blocks:
+        for k, a in enumerate(alphas[:count]):
+            factors = tuple(
+                moments[k][:size] if mult == ctx.one
+                else moment_vector(ctx, ctx.mul(mult, a), size)
+                for mult, size in zip(mults, dims)
+            )
+            meas.append(Measurement(k=k, ls=ls, factors=factors))
+    return MeasurementSet(ctx, tuple(dims), family, r, tuple(meas))
+
+
+def hitting_set_B(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
+    """(n+m-1)r rank-1 matrices: r polynomials interpolated at n+m-1 points."""
+    return _moment_family(ctx, "B", (n, m), r)
 
 
 def hitting_set_B_prime(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
     """The (n+m-r)r linearly independent subfamily of B (k <= (n+m-2)-2l)."""
-    _check_matrix_params(r, n, m)
-    g = _element_of_order(ctx, m)
-    alphas = ctx.first_elements(n + m - 1)
-    meas = []
-    for l in range(r):
-        gl = ctx.pow(g, l)
-        for k in range((n + m - 1) - 2 * l):
-            a = alphas[k]
-            u = _powers(ctx, a, n)
-            v = _powers(ctx, ctx.mul(gl, a), m)
-            meas.append(Measurement(k=k, ls=(l,), factors=(u, v)))
-    return MeasurementSet(ctx, (n, m), "Bprime", r, tuple(meas))
+    return _moment_family(ctx, "Bprime", (n, m), r)
 
 
 def diag_row_count(r: int, n: int, m: int, k: int) -> int:
@@ -266,18 +310,7 @@ def hitting_set_tensor(ctx: FieldCtx, d: int, n: int, r: int) -> MeasurementSet:
     g^L(n, b, a, ls) * alpha_k, with b = ceil(lg d).  Requires an element of
     order >= (2dn)^d, so small base fields must extend first.
     """
-    if d < 2 or n < 1 or r < 1:
-        raise ValueError(f"need d >= 2, n >= 1, r >= 1, got d={d}, n={n}, r={r}")
-    b = (d - 1).bit_length()
-    g = _element_of_order(ctx, (2 * d * n) ** d)
-    alphas = ctx.first_elements(d * n)
-    meas = []
-    for ls in itertools.product(range(r), repeat=b):
-        mults = [ctx.pow(g, L(n, b, a, ls)) for a in range(d)]
-        for k, a in enumerate(alphas):
-            factors = tuple(_powers(ctx, ctx.mul(mult, a), n) for mult in mults)
-            meas.append(Measurement(k=k, ls=ls, factors=factors))
-    return MeasurementSet(ctx, (n,) * d, "TensorB", r, tuple(meas))
+    return _moment_family(ctx, "TensorB", (n,) * d, r)
 
 
 def naive_set(ctx: FieldCtx, dims: tuple[int, ...]) -> MeasurementSet:
@@ -395,23 +428,26 @@ def combine_simulated_syndromes(
 # ---------------------------------------------------------------------------
 
 
-def _lift_tensor(t: DenseTensor, ctx: FieldCtx) -> DenseTensor:
-    if t.ctx == ctx:
+def family_tensor(t, h: MeasurementSet) -> DenseTensor:
+    """t as a dense tensor over h's field (a base-field t is embedded).
+
+    Raises ShapeMismatch when t's shape differs from h's or its field does
+    not embed in h's.
+    """
+    if isinstance(t, LowRankTensor):
+        t = expand(t)
+    if t.dims != h.dims:
+        raise ShapeMismatch(f"tensor shape {t.dims} vs family shape {h.dims}")
+    if t.ctx == h.ctx:
         return t
-    if t.ctx.p != ctx.p or t.ctx.k != 1:
+    if t.ctx.p != h.ctx.p or t.ctx.k != 1:
         raise ShapeMismatch("tensor field does not embed in the family field")
-    return DenseTensor(ctx, t.dims, [ctx.scalar(e) for e in t.entries])
+    return DenseTensor(h.ctx, t.dims, [h.ctx.scalar(e) for e in t.entries])
 
 
 def first_witness(t, h: MeasurementSet) -> int | None:
     """Index of the first measurement with nonzero inner product, else None."""
-    if isinstance(t, LowRankTensor):
-        from .tensor import expand
-
-        t = expand(t)
-    if t.dims != h.dims:
-        raise ShapeMismatch(f"tensor shape {t.dims} vs family shape {h.dims}")
-    t = _lift_tensor(t, h.ctx)
+    t = family_tensor(t, h)
     for i, m in enumerate(h.measurements):
         if m.inner(h.ctx, t) != h.ctx.zero:
             return i

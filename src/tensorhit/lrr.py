@@ -20,8 +20,9 @@ because measurement weights and evaluation points are indexed by column.
 Beyond matrices, the module converts rank-1-family syndromes into diagonal
 syndromes by staircase interpolation, and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family.
-``measure`` and ``recover`` are the one entry point for each family in
-``RECOVERY_FAMILIES``.
+``measure_moments`` measures the rank-1 families (B, B', TensorB) through
+one collapsed polynomial per exponent index.  ``measure`` and ``recover``
+are the one entry point for each family in ``RECOVERY_FAMILIES``.
 """
 
 import itertools
@@ -40,12 +41,14 @@ from .errors import (
 )
 from .field import Fel, FieldCtx
 from .hitting import (
+    MOMENT_FAMILIES,
     diag_row_count,
     diag_weight_rows,
-    hitting_set_B_prime,
-    hitting_set_tensor,
+    family_tensor,
+    moment_schedule,
+    moment_vector,
 )
-from .tensor import DenseTensor, diag_bounds
+from .tensor import DenseTensor, LowRankTensor, diag_bounds, expand
 
 
 def _col_bounds(n: int, m: int, k: int) -> tuple[int, int]:
@@ -387,6 +390,10 @@ def convert_B_to_D(
     are already determined by blocks < l; subtracting those fringes and
     dividing by the evaluation point's l-th power leaves a polynomial short
     enough to interpolate from the block's (n+m-1) - 2l evaluations.
+
+    This inverts exactly the map ``measure_moments`` computes: block l
+    holds the evaluations at the alphas of p_l(x) = sum_(i,j) M[i,j] g^(lj)
+    x^(i+j), whose coefficient k is the D syndrome (k, l).
     """
     if not 1 <= R <= n <= m:
         raise ValueError(f"need m >= n >= R >= 1, got R={R}, n={n}, m={m}")
@@ -479,8 +486,7 @@ def tensor_measure(t: DenseTensor, r: int) -> list[Fel]:
     d = len(t.dims)
     if d < 2 or len(set(t.dims)) != 1:
         raise ShapeMismatch("tensor measurement requires shape [n]^d, d >= 2")
-    fam = hitting_set_tensor(t.ctx, d, t.dims[0], 2 * r)
-    return [m.inner(t.ctx, t) for m in fam.measurements]
+    return measure_moments(t, "TensorB", 2 * r)
 
 
 def _flatten_strided(arr: DenseTensor, stride: int, out_len: int) -> list[Fel]:
@@ -586,9 +592,74 @@ def tensor_recover(
     return DenseTensor(ctx, (n,) * d, full.entries)
 
 
-def measure_syndromes(t: DenseTensor, fam) -> list[Fel]:
-    """Inner products against an arbitrary measurement family, family order."""
-    return [m.inner(t.ctx, t) for m in fam.measurements]
+def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
+    """Coefficients of sum_idx t[idx] prod_a mults[a]^idx_a x^(sum_a idx_a).
+
+    The last axis scales each row into a polynomial; every earlier axis
+    then folds each group of n consecutive polynomials into
+    sum_i mult^i x^i poly_i, so every axis costs O(entries) ops.
+    """
+    ctx = t.ctx
+    zero, one = ctx.zero, ctx.one
+    *outer, n = t.dims
+    pw = moment_vector(ctx, mults[-1], n)
+    entries = t.entries
+    polys = [
+        [e if e == zero else ctx.mul(c, e) for c, e in zip(pw, entries[base : base + n])]
+        for base in range(0, len(entries), n)
+    ]
+    for n, mult in zip(reversed(outer), reversed(mults[:-1])):
+        pw = moment_vector(ctx, mult, n)
+        width = len(polys[0]) + n - 1
+        folded = []
+        for base in range(0, len(polys), n):
+            acc = [zero] * width
+            for i, c in enumerate(pw):
+                for s, v in enumerate(polys[base + i], i):
+                    if v != zero:
+                        acc[s] = ctx.add(acc[s], v if c == one else ctx.mul(c, v))
+            folded.append(acc)
+        polys = folded
+    return polys[0]
+
+
+def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
+    """Syndromes of t against the rank-1 moment family ``family`` at r.
+
+    Member (k, ls) of B, B' and TensorB evaluates one polynomial at alpha_k
+    (``hitting.moment_schedule``), so t is collapsed once per exponent index
+    ls and each member costs one Horner evaluation: O(R * entries) to
+    collapse plus O(|family| * degree) to evaluate, instead of O(entries)
+    per member.  For matrices the collapsed coefficients are the full
+    diagonal-family syndromes, which ``convert_B_to_D`` reads back.
+    """
+    if isinstance(t, LowRankTensor):
+        t = expand(t)
+    ctx = t.ctx
+    alphas, blocks = moment_schedule(ctx, family, t.dims, r)
+    out = []
+    for _, mults, count in blocks:
+        coeffs = _collapse(t, mults)
+        out.extend(linalg.poly_eval(ctx, coeffs, a) for a in alphas[:count])
+    return out
+
+
+def measure_syndromes(t, fam) -> list[Fel]:
+    """Inner products against a measurement family, in family order.
+
+    t may be dense or factored, over the family's field or its prime
+    subfield; a shape other than the family's raises ShapeMismatch.  B, B'
+    and TensorB families with factored members, as the ``hitting`` builders
+    make them, take the collapsed ``measure_moments`` path; every other
+    family (D, D', Naive, simulated, read from a file) is measured member
+    by member with ``Measurement.inner``.
+    """
+    t = family_tensor(t, fam)
+    if fam.family in MOMENT_FAMILIES and all(
+        m.factors is not None for m in fam.measurements
+    ):
+        return measure_moments(t, fam.family, fam.r)
+    return [m.inner(fam.ctx, t) for m in fam.measurements]
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +687,7 @@ def measure(t: DenseTensor, family: str, r: int) -> list[Fel]:
     if family == "Dprime":
         return measure_D(t, r)
     if family == "Bprime":
-        n, m = t.dims
-        return measure_syndromes(t, hitting_set_B_prime(t.ctx, 2 * r, n, m))
+        return measure_moments(t, "Bprime", 2 * r)
     return tensor_measure(t, r)
 
 

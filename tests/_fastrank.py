@@ -10,7 +10,11 @@ import numpy as np
 
 
 def rref_mod(a: np.ndarray, p: int):
-    """Gauss-Jordan over GF(p); returns (reduced array, pivot column list)."""
+    """Gauss-Jordan over GF(p); returns (reduced array, pivot column list).
+
+    The pivot row of column c is zero left of c, so each step touches only
+    columns c and beyond of the rows it changes.
+    """
     a = a.astype(np.int64, copy=True) % p
     rows, cols = a.shape
     pivots = []
@@ -18,8 +22,7 @@ def rref_mod(a: np.ndarray, p: int):
     for c in range(cols):
         if r == rows:
             break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
@@ -27,12 +30,12 @@ def rref_mod(a: np.ndarray, p: int):
             a[[r, pr]] = a[[pr, r]]
         inv = pow(int(a[r, c]), p - 2, p)
         if inv != 1:
-            a[r] = a[r] * inv % p
+            a[r, c:] = a[r, c:] * inv % p
         fac = a[:, c].copy()
         fac[r] = 0
-        mask = fac != 0
-        if mask.any():
-            a[mask] = (a[mask] - fac[mask, None] * a[r][None, :]) % p
+        hit = np.flatnonzero(fac)
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - fac[hit, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -43,12 +46,23 @@ def rank_mod(a: np.ndarray, p: int) -> int:
 
 
 def in_rowspace(rref: np.ndarray, pivots, extras: np.ndarray, p: int) -> bool:
-    """Whether every extra row lies in the span of the reduced basis rows."""
+    """Whether every extra row lies in the span of the reduced basis rows.
+
+    The basis is the identity on the pivot columns, so only the free
+    columns of extras - coeff @ basis can be nonzero.  The product runs in
+    int64, reduced mod p after each block of pivots small enough that no
+    partial sum leaves the int64 range, so it is exact for every p < 2^31.
+    """
     if extras.size == 0:
         return True
-    basis = rref[: len(pivots)].astype(np.float64)
-    coeff = extras[:, pivots].astype(np.float64)
-    reduced = (extras - (coeff @ basis).astype(np.int64)) % p
+    block = (1 << 62) // (p - 1) ** 2
+    assert block >= 1, "int64 products need p < 2^31"
+    free = np.setdiff1d(np.arange(extras.shape[1]), pivots)
+    basis = rref[: len(pivots)][:, free].astype(np.int64)
+    coeff = extras[:, pivots].astype(np.int64)
+    reduced = extras[:, free].astype(np.int64) % p
+    for lo in range(0, len(pivots), block):
+        reduced = (reduced - coeff[:, lo : lo + block] @ basis[lo : lo + block]) % p
     return not reduced.any()
 
 

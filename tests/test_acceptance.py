@@ -10,6 +10,7 @@ import random
 import time
 
 import _fastrank
+import numpy as np
 from tensorhit import linalg
 from tensorhit.field import (
     find_element_of_order,
@@ -202,6 +203,23 @@ def test_criterion_03_span_and_independence():
         assert len(pivots_b) == scale * target, ("Bprime", r, n, m)
         assert _fastrank.in_rowspace(red_b, pivots_b, extras_b, p), ("B", r, n, m)
     _report(3, "span/independence ranks", t0, 10, f"[{len(GRID)} combos x 4 families]")
+
+
+def test_in_rowspace_is_exact_beyond_the_float_range():
+    # over GF(2^31 - 1) a 40-term row combination overflows float64's 2^53
+    p = 2**31 - 1
+    rng = np.random.default_rng(303)
+    basis = rng.integers(0, p, size=(40, 60))
+    red, pivots = _fastrank.rref_mod(basis, p)
+    comb = rng.integers(0, p, size=(5, 40))
+    extras = np.array(
+        [[sum(int(c) * int(b) for c, b in zip(row, col)) % p for col in basis.T]
+         for row in comb],
+        dtype=np.int64,
+    )
+    assert _fastrank.in_rowspace(red, pivots, extras, p)
+    extras[2, 7] = (extras[2, 7] + 1) % p
+    assert not _fastrank.in_rowspace(red, pivots, extras, p)
 
 
 # -- 4: rank-preserver bound -------------------------------------------------------

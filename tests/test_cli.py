@@ -154,12 +154,34 @@ def _one_axis_bprime(tmp_path):
             "--out", str(tmp_path / "synd.txt")]
 
 
+def _malformed_tensor(text):
+    def argv(tmp_path):
+        src = tmp_path / "t.txt"
+        src.write_text(text)
+        return ["measure", "--tensor", str(src), "--family", "Dprime", "--r", "1",
+                "--out", str(tmp_path / "synd.txt")]
+    return argv
+
+
+def _malformed_syndromes(text):
+    def argv(tmp_path):
+        synd = tmp_path / "synd.txt"
+        synd.write_text(text)
+        return ["recover", "--syndromes", str(synd), "--out", str(tmp_path / "rec.txt")]
+    return argv
+
+
 @pytest.mark.parametrize("argv", [
     _rank_zero_file,
     lambda tmp: _syndrome_file(tmp, "TensorB", "3x4"),
     lambda tmp: _syndrome_file(tmp, "Dprime", "3x3x3"),
     _one_axis_bprime,
-], ids=["rank-zero", "tensorb-non-cubic", "dprime-three-axes", "bprime-one-axis"])
+    _malformed_tensor("field p=13 k=1\ntensor dims=3x3\n1 2 3\n4 5 6\n"),
+    _malformed_tensor("field p=13\ntensor dims=2x2\n1 2\n3 4\n"),
+    _malformed_tensor("field p=13 k=1\n"),
+    _malformed_syndromes("field p=13 k=1\nsyndromes family=Dprime dims=3x3\n1\n2\n"),
+], ids=["rank-zero", "tensorb-non-cubic", "dprime-three-axes", "bprime-one-axis",
+        "short-tensor-body", "header-without-k", "header-only", "syndromes-without-r"])
 def test_malformed_recovery_inputs_exit_2(tmp_path, capsys, argv):
     args = argv(tmp_path)
     capsys.readouterr()

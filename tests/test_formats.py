@@ -113,3 +113,22 @@ def test_bad_headers_rejected():
         read_tensor("field p=7 k=1\nlowrank dims=2x2 terms=0\n")
     with pytest.raises(ShapeMismatch):
         parse_field_header("tensor dims=2x2")
+
+
+@pytest.mark.parametrize("reader,text,line", [
+    (read_tensor, "field p=13 k=1\ntensor dims=3x3\n1 2 3\n4 5 6\n", 2),
+    (read_tensor, "field p=13\ntensor dims=2x2\n1 2\n3 4\n", 1),
+    (read_tensor, "field p=13 k=1\n", 2),
+    (read_tensor, "", 1),
+    (read_tensor, "field p=13 k=1\n\ntensor dims=2x2\n1 2\n3 99\n", 5),
+    (read_tensor, "field p=13 k=1\ntensor dims=2xa\n1 2\n3 4\n", 2),
+    (read_tensor, "field p=13 k=1\ntensor dims=0x3\n", 2),
+    (read_syndromes, "field p=13 k=1\nsyndromes family=Dprime dims=3x3\n1\n", 2),
+    (read_syndromes, "field p=13 k=1\nsyndromes family=Dprime r=1 dims=3x3\n1\n1 2\n", 4),
+    (read_lowrank, "field p=13 k=1\nlowrank dims=2x2 terms=1\n1 2\n", 4),
+    (read_measurements, "field p=13 k=1\nmeasurements family=D count=2 dims=1x1\n"
+                        "meta k=0 l=0\ntensor dims=1x1\n1\n", 6),
+])
+def test_malformed_files_name_the_line(reader, text, line):
+    with pytest.raises(ShapeMismatch, match=rf"^line {line}: "):
+        reader(text)

@@ -1,11 +1,15 @@
 """Echelon bookkeeping, diagonal recovery, basis conversion, tensor recovery."""
 
+import dataclasses
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tensorhit import linalg
+from tensorhit import formats, linalg, lrr
 from tensorhit.errors import (
     InconsistentSyndrome,
     NotEchelon,
@@ -15,6 +19,7 @@ from tensorhit.errors import (
 from tensorhit.field import make_extension, make_prime_field
 from tensorhit.hitting import (
     combine_simulated_syndromes,
+    generate_family,
     hitting_set_B_prime,
     hitting_set_D_prime,
     hitting_set_tensor,
@@ -32,7 +37,7 @@ from tensorhit.lrr import (
     tensor_measure,
     tensor_recover,
 )
-from tensorhit.tensor import DenseTensor, diagonal, matrix_rank
+from tensorhit.tensor import DenseTensor, LowRankTensor, Rank1Tensor, diagonal, matrix_rank
 
 GF13 = make_prime_field(13)
 GF17 = make_prime_field(17)
@@ -323,3 +328,74 @@ def test_tensor_family_count_formula():
     ctx = make_prime_field(_prime_at_least((2 * 3 * 3) ** 3))
     fam = hitting_set_tensor(ctx, 3, 3, 4)
     assert len(fam) == 3 * 3 * 4 ** 2
+
+
+# -- collapsed measurement of the rank-1 moment families ----------------------------
+
+GF16 = make_extension(make_prime_field(2), 4)
+GF65537 = make_prime_field(65537)
+_TENSOR_MAX_N = {2: 4, 3: 3, 4: 2}  # (2dn)^d <= 65536
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_collapsed_measurement_equals_member_inner_products(data):
+    ctx = data.draw(st.sampled_from([GF13, GF16, GF65537]), label="field")
+    families = ["B", "Bprime"] + (["TensorB"] if ctx is GF65537 else [])
+    family = data.draw(st.sampled_from(families), label="family")
+    if family == "TensorB":
+        d = data.draw(st.integers(2, 4), label="d")
+        dims = (data.draw(st.integers(1, _TENSOR_MAX_N[d]), label="n"),) * d
+        r = data.draw(st.integers(1, 3), label="r")
+    else:
+        n = data.draw(st.integers(1, 4), label="n")
+        dims = (n, data.draw(st.integers(n, 6), label="m"))
+        r = data.draw(st.integers(1, n), label="r")
+    size = math.prod(dims)
+    idx = data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=size, max_size=size))
+    t = DenseTensor(ctx, dims, [ctx.from_index(i) for i in idx])
+
+    fam = generate_family(ctx, family, dims, r)
+    synd = measure_syndromes(t, fam)
+    assert synd == [m.inner(ctx, t) for m in fam.measurements]
+
+    if family == "TensorB" or (family == "Bprime" and dims[0] >= 2):
+        top = 2 if family == "TensorB" else dims[0] // 2
+        rr = data.draw(st.integers(1, top), label="recovery r")
+        assert lrr.measure(t, family, rr) == measure_syndromes(
+            t, generate_family(ctx, family, dims, 2 * rr)
+        )
+
+    if family == "Bprime":
+        # a family read back from a file is measured member by member
+        back = formats.read_measurements(formats.write_measurements(fam))
+        i = data.draw(st.integers(0, len(back) - 1), label="member")
+        j = data.draw(st.integers(0, size - 1), label="entry")
+        entries = list(back.measurements[i].entries)
+        entries[j] = ctx.add(entries[j], ctx.one)
+        members = list(back.measurements)
+        members[i] = dataclasses.replace(members[i], entries=tuple(entries))
+        altered = dataclasses.replace(back, measurements=tuple(members))
+        got = measure_syndromes(t, altered)
+        assert got == [m.inner(ctx, t) for m in altered.measurements]
+        assert got[i] == ctx.add(synd[i], t.entries[j])
+        assert got[:i] + got[i + 1 :] == synd[:i] + synd[i + 1 :]
+
+
+def test_measure_syndromes_rejects_a_shape_mismatch():
+    mat = DenseTensor(GF13, (3, 3), list(range(9)))
+    for fam in (hitting_set_B_prime(GF13, 1, 4, 4), hitting_set_D_prime(GF13, 1, 4, 4)):
+        with pytest.raises(ShapeMismatch):
+            measure_syndromes(mat, fam)
+
+
+def test_factored_tensors_are_measured_as_their_expansion():
+    t = LowRankTensor(GF13, (3, 4), (
+        Rank1Tensor(GF13, ((1, 2, 0), (4, 0, 1, 3))),
+        Rank1Tensor(GF13, ((0, 5, 7), (1, 1, 2, 9))),
+    ))
+    fam = hitting_set_B_prime(GF13, 2, 3, 4)
+    assert measure_syndromes(t, fam) == [m.inner(GF13, t) for m in fam.measurements]
+    cube = LowRankTensor(GF65537, (2, 2, 2), (Rank1Tensor(GF65537, ((1, 2), (3, 4), (5, 6))),))
+    fam = hitting_set_tensor(GF65537, 3, 2, 2)
+    assert tensor_measure(cube, 1) == [m.inner(GF65537, cube) for m in fam.measurements]
