@@ -24,12 +24,34 @@ multiplicative order is at least ``b``.  The order is computed exactly from
 the factorization of ``p^k - 1`` (factored once per field), so certifying
 costs a few exponentiations per candidate whatever the bound.
 
+Vector kernels
+--------------
+Besides the element operations, a context offers a few vector kernels:
+
+* ``dot(u, v)``: sum of u[i] * v[i];
+* ``axpy(dst, c, src, start=0)``: dst[start + j] += c * src[j], in place;
+* ``pivot(rows, r, c)``: scale row r so its column-c entry is one, then
+  clear column c of every other row, touching columns c onward only;
+* ``powers(x, count)``: [1, x, ..., x^(count-1)];
+* ``horner(coeffs, x)``: sum of coeffs[i] * x^i.
+
+Each has one body for ints and one for tuples, and together with the
+element operations they are the only code that knows how elements are
+stored: linear algebra, Prony's method, recovery, measurement and encoding
+are written once, over any field, on top of them.  The int bodies reduce
+mod p inline; the tuple bodies fold the element operations, except that
+``dot`` sums unreduced coefficient convolutions and reduces once.
+Extension elements stay tuples because files, the benchmark's planted
+inputs and its checks read and write them in that form.
+
 Everything here is immutable after construction apart from memoized order
-discoveries, which are write-once and race-benign; contexts may be shared
-freely across threads and all element operations are pure.
+discoveries and the lazily built inverse table of a prime field below
+2^16, which are write-once and race-benign; contexts may be shared freely
+across threads and all element operations are pure.
 """
 
 import itertools
+import operator
 
 from .errors import CompositeCharacteristic, FieldTooSmall, OrderUnreachable
 
@@ -193,6 +215,7 @@ class FieldCtx:
         self.zero: Fel = 0 if k == 1 else (0,) * k
         self.one: Fel = 1 if k == 1 else (1,) + (0,) * (k - 1)
         self._order_memo: dict[int, Fel] = {}
+        self._inv_table: list[int] | None = None
         self._group_factors: dict[int, int] | None = None
         self.g: Fel | None = None  # highest-bound order discovery so far
         self.g_order_bound = 0
@@ -233,45 +256,57 @@ class FieldCtx:
         if self.k == 1:
             return (a + b) % self.p
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a: Fel, b: Fel) -> Fel:
         if self.k == 1:
             return (a - b) % self.p
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def neg(self, a: Fel) -> Fel:
         if self.k == 1:
             return -a % self.p
         p = self.p
-        return tuple(-x % p for x in a)
+        return tuple([-x % p for x in a])
 
     def mul(self, a: Fel, b: Fel) -> Fel:
         p = self.p
         if self.k == 1:
             return a * b % p
-        k = self.k
-        conv = [0] * (2 * k - 1)
+        conv = [0] * (2 * self.k - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = [c % p for c in conv[:k]]
-        for i in range(k - 1):
-            hi = conv[k + i] % p
+                for j, bj in enumerate(b, i):
+                    conv[j] += ai * bj
+        return self._reduce(conv)
+
+    def _reduce(self, conv: list[int]) -> tuple[int, ...]:
+        """The element whose unreduced coefficient convolution is conv."""
+        p, k = self.p, self.k
+        out = conv[:k]
+        for i, red in enumerate(self._red, k):
+            hi = conv[i] % p
             if hi:
-                red = self._red[i]
                 for t in range(k):
-                    out[t] = (out[t] + hi * red[t]) % p
-        return tuple(out)
+                    out[t] += hi * red[t]
+        return tuple([c % p for c in out])
 
     def inv(self, a: Fel) -> Fel:
+        table = self._inv_table
+        if table is not None and a:  # a nonzero int of a small prime field
+            return table[a]
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         p = self.p
         if self.k == 1:
-            return pow(a, p - 2, p)
+            if p >= 1 << 16:
+                return pow(a, -1, p)
+            table = [0, 1]
+            for v in range(2, p):  # 1/v = -(p // v) / (p mod v)
+                table.append(-(p // v) * table[p % v] % p)
+            self._inv_table = table
+            return table[a]
         # extended Euclid on polynomials
         r0, r1 = list(self.modulus), _poly_trim(list(a))
         s0, s1 = [0], [1]
@@ -311,6 +346,88 @@ class FieldCtx:
         if self.k == 1:
             return n % self.p
         return (n % self.p,) + (0,) * (self.k - 1)
+
+    # -- vector kernels -------------------------------------------------------
+
+    def dot(self, u, v) -> Fel:
+        """sum_i u[i] * v[i], over the shorter of the two vectors."""
+        if self.k == 1:
+            return sum(map(operator.mul, u, v)) % self.p
+        zero = self.zero
+        conv = [0] * (2 * self.k - 1)
+        for a, b in zip(u, v):
+            if a != zero and b != zero:
+                for i, ai in enumerate(a):
+                    if ai:
+                        for j, bj in enumerate(b, i):
+                            conv[j] += ai * bj
+        return self._reduce(conv)
+
+    def axpy(self, dst: list, c: Fel, src, start: int = 0) -> None:
+        """dst[start + j] += c * src[j] for every j, in place."""
+        if c == self.zero:
+            return
+        if self.k == 1:
+            p = self.p
+            for j, s in enumerate(src, start):
+                if s:
+                    dst[j] = (dst[j] + c * s) % p
+            return
+        zero, one = self.zero, self.one
+        for j, s in enumerate(src, start):
+            if s != zero:
+                dst[j] = self.add(dst[j], s if c == one else self.mul(c, s))
+
+    def pivot(self, rows: list[list], r: int, c: int) -> None:
+        """Scale rows[r] to a one in column c, then clear column c elsewhere.
+
+        Entries of rows[r] left of column c must be zero, so only columns c
+        onward are updated, in place.
+        """
+        prow = rows[r]
+        inv = self.inv(prow[c])
+        if self.k == 1:
+            # inline loops: an axpy call per row costs more than the row
+            # itself on the tiny systems Prony's method solves
+            p, cols = self.p, range(c, len(prow))
+            if inv != 1:
+                for j in cols:
+                    prow[j] = prow[j] * inv % p
+            for row in rows:
+                f = row[c]
+                if f and row is not prow:
+                    for j in cols:
+                        if prow[j]:
+                            row[j] = (row[j] - f * prow[j]) % p
+            return
+        prow[c:] = tail = [self.mul(inv, v) for v in prow[c:]]
+        for row in rows:
+            if row[c] != self.zero and row is not prow:
+                self.axpy(row, self.neg(row[c]), tail, c)
+
+    def powers(self, x: Fel, count: int) -> list[Fel]:
+        """[1, x, x^2, ..., x^(count-1)]."""
+        out = [self.one] if count > 0 else []
+        if self.k == 1:
+            p = self.p
+            for _ in range(count - 1):
+                out.append(out[-1] * x % p)
+            return out
+        for _ in range(count - 1):
+            out.append(self.mul(out[-1], x))
+        return out
+
+    def horner(self, coeffs, x: Fel) -> Fel:
+        """sum_i coeffs[i] * x^i."""
+        if self.k == 1:
+            p, acc = self.p, 0
+            for c in reversed(coeffs):
+                acc = (acc * x + c) % p
+            return acc
+        acc = self.zero
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, x), c)
+        return acc
 
     # -- enumeration and serialization ---------------------------------------
 

@@ -10,7 +10,6 @@ are whitespace-tolerant on read and canonical on write, so identical
 invocations produce byte-identical files.
 """
 
-import itertools
 import math
 
 from .errors import ShapeMismatch
@@ -128,16 +127,18 @@ def _read_tensor_body(ctx: FieldCtx, lines, at: int, end: int | None = None):
     kv = _keyed(no, header, "tensor", ("dims",))
     dims = _parse(no, _parse_dims, kv["dims"])
     total = math.prod(dims)
-    tokens = ((vno, tok) for vno, ln in lines[at + 1 : end] for tok in ln.split())
-    entries = [
-        _parse(vno, ctx.parse, tok) for vno, tok in itertools.islice(tokens, total)
-    ]
-    if len(entries) < total:
+    tokens = [(vno, tok) for vno, ln in lines[at + 1 : end] for tok in ln.split()]
+    if len(tokens) < total:
         raise ShapeMismatch(
             f"line {no}: tensor dims={kv['dims']} needs {total} values, "
-            f"found {len(entries)}"
+            f"found {len(tokens)}"
         )
-    return DenseTensor(ctx, dims, entries)
+    if len(tokens) > total:
+        raise ShapeMismatch(
+            f"line {tokens[total][0]}: tensor dims={kv['dims']} holds {total} "
+            f"values, found {len(tokens)}"
+        )
+    return DenseTensor(ctx, dims, [_parse(vno, ctx.parse, tok) for vno, tok in tokens])
 
 
 def read_tensor(text: str) -> DenseTensor:

@@ -57,10 +57,7 @@ from .tensor import (
 
 def moment_vector(ctx: FieldCtx, x: Fel, count: int) -> tuple[Fel, ...]:
     """(1, x, x^2, ..., x^(count-1))."""
-    out = [ctx.one]
-    for _ in range(count - 1):
-        out.append(ctx.mul(out[-1], x))
-    return tuple(out)
+    return tuple(ctx.powers(x, count))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,25 +94,13 @@ class Measurement:
 
     def inner(self, ctx: FieldCtx, t) -> Fel:
         if isinstance(t, LowRankTensor):
-            acc = ctx.zero
-            for term in t.terms:
-                acc = ctx.add(acc, self.inner(ctx, term.expand()))
-            return acc
+            t = expand(t)
         if self.diag is not None:
             k, weights = self.diag
-            vals = diagonal(t, k)
-            acc = ctx.zero
-            for v, w in zip(vals, weights):
-                if v != ctx.zero and w != ctx.zero:
-                    acc = ctx.add(acc, ctx.mul(v, w))
-            return acc
+            return ctx.dot(diagonal(t, k), weights)
         if self.factors is not None:
             return _inner_dense_factors(ctx, t, self.factors)
-        acc = ctx.zero
-        for a, b in zip(t.entries, self.entries):
-            if a != ctx.zero and b != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(a, b))
-        return acc
+        return ctx.dot(t.entries, self.entries)
 
 
 @dataclass(frozen=True)

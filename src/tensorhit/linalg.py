@@ -1,10 +1,10 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Row-reduction, solving, nullspaces, determinants and Newton interpolation,
-all on plain lists of field elements.  Pivoting takes the first nonzero
-entry scanning top to bottom; over a finite field there is nothing better
-to choose, and the fixed rule keeps every derived construction
-deterministic.
+Row-reduction, solving, nullspaces, determinants and interpolation, all on
+plain lists of field elements and written once for every field on top of
+the FieldCtx vector kernels.  Pivoting takes the first nonzero entry
+scanning top to bottom; over a finite field there is nothing better to
+choose, and the fixed rule keeps every derived construction deterministic.
 """
 
 from .errors import ShapeMismatch
@@ -13,91 +13,30 @@ from .field import Fel, FieldCtx
 Matrix = list[list[Fel]]
 
 
-_INV_TABLES: dict[int, list[int]] = {}
-
-
-def _inverses(p: int) -> list[int]:
-    table = _INV_TABLES.get(p)
-    if table is None:
-        table = [0] * p
-        for v in range(1, p):
-            table[v] = pow(v, p - 2, p)
-        _INV_TABLES[p] = table
-    return table
-
-
-def _rref_prime(rows: Matrix, p: int, copy: bool = True) -> tuple[Matrix, list[int]]:
-    # int-native fast path; pivot choice matches the generic route exactly.
-    # Rows left of the current pivot column are all zero (pivot columns were
-    # eliminated, skipped columns never held a nonzero below the frontier),
-    # so updates run from the pivot column onward, in place.
-    if copy:
-        rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    inv_table = _inverses(p) if p < 65536 else None
-    ncols = len(rows[0])
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        inv = inv_table[prow[c]] if inv_table else pow(prow[c], p - 2, p)
-        if inv != 1:
-            for j in range(c, ncols):
-                prow[j] = prow[j] * inv % p
-        for i in range(nrows):
-            row = rows[i]
-            if row[c] and i != r:
-                f = row[c]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        row[j] = (row[j] - f * prow[j]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def rref(ctx: FieldCtx, rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (reduced rows, pivot columns)."""
-    if ctx.k == 1:
-        return _rref_prime(rows, ctx.p)
+    """Reduced row-echelon form; returns (reduced rows, pivot columns).
+
+    Rows left of the current pivot column are all zero (pivot columns were
+    eliminated, skipped columns never held a nonzero below the frontier),
+    so each pivot step updates from its column onward.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []
-    ncols = len(rows[0])
+    zero, nrows = ctx.zero, len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != ctx.zero:
-                pivot_row = i
+    for c in range(len(rows[0])):
+        for i in range(r, nrows):
+            if rows[i][c] != zero:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != ctx.zero:
-                f = rows[i][c]
-                rows[i] = [
-                    ctx.sub(v, ctx.mul(f, w)) for v, w in zip(rows[i], rows[r])
-                ]
+        rows[r], rows[i] = rows[i], rows[r]
+        ctx.pivot(rows, r, c)
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows, pivots
 
@@ -128,8 +67,7 @@ def det(ctx: FieldCtx, rows: Matrix) -> Fel:
         inv = ctx.inv(a[c][c])
         for i in range(c + 1, n):
             if a[i][c] != ctx.zero:
-                f = ctx.mul(a[i][c], inv)
-                a[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(a[i], a[c])]
+                ctx.axpy(a[i], ctx.neg(ctx.mul(a[i][c], inv)), a[c][c:], c)
     return result
 
 
@@ -144,11 +82,7 @@ def solve(ctx: FieldCtx, rows: Matrix, rhs: list[Fel]) -> list[Fel] | None:
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(r) + [y] for r, y in zip(rows, rhs)]
-    if ctx.k == 1:
-        red, pivots = _rref_prime(aug, ctx.p, copy=False)
-    else:
-        red, pivots = rref(ctx, aug)
+    red, pivots = rref(ctx, [list(r) + [y] for r, y in zip(rows, rhs)])
     if ncols in pivots:
         return None  # inconsistent: pivot in the augmented column
     if len(pivots) < ncols:
@@ -181,68 +115,30 @@ def nullspace_basis(ctx: FieldCtx, rows: Matrix, ncols: int) -> list[list[Fel]]:
 
 def poly_eval(ctx: FieldCtx, coeffs: list[Fel], x: Fel) -> Fel:
     """Horner evaluation; coeffs[i] multiplies x^i."""
-    if ctx.k == 1:
-        p = ctx.p
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        return acc
-    acc = ctx.zero
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
+    return ctx.horner(coeffs, x)
 
 
 def poly_interpolate(ctx: FieldCtx, xs: list[Fel], ys: list[Fel]) -> list[Fel]:
     """Coefficients of the unique degree < len(xs) polynomial through (xs, ys).
 
-    Newton divided differences followed by basis expansion; O(n^2) field ops.
+    Lagrange form over the master polynomial M(x) = prod_j (x - xs[j]):
+    P = sum_i c_i M(x) / (x - xs[i]) with c_i = ys[i] / M'(xs[i]), and
+    coefficient j of P is sum_u M[j+1+u] s_u for the moments
+    s_u = sum_i c_i xs[i]^u.  O(n) vector kernels of length n and n
+    inversions, instead of O(n^2) scalar steps and inversions.
     """
     n = len(xs)
     if n != len(ys):
         raise ShapeMismatch("interpolation needs matching point/value counts")
-    if n == 0:
-        return []
-    if ctx.k == 1:
-        p = ctx.p
-        divided = list(ys)
-        for level in range(1, n):
-            for i in range(n - 1, level - 1, -1):
-                divided[i] = (
-                    (divided[i] - divided[i - 1])
-                    * pow(xs[i] - xs[i - level], p - 2, p)
-                ) % p
-        coeffs = [0] * n
-        basis = [1]
-        for i in range(n):
-            di = divided[i]
-            if di:
-                for t, b in enumerate(basis):
-                    coeffs[t] = (coeffs[t] + di * b) % p
-            if i < n - 1:
-                neg_x = -xs[i] % p
-                basis = [
-                    (s + neg_x * b) % p
-                    for s, b in zip([0] + basis, basis + [0])
-                ]
-        return coeffs
-    divided = list(ys)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            num = ctx.sub(divided[i], divided[i - 1])
-            den = ctx.sub(xs[i], xs[i - level])
-            divided[i] = ctx.mul(num, ctx.inv(den))
-    coeffs = [ctx.zero] * n
-    # newton[i] multiplies prod_{j<i} (x - xs[j]); expand incrementally
-    basis = [ctx.one]  # coefficients of the current Newton basis polynomial
-    for i in range(n):
-        for t, b in enumerate(basis):
-            coeffs[t] = ctx.add(coeffs[t], ctx.mul(divided[i], b))
-        if i < n - 1:
-            shifted = [ctx.zero] + basis
-            neg_x = ctx.neg(xs[i])
-            basis = [
-                ctx.add(s, ctx.mul(neg_x, b))
-                for s, b in zip(shifted, basis + [ctx.zero])
-            ]
-    return coeffs
+    master = [ctx.one]
+    for x in xs:
+        shifted = [ctx.zero] + master
+        ctx.axpy(shifted, ctx.neg(x), master)
+        master = shifted
+    # M'(xs[i]) = prod_{j != i} (xs[i] - xs[j]), nonzero for distinct points
+    deriv = [ctx.mul(ctx.scalar(t), master[t]) for t in range(1, n + 1)]
+    moments = [ctx.zero] * n
+    for x, y in zip(xs, ys):
+        xp = ctx.powers(x, n)
+        ctx.axpy(moments, ctx.mul(y, ctx.inv(ctx.dot(deriv, xp))), xp)
+    return [ctx.dot(master[j + 1 :], moments) for j in range(n)]

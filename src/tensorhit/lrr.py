@@ -71,19 +71,13 @@ def lne_scan(m: DenseTensor, k: int | None = None) -> set[tuple[int, int]]:
     return out
 
 
-def _check_lt_k_echelon(ctx, rows, n, m, k) -> bool:
-    lne = {}
-    for i in range(n):
-        for j in range(m):
-            if rows[i][j] != ctx.zero:
-                if i + j < k:
-                    lne[i] = j
-                break
-    for i, j in lne.items():
-        for i2 in range(i + 1, min(n, k - j)):
-            if rows[i2][j] != ctx.zero:
-                return False
-    return True
+def _check_lt_k_echelon(p: DenseTensor, k: int) -> bool:
+    rows, n, zero = p.rows(), p.dims[0], p.ctx.zero
+    return all(
+        rows[i2][j] == zero
+        for i, j in lne_scan(p, k)
+        for i2 in range(i + 1, min(n, k - j))
+    )
 
 
 RowOp = tuple[int, int, Fel]  # (target_row, source_row, coefficient)
@@ -99,17 +93,9 @@ def make_upper_echelon(
     source in lne_R(P^(<k)).  Applying them leaves the (<k)-diagonals
     untouched and zeroes the k-diagonal in every lne column.
     """
-    rows = p.rows()
-    if validate and not _check_lt_k_echelon(p.ctx, rows, n, m, k):
+    if validate and not _check_lt_k_echelon(p, k):
         raise NotEchelon(f"matrix is not (<{k})-upper-echelon")
-    lne = {}
-    for i in range(n):
-        for j, v in enumerate(rows[i]):
-            if v != p.ctx.zero:
-                if i + j < k:
-                    lne[i] = j
-                break
-    return _echelon_ops(p.ctx, rows, lne, n, k)
+    return _echelon_ops(p.ctx, p.rows(), dict(lne_scan(p, k)), n, k)
 
 
 def _echelon_ops(ctx, rows, lne: dict[int, int], n: int, k: int) -> list[RowOp]:
@@ -128,11 +114,7 @@ def _echelon_ops(ctx, rows, lne: dict[int, int], n: int, k: int) -> list[RowOp]:
 
 def apply_row_ops(ctx, rows, ops: list[RowOp]) -> None:
     for tgt, src, c in ops:
-        srow = rows[src]
-        trow = rows[tgt]
-        for j, sv in enumerate(srow):
-            if sv != ctx.zero:
-                trow[j] = ctx.add(trow[j], ctx.mul(c, sv))
+        ctx.axpy(rows[tgt], c, rows[src])
 
 
 def ops_to_dense(ctx, n: int, ops: list[RowOp]) -> list[list[Fel]]:
@@ -211,17 +193,9 @@ def low_rank_recovery(
 
         # correction ((L - I) N) on this diagonal, column order
         a_diag = []
-        for t in range(length):
-            j = j_lo + t
-            i = k - j
-            acc = zero
-            lrow = L[i]
-            for c in l_cols:
-                if c < i and lrow[c] != zero:
-                    v = N[c][j]
-                    if v != zero:
-                        acc = ctx.add(acc, ctx.mul(lrow[c], v))
-            a_diag.append(acc)
+        for j in range(j_lo, j_hi + 1):
+            cols = [c for c in l_cols if c < k - j]
+            a_diag.append(ctx.dot([L[k - j][c] for c in cols], [N[c][j] for c in cols]))
 
         if len(lne) > r:
             raise RankPromiseViolated(
@@ -235,13 +209,10 @@ def low_rank_recovery(
             if j_lo <= j0 <= j_hi:
                 advice.add(j0 - j_lo)
 
-        y = []
-        for w, s_val in zip(meas.weights_by_k[k], meas.syndromes_by_k[k]):
-            acc = s_val
-            for t in range(length):
-                if a_diag[t] != zero and w[t] != zero:
-                    acc = ctx.add(acc, ctx.mul(a_diag[t], w[t]))
-            y.append(acc)
+        y = [
+            ctx.add(s_val, ctx.dot(a_diag, w))
+            for w, s_val in zip(meas.weights_by_k[k], meas.syndromes_by_k[k])
+        ]
 
         if hooks and hooks.before_oracle:
             hooks.before_oracle(
@@ -305,12 +276,7 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
         j_lo, j_hi = _col_bounds(n, m, k)
         vals = [rows[k - j][j] for j in range(j_lo, j_hi + 1)]
         count = diag_row_count(2 * r, n, m, k)
-        for w in diag_weight_rows(ctx, g, count, n, m, k):
-            acc = ctx.zero
-            for v, c in zip(vals, w):
-                if v != ctx.zero and c != ctx.zero:
-                    acc = ctx.add(acc, ctx.mul(v, c))
-            out.append(acc)
+        out.extend(ctx.dot(vals, w) for w in diag_weight_rows(ctx, g, count, n, m, k))
     return out
 
 
@@ -343,10 +309,7 @@ def _recover_from_diag(ctx, g, n, m, r, syndromes, hooks=None) -> DenseTensor:
             if x is None:
                 raise InconsistentSyndrome(f"diagonal {k}: unsolvable square system")
             for w, target in zip(weights[length:], y[length:]):
-                acc = ctx.zero
-                for c, v in zip(w, x):
-                    acc = ctx.add(acc, ctx.mul(c, v))
-                if acc != target:
+                if ctx.dot(w, x) != target:
                     raise InconsistentSyndrome(f"diagonal {k}: redundant row mismatch")
             return x
         # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
@@ -421,13 +384,7 @@ def convert_B_to_D(
     def fringe_value(l: int, kp: int) -> Fel:
         j_lo, _ = _col_bounds(n, m, kp)
         gl = ctx.pow(g, l)
-        w = ctx.pow(gl, j_lo)
-        acc = ctx.zero
-        for v in diag_vals[kp]:
-            if v != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(v, w))
-            w = ctx.mul(w, gl)
-        return acc
+        return ctx.mul(ctx.pow(gl, j_lo), ctx.horner(diag_vals[kp], gl))
 
     off = 0
     for l in range(R):
@@ -439,23 +396,18 @@ def convert_B_to_D(
             continue
         solve_diagonal(l - 1)
         solve_diagonal(width - l)
-        low = {kp: fringe_value(l, kp) for kp in range(l)}
-        high = {kp: fringe_value(l, kp) for kp in range(width - l, width)}
+        lows = [fringe_value(l, kp) for kp in range(l)]
+        highs = [fringe_value(l, kp) for kp in range(width - l, width)]
         h_vals = []
         for a, e in zip(alphas[:cnt], block):
-            acc = e
-            apow = ctx.one
-            for kp in range(l):
-                acc = ctx.sub(acc, ctx.mul(low[kp], apow))
-                apow = ctx.mul(apow, a)
-            for kp in range(width - l, width):
-                acc = ctx.sub(acc, ctx.mul(high[kp], ctx.pow(a, kp)))
-            h_vals.append(ctx.mul(acc, ctx.inv(ctx.pow(a, l))))
+            # e minus the fringe terms sum_kp c_kp a^kp, divided by a^l
+            fringe = ctx.add(
+                ctx.horner(lows, a),
+                ctx.mul(ctx.pow(a, width - l), ctx.horner(highs, a)),
+            )
+            h_vals.append(ctx.mul(ctx.sub(e, fringe), ctx.inv(ctx.pow(a, l))))
         h = linalg.poly_interpolate(ctx, alphas[:cnt], h_vals)
-        row = [low[kp] for kp in range(l)]
-        row.extend(h)
-        row.extend(high[kp] for kp in range(width - l, width))
-        coeff.append(row)
+        coeff.append(lows + h + highs)
 
     out = []
     for k in range(width):
@@ -600,7 +552,7 @@ def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
     sum_i mult^i x^i poly_i, so every axis costs O(entries) ops.
     """
     ctx = t.ctx
-    zero, one = ctx.zero, ctx.one
+    zero = ctx.zero
     *outer, n = t.dims
     pw = moment_vector(ctx, mults[-1], n)
     entries = t.entries
@@ -615,9 +567,7 @@ def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
         for base in range(0, len(polys), n):
             acc = [zero] * width
             for i, c in enumerate(pw):
-                for s, v in enumerate(polys[base + i], i):
-                    if v != zero:
-                        acc[s] = ctx.add(acc[s], v if c == one else ctx.mul(c, v))
+                ctx.axpy(acc, c, polys[base + i], i)
             folded.append(acc)
         polys = folded
     return polys[0]
@@ -682,8 +632,10 @@ def _check_recovery(family: str, dims: tuple[int, ...], r: int) -> None:
 
 
 def measure(t: DenseTensor, family: str, r: int) -> list[Fel]:
-    """Syndromes of t against the family built for rank <= r recovery."""
+    """Syndromes of t (dense or factored) against the family for rank <= r."""
     _check_recovery(family, t.dims, r)
+    if isinstance(t, LowRankTensor):
+        t = expand(t)
     if family == "Dprime":
         return measure_D(t, r)
     if family == "Bprime":

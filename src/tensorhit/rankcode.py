@@ -67,11 +67,7 @@ def encode(code: RankMetricCode, message: list) -> DenseTensor:
     total = math.prod(code.dims)
     entries = [ctx.zero] * total
     for sym, row in zip(message, code.basis):
-        if sym == ctx.zero:
-            continue
-        for i, v in enumerate(row):
-            if v != ctx.zero:
-                entries[i] = ctx.add(entries[i], ctx.mul(sym, v))
+        ctx.axpy(entries, sym, row)
     return DenseTensor(ctx, code.dims, entries)
 
 

@@ -39,15 +39,7 @@ class DualRSMeasurements:
     rows: tuple[tuple[Fel, ...], ...]
 
     def measure(self, x: list[Fel]) -> list[Fel]:
-        ctx = self.ctx
-        out = []
-        for row in self.rows:
-            acc = ctx.zero
-            for c, v in zip(row, x):
-                if v != ctx.zero:
-                    acc = ctx.add(acc, ctx.mul(c, v))
-            out.append(acc)
-        return out
+        return [self.ctx.dot(row, x) for row in self.rows]
 
 
 def dual_rs(ctx: FieldCtx, points, s: int) -> DualRSMeasurements:
@@ -58,13 +50,7 @@ def dual_rs(ctx: FieldCtx, points, s: int) -> DualRSMeasurements:
     element of order >= n are used.
     """
     if isinstance(points, int):
-        g = ctx.element_of_order(points)
-        pts = []
-        cur = ctx.one
-        for _ in range(points):
-            pts.append(cur)
-            cur = ctx.mul(cur, g)
-        points = pts
+        points = ctx.powers(ctx.element_of_order(points), points)
     points = tuple(points)
     if len(set(points)) != len(points):
         raise DuplicatePoints("evaluation points must be pairwise distinct")
@@ -98,7 +84,7 @@ def pronys_method(
     advice = set(advice)
     if len(advice) > 2 * s:
         raise AdviceTooLarge(f"|S| = {len(advice)} exceeds 2s = {2 * s}")
-    if any(not 0 <= i < n for i in advice):
+    if advice and (min(advice) < 0 or max(advice) >= n):
         raise AdviceTooLarge("advice positions must index the vector")
 
     points = list(points)
@@ -115,21 +101,8 @@ def pronys_method(
 
     # mixed matrix: |S| point-power rows, then s-t sliding syndrome windows
     width = s + t + 1
-    prime = ctx.k == 1
-    a_rows: list[list[Fel]] = []
-    for i in s_idx:
-        if prime:
-            p, pt = ctx.p, points[i]
-            row = [1]
-            for _ in range(width - 1):
-                row.append(row[-1] * pt % p)
-        else:
-            row = [ctx.one]
-            for _ in range(width - 1):
-                row.append(ctx.mul(row[-1], points[i]))
-        a_rows.append(row)
-    for off in range(s - t):
-        a_rows.append(y[off : off + width])
+    a_rows = [ctx.powers(points[i], width) for i in s_idx]
+    a_rows.extend(y[off : off + width] for off in range(s - t))
 
     red, pivots = linalg.rref(ctx, a_rows)
     rho = len(pivots)
@@ -137,40 +110,19 @@ def pronys_method(
         # honest syndromes put all pivots on the diagonal, making the
         # locator nullspace one-dimensional at the principal-minor cut
         raise InconsistentSyndrome("syndrome matrix is not in generic position")
-    coeffs = [ctx.neg(red[i][rho]) for i in range(rho)] + [ctx.one]
+    # the locator with its sign flipped: sum_i red[i][rho] x^i - x^rho
+    coeffs = [row[rho] for row in red[:rho]] + [ctx.neg(ctx.one)]
 
-    if prime:
-        p = ctx.p
-        rev = coeffs[::-1]
-        support = []
-        for i, pt in enumerate(points):
-            acc = 0
-            for c in rev:
-                acc = (acc * pt + c) % p
-            if acc == 0:
-                support.append(i)
-    else:
-        support = [i for i, pt in enumerate(points)
-                   if linalg.poly_eval(ctx, coeffs, pt) == ctx.zero]
+    zero = ctx.zero
+    support = [i for i, pt in enumerate(points) if ctx.horner(coeffs, pt) == zero]
     if len(support) != rho:
         raise InconsistentSyndrome(
             "locator roots do not all lie among the evaluation points"
         )
 
     # solve the full 2s x |support| system and verify every equation
-    cols = []
-    for i in support:
-        if prime:
-            p, pt = ctx.p, points[i]
-            col = [1]
-            for _ in range(2 * s - 1):
-                col.append(col[-1] * pt % p)
-        else:
-            col = [ctx.one]
-            for _ in range(2 * s - 1):
-                col.append(ctx.mul(col[-1], points[i]))
-        cols.append(col)
-    rows = [[col[i] for col in cols] for i in range(2 * s)]
+    cols = [ctx.powers(points[i], 2 * s) for i in support]
+    rows = list(zip(*cols)) or [()] * (2 * s)  # an empty support leaves empty rows
     z = linalg.solve(ctx, rows, list(y))
     if z is None:
         raise InconsistentSyndrome("syndrome outside the promised support model")

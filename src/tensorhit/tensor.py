@@ -158,15 +158,10 @@ def expand(t: LowRankTensor) -> DenseTensor:
 def _contract_last_axis(ctx, entries, dims, vec):
     """Sum entries against vec along the final axis."""
     inner = dims[-1]
-    out = []
-    for base in range(0, len(entries), inner):
-        acc = ctx.zero
-        for i in range(inner):
-            e = entries[base + i]
-            if e != ctx.zero and vec[i] != ctx.zero:
-                acc = ctx.add(acc, ctx.mul(e, vec[i]))
-        out.append(acc)
-    return out
+    return [
+        ctx.dot(entries[base : base + inner], vec)
+        for base in range(0, len(entries), inner)
+    ]
 
 
 def _inner_dense_factors(ctx, dense: DenseTensor, factors) -> Fel:
@@ -188,20 +183,13 @@ def inner_product(t1, t2) -> Fel:
     if isinstance(t1, Rank1Tensor) and isinstance(t2, Rank1Tensor):
         out = ctx.one
         for u, v in zip(t1.factors, t2.factors):
-            dot = ctx.zero
-            for a, b in zip(u, v):
-                dot = ctx.add(dot, ctx.mul(a, b))
-            out = ctx.mul(out, dot)
+            out = ctx.mul(out, ctx.dot(u, v))
         return out
     if isinstance(t1, Rank1Tensor):
         return _inner_dense_factors(ctx, t2, t1.factors)
     if isinstance(t2, Rank1Tensor):
         return _inner_dense_factors(ctx, t1, t2.factors)
-    acc = ctx.zero
-    for a, b in zip(t1.entries, t2.entries):
-        if a != ctx.zero and b != ctx.zero:
-            acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
+    return ctx.dot(t1.entries, t2.entries)
 
 
 def eval_fT(t: DenseTensor, vectors: list[tuple[Fel, ...]]) -> Fel:
@@ -227,13 +215,10 @@ def eval_fhat(t: DenseTensor, xs: list[Fel]) -> Fel:
     dims = list(t.dims)
     for x in reversed(xs):
         inner = dims.pop()
-        out = []
-        for base in range(0, len(entries), inner):
-            acc = ctx.zero
-            for i in range(inner - 1, -1, -1):
-                acc = ctx.add(ctx.mul(acc, x), entries[base + i])
-            out.append(acc)
-        entries = out
+        entries = [
+            ctx.horner(entries[base : base + inner], x)
+            for base in range(0, len(entries), inner)
+        ]
     return entries[0]
 
 

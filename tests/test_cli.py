@@ -180,8 +180,10 @@ def _malformed_syndromes(text):
     _malformed_tensor("field p=13\ntensor dims=2x2\n1 2\n3 4\n"),
     _malformed_tensor("field p=13 k=1\n"),
     _malformed_syndromes("field p=13 k=1\nsyndromes family=Dprime dims=3x3\n1\n2\n"),
+    _malformed_tensor("field p=13 k=1\ntensor dims=2x2\n1 2\n3 4\n5\n"),
 ], ids=["rank-zero", "tensorb-non-cubic", "dprime-three-axes", "bprime-one-axis",
-        "short-tensor-body", "header-without-k", "header-only", "syndromes-without-r"])
+        "short-tensor-body", "header-without-k", "header-only", "syndromes-without-r",
+        "long-tensor-body"])
 def test_malformed_recovery_inputs_exit_2(tmp_path, capsys, argv):
     args = argv(tmp_path)
     capsys.readouterr()

@@ -246,3 +246,73 @@ def test_ctx_equality_and_hash():
     b = make_extension(make_prime_field(2), 3)
     assert a == b and hash(a) == hash(b)
     assert a != make_prime_field(2)
+
+
+KERNEL_FIELDS = {
+    "GF13": make_prime_field(13),
+    "GF257": make_prime_field(257),
+    "GF65537": make_prime_field(65537),
+    "GF(2^61-1)": make_prime_field(2**61 - 1),
+    "GF(2^4)": make_extension(make_prime_field(2), 4),
+    "GF(3^2)": make_extension(make_prime_field(3), 2),
+    "GF(13^3)": make_extension(make_prime_field(13), 3),
+}
+
+
+@given(st.sampled_from(sorted(KERNEL_FIELDS)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_vector_kernels_match_their_element_folds(name, data):
+    ctx = KERNEL_FIELDS[name]
+    add, mul = ctx.add, ctx.mul
+    el = st.one_of(st.just(0), st.integers(0, ctx.size - 1)).map(ctx.from_index)
+
+    def vec(size):  # sometimes all zero; size 0 gives the empty vector
+        v = data.draw(st.lists(el, min_size=size, max_size=size))
+        return [ctx.zero] * size if data.draw(st.booleans()) else v
+
+    n = data.draw(st.integers(0, 6))
+    u, v, c, x = vec(n), vec(n), data.draw(el), data.draw(el)
+
+    acc = ctx.zero
+    for a, b in zip(u, v):
+        acc = add(acc, mul(a, b))
+    assert ctx.dot(u, v) == acc
+
+    start = data.draw(st.integers(0, 3))
+    dst = vec(start + n + data.draw(st.integers(0, 2)))
+    want = list(dst)
+    for j in range(n):
+        want[start + j] = add(want[start + j], mul(c, u[j]))
+    ctx.axpy(dst, c, u, start)
+    assert dst == want
+
+    want, xp = [], ctx.one
+    for _ in range(n):
+        want.append(xp)
+        xp = mul(xp, x)
+    assert ctx.powers(x, n) == want
+
+    acc, xp = ctx.zero, ctx.one
+    for a in u:
+        acc, xp = add(acc, mul(a, xp)), mul(xp, x)
+    assert ctx.horner(u, x) == acc
+
+    # pivot: row r is zero left of column c and nonzero at it
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    rows = [vec(ncols) for _ in range(nrows)]
+    r, col = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, ncols - 1))
+    nonzero = st.integers(1, ctx.size - 1).map(ctx.from_index)
+    rows[r][:col + 1] = [ctx.zero] * col + [data.draw(nonzero)]
+    inv = ctx.inv(rows[r][col])
+    prow = [mul(inv, w) for w in rows[r]]
+    want = [
+        prow if i == r else [ctx.sub(w, mul(row[col], pw)) for w, pw in zip(row, prow)]
+        for i, row in enumerate(rows)
+    ]
+    ctx.pivot(rows, r, col)
+    assert rows == want
+
+    if name == "GF257":
+        assert all(ctx.inv(a) == pow(a, 255, 257) for a in range(1, 257))
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)

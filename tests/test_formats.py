@@ -128,6 +128,9 @@ def test_bad_headers_rejected():
     (read_lowrank, "field p=13 k=1\nlowrank dims=2x2 terms=1\n1 2\n", 4),
     (read_measurements, "field p=13 k=1\nmeasurements family=D count=2 dims=1x1\n"
                         "meta k=0 l=0\ntensor dims=1x1\n1\n", 6),
+    (read_tensor, "field p=13 k=1\ntensor dims=2x2\n1 2\n3 4\n5 6 7\n", 5),
+    (read_measurements, "field p=13 k=1\nmeasurements family=D count=1 dims=1x2\n"
+                        "meta k=0 l=0\ntensor dims=1x2\n1 2 3\n", 5),
 ])
 def test_malformed_files_name_the_line(reader, text, line):
     with pytest.raises(ShapeMismatch, match=rf"^line {line}: "):

@@ -37,7 +37,14 @@ from tensorhit.lrr import (
     tensor_measure,
     tensor_recover,
 )
-from tensorhit.tensor import DenseTensor, LowRankTensor, Rank1Tensor, diagonal, matrix_rank
+from tensorhit.tensor import (
+    DenseTensor,
+    LowRankTensor,
+    Rank1Tensor,
+    diagonal,
+    expand,
+    matrix_rank,
+)
 
 GF13 = make_prime_field(13)
 GF17 = make_prime_field(17)
@@ -396,6 +403,7 @@ def test_factored_tensors_are_measured_as_their_expansion():
     ))
     fam = hitting_set_B_prime(GF13, 2, 3, 4)
     assert measure_syndromes(t, fam) == [m.inner(GF13, t) for m in fam.measurements]
+    assert lrr.measure(t, "Dprime", 1) == lrr.measure(expand(t), "Dprime", 1)
     cube = LowRankTensor(GF65537, (2, 2, 2), (Rank1Tensor(GF65537, ((1, 2), (3, 4), (5, 6))),))
     fam = hitting_set_tensor(GF65537, 3, 2, 2)
     assert tensor_measure(cube, 1) == [m.inner(GF65537, cube) for m in fam.measurements]
