@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Verbs: gen-hit, pit, measure, recover, encode, decode, selftest, bench.
+Verbs: gen-hit, pit, measure, recover, encode, decode, selftest.
 Exit codes: 0 success, 2 usage/flag errors, 3 promise violations
 (inconsistent syndromes, decode failures).  File outputs are byte-identical
-across repeated identical invocations; bench and selftest print timing
-information that naturally varies.
+across repeated identical invocations; selftest prints timing information
+that naturally varies.
 """
 
 import argparse
@@ -40,18 +40,11 @@ def _family_with_simulation(ctx, family, dims, r, extend, simulate):
 
 
 def _random_low_rank(ctx, rng, dims, r):
-    total_rank = rng.randint(1, r)
-    out = tensor.DenseTensor.zeros(ctx, dims)
-    for _ in range(total_rank):
-        vecs = [
-            [ctx.from_index(rng.randrange(ctx.size)) for _ in range(n)]
-            for n in dims
-        ]
-        term = [ctx.one]
-        for v in vecs:
-            term = [ctx.mul(e, c) for e in term for c in v]
-        out.entries = [ctx.add(a, b) for a, b in zip(out.entries, term)]
-    return out
+    terms = [
+        [[ctx.from_index(rng.randrange(ctx.size)) for _ in range(n)] for n in dims]
+        for _ in range(rng.randint(1, r))
+    ]
+    return tensor.expand(tensor.LowRankTensor.from_factor_lists(ctx, dims, terms))
 
 
 def _cmd_gen_hit(args) -> int:
@@ -128,32 +121,6 @@ def _cmd_decode(args) -> int:
         with open(args.error_out, "w") as fh:
             fh.write(formats.write_tensor(err))
     print(f"decoded codeword written to {args.out}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    ctx = make_prime_field(args.p)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    print(f"{'n':>6} {'m':>6} {'r':>4} {'measure_s':>12} {'recover_s':>12}")
-    prev = None
-    for n in sizes:
-        mat = _random_low_rank(ctx, rng, (n, n), args.r)
-        t0 = time.perf_counter()
-        synd = lrr.measure_D(mat, args.r)
-        t1 = time.perf_counter()
-        out = lrr.recover_from_D(ctx, n, n, args.r, synd)
-        t2 = time.perf_counter()
-        if out.entries != mat.entries:
-            print(f"FAIL recovery mismatch at n={n}", file=sys.stderr)
-            return 1
-        rec = t2 - t1
-        print(f"{n:>6} {n:>6} {args.r:>4} {t1 - t0:>12.4f} {rec:>12.4f}")
-        if prev is not None and prev > 0:
-            ratio = rec / prev
-            if ratio > 4.5:
-                print(f"warn: recover-time grew {ratio:.2f}x on doubling")
-        prev = rec
     return 0
 
 
@@ -334,13 +301,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", help="run the tiny-scale invariant suites")
     sp.set_defaults(fn=_cmd_selftest)
-
-    sp = sub.add_parser("bench", help="time measure/recover over a size grid")
-    sp.add_argument("--p", type=int, default=257)
-    sp.add_argument("--sizes", default="32,64,128")
-    sp.add_argument("--r", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(fn=_cmd_bench)
 
     return p
 

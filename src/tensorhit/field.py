@@ -217,8 +217,6 @@ class FieldCtx:
         self._order_memo: dict[int, Fel] = {}
         self._inv_table: list[int] | None = None
         self._group_factors: dict[int, int] | None = None
-        self.g: Fel | None = None  # highest-bound order discovery so far
-        self.g_order_bound = 0
         if k > 1:
             # reduction table: x^(k+i) mod modulus, i in [0, k-1)
             assert modulus is not None and modulus[-1] == 1 and len(modulus) == k + 1
@@ -499,9 +497,6 @@ class FieldCtx:
         for a in self.nonzero_elements():
             if self.order_at_least(a, min_order):
                 self._order_memo[min_order] = a
-                if min_order > self.g_order_bound:
-                    self.g = a
-                    self.g_order_bound = min_order
                 return a
         raise AssertionError("cyclic group must contain a high-order element")
 

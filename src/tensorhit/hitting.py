@@ -20,7 +20,11 @@ reproducible):
 
 ``moment_schedule`` is the one definition of the alphas and multipliers of
 the rank-1 families B, Bprime and TensorB; their builders and
-``lrr.measure_moments`` both read it.
+``lrr.measure_moments`` both read it.  ``diag_weight_table`` is the one
+geometry of the diagonal families D and Dprime: row l holds g^(l j) for
+every column j, and the k-diagonal reads row l over its columns
+``diag_columns``.  The builders, ``lrr.measure_D``, diagonal recovery and
+``lrr.convert_B_to_D`` all slice the same table.
 
 The alphas are the first canonical nonzero field elements, so they are
 distinct and nonzero; nonzero matters because downstream interpolation
@@ -48,10 +52,12 @@ from .field import Fel, FieldCtx, embed_as_matrix, make_prime_field
 from .tensor import (
     DenseTensor,
     LowRankTensor,
+    _expand_outer,
     _inner_dense_factors,
     diag_bounds,
     diagonal,
     expand,
+    set_diagonal,
 )
 
 
@@ -80,16 +86,9 @@ class Measurement:
         if self.entries is not None:
             return DenseTensor(ctx, dims, list(self.entries))
         if self.factors is not None:
-            entries = [ctx.one]
-            for v in self.factors:
-                entries = [ctx.mul(e, c) for e in entries for c in v]
-            return DenseTensor(ctx, dims, entries)
-        k, weights = self.diag
+            return DenseTensor(ctx, dims, _expand_outer(ctx, self.factors).entries)
         out = DenseTensor.zeros(ctx, dims)
-        n, m = dims
-        lo, hi = diag_bounds(n, m, k)
-        for t, i in enumerate(range(lo, hi + 1)):
-            out[i, k - i] = weights[t]
+        set_diagonal(out, *self.diag)
         return out
 
     def inner(self, ctx: FieldCtx, t) -> Fel:
@@ -232,42 +231,42 @@ def diag_row_count(r: int, n: int, m: int, k: int) -> int:
     return min(r, k + 1, (n + m) - (k + 1))
 
 
-def diag_weight_rows(
-    ctx: FieldCtx, g: Fel, count: int, n: int, m: int, k: int
-) -> list[tuple[Fel, ...]]:
-    """Weights g^(l j) over the k-diagonal for l < count, in column order."""
+def diag_columns(n: int, m: int, k: int) -> tuple[int, int]:
+    """Column range [lo, hi] of the k-diagonal of an n x m matrix."""
     lo, hi = diag_bounds(n, m, k)
-    rows = []
-    for l in range(count):
-        gl = ctx.pow(g, l)
-        w = [ctx.pow(gl, k - hi)]  # smallest column index on this diagonal
-        for _ in range(hi - lo):
-            w.append(ctx.mul(w[-1], gl))
-        rows.append(tuple(w))
-    return rows
+    return k - hi, k - lo
+
+
+def diag_weight_table(ctx: FieldCtx, g: Fel, count: int, m: int) -> list[list[Fel]]:
+    """Rows l < count of the diagonal weights: row l is (g^(l j))_(j < m).
+
+    Row l weighs column j by g^(l j) on every diagonal, so the k-diagonal
+    reads its weights as the slice of row l over ``diag_columns(n, m, k)``.
+    """
+    return [ctx.powers(gl, m) for gl in ctx.powers(g, count)]
+
+
+def _diagonal_family(ctx: FieldCtx, family: str, r: int, n: int, m: int) -> MeasurementSet:
+    _check_matrix_params(r, n, m)
+    table = diag_weight_table(ctx, _element_of_order(ctx, m), r, m)
+    meas = []
+    for k in range(n + m - 1):
+        lo, hi = diag_columns(n, m, k)
+        count = r if family == "D" else diag_row_count(r, n, m, k)
+        for l, row in enumerate(table[:count]):
+            weights = tuple(reversed(row[lo : hi + 1]))  # by row: columns descend
+            meas.append(Measurement(k=k, ls=(l,), diag=(k, weights)))
+    return MeasurementSet(ctx, (n, m), family, r, tuple(meas))
 
 
 def hitting_set_D(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
     """(n+m-1)r n-sparse matrices, each supported on one k-diagonal."""
-    _check_matrix_params(r, n, m)
-    g = _element_of_order(ctx, m)
-    meas = []
-    for k in range(n + m - 1):
-        for l, w in enumerate(diag_weight_rows(ctx, g, r, n, m, k)):
-            meas.append(Measurement(k=k, ls=(l,), diag=(k, w[::-1])))
-    return MeasurementSet(ctx, (n, m), "D", r, tuple(meas))
+    return _diagonal_family(ctx, "D", r, n, m)
 
 
 def hitting_set_D_prime(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
     """The (n+m-r)r linearly independent subfamily of D."""
-    _check_matrix_params(r, n, m)
-    g = _element_of_order(ctx, m)
-    meas = []
-    for k in range(n + m - 1):
-        count = diag_row_count(r, n, m, k)
-        for l, w in enumerate(diag_weight_rows(ctx, g, count, n, m, k)):
-            meas.append(Measurement(k=k, ls=(l,), diag=(k, w[::-1])))
-    return MeasurementSet(ctx, (n, m), "Dprime", r, tuple(meas))
+    return _diagonal_family(ctx, "Dprime", r, n, m)
 
 
 def L(n: int, b: int, k: int, indices: tuple[int, ...]) -> int:

@@ -19,7 +19,10 @@ because measurement weights and evaluation points are indexed by column.
 
 Beyond matrices, the module converts rank-1-family syndromes into diagonal
 syndromes by staircase interpolation, and reverses the variable-merging
-reduction to recover order-d tensors measured with the tensor family.
+reduction to recover order-d tensors measured with the tensor family: each
+level packs its polynomials with ``tensor.merge_variables``, recovers the
+merged coefficient matrix, and unpacks it with ``tensor.split_variables``.
+Every diagonal weight is read from ``hitting.diag_weight_table``.
 ``measure_moments`` measures the rank-1 families (B, B', TensorB) through
 one collapsed polynomial per exponent index.  ``measure`` and ``recover``
 are the one entry point for each family in ``RECOVERY_FAMILIES``.
@@ -42,19 +45,21 @@ from .errors import (
 from .field import Fel, FieldCtx
 from .hitting import (
     MOMENT_FAMILIES,
+    diag_columns,
     diag_row_count,
-    diag_weight_rows,
+    diag_weight_table,
     family_tensor,
     moment_schedule,
     moment_vector,
 )
-from .tensor import DenseTensor, LowRankTensor, diag_bounds, expand
-
-
-def _col_bounds(n: int, m: int, k: int) -> tuple[int, int]:
-    """Column range [lo, hi] of the k-diagonal of an n x m matrix."""
-    lo, hi = diag_bounds(n, m, k)
-    return k - hi, k - lo
+from .tensor import (
+    DenseTensor,
+    LowRankTensor,
+    expand,
+    merge_variables,
+    permute_axes,
+    split_variables,
+)
 
 
 def lne_scan(m: DenseTensor, k: int | None = None) -> set[tuple[int, int]]:
@@ -125,16 +130,17 @@ def ops_to_dense(ctx, n: int, ops: list[RowOp]) -> list[list[Fel]]:
 
 @dataclass(frozen=True)
 class DiagonalMeasurements:
-    """Per-diagonal measurement weights and their syndromes.
+    """Diagonal-family weights and their syndromes.
 
-    weights_by_k[k][t] is the weight vector of the t-th measurement on
-    diagonal k, in column order; syndromes_by_k matches it.
+    syndromes_by_k[k][l] is the syndrome of measurement l on diagonal k,
+    whose weights are row l of ``table`` (``hitting.diag_weight_table``)
+    over the diagonal's columns.
     """
 
     ctx: FieldCtx
     n: int
     m: int
-    weights_by_k: tuple[tuple[tuple[Fel, ...], ...], ...]
+    table: list[list[Fel]]
     syndromes_by_k: tuple[tuple[Fel, ...], ...]
 
 
@@ -188,7 +194,7 @@ def low_rank_recovery(
     lne: dict[int, int] = {}
 
     for k in range(n + m - 1):
-        j_lo, j_hi = _col_bounds(n, m, k)
+        j_lo, j_hi = diag_columns(n, m, k)
         length = j_hi - j_lo + 1
 
         # correction ((L - I) N) on this diagonal, column order
@@ -210,8 +216,8 @@ def low_rank_recovery(
                 advice.add(j0 - j_lo)
 
         y = [
-            ctx.add(s_val, ctx.dot(a_diag, w))
-            for w, s_val in zip(meas.weights_by_k[k], meas.syndromes_by_k[k])
+            ctx.add(s_val, ctx.dot(a_diag, row[j_lo:]))
+            for row, s_val in zip(meas.table, meas.syndromes_by_k[k])
         ]
 
         if hooks and hooks.before_oracle:
@@ -230,11 +236,9 @@ def low_rank_recovery(
         if len(p_diag) != length:
             raise OracleFailure(f"oracle returned {len(p_diag)} values on diagonal {k}")
 
-        for t in range(length):
-            j = j_lo + t
-            i = k - j
-            P[i][j] = p_diag[t]
-            N[i][j] = ctx.sub(p_diag[t], a_diag[t])
+        for t, j in enumerate(range(j_lo, j_hi + 1)):
+            P[k - j][j] = p_diag[t]
+            N[k - j][j] = ctx.sub(p_diag[t], a_diag[t])
 
         ops = _echelon_ops(ctx, P, lne, n, k)
         apply_row_ops(ctx, P, ops)
@@ -250,15 +254,32 @@ def low_rank_recovery(
             if i not in lne and P[i][j] != zero:
                 lne[i] = j
 
-    flat: list[Fel] = []
-    for row in N:
-        flat.extend(row)
-    return DenseTensor(ctx, (n, m), flat)
+    return DenseTensor.from_rows(ctx, N)
 
 
 # ---------------------------------------------------------------------------
 # dual Reed-Solomon diagonal families (the D' instantiation)
 # ---------------------------------------------------------------------------
+
+
+def _dprime_table(ctx: FieldCtx, n: int, m: int, R: int) -> list[list[Fel]]:
+    """The weight rows D' at parameter R reads on an n x m matrix."""
+    # no diagonal has more than (n + m) // 2 rows (diag_row_count)
+    return diag_weight_table(ctx, ctx.element_of_order(m), min(R, (n + m) // 2), m)
+
+
+def _diag_dots(ctx, rows, table, k: int, ls) -> list[Fel]:
+    """Syndromes of the matrix ``rows`` on diagonal k for the weight rows ls."""
+    j_lo, j_hi = diag_columns(len(rows), len(rows[0]), k)
+    vals = [rows[k - j][j] for j in range(j_lo, j_hi + 1)]
+    return [ctx.dot(vals, table[l][j_lo:]) for l in ls]
+
+
+def _diag_major(coeffs, R: int, n: int, m: int) -> list[Fel]:
+    """D' syndromes at R from full-family ones, coeffs[l][k] for row l, diagonal k."""
+    return [
+        coeffs[l][k] for k in range(n + m - 1) for l in range(diag_row_count(R, n, m, k))
+    ]
 
 
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
@@ -269,18 +290,16 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     """
     ctx = mat.ctx
     n, m = mat.dims
-    g = ctx.element_of_order(m)
-    out = []
+    table = _dprime_table(ctx, n, m, 2 * r)
     rows = mat.rows()
+    out = []
     for k in range(n + m - 1):
-        j_lo, j_hi = _col_bounds(n, m, k)
-        vals = [rows[k - j][j] for j in range(j_lo, j_hi + 1)]
-        count = diag_row_count(2 * r, n, m, k)
-        out.extend(ctx.dot(vals, w) for w in diag_weight_rows(ctx, g, count, n, m, k))
+        out.extend(_diag_dots(ctx, rows, table, k, range(diag_row_count(2 * r, n, m, k))))
     return out
 
 
-def _recover_from_diag(ctx, g, n, m, r, syndromes, hooks=None) -> DenseTensor:
+def _recover_from_diag(ctx, table, n, m, r, syndromes, hooks=None) -> DenseTensor:
+    """D' recovery at 2r with weights from ``table`` (at least the rows D' reads)."""
     from .sparse import pronys_method
 
     if r < 1:
@@ -289,20 +308,14 @@ def _recover_from_diag(ctx, g, n, m, r, syndromes, hooks=None) -> DenseTensor:
     if len(syndromes) != sum(counts):
         raise ShapeMismatch(f"expected {sum(counts)} syndromes, got {len(syndromes)}")
 
-    weights_by_k = []
-    synd_by_k = []
-    off = 0
-    for k, cnt in enumerate(counts):
-        weights_by_k.append(tuple(diag_weight_rows(ctx, g, cnt, n, m, k)))
-        synd_by_k.append(tuple(syndromes[off : off + cnt]))
-        off += cnt
-    meas = DiagonalMeasurements(
-        ctx, n, m, tuple(weights_by_k), tuple(synd_by_k)
-    )
+    ends = itertools.accumulate(counts)
+    synd_by_k = tuple(tuple(syndromes[e - c : e]) for c, e in zip(counts, ends))
+    meas = DiagonalMeasurements(ctx, n, m, table, synd_by_k)
 
     def oracle(k, advice, y):
-        weights = meas.weights_by_k[k]
-        length = len(weights[0])
+        j_lo, j_hi = diag_columns(n, m, k)
+        length = j_hi - j_lo + 1
+        weights = [row[j_lo : j_hi + 1] for row in table[: len(y)]]
         if len(y) >= length:
             # short diagonal: plain Vandermonde solve, remaining rows verify
             x = linalg.solve(ctx, weights[:length], list(y[:length]))
@@ -313,7 +326,7 @@ def _recover_from_diag(ctx, g, n, m, r, syndromes, hooks=None) -> DenseTensor:
                     raise InconsistentSyndrome(f"diagonal {k}: redundant row mismatch")
             return x
         # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
-        return pronys_method(ctx, length, r, advice, list(y), list(weights[1]))
+        return pronys_method(ctx, length, r, advice, list(y), weights[1])
 
     return low_rank_recovery(ctx, n, m, r, meas, oracle, hooks=hooks)
 
@@ -331,8 +344,8 @@ def recover_from_D(
     Diagonals shorter than the 2r measurement budget are solved outright;
     the rest go through Prony's method with the echelon advice set.
     """
-    g = ctx.element_of_order(m)
-    return _recover_from_diag(ctx, g, n, m, r, syndromes, hooks=hooks)
+    table = _dprime_table(ctx, n, m, 2 * r)
+    return _recover_from_diag(ctx, table, n, m, r, syndromes, hooks=hooks)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +376,7 @@ def convert_B_to_D(
     expected = (n + m - R) * R
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    g = ctx.element_of_order(m)
+    table = _dprime_table(ctx, n, m, R)
     alphas = ctx.first_elements(n + m - 1)
     width = n + m - 1
 
@@ -373,18 +386,18 @@ def convert_B_to_D(
     def solve_diagonal(kp: int) -> None:
         if kp in diag_vals:
             return
-        j_lo, j_hi = _col_bounds(n, m, kp)
+        j_lo, j_hi = diag_columns(n, m, kp)
         d = j_hi - j_lo + 1
-        rows = diag_weight_rows(ctx, g, d, n, m, kp)
+        rows = [row[j_lo : j_hi + 1] for row in table[:d]]
         vals = linalg.solve(ctx, rows, [coeff[lp][kp] for lp in range(d)])
         if vals is None:
             raise InconsistentEvaluations(f"diagonal {kp}: fringe system unsolvable")
         diag_vals[kp] = vals
 
     def fringe_value(l: int, kp: int) -> Fel:
-        j_lo, _ = _col_bounds(n, m, kp)
-        gl = ctx.pow(g, l)
-        return ctx.mul(ctx.pow(gl, j_lo), ctx.horner(diag_vals[kp], gl))
+        # sum_j c_j g^(l j) over the columns j_lo.. of diagonal kp
+        j_lo, _ = diag_columns(n, m, kp)
+        return ctx.mul(table[l][j_lo], ctx.horner(diag_vals[kp], table[l][1]))
 
     off = 0
     for l in range(R):
@@ -408,12 +421,7 @@ def convert_B_to_D(
             h_vals.append(ctx.mul(ctx.sub(e, fringe), ctx.inv(ctx.pow(a, l))))
         h = linalg.poly_interpolate(ctx, alphas[:cnt], h_vals)
         coeff.append(lows + h + highs)
-
-    out = []
-    for k in range(width):
-        for l in range(diag_row_count(R, n, m, k)):
-            out.append(coeff[l][k])
-    return out
+    return _diag_major(coeff, R, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -441,48 +449,26 @@ def tensor_measure(t: DenseTensor, r: int) -> list[Fel]:
     return measure_moments(t, "TensorB", 2 * r)
 
 
-def _flatten_strided(arr: DenseTensor, stride: int, out_len: int) -> list[Fel]:
-    ctx = arr.ctx
-    out = [ctx.zero] * out_len
-    dims = arr.dims
-    d = len(dims)
-    strides = [stride**j for j in range(d)]
-    idx = [0] * d
-    for flat, e in enumerate(arr.entries):
-        if e == ctx.zero:
-            continue
-        rem = flat
-        for a in range(d - 1, -1, -1):
-            idx[a] = rem % dims[a]
-            rem //= dims[a]
-        out[sum(i * s for i, s in zip(idx, strides))] = e
-    return out
+def _pack(t: DenseTensor, stride: int) -> list[Fel]:
+    """Coefficients of t's polynomial under x_a -> x^(stride^a): one axis."""
+    for a in range(len(t.dims) - 2, -1, -1):
+        t = merge_variables(t, a, a + 1, stride)
+    return t.entries
 
 
-def _unmerge(w: DenseTensor, tgt_sizes: list[int], stride: int) -> DenseTensor:
-    """Split the two merged exponents of w back into the target variables."""
-    ctx = w.ctx
-    out = DenseTensor.zeros(ctx, tuple(tgt_sizes))
-    half = len(tgt_sizes) // 2
-    n_rows, n_cols = w.dims
-    for flat, e in enumerate(w.entries):
-        if e == ctx.zero:
-            continue
-        e0, e1 = divmod(flat, n_cols)
-        idx = [0] * len(tgt_sizes)
-        for j in range(half):
-            e0, idx[2 * j] = divmod(e0, stride)
-            e1, idx[2 * j + 1] = divmod(e1, stride)
-            if idx[2 * j] >= tgt_sizes[2 * j] or idx[2 * j + 1] >= tgt_sizes[2 * j + 1]:
-                raise InconsistentSyndrome(
-                    "recovered coefficient outside the merged-exponent range"
-                )
-        if e0 or e1:
-            raise InconsistentSyndrome(
-                "recovered coefficient outside the merged-exponent range"
-            )
-        out[tuple(idx)] = e
-    return out
+def _unpack(w: DenseTensor, tgt: list[int], stride: int) -> DenseTensor:
+    """Split w's row and column exponents into base-stride digits, interleaved.
+
+    Row digit j is variable 2j of the finer level and column digit j is
+    variable 2j + 1, with lengths ``tgt``; a nonzero coefficient whose digit
+    overflows its length raises ShapeMismatch.
+    """
+    half = len(tgt) // 2
+    for j in range(half - 1):
+        w = split_variables(w, j, stride, tgt[2 * j])
+    for j in range(half - 1):
+        w = split_variables(w, half + j, stride, tgt[2 * j + 1])
+    return permute_axes(w, tuple(a for j in range(half) for a in (j, half + j)))
 
 
 def tensor_recover(
@@ -491,9 +477,11 @@ def tensor_recover(
     """Exact recovery of a rank <= r tensor from tensor_measure output.
 
     Interpolates one univariate polynomial per exponent-index tuple, then
-    walks the merging recursion backwards: groups over the last index are
-    the diagonal syndromes of a merged coefficient matrix of rank <= r,
-    recovered exactly and split back into one more variable pair per level.
+    walks the merging recursion backwards: the R polynomials that share an
+    index prefix, packed into one variable, hold the full diagonal-family
+    syndromes of a merged coefficient matrix of rank <= r.  Each matrix is
+    recovered from its D' rows, checked against the rest, and unpacked into
+    one more variable pair per level.
     """
     R = 2 * r
     b = (d - 1).bit_length()
@@ -523,19 +511,26 @@ def tensor_recover(
         half = len(tgt) // 2
         n_rows = 1 + sum((tgt[2 * j] - 1) * stride**j for j in range(half))
         n_cols = 1 + sum((tgt[2 * j + 1] - 1) * stride**j for j in range(half))
-        univ_len = n_rows + n_cols - 1
+        table = diag_weight_table(ctx, g, R, n_cols)
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
-            univs = [
-                _flatten_strided(polys[prefix + (i,)], stride, univ_len)
-                for i in range(R)
-            ]
-            synd = []
-            for k in range(univ_len):
-                for i in range(diag_row_count(R, n_rows, n_cols, k)):
-                    synd.append(univs[i][k])
-            w = _recover_from_diag(ctx, g, n_rows, n_cols, r, synd)
-            new_polys[prefix] = _unmerge(w, tgt, stride)
+            univs = [_pack(polys[prefix + (i,)], stride) for i in range(R)]
+            synd = _diag_major(univs, R, n_rows, n_cols)
+            w = _recover_from_diag(ctx, table, n_rows, n_cols, r, synd)
+            # D' reads only the first rows of a short diagonal; check the rest
+            rows = w.rows()
+            for k in range(n_rows + n_cols - 1):
+                unread = range(diag_row_count(R, n_rows, n_cols, k), R)
+                for l, v in zip(unread, _diag_dots(ctx, rows, table, k, unread)):
+                    if v != univs[l][k]:
+                        raise InconsistentSyndrome(
+                            f"level {level}, diagonal {k}: syndrome row {l} "
+                            "disagrees with the recovered matrix"
+                        )
+            try:
+                new_polys[prefix] = _unpack(w, tgt, stride)
+            except ShapeMismatch as e:
+                raise InconsistentSyndrome(f"level {level}: {e}") from e
         polys = new_polys
 
     full = polys[()]

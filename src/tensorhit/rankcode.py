@@ -23,7 +23,7 @@ from .errors import (
 )
 from .field import FieldCtx
 from .hitting import MeasurementSet, generate_family
-from .tensor import DenseTensor, matrix_rank
+from .tensor import DenseTensor, matrix_rank, permute_axes
 
 
 @dataclass(frozen=True)
@@ -80,21 +80,11 @@ def error_rank_bound(t: DenseTensor) -> int:
     if len(t.dims) == 2:
         return matrix_rank(t)
     best = 0
-    total = math.prod(t.dims)
-    for axis in range(len(t.dims)):
-        n_ax = t.dims[axis]
-        rows = [[t.ctx.zero] * (total // n_ax) for _ in range(n_ax)]
-        cols = [0] * n_ax
-        idx = [0] * len(t.dims)
-        for flat, e in enumerate(t.entries):
-            rem = flat
-            for a in range(len(t.dims) - 1, -1, -1):
-                idx[a] = rem % t.dims[a]
-                rem //= t.dims[a]
-            i = idx[axis]
-            rows[i][cols[i]] = e
-            cols[i] += 1
-        best = max(best, linalg.rank(t.ctx, rows))
+    d, total = len(t.dims), math.prod(t.dims)
+    for axis, n_ax in enumerate(t.dims):
+        # axis first, the others in order: row i is the slice at index i
+        entries = permute_axes(t, (axis, *(a for a in range(d) if a != axis))).entries
+        best = max(best, matrix_rank(DenseTensor(t.ctx, (n_ax, total // n_ax), entries)))
     return best
 
 

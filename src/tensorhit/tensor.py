@@ -12,7 +12,9 @@ Operations are pure and values are treated as immutable; the only sanctioned
 mutation is set_diagonal on a matrix the caller owns.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -256,20 +258,32 @@ def set_diagonal(m: DenseTensor, k: int, values: list[Fel]) -> None:
         m.entries[i * mm + (k - i)] = values[t]
 
 
+def _nonzeros(t: DenseTensor):
+    """(index, entry) of each nonzero entry of t, in row-major order."""
+    zero = t.ctx.zero
+    for idx, e in zip(itertools.product(*map(range, t.dims)), t.entries):
+        if e != zero:
+            yield idx, e
+
+
+def _placed(ctx: FieldCtx, dims: tuple[int, ...], items) -> DenseTensor:
+    """The tensor of shape dims holding e at idx for each (idx, e) of items."""
+    out = DenseTensor.zeros(ctx, dims)
+    strides = [math.prod(dims[a + 1 :]) for a in range(len(dims))]
+    for idx, e in items:
+        out.entries[sum(map(operator.mul, idx, strides))] = e
+    return out
+
+
 def permute_axes(t: DenseTensor, perm: tuple[int, ...]) -> DenseTensor:
     """Axis permutation: output axis a is input axis perm[a]."""
     if sorted(perm) != list(range(len(t.dims))):
         raise ShapeMismatch(f"{perm} is not a permutation of the axes")
-    new_dims = tuple(t.dims[p] for p in perm)
-    out = DenseTensor.zeros(t.ctx, new_dims)
-    idx = [0] * len(t.dims)
-    for flat, e in enumerate(t.entries):
-        rem = flat
-        for a in range(len(t.dims) - 1, -1, -1):
-            idx[a] = rem % t.dims[a]
-            rem //= t.dims[a]
-        out[tuple(idx[p] for p in perm)] = e
-    return out
+    return _placed(
+        t.ctx,
+        tuple(t.dims[p] for p in perm),
+        ((tuple(idx[p] for p in perm), e) for idx, e in _nonzeros(t)),
+    )
 
 
 def merge_variables(t: DenseTensor, axis1: int, axis2: int, stride: int) -> DenseTensor:
@@ -284,23 +298,17 @@ def merge_variables(t: DenseTensor, axis1: int, axis2: int, stride: int) -> Dens
     n1, n2 = t.dims[axis1], t.dims[axis2]
     if stride < n1:
         raise StrideTooSmall(f"stride {stride} < axis length {n1}")
-    merged_len = (n1 - 1) + stride * (n2 - 1) + 1
-    new_dims = [merged_len if a == axis1 else t.dims[a] for a in range(d)]
+
+    def merged(idx):
+        out = list(idx)
+        out[axis1] += stride * idx[axis2]
+        del out[axis2]
+        return out
+
+    new_dims = list(t.dims)
+    new_dims[axis1] = (n1 - 1) + stride * (n2 - 1) + 1
     del new_dims[axis2]
-    out = DenseTensor.zeros(t.ctx, tuple(new_dims))
-    idx = [0] * d
-    for flat, e in enumerate(t.entries):
-        if e == t.ctx.zero:
-            continue
-        rem = flat
-        for a in range(d - 1, -1, -1):
-            idx[a] = rem % t.dims[a]
-            rem //= t.dims[a]
-        new_idx = list(idx)
-        new_idx[axis1] = idx[axis1] + stride * idx[axis2]
-        del new_idx[axis2]
-        out[tuple(new_idx)] = t.ctx.add(out[tuple(new_idx)], e)
-    return out
+    return _placed(t.ctx, tuple(new_dims), ((merged(idx), e) for idx, e in _nonzeros(t)))
 
 
 def split_variables(
@@ -313,36 +321,23 @@ def split_variables(
     nonzero coefficient whose remainder is >= low_len cannot come from a
     merge and raises ShapeMismatch.
     """
-    d = len(t.dims)
-    if not 0 <= axis < d:
+    if not 0 <= axis < len(t.dims):
         raise ShapeMismatch("axis out of range")
     if stride < low_len:
         raise StrideTooSmall(f"stride {stride} < low axis length {low_len}")
-    merged_len = t.dims[axis]
-    high_len = (merged_len - 1) // stride + 1
-    new_dims = list(t.dims)
-    new_dims[axis] = low_len
-    new_dims.insert(axis + 1, high_len)
-    out = DenseTensor.zeros(t.ctx, tuple(new_dims))
-    idx = [0] * d
-    for flat, e in enumerate(t.entries):
-        if e == t.ctx.zero:
-            continue
-        rem = flat
-        for a in range(d - 1, -1, -1):
-            idx[a] = rem % t.dims[a]
-            rem //= t.dims[a]
-        low, high = idx[axis] % stride, idx[axis] // stride
+
+    def split(idx):
+        high, low = divmod(idx[axis], stride)
         if low >= low_len:
             raise ShapeMismatch(
                 f"coefficient at exponent {idx[axis]} cannot split into "
                 f"digits below {low_len}"
             )
-        new_idx = list(idx)
-        new_idx[axis] = low
-        new_idx.insert(axis + 1, high)
-        out[tuple(new_idx)] = e
-    return out
+        return idx[:axis] + (low, high) + idx[axis + 1 :]
+
+    high_len = (t.dims[axis] - 1) // stride + 1
+    new_dims = t.dims[:axis] + (low_len, high_len) + t.dims[axis + 1 :]
+    return _placed(t.ctx, new_dims, ((split(idx), e) for idx, e in _nonzeros(t)))
 
 
 def nnz(t: DenseTensor) -> int:

@@ -209,7 +209,15 @@ def test_pit_accepts_lowrank_files(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("NONZERO")
 
 
-def test_bench_smoke(capsys):
-    assert run("bench", "--p", "67", "--sizes", "8,16", "--r", "1", "--seed", "0") == 0
-    out = capsys.readouterr().out
-    assert "recover_s" in out and len(out.strip().splitlines()) >= 3
+def test_inconsistent_tensor_syndromes_exit_3(tmp_path, capsys):
+    # no 3x3 tensor measures to these twelve values; the corner tensor that
+    # D' alone would return measures as twelve 5s
+    synd = tmp_path / "synd.txt"
+    synd.write_text(
+        "field p=1733 k=1\nsyndromes family=TensorB r=1 dims=3x3\n"
+        + "5\n" * 6 + "0\n" * 6
+    )
+    out = tmp_path / "out.txt"
+    assert run("recover", "--syndromes", str(synd), "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()

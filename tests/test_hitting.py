@@ -120,6 +120,31 @@ def test_D_sizes_and_indicator():
                     assert dense[i, j] == (1 if i + j == m.k else 0)
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [GF13, make_extension(make_prime_field(2), 4), make_prime_field(65537)],
+    ids=["GF13", "GF16", "GF65537"],
+)
+def test_diagonal_family_weights_are_powers_of_g(ctx):
+    # member (k, l) weighs entry (i, k - i) by g^(l (k - i)), listed by row i
+    for n in range(1, 6):
+        for m in range(n, 6):
+            g = ctx.element_of_order(m)
+            for r in range(1, n + 1):
+                for build, rows_on in (
+                    (hitting_set_D, lambda k: r),
+                    (hitting_set_D_prime, lambda k: min(r, k + 1, n + m - k - 1)),
+                ):
+                    fam = build(ctx, r, n, m)
+                    want = [(k, l) for k in range(n + m - 1) for l in range(rows_on(k))]
+                    assert [(x.k, x.ls) for x in fam.measurements] == [
+                        (k, (l,)) for k, l in want
+                    ]
+                    for x, (k, l) in zip(fam.measurements, want):
+                        rows = range(max(0, k - m + 1), min(n - 1, k) + 1)
+                        assert x.diag == (k, tuple(ctx.pow(g, l * (k - i)) for i in rows))
+
+
 def test_D_measurements_are_n_sparse():
     fam = hitting_set_D(GF13, 3, 4, 6)
     for m in fam.measurements:

@@ -13,6 +13,7 @@ from tensorhit import formats, linalg, lrr
 from tensorhit.errors import (
     InconsistentSyndrome,
     NotEchelon,
+    PromiseViolation,
     RankPromiseViolated,
     ShapeMismatch,
 )
@@ -323,6 +324,30 @@ def test_tensor_d4_roundtrip():
         t = _rand_low_rank(ctx, rng, (2, 2, 2, 2), 2)
         rec = tensor_recover(ctx, 4, 2, 2, tensor_measure(t, 2))
         assert rec.entries == t.entries
+
+
+GF7919 = make_prime_field(7919)  # order >= (2dn)^d for d, n <= 3
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_tensor_recover_returns_only_tensors_that_match(data):
+    # one polynomial of degree <= d(n-1) per exponent index, evaluated at the
+    # family's points: syndromes that most often no tensor produces
+    d = data.draw(st.sampled_from([2, 3]), label="d")
+    n = data.draw(st.sampled_from([2, 3]), label="n")
+    ctx, deg = GF7919, d * (n - 1)
+    alphas = ctx.first_elements(d * n)
+    synd = []
+    coeff = st.sampled_from([0, 0, 0, 1, 2])  # sparse, so some are consistent
+    for _ in range(2 ** (d - 1).bit_length()):  # R^b polynomials, R = 2r = 2
+        cs = data.draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
+        synd.extend(linalg.poly_eval(ctx, cs, a) for a in alphas)
+    try:
+        t = tensor_recover(ctx, d, n, 1, synd)
+    except PromiseViolation:
+        return
+    assert tensor_measure(t, 1) == synd
 
 
 def test_tensor_syndrome_count_mismatch():

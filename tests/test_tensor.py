@@ -1,6 +1,7 @@
 """Tensor containers, polynomial views, diagonals, and exponent reshaping."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -214,6 +215,22 @@ def test_merge_split_roundtrip_random(data):
                 assert back[i, j] == v
             else:
                 assert v == 0
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_permute_axes_moves_each_entry_and_inverts(data):
+    d = data.draw(st.integers(1, 4))
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)))
+    size = math.prod(dims)
+    entries = data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    t = DenseTensor(GF7, dims, entries)
+    perm = tuple(data.draw(st.permutations(range(d))))
+    p = permute_axes(t, perm)
+    assert p.dims == tuple(dims[a] for a in perm)
+    for idx in itertools.product(*map(range, dims)):
+        assert p[tuple(idx[a] for a in perm)] == t[idx]
+    assert permute_axes(p, tuple(perm.index(a) for a in range(d))) == t
 
 
 def test_permute_axes_preserves_monomial_count():
