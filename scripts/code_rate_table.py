@@ -3,11 +3,13 @@
 
 For each (n, r) the diagonal-family code has nm - 2(n+m-2r)r information
 symbols and corrects r rank errors; the table shows how the rate behaves as
-the radius grows, with a decode smoke test per row.
+the radius grows, with a decode smoke test per row.  Exits 1 if any row's
+decode fails.
 """
 
 import argparse
 import random
+import sys
 
 from tensorhit.field import make_prime_field
 from tensorhit.rankcode import build_code, decode, encode
@@ -24,6 +26,7 @@ def main():
     ctx = make_prime_field(args.p)
     rng = random.Random(args.seed)
     print(f"{'n':>4} {'r':>4} {'checks':>8} {'dim':>6} {'rate':>8} {'decode':>8}")
+    failed = False
     for n in range(2, args.max_n + 1):
         for r in range(1, n // 2 + 1):
             code = build_code(ctx, (n, n), r, "Dprime")
@@ -42,9 +45,11 @@ def main():
                 )
                 got, _ = decode(code, recv)
                 status = "ok" if got.entries == word.entries else "FAIL"
+                failed |= status == "FAIL"
             print(f"{n:>4} {r:>4} {len(code.parity):>8} {code.dimension:>6} "
                   f"{code.dimension / (n * n):>8.3f} {status:>8}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

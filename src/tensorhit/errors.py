@@ -78,12 +78,8 @@ class InconsistentSyndrome(PromiseViolation):
     """Syndrome vector is not explained by any vector meeting the promise."""
 
 
-class InconsistentEvaluations(PromiseViolation):
-    """Polynomial evaluations contradict coefficients already determined."""
-
-
 class OracleFailure(PromiseViolation):
-    """A per-diagonal sparse-recovery oracle failed during matrix recovery."""
+    """Solving one diagonal failed during matrix recovery (not a promise check)."""
 
 
 class RankPromiseViolated(PromiseViolation):

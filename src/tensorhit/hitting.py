@@ -37,7 +37,7 @@ position a; the padding positions d..2^b-1 are dummies of degree zero.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
@@ -111,9 +111,6 @@ class MeasurementSet:
     family: str
     r: int
     measurements: tuple[Measurement, ...]
-    base_family: str | None = None
-    ext_degree: int = 1
-    params: tuple = field(default=())
 
     def __len__(self):
         return len(self.measurements)
@@ -319,7 +316,7 @@ def naive_set(ctx: FieldCtx, dims: tuple[int, ...]) -> MeasurementSet:
 def simulate_improper(h: MeasurementSet) -> MeasurementSet:
     """Project an extension-field family onto base coordinates.
 
-    Each source measurement yields ext_degree base-field measurements (its
+    Each source measurement yields k base-field measurements (its
     coordinate projections); sparsity patterns survive.  Degree-1 input is
     returned unchanged.
     """
@@ -343,10 +340,7 @@ def simulate_improper(h: MeasurementSet) -> MeasurementSet:
                 meas.append(
                     Measurement(k=src.k, ls=src.ls, phi=(l,), entries=proj)
                 )
-    return MeasurementSet(
-        base, h.dims, "SimImproper", h.r, tuple(meas),
-        base_family=h.family, ext_degree=k,
-    )
+    return MeasurementSet(base, h.dims, "SimImproper", h.r, tuple(meas))
 
 
 def simulate_proper(h: MeasurementSet) -> MeasurementSet:
@@ -383,10 +377,7 @@ def simulate_proper(h: MeasurementSet) -> MeasurementSet:
                 for a in range(d)
             )
             meas.append(Measurement(k=src.k, ls=src.ls, phi=ls, factors=factors))
-    return MeasurementSet(
-        base, h.dims, "SimProper", h.r, tuple(meas),
-        base_family=h.family, ext_degree=k,
-    )
+    return MeasurementSet(base, h.dims, "SimProper", h.r, tuple(meas))
 
 
 def combine_simulated_syndromes(
@@ -395,7 +386,7 @@ def combine_simulated_syndromes(
     """Reassemble extension-field syndromes from improper-simulation ones.
 
     The projections are the power-basis coordinates, so each group of
-    ext_degree consecutive base values is exactly one extension element.
+    k = ext_ctx.k consecutive base values is exactly one extension element.
     """
     k = ext_ctx.k
     if k == 1:

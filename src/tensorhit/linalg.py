@@ -14,15 +14,20 @@ Matrix = list[list[Fel]]
 
 
 def rref(ctx: FieldCtx, rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form; returns (reduced rows, pivot columns).
+    """Reduced row-echelon form; returns (reduced rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    return rows, _reduce(ctx, rows)
+
+
+def _reduce(ctx: FieldCtx, rows: Matrix) -> list[int]:
+    """Bring rows to reduced row-echelon form in place; returns the pivot columns.
 
     Rows left of the current pivot column are all zero (pivot columns were
     eliminated, skipped columns never held a nonzero below the frontier),
     so each pivot step updates from its column onward.
     """
-    rows = [list(r) for r in rows]
     if not rows:
-        return rows, []
+        return []
     zero, nrows = ctx.zero, len(rows)
     pivots: list[int] = []
     r = 0
@@ -38,7 +43,7 @@ def rref(ctx: FieldCtx, rows: Matrix) -> tuple[Matrix, list[int]]:
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return pivots
 
 
 def rank(ctx: FieldCtx, rows: Matrix) -> int:
@@ -82,7 +87,8 @@ def solve(ctx: FieldCtx, rows: Matrix, rhs: list[Fel]) -> list[Fel] | None:
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(ctx, [list(r) + [y] for r, y in zip(rows, rhs)])
+    red = [[*r, y] for r, y in zip(rows, rhs)]
+    pivots = _reduce(ctx, red)
     if ncols in pivots:
         return None  # inconsistent: pivot in the augmented column
     if len(pivots) < ncols:

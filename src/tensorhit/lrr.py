@@ -3,10 +3,13 @@
 The engine reconstructs a rank <= r matrix one k-diagonal at a time from
 non-adaptive inner products.  Row-reducing the already-recovered prefix
 keeps it in (<k)-upper-echelon form, which forces the next diagonal of the
-reduced matrix to be sparse outside a small set of predictable columns; a
-per-diagonal advice-sparse-recovery oracle (Prony on dual Reed-Solomon
-rows, or a plain Vandermonde solve when the diagonal is short) then pins it
-down exactly.  The row operations live in a unit lower-triangular L whose
+reduced matrix to be sparse outside a small set of predictable columns.
+A diagonal with at least as many syndrome rows as entries is solved from
+its first rows (a Vandermonde system) and every further row is checked;
+a longer diagonal goes to Prony's method on dual Reed-Solomon rows with
+the echelon advice set.  After each diagonal the leading nonzero entries
+are counted against r, so a returned matrix has rank <= r and matches
+every syndrome.  The row operations live in a unit lower-triangular L whose
 off-identity columns stay confined to rows that own leading nonzero
 entries, so corrections cost O(r) per entry.
 
@@ -29,11 +32,11 @@ are the one entry point for each family in ``RECOVERY_FAMILIES``.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
-    InconsistentEvaluations,
     InconsistentSyndrome,
     NotEchelon,
     OracleFailure,
@@ -60,6 +63,7 @@ from .tensor import (
     permute_axes,
     split_variables,
 )
+from .sparse import pronys_method
 
 
 def lne_scan(m: DenseTensor, k: int | None = None) -> set[tuple[int, int]]:
@@ -88,9 +92,7 @@ def _check_lt_k_echelon(p: DenseTensor, k: int) -> bool:
 RowOp = tuple[int, int, Fel]  # (target_row, source_row, coefficient)
 
 
-def make_upper_echelon(
-    p: DenseTensor, n: int, m: int, k: int, validate: bool = True
-) -> list[RowOp]:
+def make_upper_echelon(p: DenseTensor, n: int, m: int, k: int) -> list[RowOp]:
     """Row operations turning a (<k)-upper-echelon matrix into (<=k) form.
 
     Returns the elementary operations (target += coeff * source) in
@@ -98,7 +100,7 @@ def make_upper_echelon(
     source in lne_R(P^(<k)).  Applying them leaves the (<k)-diagonals
     untouched and zeroes the k-diagonal in every lne column.
     """
-    if validate and not _check_lt_k_echelon(p, k):
+    if not _check_lt_k_echelon(p, k):
         raise NotEchelon(f"matrix is not (<{k})-upper-echelon")
     return _echelon_ops(p.ctx, p.rows(), dict(lne_scan(p, k)), n, k)
 
@@ -129,22 +131,6 @@ def ops_to_dense(ctx, n: int, ops: list[RowOp]) -> list[list[Fel]]:
 
 
 @dataclass(frozen=True)
-class DiagonalMeasurements:
-    """Diagonal-family weights and their syndromes.
-
-    syndromes_by_k[k][l] is the syndrome of measurement l on diagonal k,
-    whose weights are row l of ``table`` (``hitting.diag_weight_table``)
-    over the diagonal's columns.
-    """
-
-    ctx: FieldCtx
-    n: int
-    m: int
-    table: list[list[Fel]]
-    syndromes_by_k: tuple[tuple[Fel, ...], ...]
-
-
-@dataclass(frozen=True)
 class EchelonState:
     """Live view of the recovery loop's state, passed to hooks (read-only)."""
 
@@ -162,13 +148,30 @@ class RecoveryHooks:
     """Optional instrumentation points for the recovery loop.
 
     before_oracle(k, state, advice_cols) fires after the correction is
-    computed and before the oracle call; after_iteration(k, state) fires at
-    the end of the loop body, with state.lne still describing the (<k)
-    region.
+    computed and before the diagonal is solved; after_iteration(k, state)
+    fires at the end of the loop body, with state.lne still describing the
+    (<k) region.
     """
 
     before_oracle: object = None
     after_iteration: object = None
+
+
+def _solve_diagonal(ctx, table, n: int, m: int, k: int, ys) -> list[Fel]:
+    """Diagonal k (column order) from ys[l], its inner product with row l of table.
+
+    Solves the square Vandermonde system of the first rows, one per entry,
+    and checks every further row against the solution.
+    """
+    j_lo, j_hi = diag_columns(n, m, k)
+    length = j_hi - j_lo + 1
+    x = linalg.solve(ctx, [row[j_lo : j_hi + 1] for row in table[:length]], ys[:length])
+    if x is None:
+        raise InconsistentSyndrome(f"diagonal {k}: unsolvable square system")
+    for row, target in zip(table[length:], ys[length:]):
+        if ctx.dot(x, row[j_lo:]) != target:
+            raise InconsistentSyndrome(f"diagonal {k}: redundant row mismatch")
+    return x
 
 
 def low_rank_recovery(
@@ -176,15 +179,17 @@ def low_rank_recovery(
     n: int,
     m: int,
     r: int,
-    meas: DiagonalMeasurements,
-    oracle,
+    table: list[list[Fel]],
+    syndromes_by_k,
     hooks: RecoveryHooks | None = None,
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
-    ``oracle(k, advice, y)`` must return the k-diagonal (column order) of
-    the row-reduced matrix, given local advice positions and corrected
-    syndromes; it is called once per diagonal, in order.
+    syndromes_by_k[k][l] is the inner product of diagonal k with row l of
+    ``table`` (``hitting.diag_weight_table``) over the diagonal's columns.
+    A diagonal with at least as many rows as entries goes to
+    ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
+    method with the echelon advice set, reading its points from row 1.
     """
     zero, one = ctx.zero, ctx.one
     L = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -193,20 +198,17 @@ def low_rank_recovery(
     P = [[zero] * m for _ in range(n)]
     lne: dict[int, int] = {}
 
-    for k in range(n + m - 1):
+    for k, synd in enumerate(syndromes_by_k):
         j_lo, j_hi = diag_columns(n, m, k)
         length = j_hi - j_lo + 1
 
         # correction ((L - I) N) on this diagonal, column order
+        cols = sorted(l_cols)
         a_diag = []
         for j in range(j_lo, j_hi + 1):
-            cols = [c for c in l_cols if c < k - j]
-            a_diag.append(ctx.dot([L[k - j][c] for c in cols], [N[c][j] for c in cols]))
+            below = cols[: bisect_left(cols, k - j)]
+            a_diag.append(ctx.dot([L[k - j][c] for c in below], [N[c][j] for c in below]))
 
-        if len(lne) > r:
-            raise RankPromiseViolated(
-                f"{len(lne)} leading entries below diagonal {k}; rank promise was {r}"
-            )
         advice = set()
         for i0, j0 in lne.items():
             c1 = k - i0
@@ -217,7 +219,7 @@ def low_rank_recovery(
 
         y = [
             ctx.add(s_val, ctx.dot(a_diag, row[j_lo:]))
-            for row, s_val in zip(meas.table, meas.syndromes_by_k[k])
+            for row, s_val in zip(table, synd)
         ]
 
         if hooks and hooks.before_oracle:
@@ -228,13 +230,14 @@ def low_rank_recovery(
             )
 
         try:
-            p_diag = oracle(k, advice, y)
+            if len(y) >= length:
+                p_diag = _solve_diagonal(ctx, table, n, m, k, y)
+            else:  # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
+                p_diag = pronys_method(ctx, length, r, advice, y, table[1][j_lo : j_hi + 1])
         except PromiseViolation:
             raise
         except TensorhitError as e:
             raise OracleFailure(f"diagonal {k}: {e}") from e
-        if len(p_diag) != length:
-            raise OracleFailure(f"oracle returned {len(p_diag)} values on diagonal {k}")
 
         for t, j in enumerate(range(j_lo, j_hi + 1)):
             P[k - j][j] = p_diag[t]
@@ -253,6 +256,10 @@ def low_rank_recovery(
             i = k - j
             if i not in lne and P[i][j] != zero:
                 lne[i] = j
+        if len(lne) > r:
+            raise RankPromiseViolated(
+                f"{len(lne)} leading entries below diagonal {k + 1}; rank promise was {r}"
+            )
 
     return DenseTensor.from_rows(ctx, N)
 
@@ -268,20 +275,6 @@ def _dprime_table(ctx: FieldCtx, n: int, m: int, R: int) -> list[list[Fel]]:
     return diag_weight_table(ctx, ctx.element_of_order(m), min(R, (n + m) // 2), m)
 
 
-def _diag_dots(ctx, rows, table, k: int, ls) -> list[Fel]:
-    """Syndromes of the matrix ``rows`` on diagonal k for the weight rows ls."""
-    j_lo, j_hi = diag_columns(len(rows), len(rows[0]), k)
-    vals = [rows[k - j][j] for j in range(j_lo, j_hi + 1)]
-    return [ctx.dot(vals, table[l][j_lo:]) for l in ls]
-
-
-def _diag_major(coeffs, R: int, n: int, m: int) -> list[Fel]:
-    """D' syndromes at R from full-family ones, coeffs[l][k] for row l, diagonal k."""
-    return [
-        coeffs[l][k] for k in range(n + m - 1) for l in range(diag_row_count(R, n, m, k))
-    ]
-
-
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     """Syndromes of mat against the diagonal family with parameter 2r.
 
@@ -294,41 +287,10 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     rows = mat.rows()
     out = []
     for k in range(n + m - 1):
-        out.extend(_diag_dots(ctx, rows, table, k, range(diag_row_count(2 * r, n, m, k))))
-    return out
-
-
-def _recover_from_diag(ctx, table, n, m, r, syndromes, hooks=None) -> DenseTensor:
-    """D' recovery at 2r with weights from ``table`` (at least the rows D' reads)."""
-    from .sparse import pronys_method
-
-    if r < 1:
-        raise ValueError(f"rank bound must be >= 1, got r={r}")
-    counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
-    if len(syndromes) != sum(counts):
-        raise ShapeMismatch(f"expected {sum(counts)} syndromes, got {len(syndromes)}")
-
-    ends = itertools.accumulate(counts)
-    synd_by_k = tuple(tuple(syndromes[e - c : e]) for c, e in zip(counts, ends))
-    meas = DiagonalMeasurements(ctx, n, m, table, synd_by_k)
-
-    def oracle(k, advice, y):
         j_lo, j_hi = diag_columns(n, m, k)
-        length = j_hi - j_lo + 1
-        weights = [row[j_lo : j_hi + 1] for row in table[: len(y)]]
-        if len(y) >= length:
-            # short diagonal: plain Vandermonde solve, remaining rows verify
-            x = linalg.solve(ctx, weights[:length], list(y[:length]))
-            if x is None:
-                raise InconsistentSyndrome(f"diagonal {k}: unsolvable square system")
-            for w, target in zip(weights[length:], y[length:]):
-                if ctx.dot(w, x) != target:
-                    raise InconsistentSyndrome(f"diagonal {k}: redundant row mismatch")
-            return x
-        # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
-        return pronys_method(ctx, length, r, advice, list(y), weights[1])
-
-    return low_rank_recovery(ctx, n, m, r, meas, oracle, hooks=hooks)
+        vals = [rows[k - j][j] for j in range(j_lo, j_hi + 1)]
+        out.extend(ctx.dot(vals, row[j_lo:]) for row in table[: diag_row_count(2 * r, n, m, k)])
+    return out
 
 
 def recover_from_D(
@@ -345,7 +307,14 @@ def recover_from_D(
     the rest go through Prony's method with the echelon advice set.
     """
     table = _dprime_table(ctx, n, m, 2 * r)
-    return _recover_from_diag(ctx, table, n, m, r, syndromes, hooks=hooks)
+    if r < 1:
+        raise ValueError(f"rank bound must be >= 1, got r={r}")
+    counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
+    if len(syndromes) != sum(counts):
+        raise ShapeMismatch(f"expected {sum(counts)} syndromes, got {len(syndromes)}")
+    ends = itertools.accumulate(counts)
+    synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
+    return low_rank_recovery(ctx, n, m, r, table, synd_by_k, hooks=hooks)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +352,6 @@ def convert_B_to_D(
     coeff: list[list[Fel]] = []
     diag_vals: dict[int, list[Fel]] = {}
 
-    def solve_diagonal(kp: int) -> None:
-        if kp in diag_vals:
-            return
-        j_lo, j_hi = diag_columns(n, m, kp)
-        d = j_hi - j_lo + 1
-        rows = [row[j_lo : j_hi + 1] for row in table[:d]]
-        vals = linalg.solve(ctx, rows, [coeff[lp][kp] for lp in range(d)])
-        if vals is None:
-            raise InconsistentEvaluations(f"diagonal {kp}: fringe system unsolvable")
-        diag_vals[kp] = vals
-
     def fringe_value(l: int, kp: int) -> Fel:
         # sum_j c_j g^(l j) over the columns j_lo.. of diagonal kp
         j_lo, _ = diag_columns(n, m, kp)
@@ -407,8 +365,9 @@ def convert_B_to_D(
         if l == 0:
             coeff.append(linalg.poly_interpolate(ctx, alphas[:cnt], list(block)))
             continue
-        solve_diagonal(l - 1)
-        solve_diagonal(width - l)
+        # diagonals l - 1 and width - l have l entries, all measured by now
+        for kp in (l - 1, width - l):
+            diag_vals[kp] = _solve_diagonal(ctx, table, n, m, kp, [c[kp] for c in coeff])
         lows = [fringe_value(l, kp) for kp in range(l)]
         highs = [fringe_value(l, kp) for kp in range(width - l, width)]
         h_vals = []
@@ -421,7 +380,7 @@ def convert_B_to_D(
             h_vals.append(ctx.mul(ctx.sub(e, fringe), ctx.inv(ctx.pow(a, l))))
         h = linalg.poly_interpolate(ctx, alphas[:cnt], h_vals)
         coeff.append(lows + h + highs)
-    return _diag_major(coeff, R, n, m)
+    return [coeff[l][k] for k in range(width) for l in range(diag_row_count(R, n, m, k))]
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +439,11 @@ def tensor_recover(
     walks the merging recursion backwards: the R polynomials that share an
     index prefix, packed into one variable, hold the full diagonal-family
     syndromes of a merged coefficient matrix of rank <= r.  Each matrix is
-    recovered from its D' rows, checked against the rest, and unpacked into
-    one more variable pair per level.
+    recovered from all R rows of every diagonal and unpacked into one more
+    variable pair per level.
     """
+    if r < 1:
+        raise ValueError(f"rank bound must be >= 1, got r={r}")
     R = 2 * r
     b = (d - 1).bit_length()
     deg = d * (n - 1)
@@ -515,20 +476,11 @@ def tensor_recover(
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
             univs = [_pack(polys[prefix + (i,)], stride) for i in range(R)]
-            synd = _diag_major(univs, R, n_rows, n_cols)
-            w = _recover_from_diag(ctx, table, n_rows, n_cols, r, synd)
-            # D' reads only the first rows of a short diagonal; check the rest
-            rows = w.rows()
-            for k in range(n_rows + n_cols - 1):
-                unread = range(diag_row_count(R, n_rows, n_cols, k), R)
-                for l, v in zip(unread, _diag_dots(ctx, rows, table, k, unread)):
-                    if v != univs[l][k]:
-                        raise InconsistentSyndrome(
-                            f"level {level}, diagonal {k}: syndrome row {l} "
-                            "disagrees with the recovered matrix"
-                        )
             try:
+                w = low_rank_recovery(ctx, n_rows, n_cols, r, table, zip(*univs))
                 new_polys[prefix] = _unpack(w, tgt, stride)
+            except PromiseViolation as e:
+                raise type(e)(f"level {level}: {e}") from e
             except ShapeMismatch as e:
                 raise InconsistentSyndrome(f"level {level}: {e}") from e
         polys = new_polys

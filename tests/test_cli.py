@@ -209,6 +209,20 @@ def test_pit_accepts_lowrank_files(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("NONZERO")
 
 
+def test_recovery_above_the_rank_promise_exits_3(tmp_path, capsys):
+    # measure of [[10,1,1],[0,4,0],[8,8,6]] at r=1; the one matrix that
+    # matches every syndrome, [[10,1,11],[0,0,0],[2,8,6]], has rank 2
+    synd = tmp_path / "synd.txt"
+    synd.write_text(
+        "field p=13 k=1\nsyndromes family=Dprime r=1 dims=3x3\n"
+        + "".join(f"{v}\n" for v in (10, 1, 2, 0, 7, 8, 3, 6))
+    )
+    out = tmp_path / "out.txt"
+    assert run("recover", "--syndromes", str(synd), "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_inconsistent_tensor_syndromes_exit_3(tmp_path, capsys):
     # no 3x3 tensor measures to these twelve values; the corner tensor that
     # D' alone would return measures as twelve 5s

@@ -20,6 +20,7 @@ from tensorhit.errors import (
 from tensorhit.field import make_extension, make_prime_field
 from tensorhit.hitting import (
     combine_simulated_syndromes,
+    diag_row_count,
     generate_family,
     hitting_set_B_prime,
     hitting_set_D_prime,
@@ -204,6 +205,44 @@ def test_recover_rank_promise_violation_detected():
     assert rec.entries != mat.entries  # must at least not claim success
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_recover_returns_only_matrices_of_rank_r_that_match(data):
+    # random syndromes, or those of a rank r + 1 matrix: recovery either
+    # raises or returns a rank <= r matrix that measures to them
+    family = data.draw(st.sampled_from(["Dprime", "Bprime"]), label="family")
+    n = data.draw(st.integers(2, 5), label="n")
+    m = data.draw(st.integers(n, 5), label="m")
+    r = data.draw(st.integers(1, n // 2), label="r")
+    count = len(lrr.measure(DenseTensor.zeros(GF13, (n, m)), family, r))
+    if data.draw(st.booleans(), label="random"):
+        synd = data.draw(st.lists(st.integers(0, 12), min_size=count, max_size=count))
+    else:
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        mat = _rand_low_rank(GF13, random.Random(seed), (n, m), r + 1)
+        synd = lrr.measure(mat, family, r)
+    try:
+        rec = lrr.recover(GF13, family, (n, m), r, synd)
+    except PromiseViolation:
+        return
+    assert lrr.measure(rec, family, r) == synd
+    assert matrix_rank(rec) <= r
+
+
+def test_short_diagonal_rows_beyond_its_length_are_checked():
+    # 2x4 at r=2: diagonal 2 has 2 entries and 3 D' rows, so any one
+    # altered row contradicts the other two
+    mat = DenseTensor(GF13, (2, 4), [3, 0, 7, 1, 5, 2, 0, 9])
+    synd = measure_D(mat, 2)
+    counts = [diag_row_count(4, 2, 4, k) for k in range(5)]
+    assert counts[2] == 3
+    for pos in range(sum(counts[:2]), sum(counts[:3])):
+        bad = list(synd)
+        bad[pos] = GF13.add(bad[pos], 1)
+        with pytest.raises(InconsistentSyndrome):
+            recover_from_D(GF13, 2, 4, 2, bad)
+
+
 def test_reproof_zero_syndromes_give_zero():
     for n, m, r in ((4, 4, 1), (5, 7, 2), (6, 6, 3)):
         count = len(measure_D(DenseTensor.zeros(GF17, (n, m)), r))
@@ -348,6 +387,19 @@ def test_tensor_recover_returns_only_tensors_that_match(data):
     except PromiseViolation:
         return
     assert tensor_measure(t, 1) == synd
+
+
+def test_tensor_redundant_evaluations_are_checked():
+    # d = n = 2: each polynomial has degree 2 and 4 evaluations, so
+    # syndromes 3 and 7 are redundant
+    ctx = make_prime_field(1733)
+    synd = tensor_measure(DenseTensor(ctx, (2, 2), [1, 2, 3, 6]), 1)
+    assert tensor_recover(ctx, 2, 2, 1, synd).entries == [1, 2, 3, 6]
+    for pos in (3, 7):
+        bad = list(synd)
+        bad[pos] = ctx.add(bad[pos], 1)
+        with pytest.raises(InconsistentSyndrome):
+            tensor_recover(ctx, 2, 2, 1, bad)
 
 
 def test_tensor_syndrome_count_mismatch():
