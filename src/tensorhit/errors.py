@@ -15,15 +15,16 @@ class CompositeCharacteristic(TensorhitError):
     """Requested prime field with a composite characteristic."""
 
 
-class OrderUnreachable(TensorhitError):
-    """No element of the requested multiplicative order exists in the field."""
-
-
 class FieldTooSmall(TensorhitError):
     """The field lacks the order or the distinct points a construction needs.
 
     Callers should build an extension (``make_extension``) and simulate.
+    A missing multiplicative order is the subclass :class:`OrderUnreachable`.
     """
+
+
+class OrderUnreachable(FieldTooSmall):
+    """No element of the requested multiplicative order exists in the field."""
 
 
 class OrderTooSmall(TensorhitError):

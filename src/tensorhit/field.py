@@ -14,7 +14,9 @@ builds need one fixed order.  We enumerate the nonzero elements by their
 coefficient tuples in lexicographic order, comparing from the constant term
 upward (so over GF(p) the enumeration is simply 1, 2, 3, ...).  The zero
 element is skipped.  The same order drives modulus selection: an extension
-is built on the lexicographically least monic irreducible polynomial of the
+is built on the first candidate x^k + (element t of GF(p^k)) that passes
+Rabin's test, run with this module's arithmetic in the ring GF(p)[x]/f.
+That is the lexicographically least monic irreducible polynomial of the
 requested degree, which makes every derived construction byte-reproducible.
 
 Order certification
@@ -131,15 +133,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_divmod(out, mod, p)[1]
-
-
 def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     a = list(a)
     _poly_trim(a)
@@ -156,55 +149,12 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     return q, a
 
 
-def _poly_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _poly_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    _poly_trim(a)
-    _poly_trim(b)
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    return a
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: x^(p^k) = x mod f, and x^(p^(k/q)) - x coprime to f."""
-    k = len(f) - 1
-    x = [0, 1]
-    frob = x  # x^(p^j) mod f, starting at j = 0
-    powers = {}
-    for j in range(1, k + 1):
-        frob = _poly_powmod(frob, p, f, p)
-        powers[j] = frob
-    xk = list(powers[k])
-    # x^(p^k) must reduce to x
-    if _poly_trim([(c - d) % p for c, d in itertools.zip_longest(xk, x, fillvalue=0)]):
-        return False
-    for q in _factorize(k):
-        h = list(powers[k // q])
-        diff = _poly_trim(
-            [(c - d) % p for c, d in itertools.zip_longest(h, x, fillvalue=0)]
-        )
-        g = _poly_gcd(f, diff, p) if diff else list(f)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 class FieldCtx:
     """A prime field GF(p) or extension GF(p^k) with exact arithmetic.
 
-    Not constructed directly; use :func:`make_prime_field` and
-    :func:`make_extension`.
+    Callers use :func:`make_prime_field` and :func:`make_extension`; the
+    irreducibility test also builds the ring GF(p)[x]/f on a candidate
+    modulus f, where every operation but ``inv`` is valid.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
@@ -435,11 +385,7 @@ class FieldCtx:
             raise ValueError(f"index {t} out of range for {self!r}")
         if self.k == 1:
             return t
-        digits = []
-        for _ in range(self.k):
-            digits.append(t % self.p)
-            t //= self.p
-        return tuple(reversed(digits))  # constant term is the major digit
+        return _digits(t, self.p, self.k)  # constant term is the major digit
 
     def nonzero_elements(self):
         """Canonical enumeration: all nonzero elements, lexicographic order."""
@@ -508,18 +454,42 @@ def make_prime_field(p: int) -> FieldCtx:
     return FieldCtx(p, 1, None)
 
 
+def _digits(t: int, p: int, k: int) -> tuple[int, ...]:
+    """The k base-p digits of t, most significant first."""
+    return tuple([t // p**i % p for i in range(k - 1, -1, -1)])
+
+
+def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
+    """Rabin's test for a monic f of degree k >= 2, run in GF(p)[x]/f.
+
+    f is irreducible iff x^(p^k) = x mod f and, for every prime q | k,
+    x^(p^(k/q)) - x is a unit mod f.  Once the first holds, f is squarefree
+    and every factor's degree divides k, so the ring is a product of
+    subfields of GF(p^k) and u is a unit iff u^(p^k - 1) = 1.
+    """
+    k = len(f) - 1
+    ring = FieldCtx(p, k, f)
+    x = (0, 1) + (0,) * (k - 2)
+    frob = [x]  # frob[j] = x^(p^j) mod f
+    for _ in range(k):
+        frob.append(ring.pow(frob[-1], p))
+    return frob[k] == x and all(
+        ring.pow(ring.sub(frob[k // q], x), ring.size - 1) == ring.one
+        for q in _factorize(k)
+    )
+
+
 def lexicographically_least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Least monic irreducible of degree k over GF(p), constant-term-major order.
 
-    Candidates with zero constant term are divisible by x, so the scan
-    starts the constant term at 1; the remaining coefficients iterate in
-    lexicographic order, which keeps the winner the overall lex-least.
+    Candidate t is x^k plus element t of the canonical enumeration of
+    GF(p^k); the scan starts at t = p^(k-1), the first element whose constant
+    term is nonzero, since every earlier candidate is divisible by x.
     """
-    for c0 in range(1, p):
-        for tail in itertools.product(range(p), repeat=k - 1):
-            f = [c0, *tail, 1]
-            if _is_irreducible(f, p):
-                return tuple(f)
+    for t in range(p ** (k - 1), p**k):
+        f = (*_digits(t, p, k), 1)
+        if _is_irreducible(f, p):
+            return f
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
 

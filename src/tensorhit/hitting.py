@@ -41,11 +41,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
-    FieldTooSmall,
     NoNullspace,
     NotRank1,
     OrderTooSmall,
-    OrderUnreachable,
     ShapeMismatch,
 )
 from .field import Fel, FieldCtx, embed_as_matrix, make_prime_field
@@ -122,13 +120,6 @@ class MeasurementSet:
         ]
 
 
-def _element_of_order(ctx: FieldCtx, bound: int) -> Fel:
-    try:
-        return ctx.element_of_order(bound)
-    except OrderUnreachable as e:
-        raise FieldTooSmall(str(e)) from e
-
-
 def _check_matrix_params(r: int, n: int, m: int) -> None:
     if not 1 <= r <= n <= m:
         raise ValueError(f"need m >= n >= r >= 1, got r={r}, n={n}, m={m}")
@@ -177,7 +168,7 @@ def moment_schedule(
         if d < 2 or n < 1 or r < 1:
             raise ValueError(f"need d >= 2, n >= 1, r >= 1, got d={d}, n={n}, r={r}")
         b = (d - 1).bit_length()
-        g = _element_of_order(ctx, (2 * d * n) ** d)
+        g = ctx.element_of_order((2 * d * n) ** d)
         alphas = ctx.first_elements(d * n)
         blocks = [
             (ls, tuple(ctx.pow(g, L(n, b, a, ls)) for a in range(d)), d * n)
@@ -186,7 +177,7 @@ def moment_schedule(
         return alphas, blocks
     n, m = dims
     _check_matrix_params(r, n, m)
-    g = _element_of_order(ctx, m)
+    g = ctx.element_of_order(m)
     alphas = ctx.first_elements(n + m - 1)
     shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
     blocks = [
@@ -245,7 +236,7 @@ def diag_weight_table(ctx: FieldCtx, g: Fel, count: int, m: int) -> list[list[Fe
 
 def _diagonal_family(ctx: FieldCtx, family: str, r: int, n: int, m: int) -> MeasurementSet:
     _check_matrix_params(r, n, m)
-    table = diag_weight_table(ctx, _element_of_order(ctx, m), r, m)
+    table = diag_weight_table(ctx, ctx.element_of_order(m), r, m)
     meas = []
     for k in range(n + m - 1):
         lo, hi = diag_columns(n, m, k)

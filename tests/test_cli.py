@@ -1,12 +1,17 @@
 """End-to-end CLI workflows, exit codes, and byte determinism."""
 
-import pytest
+import random
 
-from tensorhit import cli, formats
-from tensorhit.field import make_prime_field
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tensorhit import cli, formats, lrr
+from tensorhit.field import make_extension, make_prime_field
 from tensorhit.tensor import DenseTensor
 
 GF13 = make_prime_field(13)
+BIG_PRIME = 2**61 - 1
 
 
 def run(*argv):
@@ -235,3 +240,86 @@ def test_inconsistent_tensor_syndromes_exit_3(tmp_path, capsys):
     assert run("recover", "--syndromes", str(synd), "--out", str(out)) == 3
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+def test_extension_of_a_64_bit_prime_round_trips(tmp_path, capsys):
+    ctx = make_extension(make_prime_field(BIG_PRIME), 2)
+    a, b = (3, BIG_PRIME - 5), (2**60, 7)
+    mat = DenseTensor(ctx, (2, 2), [ctx.mul(u, v) for u in (a, b) for v in (b, ctx.one)])
+    src = tmp_path / "m.txt"
+    src.write_text(formats.write_tensor(mat))
+    synd = tmp_path / "synd.txt"
+    rec = tmp_path / "rec.txt"
+    assert run("measure", "--tensor", str(src), "--family", "Dprime", "--r", "1",
+               "--out", str(synd)) == 0
+    assert run("recover", "--syndromes", str(synd), "--out", str(rec)) == 0
+    assert rec.read_text() == src.read_text()
+
+
+def _fuzz_inputs():
+    """(argv without the file, file text) for valid tensor and syndrome files."""
+    out = []
+    fields = (GF13, make_prime_field(1733), make_extension(make_prime_field(2), 4),
+              make_extension(make_prime_field(3), 2))
+    for ctx in fields:
+        mat = cli._random_low_rank(ctx, random.Random(ctx.size), (3, 4), 1)
+        out.append((["measure", "--family", "Dprime", "--r", "1", "--tensor"],
+                    formats.write_tensor(mat)))
+        for family in ("Dprime", "Bprime"):
+            text = formats.write_syndromes(ctx, family, 1, mat.dims,
+                                           lrr.measure(mat, family, 1))
+            out.append((["recover", "--syndromes"], text))
+    ctx = fields[1]
+    cube = cli._random_low_rank(ctx, random.Random(0), (2, 2, 2), 1)
+    out.append((["measure", "--family", "TensorB", "--r", "1", "--tensor"],
+                formats.write_tensor(cube)))
+    out.append((["recover", "--syndromes"], formats.write_syndromes(
+        ctx, "TensorB", 1, cube.dims, lrr.measure(cube, "TensorB", 1))))
+    return out
+
+
+FUZZ_INPUTS = _fuzz_inputs()
+
+
+def _mutate(text, kind, data):
+    lines = text.splitlines()
+    pick = st.integers(0, len(lines) - 1)
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if kind == "duplicate":
+        i = data.draw(pick)
+        lines.insert(i, lines[i])
+    elif kind == "drop":
+        del lines[data.draw(pick)]
+    elif kind == "char":
+        i = data.draw(st.integers(0, len(text) - 1))
+        return text[:i] + data.draw(st.sampled_from("0123456789,x=- ")) + text[i + 1:]
+    elif kind == "big-prime":
+        lines[0] = f"field p={BIG_PRIME} k=2"
+    else:  # rename or remove one key=value of a header line
+        h = data.draw(st.integers(0, 1))
+        words = lines[h].split()
+        i = data.draw(st.integers(1, len(words) - 1))
+        if kind == "rename":
+            words[i] = "q" + words[i]
+        else:
+            del words[i]
+        lines[h] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(st.sampled_from(FUZZ_INPUTS),
+       st.sampled_from(["truncate", "duplicate", "drop", "char", "rename", "remove",
+                        "big-prime"]),
+       st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_mutated_input_files_end_in_a_documented_exit_code(fuzz_dir, case, kind, data):
+    argv, text = case
+    path = fuzz_dir / "in.txt"
+    path.write_text(_mutate(text, kind, data))
+    assert cli.main([*argv, str(path), "--out", str(fuzz_dir / "out.txt")]) in (0, 2, 3)

@@ -12,6 +12,7 @@ from tensorhit import linalg
 from tensorhit.errors import CompositeCharacteristic, OrderUnreachable
 from tensorhit.field import (
     FieldCtx,
+    _is_irreducible,
     _is_prime,
     embed_as_matrix,
     find_element_of_order,
@@ -65,6 +66,29 @@ def test_modulus_is_lex_least_irreducible(p, k):
             break
     ext = make_extension(make_prime_field(p), k)
     assert ext.modulus == expected
+
+
+def test_irreducibility_agrees_with_trial_division():
+    # every monic candidate with a nonzero constant term, p^k <= 1024
+    for p, kmax in ((2, 10), (3, 6), (5, 4), (7, 3)):
+        for k in range(2, kmax + 1):
+            for tail in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+                f = (*tail, 1)
+                assert _is_irreducible(f, p) == _trial_division_irreducible(f, p), f
+    # (x+1)(x^2+x+1)(x^3+x+1): x^64 = x mod f, so only the unit check rejects it
+    f = (1, 1, 0, 0, 1, 0, 1)
+    x = (0, 1, 0, 0, 0, 0)
+    assert FieldCtx(2, 6, f).pow(x, 64) == x and not _is_irreducible(f, 2)
+
+
+def test_extension_of_a_64_bit_prime():
+    t0 = time.perf_counter()
+    ctx = make_extension(make_prime_field(2**61 - 1), 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert ctx.modulus == (1, 0, 1)  # 2^61 - 1 = 3 mod 4, so -1 is a non-square
+    for a in ((1, 1), (0, 2**61 - 2), (12345, 2**60)):
+        assert ctx.mul(a, ctx.inv(a)) == ctx.one
+        assert ctx.inv(ctx.inv(a)) == a
 
 
 def test_gf4_modulus_value():

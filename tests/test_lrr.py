@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tensorhit import formats, linalg, lrr
 from tensorhit.errors import (
+    FieldTooSmall,
     InconsistentSyndrome,
     NotEchelon,
     PromiseViolation,
@@ -187,6 +188,18 @@ def test_recover_rectangular_and_transposed_shapes():
 def test_recover_syndrome_count_mismatch():
     with pytest.raises(ShapeMismatch):
         recover_from_D(GF13, 4, 4, 1, [0] * 11)
+
+
+@pytest.mark.parametrize("family", lrr.RECOVERY_FAMILIES)
+def test_a_field_without_the_needed_order_raises_field_too_small(family):
+    # GF(5)^* has order 4; every recovery family at 8x8 needs order >= 8
+    gf5 = make_prime_field(5)
+    big = make_prime_field(65537)
+    count = len(lrr.measure(DenseTensor.zeros(big, (8, 8)), family, 1))
+    with pytest.raises(FieldTooSmall):
+        lrr.measure(DenseTensor.zeros(gf5, (8, 8)), family, 1)
+    with pytest.raises(FieldTooSmall):
+        lrr.recover(gf5, family, (8, 8), 1, [0] * count)
 
 
 def test_recover_rank_promise_violation_detected():
