@@ -7,6 +7,18 @@ are length-k tuples of ints: the coefficients of the residue polynomial in
 the power basis ``1, x, ..., x^(k-1)``, constant term first.  All arithmetic
 goes through the :class:`FieldCtx` owning the element.
 
+An extension with q = p^k <= 2^12 elements also carries discrete-log tables
+(Lidl and Niederreiter, *Finite Fields*, ch. 9), which :func:`make_extension`
+builds before it returns.  With g = ``element_of_order(q - 1)``, ``exp``
+lists g^0, ..., g^(q-2) twice over and then zeros, and ``log`` maps each
+tuple to its exponent, zero to 2(q - 1), which indexes the zero padding.  A
+product is ``exp[log[a] + log[b]]`` with no branch, and ``inv``, ``pow`` and
+``powers`` are index arithmetic.  The tables change speed, never a value.
+Larger extensions (GF(2^16), the large GF(13^k) of tensor families,
+extensions of large primes) and the rings GF(p)[x]/f of the irreducibility test, which
+have no logarithm, multiply by coefficient convolution reduced mod the
+modulus and invert by extended Euclid.
+
 Canonical enumeration
 ---------------------
 Several constructions need "the first few field elements" and reproducible
@@ -41,15 +53,22 @@ Each has one body for ints and one for tuples, and together with the
 element operations they are the only code that knows how elements are
 stored: linear algebra, Prony's method, recovery, measurement and encoding
 are written once, over any field, on top of them.  The int bodies reduce
-mod p inline; the tuple bodies fold the element operations, except that
-``dot`` sums unreduced coefficient convolutions and reduces once.
-Extension elements stay tuples because files, the benchmark's planted
-inputs and its checks read and write them in that form.
+mod p inline.  On a table-backed extension, ``dot`` sums the table products
+of its nonzero pairs coefficient-wise and reduces mod p once, ``axpy`` adds
+table products, and ``powers`` reads ``exp`` at multiples of log x.
+Without tables, ``dot`` sums unreduced coefficient convolutions and reduces
+once, and ``axpy`` and ``powers`` fold the element operations.  ``pivot``
+(over ``mul`` and ``axpy``) and ``horner`` (over ``add`` and ``mul``) fold
+in both cases.  Extension elements stay tuples because files,
+the benchmark's planted inputs and its checks read and write them in that
+form.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and the lazily built inverse table of a prime field below
-2^16, which are write-once and race-benign; contexts may be shared freely
-across threads and all element operations are pure.
+2^16, which are write-once and race-benign.  An extension's exp/log tables
+are complete before :func:`make_extension` returns and never change.
+Contexts may be shared freely across threads and all element operations
+are pure.
 """
 
 import itertools
@@ -58,6 +77,8 @@ import operator
 from .errors import CompositeCharacteristic, FieldTooSmall, OrderUnreachable
 
 Fel = int | tuple[int, ...]
+
+_TABLE_CAP = 1 << 12  # extensions with at most this many elements get exp/log tables
 
 
 def _is_prime(n: int) -> bool:
@@ -154,7 +175,8 @@ class FieldCtx:
 
     Callers use :func:`make_prime_field` and :func:`make_extension`; the
     irreducibility test also builds the ring GF(p)[x]/f on a candidate
-    modulus f, where every operation but ``inv`` is valid.
+    modulus f, where every operation but ``inv`` is valid.  A context built
+    directly has no exp/log tables and runs the convolution bodies.
     """
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
@@ -167,6 +189,8 @@ class FieldCtx:
         self._order_memo: dict[int, Fel] = {}
         self._inv_table: list[int] | None = None
         self._group_factors: dict[int, int] | None = None
+        self._exp: list[tuple[int, ...]] | None = None
+        self._log: dict[tuple[int, ...], int] | None = None
         if k > 1:
             # reduction table: x^(k+i) mod modulus, i in [0, k-1)
             assert modulus is not None and modulus[-1] == 1 and len(modulus) == k + 1
@@ -222,6 +246,9 @@ class FieldCtx:
         p = self.p
         if self.k == 1:
             return a * b % p
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
         conv = [0] * (2 * self.k - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -255,6 +282,9 @@ class FieldCtx:
                 table.append(-(p // v) * table[p % v] % p)
             self._inv_table = table
             return table[a]
+        log = self._log
+        if log is not None:
+            return self._exp[self.size - 1 - log[a]]
         # extended Euclid on polynomials
         r0, r1 = list(self.modulus), _poly_trim(list(a))
         s0, s1 = [0], [1]
@@ -280,13 +310,18 @@ class FieldCtx:
             return self.pow(self.inv(a), -e)
         if self.k == 1:
             return pow(a, e, self.p)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
+        if e == 0:
+            return self.one
+        log = self._log
+        if log is not None:
+            if a == self.zero:
+                return self.zero
+            return self._exp[log[a] * e % (self.size - 1)]
+        result = a  # left-to-right square-and-multiply over the bits after the top one
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
         return result
 
     def scalar(self, n: int) -> Fel:
@@ -301,7 +336,11 @@ class FieldCtx:
         """sum_i u[i] * v[i], over the shorter of the two vectors."""
         if self.k == 1:
             return sum(map(operator.mul, u, v)) % self.p
-        zero = self.zero
+        zero, log = self.zero, self._log
+        if log is not None:
+            exp, p = self._exp, self.p
+            prods = [exp[log[a] + log[b]] for a, b in zip(u, v) if a != zero and b != zero]
+            return tuple([sum(col) % p for col in zip(zero, *prods)])
         conv = [0] * (2 * self.k - 1)
         for a, b in zip(u, v):
             if a != zero and b != zero:
@@ -321,7 +360,14 @@ class FieldCtx:
                 if s:
                     dst[j] = (dst[j] + c * s) % p
             return
-        zero, one = self.zero, self.one
+        zero, log = self.zero, self._log
+        if log is not None:
+            exp, add, lc = self._exp, self.add, log[c]
+            for j, s in enumerate(src, start):
+                if s != zero:
+                    dst[j] = add(dst[j], exp[lc + log[s]])
+            return
+        one = self.one
         for j, s in enumerate(src, start):
             if s != zero:
                 dst[j] = self.add(dst[j], s if c == one else self.mul(c, s))
@@ -361,6 +407,10 @@ class FieldCtx:
             for _ in range(count - 1):
                 out.append(out[-1] * x % p)
             return out
+        log = self._log
+        if log is not None and x != self.zero:
+            exp, n, lx = self._exp, self.size - 1, log[x]
+            return [exp[i * lx % n] for i in range(count)]
         for _ in range(count - 1):
             out.append(self.mul(out[-1], x))
         return out
@@ -499,8 +549,17 @@ def make_extension(base: FieldCtx, k: int) -> FieldCtx:
         raise ValueError("extension base must be a prime field")
     if k < 2:
         raise ValueError("extension degree must be >= 2")
-    modulus = lexicographically_least_irreducible(base.p, k)
-    return FieldCtx(base.p, k, modulus)
+    ctx = FieldCtx(base.p, k, lexicographically_least_irreducible(base.p, k))
+    if ctx.size <= _TABLE_CAP:
+        # exp[i] = g^i for i < 2n, then zeros; log maps zero to 2n, so a sum
+        # of two logs with a zero among them lands in the zero padding
+        n = ctx.size - 1
+        exp = ctx.powers(ctx.element_of_order(n), n)
+        log = {a: i for i, a in enumerate(exp)}
+        log[ctx.zero] = 2 * n
+        ctx._exp = exp + exp + [ctx.zero] * (2 * n + 1)
+        ctx._log = log
+    return ctx
 
 
 def find_element_of_order(ctx: FieldCtx, min_order: int) -> Fel:

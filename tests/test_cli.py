@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorhit import cli, formats, lrr
+from tensorhit import cli, formats, hitting, lrr
+from tensorhit.errors import TensorhitError
 from tensorhit.field import make_extension, make_prime_field
-from tensorhit.tensor import DenseTensor
+from tensorhit.tensor import DenseTensor, LowRankTensor
 
 GF13 = make_prime_field(13)
 BIG_PRIME = 2**61 - 1
+GF16 = make_extension(make_prime_field(2), 4)  # both small enough for exp/log tables
+GF9 = make_extension(make_prime_field(3), 2)
 
 
 def run(*argv):
@@ -256,11 +259,17 @@ def test_extension_of_a_64_bit_prime_round_trips(tmp_path, capsys):
     assert rec.read_text() == src.read_text()
 
 
+def _random_lowrank_file(ctx, dims, terms):
+    rng = random.Random(ctx.size)
+    factors = [[[ctx.from_index(rng.randrange(ctx.size)) for _ in range(n)] for n in dims]
+               for _ in range(terms)]
+    return formats.write_lowrank(LowRankTensor.from_factor_lists(ctx, dims, factors))
+
+
 def _fuzz_inputs():
-    """(argv without the file, file text) for valid tensor and syndrome files."""
+    """(argv without the file, file text) for valid tensor, low-rank and syndrome files."""
     out = []
-    fields = (GF13, make_prime_field(1733), make_extension(make_prime_field(2), 4),
-              make_extension(make_prime_field(3), 2))
+    fields = (GF13, make_prime_field(1733), GF16, GF9)
     for ctx in fields:
         mat = cli._random_low_rank(ctx, random.Random(ctx.size), (3, 4), 1)
         out.append((["measure", "--family", "Dprime", "--r", "1", "--tensor"],
@@ -269,6 +278,9 @@ def _fuzz_inputs():
             text = formats.write_syndromes(ctx, family, 1, mat.dims,
                                            lrr.measure(mat, family, 1))
             out.append((["recover", "--syndromes"], text))
+    for ctx in (GF16, GF9):
+        out.append((["measure", "--family", "Dprime", "--r", "2", "--tensor"],
+                    _random_lowrank_file(ctx, (3, 4), 2)))
     ctx = fields[1]
     cube = cli._random_low_rank(ctx, random.Random(0), (2, 2, 2), 1)
     out.append((["measure", "--family", "TensorB", "--r", "1", "--tensor"],
@@ -323,3 +335,22 @@ def test_mutated_input_files_end_in_a_documented_exit_code(fuzz_dir, case, kind,
     path = fuzz_dir / "in.txt"
     path.write_text(_mutate(text, kind, data))
     assert cli.main([*argv, str(path), "--out", str(fuzz_dir / "out.txt")]) in (0, 2, 3)
+
+
+MEASUREMENT_FILES = [formats.write_measurements(hitting.generate_family(ctx, "Dprime", (3, 3), 1))
+                     for ctx in (GF16, GF9)]
+
+
+@given(st.sampled_from(MEASUREMENT_FILES),
+       st.sampled_from(["truncate", "duplicate", "drop", "char", "rename", "remove",
+                        "big-prime"]),
+       st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_mutated_measurement_files_raise_only_documented_errors(text, kind, data):
+    # no command reads these files, so read one and apply it to a tensor of its shape
+    try:
+        ms = formats.read_measurements(_mutate(text, kind, data))
+        t = cli._random_low_rank(ms.ctx, random.Random(0), ms.dims, 1)
+        hitting.first_witness(t, ms)
+    except (TensorhitError, ValueError):
+        pass

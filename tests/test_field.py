@@ -340,3 +340,88 @@ def test_vector_kernels_match_their_element_folds(name, data):
         assert all(ctx.inv(a) == pow(a, 255, 257) for a in range(1, 257))
         with pytest.raises(ZeroDivisionError):
             ctx.inv(0)
+
+
+def test_convolution_pow_makes_no_wasted_multiplications():
+    # a directly built context has no tables, so pow runs square-and-multiply
+    ctx = FieldCtx(2, 8, make_extension(make_prime_field(2), 8).modulus)
+    calls, mul = 0, ctx.mul
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    ctx.mul = counted
+    a, want, counts = ctx.from_index(3), ctx.one, []
+    for e in range(257):
+        calls = 0
+        assert ctx.pow(a, e) == want
+        counts.append(calls)
+        want = mul(want, a)
+    # one squaring per bit after the top one, one product per further set bit
+    assert counts == [max(e.bit_length() - 1, 0) + max(bin(e).count("1") - 1, 0)
+                      for e in range(257)]
+    assert (counts[2], counts[255]) == (1, 14)
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 2)], ids=["GF(2^4)", "GF(3^2)"])
+def test_tables_agree_with_convolution_arithmetic(p, k):
+    ctx = make_extension(make_prime_field(p), k)
+    ref = FieldCtx(p, k, ctx.modulus)  # built directly: convolution bodies only
+    assert ctx._log is not None and ref._log is None
+    q, zero = ctx.size, ctx.zero
+    els = [ctx.from_index(t) for t in range(q)]
+    for a in els:
+        for b in els:
+            assert ctx.mul(a, b) == ref.mul(a, b)
+        for e in (0, 1, 2, q - 2, q - 1, -1, -3):
+            if a == zero and e < 0:
+                for c in (ctx, ref):
+                    with pytest.raises(ZeroDivisionError):
+                        c.pow(a, e)
+            else:
+                assert ctx.pow(a, e) == ref.pow(a, e), (a, e)
+        if a != zero:
+            assert ctx.inv(a) == ref.inv(a)
+    for c in (ctx, ref):
+        with pytest.raises(ZeroDivisionError):
+            c.inv(zero)
+
+    rng = random.Random(q)
+
+    def vec(size):  # about a third of the entries are zero
+        return [zero if rng.random() < 0.3 else rng.choice(els[1:]) for _ in range(size)]
+
+    for _ in range(300):
+        n = rng.randrange(8)
+        u, v, c, x = vec(n), vec(n), rng.choice(els), rng.choice(els)
+        assert ctx.dot(u, v) == ref.dot(u, v)
+        assert ctx.powers(x, n) == ref.powers(x, n)
+        assert ctx.horner(u, x) == ref.horner(u, x)
+        start = rng.randrange(3)
+        dst = vec(start + n + rng.randrange(2))
+        want = list(dst)
+        ctx.axpy(dst, c, u, start)
+        ref.axpy(want, c, u, start)
+        assert dst == want
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [vec(ncols) for _ in range(nrows)]
+        r, col = rng.randrange(nrows), rng.randrange(ncols)
+        rows[r][:col + 1] = [zero] * col + [rng.choice(els[1:])]
+        want = [list(row) for row in rows]
+        ctx.pivot(rows, r, col)
+        ref.pivot(want, r, col)
+        assert rows == want
+
+
+def test_an_extension_above_the_table_cap_builds_no_table_and_round_trips():
+    from tensorhit import cli, lrr
+
+    ctx = make_extension(make_prime_field(2), 13)
+    assert ctx._log is None and ctx._exp is None
+    rng = random.Random(13)
+    for r in (1, 2):
+        mat = cli._random_low_rank(ctx, rng, (4, 5), r)
+        synd = lrr.measure(mat, "Dprime", r)
+        assert lrr.recover(ctx, "Dprime", mat.dims, r, synd).entries == mat.entries
