@@ -7,17 +7,19 @@ are length-k tuples of ints: the coefficients of the residue polynomial in
 the power basis ``1, x, ..., x^(k-1)``, constant term first.  All arithmetic
 goes through the :class:`FieldCtx` owning the element.
 
-An extension with q = p^k <= 2^12 elements also carries discrete-log tables
+An extension with q = p^k <= 2^8 elements also carries discrete-log tables
 (Lidl and Niederreiter, *Finite Fields*, ch. 9), which :func:`make_extension`
 builds before it returns.  With g = ``element_of_order(q - 1)``, ``exp``
 lists g^0, ..., g^(q-2) twice over and then zeros, and ``log`` maps each
 tuple to its exponent, zero to 2(q - 1), which indexes the zero padding.  A
-product is ``exp[log[a] + log[b]]`` with no branch, and ``inv``, ``pow`` and
-``powers`` are index arithmetic.  The tables change speed, never a value.
-Larger extensions (GF(2^16), the large GF(13^k) of tensor families,
-extensions of large primes) and the rings GF(p)[x]/f of the irreducibility test, which
-have no logarithm, multiply by coefficient convolution reduced mod the
-modulus and invert by extended Euclid.
+product is ``exp[log[a] + log[b]]`` with no branch, and ``inv`` and ``pow``
+are index arithmetic.  The tables change speed, never a value.  The cap
+keeps the build at a few milliseconds, which every command reading a file
+pays; GF(2^8) is the largest extension the benchmark multiplies in.  Larger
+extensions (GF(2^16), GF(13^3) and the larger GF(13^k) of tensor families,
+extensions of large primes) and the rings GF(p)[x]/f of the irreducibility
+test, which have no logarithm, multiply by coefficient convolution reduced
+mod the modulus and invert by extended Euclid.
 
 Canonical enumeration
 ---------------------
@@ -54,14 +56,12 @@ element operations they are the only code that knows how elements are
 stored: linear algebra, Prony's method, recovery, measurement and encoding
 are written once, over any field, on top of them.  The int bodies reduce
 mod p inline.  On a table-backed extension, ``dot`` sums the table products
-of its nonzero pairs coefficient-wise and reduces mod p once, ``axpy`` adds
-table products, and ``powers`` reads ``exp`` at multiples of log x.
-Without tables, ``dot`` sums unreduced coefficient convolutions and reduces
-once, and ``axpy`` and ``powers`` fold the element operations.  ``pivot``
-(over ``mul`` and ``axpy``) and ``horner`` (over ``add`` and ``mul``) fold
-in both cases.  Extension elements stay tuples because files,
-the benchmark's planted inputs and its checks read and write them in that
-form.
+of its nonzero pairs coefficient-wise and reduces mod p once; without
+tables it sums unreduced coefficient convolutions and reduces once.  The
+other tuple bodies fold the element operations, so they take their
+products from the tables wherever ``mul`` does.  Extension elements stay
+tuples because files, the benchmark's planted inputs and its checks read
+and write them in that form.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and the lazily built inverse table of a prime field below
@@ -78,7 +78,7 @@ from .errors import CompositeCharacteristic, FieldTooSmall, OrderUnreachable
 
 Fel = int | tuple[int, ...]
 
-_TABLE_CAP = 1 << 12  # extensions with at most this many elements get exp/log tables
+_TABLE_CAP = 1 << 8  # extensions with at most this many elements get exp/log tables
 
 
 def _is_prime(n: int) -> bool:
@@ -336,11 +336,9 @@ class FieldCtx:
         """sum_i u[i] * v[i], over the shorter of the two vectors."""
         if self.k == 1:
             return sum(map(operator.mul, u, v)) % self.p
-        zero, log = self.zero, self._log
-        if log is not None:
-            exp, p = self._exp, self.p
-            prods = [exp[log[a] + log[b]] for a, b in zip(u, v) if a != zero and b != zero]
-            return tuple([sum(col) % p for col in zip(zero, *prods)])
+        if self._log is not None:
+            return self._table_dot(u, v)
+        zero = self.zero
         conv = [0] * (2 * self.k - 1)
         for a, b in zip(u, v):
             if a != zero and b != zero:
@@ -349,6 +347,13 @@ class FieldCtx:
                         for j, bj in enumerate(b, i):
                             conv[j] += ai * bj
         return self._reduce(conv)
+
+    def _table_dot(self, u, v) -> tuple[int, ...]:
+        # apart from dot, so that the closure cells of these comprehensions
+        # are not made on every dot call, the int ones included
+        zero, exp, log, p = self.zero, self._exp, self._log, self.p
+        prods = [exp[log[a] + log[b]] for a, b in zip(u, v) if a != zero and b != zero]
+        return tuple([sum(col) % p for col in zip(zero, *prods)])
 
     def axpy(self, dst: list, c: Fel, src, start: int = 0) -> None:
         """dst[start + j] += c * src[j] for every j, in place."""
@@ -360,14 +365,7 @@ class FieldCtx:
                 if s:
                     dst[j] = (dst[j] + c * s) % p
             return
-        zero, log = self.zero, self._log
-        if log is not None:
-            exp, add, lc = self._exp, self.add, log[c]
-            for j, s in enumerate(src, start):
-                if s != zero:
-                    dst[j] = add(dst[j], exp[lc + log[s]])
-            return
-        one = self.one
+        zero, one = self.zero, self.one
         for j, s in enumerate(src, start):
             if s != zero:
                 dst[j] = self.add(dst[j], s if c == one else self.mul(c, s))
@@ -407,10 +405,6 @@ class FieldCtx:
             for _ in range(count - 1):
                 out.append(out[-1] * x % p)
             return out
-        log = self._log
-        if log is not None and x != self.zero:
-            exp, n, lx = self._exp, self.size - 1, log[x]
-            return [exp[i * lx % n] for i in range(count)]
         for _ in range(count - 1):
             out.append(self.mul(out[-1], x))
         return out
