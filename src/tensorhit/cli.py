@@ -130,13 +130,16 @@ def _cmd_decode(args) -> int:
 
 
 def _st_field_axioms():
-    for ctx in (make_prime_field(13), make_extension(make_prime_field(2), 2)):
+    for ctx in (make_prime_field(13), make_extension(make_prime_field(2), 2),
+                make_extension(make_prime_field(3), 2)):
         rng = random.Random(0)
         els = [ctx.from_index(t) for t in range(ctx.size)]
         for _ in range(200):
             a, b, c = (els[rng.randrange(ctx.size)] for _ in range(3))
             assert ctx.mul(a, ctx.mul(b, c)) == ctx.mul(ctx.mul(a, b), c)
             assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+            assert ctx.add(a, ctx.neg(a)) == ctx.zero
+            assert ctx.sub(a, b) == ctx.add(a, ctx.neg(b))
             if a != ctx.zero:
                 assert ctx.mul(a, ctx.inv(a)) == ctx.one
 

@@ -13,13 +13,20 @@ builds before it returns.  With g = ``element_of_order(q - 1)``, ``exp``
 lists g^0, ..., g^(q-2) twice over and then zeros, and ``log`` maps each
 tuple to its exponent, zero to 2(q - 1), which indexes the zero padding.  A
 product is ``exp[log[a] + log[b]]`` with no branch, and ``inv`` and ``pow``
-are index arithmetic.  The tables change speed, never a value.  The cap
+are index arithmetic.  Sums use Zech logarithms (K. Huber, "Some comments
+on Zech's logarithms", IEEE Trans. IT 36(4), 1990): ``zech[i] = log(1 +
+g^i)``, listed twice over, so a sum of nonzero a and b is
+``exp[la + zech[lb - la]]``.  A difference shifts ``lb`` by ``half =
+log(-1)``, which is 0 for p = 2 and (q - 1)/2 otherwise, and a negation is
+``exp[log[a] + half]``; a zero operand of a sum or difference takes a
+branch of its own.  The tables change speed, never a value.  The cap
 keeps the build at a few milliseconds, which every command reading a file
 pays; GF(2^8) is the largest extension the benchmark multiplies in.  Larger
 extensions (GF(2^16), GF(13^3) and the larger GF(13^k) of tensor families,
 extensions of large primes) and the rings GF(p)[x]/f of the irreducibility
-test, which have no logarithm, multiply by coefficient convolution reduced
-mod the modulus and invert by extended Euclid.
+test, which have no logarithm, add coefficient-wise, multiply by
+coefficient convolution reduced mod the modulus and invert by extended
+Euclid.
 
 Canonical enumeration
 ---------------------
@@ -59,14 +66,14 @@ mod p inline.  On a table-backed extension, ``dot`` sums the table products
 of its nonzero pairs coefficient-wise and reduces mod p once; without
 tables it sums unreduced coefficient convolutions and reduces once.  The
 other tuple bodies fold the element operations, so they take their
-products from the tables wherever ``mul`` does.  Extension elements stay
-tuples because files, the benchmark's planted inputs and its checks read
-and write them in that form.
+products and sums from the tables wherever ``mul`` and ``add`` do.
+Extension elements stay tuples because files, the benchmark's planted
+inputs and its checks read and write them in that form.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and the lazily built inverse table of a prime field below
-2^16, which are write-once and race-benign.  An extension's exp/log tables
-are complete before :func:`make_extension` returns and never change.
+2^16, which are write-once and race-benign.  An extension's exp/log/Zech
+tables are complete before :func:`make_extension` returns and never change.
 Contexts may be shared freely across threads and all element operations
 are pure.
 """
@@ -78,7 +85,7 @@ from .errors import CompositeCharacteristic, FieldTooSmall, OrderUnreachable
 
 Fel = int | tuple[int, ...]
 
-_TABLE_CAP = 1 << 8  # extensions with at most this many elements get exp/log tables
+_TABLE_CAP = 1 << 8  # extensions with at most this many elements get exp/log/Zech tables
 
 
 def _is_prime(n: int) -> bool:
@@ -170,6 +177,43 @@ def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[in
     return q, a
 
 
+def _poly_inv(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Inverse of a nonzero a mod f, by extended Euclid; a unit mod f is assumed."""
+    r0, r1 = list(f), _poly_trim(list(a))
+    s0, s1 = [0], [1]
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    qs[i + j] = (qs[i + j] + qi * sj) % p
+        new_s = [(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
+        s0, s1 = s1, _poly_trim(new_s)
+    lead_inv = pow(r1[0], p - 2, p)
+    out = [c * lead_inv % p for c in s1]
+    out += [0] * (len(a) - len(out))
+    return tuple(out[: len(a)])
+
+
+# coefficient-wise sum, difference and negation of extension elements: the
+# comprehensions live out of the FieldCtx methods, whose every call (the int
+# ones included) would otherwise make a closure cell for p on entry
+
+
+def _coeff_add(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return tuple([(x + y) % p for x, y in zip(a, b)])
+
+
+def _coeff_sub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return tuple([(x - y) % p for x, y in zip(a, b)])
+
+
+def _coeff_neg(a: tuple[int, ...], p: int) -> tuple[int, ...]:
+    return tuple([-x % p for x in a])
+
+
 class FieldCtx:
     """A prime field GF(p) or extension GF(p^k) with exact arithmetic.
 
@@ -191,6 +235,8 @@ class FieldCtx:
         self._group_factors: dict[int, int] | None = None
         self._exp: list[tuple[int, ...]] | None = None
         self._log: dict[tuple[int, ...], int] | None = None
+        self._zech: list[int] | None = None
+        self._zero_log = self._half = 0  # log of zero, log of -1
         if k > 1:
             # reduction table: x^(k+i) mod modulus, i in [0, k-1)
             assert modulus is not None and modulus[-1] == 1 and len(modulus) == k + 1
@@ -227,20 +273,39 @@ class FieldCtx:
     def add(self, a: Fel, b: Fel) -> Fel:
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        return tuple([(x + y) % p for x, y in zip(a, b)])
+        log = self._log
+        if log is None:
+            return _coeff_add(a, b, self.p)
+        la, lb = log[a], log[b]
+        zero_log = self._zero_log
+        if la == zero_log:
+            return b
+        if lb == zero_log:
+            return a
+        return self._exp[la + self._zech[lb - la]]
 
     def sub(self, a: Fel, b: Fel) -> Fel:
         if self.k == 1:
             return (a - b) % self.p
-        p = self.p
-        return tuple([(x - y) % p for x, y in zip(a, b)])
+        log = self._log
+        if log is None:
+            return _coeff_sub(a, b, self.p)
+        la, lb = log[a], log[b]
+        zero_log = self._zero_log
+        if lb == zero_log:
+            return a
+        lb += self._half  # the log of -b
+        if la == zero_log:
+            return self._exp[lb]
+        return self._exp[la + self._zech[lb - la]]
 
     def neg(self, a: Fel) -> Fel:
         if self.k == 1:
             return -a % self.p
-        p = self.p
-        return tuple([-x % p for x in a])
+        log = self._log
+        if log is None:
+            return _coeff_neg(a, self.p)
+        return self._exp[log[a] + self._half]
 
     def mul(self, a: Fel, b: Fel) -> Fel:
         p = self.p
@@ -285,25 +350,7 @@ class FieldCtx:
         log = self._log
         if log is not None:
             return self._exp[self.size - 1 - log[a]]
-        # extended Euclid on polynomials
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [0], [1]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] = (qs[i + j] + qi * sj) % p
-            new_s = [
-                (x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)
-            ]
-            s0, s1 = s1, _poly_trim(new_s)
-        lead_inv = pow(r1[0], p - 2, p)
-        out = [c * lead_inv % p for c in s1]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
+        return _poly_inv(a, self.modulus, p)
 
     def pow(self, a: Fel, e: int) -> Fel:
         if e < 0:
@@ -392,7 +439,7 @@ class FieldCtx:
                         if prow[j]:
                             row[j] = (row[j] - f * prow[j]) % p
             return
-        prow[c:] = tail = [self.mul(inv, v) for v in prow[c:]]
+        prow[c:] = tail = list(map(self.mul, itertools.repeat(inv), prow[c:]))
         for row in rows:
             if row[c] != self.zero and row is not prow:
                 self.axpy(row, self.neg(row[c]), tail, c)
@@ -405,8 +452,8 @@ class FieldCtx:
             for _ in range(count - 1):
                 out.append(out[-1] * x % p)
             return out
-        for _ in range(count - 1):
-            out.append(self.mul(out[-1], x))
+        for _ in range(count - 1):  # the base first: mul skips its zero coefficients
+            out.append(self.mul(x, out[-1]))
         return out
 
     def horner(self, coeffs, x: Fel) -> Fel:
@@ -547,12 +594,18 @@ def make_extension(base: FieldCtx, k: int) -> FieldCtx:
     if ctx.size <= _TABLE_CAP:
         # exp[i] = g^i for i < 2n, then zeros; log maps zero to 2n, so a sum
         # of two logs with a zero among them lands in the zero padding
-        n = ctx.size - 1
+        n, p = ctx.size - 1, ctx.p
         exp = ctx.powers(ctx.element_of_order(n), n)
         log = {a: i for i, a in enumerate(exp)}
         log[ctx.zero] = 2 * n
+        # zech[i] = log(1 + g^i): bump the constant coefficient of g^i;
+        # twice over, so that differences of logs in (-n, n + n/2) index it
+        zech = [log[((e[0] + 1) % p,) + e[1:]] for e in exp]
         ctx._exp = exp + exp + [ctx.zero] * (2 * n + 1)
         ctx._log = log
+        ctx._zech = zech + zech
+        ctx._zero_log = 2 * n
+        ctx._half = 0 if p == 2 else n // 2  # g^(n/2) = -1 for odd p
     return ctx
 
 

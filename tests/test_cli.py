@@ -325,10 +325,10 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@given(st.sampled_from(FUZZ_INPUTS),
-       st.sampled_from(["truncate", "duplicate", "drop", "char", "rename", "remove",
-                        "big-prime"]),
-       st.data())
+MUTATIONS = ["truncate", "duplicate", "drop", "char", "rename", "remove", "big-prime"]
+
+
+@given(st.sampled_from(FUZZ_INPUTS), st.sampled_from(MUTATIONS), st.data())
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_mutated_input_files_end_in_a_documented_exit_code(fuzz_dir, case, kind, data):
     argv, text = case
@@ -337,14 +337,27 @@ def test_mutated_input_files_end_in_a_documented_exit_code(fuzz_dir, case, kind,
     assert cli.main([*argv, str(path), "--out", str(fuzz_dir / "out.txt")]) in (0, 2, 3)
 
 
+PIT_FILES = [text for ctx in (GF16, GF9) for text in (
+    formats.write_tensor(cli._random_low_rank(ctx, random.Random(ctx.size), (3, 4), 1)),
+    _random_lowrank_file(ctx, (3, 4), 2))]
+
+
+@given(st.sampled_from(PIT_FILES), st.sampled_from(hitting.FAMILIES),
+       st.sampled_from(MUTATIONS), st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_mutated_tensor_files_end_pit_in_a_documented_exit_code(fuzz_dir, text, family,
+                                                                kind, data):
+    path = fuzz_dir / "pit.txt"
+    path.write_text(_mutate(text, kind, data))
+    argv = ["pit", "--family", family, "--r", "2", "--tensor", str(path)]
+    assert cli.main(argv) in (0, 2, 3)
+
+
 MEASUREMENT_FILES = [formats.write_measurements(hitting.generate_family(ctx, "Dprime", (3, 3), 1))
                      for ctx in (GF16, GF9)]
 
 
-@given(st.sampled_from(MEASUREMENT_FILES),
-       st.sampled_from(["truncate", "duplicate", "drop", "char", "rename", "remove",
-                        "big-prime"]),
-       st.data())
+@given(st.sampled_from(MEASUREMENT_FILES), st.sampled_from(MUTATIONS), st.data())
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_mutated_measurement_files_raise_only_documented_errors(text, kind, data):
     # no command reads these files, so read one and apply it to a tensor of its shape

@@ -365,7 +365,8 @@ def test_convolution_pow_makes_no_wasted_multiplications():
     assert (counts[2], counts[255]) == (1, 14)
 
 
-@pytest.mark.parametrize("p,k", [(2, 4), (3, 2)], ids=["GF(2^4)", "GF(3^2)"])
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (5, 3)],
+                         ids=["GF(2^4)", "GF(3^2)", "GF(5^3)"])
 def test_tables_agree_with_convolution_arithmetic(p, k):
     ctx = make_extension(make_prime_field(p), k)
     ref = FieldCtx(p, k, ctx.modulus)  # built directly: convolution bodies only
@@ -375,6 +376,10 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
     for a in els:
         for b in els:
             assert ctx.mul(a, b) == ref.mul(a, b)
+            assert ctx.add(a, b) == ref.add(a, b), (a, b)
+            assert ctx.sub(a, b) == ref.sub(a, b), (a, b)
+        assert ctx.neg(a) == ref.neg(a)
+        assert ctx.add(a, ctx.neg(a)) == zero
         for e in (0, 1, 2, q - 2, q - 1, -1, -3):
             if a == zero and e < 0:
                 for c in (ctx, ref):
@@ -413,6 +418,13 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
         ctx.pivot(rows, r, col)
         ref.pivot(want, r, col)
         assert rows == want
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "dot", "axpy",
+                                  "pivot", "powers", "horner"])
+def test_element_ops_and_kernels_make_no_closure_cells(name):
+    # a method with a closure cell makes it on every call, the int calls included
+    assert getattr(FieldCtx, name).__code__.co_cellvars == ()
 
 
 def test_an_extension_above_the_table_cap_builds_no_table_and_round_trips():
