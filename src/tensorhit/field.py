@@ -53,6 +53,7 @@ Besides the element operations, a context offers a few vector kernels:
 
 * ``dot(u, v)``: sum of u[i] * v[i];
 * ``axpy(dst, c, src, start=0)``: dst[start + j] += c * src[j], in place;
+* ``fma(dst, u, v)``: dst[i] += u[i] * v[i], in place;
 * ``pivot(rows, r, c)``: scale row r so its column-c entry is one, then
   clear column c of every other row, touching columns c onward only;
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
@@ -330,7 +331,7 @@ class FieldCtx:
             if hi:
                 for t in range(k):
                     out[t] += hi * red[t]
-        return tuple([c % p for c in out])
+        return tuple(map(operator.mod, out, itertools.repeat(p)))
 
     def inv(self, a: Fel) -> Fel:
         table = self._inv_table
@@ -396,11 +397,25 @@ class FieldCtx:
         return self._reduce(conv)
 
     def _table_dot(self, u, v) -> tuple[int, ...]:
-        # apart from dot, so that the closure cells of these comprehensions
-        # are not made on every dot call, the int ones included
-        zero, exp, log, p = self.zero, self._exp, self._log, self.p
-        prods = [exp[log[a] + log[b]] for a, b in zip(u, v) if a != zero and b != zero]
-        return tuple([sum(col) % p for col in zip(zero, *prods)])
+        zero, exp, log = self.zero, self._exp, self._log
+        prods = [zero]
+        for a, b in zip(u, v):
+            if a != zero and b != zero:
+                prods.append(exp[log[a] + log[b]])
+        return tuple(map(operator.mod, map(sum, zip(*prods)), itertools.repeat(self.p)))
+
+    def fma(self, dst: list, u, v) -> None:
+        """dst[i] += u[i] * v[i] over the shorter of u and v, in place.
+
+        dst must be at least as long as that.
+        """
+        n = min(len(u), len(v))
+        if self.k == 1:
+            # p rides along in the zip, so the comprehension closes over nothing
+            ps = itertools.repeat(self.p)
+            dst[:n] = [(d + a * b) % p for d, a, b, p in zip(dst, u, v, ps)]
+            return
+        dst[:n] = map(self.add, dst, map(self.mul, u, v))
 
     def axpy(self, dst: list, c: Fel, src, start: int = 0) -> None:
         """dst[start + j] += c * src[j] for every j, in place."""

@@ -11,7 +11,8 @@ the echelon advice set.  After each diagonal the leading nonzero entries
 are counted against r, so a returned matrix has rank <= r and matches
 every syndrome.  The row operations live in a unit lower-triangular L whose
 off-identity columns stay confined to rows that own leading nonzero
-entries, so corrections cost O(r) per entry.
+entries, so the correction of a diagonal is at most r kernel passes, one
+per such column.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
 nonzero column; lne(M^(<k)) collects those falling strictly below the
@@ -32,7 +33,6 @@ are the one entry point for each family in ``RECOVERY_FAMILIES``.
 """
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import linalg
@@ -191,7 +191,7 @@ def low_rank_recovery(
     ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
     method with the echelon advice set, reading its points from row 1.
     """
-    zero, one = ctx.zero, ctx.one
+    zero, one, minus_one = ctx.zero, ctx.one, ctx.neg(ctx.one)
     L = [[one if i == j else zero for j in range(n)] for i in range(n)]
     l_cols: set[int] = set()
     N = [[zero] * m for _ in range(n)]
@@ -202,12 +202,13 @@ def low_rank_recovery(
         j_lo, j_hi = diag_columns(n, m, k)
         length = j_hi - j_lo + 1
 
-        # correction ((L - I) N) on this diagonal, column order
-        cols = sorted(l_cols)
-        a_diag = []
-        for j in range(j_lo, j_hi + 1):
-            below = cols[: bisect_left(cols, k - j)]
-            a_diag.append(ctx.dot([L[k - j][c] for c in below], [N[c][j] for c in below]))
+        # correction ((L - I) N) on this diagonal, column order: each
+        # off-identity column c of L meets row c of N on the columns j < k - c
+        a_diag = [zero] * length
+        for c in l_cols:
+            end = min(j_hi + 1, k - c)
+            if end > j_lo:
+                ctx.fma(a_diag, [L[i][c] for i in range(k - j_lo, k - end, -1)], N[c][j_lo:end])
 
         advice = set()
         for i0, j0 in lne.items():
@@ -239,9 +240,11 @@ def low_rank_recovery(
         except TensorhitError as e:
             raise OracleFailure(f"diagonal {k}: {e}") from e
 
-        for t, j in enumerate(range(j_lo, j_hi + 1)):
-            P[k - j][j] = p_diag[t]
-            N[k - j][j] = ctx.sub(p_diag[t], a_diag[t])
+        n_diag = list(p_diag)  # N = P - correction
+        ctx.axpy(n_diag, minus_one, a_diag)
+        for j, p_val, n_val in zip(range(j_lo, j_hi + 1), p_diag, n_diag):
+            P[k - j][j] = p_val
+            N[k - j][j] = n_val
 
         ops = _echelon_ops(ctx, P, lne, n, k)
         apply_row_ops(ctx, P, ops)

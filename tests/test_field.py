@@ -321,6 +321,13 @@ def test_vector_kernels_match_their_element_folds(name, data):
         acc, xp = add(acc, mul(a, xp)), mul(xp, x)
     assert ctx.horner(u, x) == acc
 
+    # fma over the shorter of u and w, into a dst at least as long
+    w = vec(data.draw(st.integers(0, n)))
+    dst = vec(n + data.draw(st.integers(0, 2)))
+    want = [add(d, mul(a, b)) for d, a, b in zip(dst, u, w)] + dst[len(w):]
+    ctx.fma(dst, u, w)
+    assert dst == want
+
     # pivot: row r is zero left of column c and nonzero at it
     nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
     rows = [vec(ncols) for _ in range(nrows)]
@@ -404,6 +411,11 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
         assert ctx.dot(u, v) == ref.dot(u, v)
         assert ctx.powers(x, n) == ref.powers(x, n)
         assert ctx.horner(u, x) == ref.horner(u, x)
+        w, dst = vec(rng.randint(0, n)), vec(n + rng.randrange(2))
+        want = list(dst)
+        ctx.fma(dst, u, w)
+        ref.fma(want, u, w)
+        assert dst == want
         start = rng.randrange(3)
         dst = vec(start + n + rng.randrange(2))
         want = list(dst)
@@ -419,9 +431,17 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
         ref.pivot(want, r, col)
         assert rows == want
 
+    for n in (0, 3):  # empty and all-zero vectors
+        zeros = [zero] * n
+        for c in (ctx, ref):
+            dst = list(zeros)
+            c.fma(dst, zeros, els[1 : n + 1])
+            assert dst == zeros
+
 
 @pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "dot", "axpy",
-                                  "pivot", "powers", "horner"])
+                                  "pivot", "powers", "horner", "fma",
+                                  "_reduce", "_table_dot"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
     # a method with a closure cell makes it on every call, the int calls included
     assert getattr(FieldCtx, name).__code__.co_cellvars == ()
