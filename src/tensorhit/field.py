@@ -57,7 +57,9 @@ Besides the element operations, a context offers a few vector kernels:
 * ``pivot(rows, r, c)``: scale row r so its column-c entry is one, then
   clear column c of every other row, touching columns c onward only;
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
-* ``horner(coeffs, x)``: sum of coeffs[i] * x^i.
+* ``horner(coeffs, x)``: sum of coeffs[i] * x^i;
+* ``horner_many(coeffs, xs)``: horner at every x in xs, one pass per
+  coefficient.
 
 Each has one body for ints and one for tuples, and together with the
 element operations they are the only code that knows how elements are
@@ -481,6 +483,19 @@ class FieldCtx:
         acc = self.zero
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), c)
+        return acc
+
+    def horner_many(self, coeffs, xs) -> list[Fel]:
+        """[horner(coeffs, x) for x in xs], one pass over xs per coefficient."""
+        repeat = itertools.repeat
+        if self.k == 1:
+            acc, ps = [0] * len(xs), repeat(self.p)
+            for c in reversed(coeffs):  # c and p ride along in the zip, as in fma
+                acc = [(a * x + c) % p for a, x, c, p in zip(acc, xs, repeat(c), ps)]
+            return acc
+        acc = [self.zero] * len(xs)
+        for c in reversed(coeffs):
+            acc = list(map(self.add, map(self.mul, acc, xs), repeat(c)))
         return acc
 
     # -- enumeration and serialization ---------------------------------------

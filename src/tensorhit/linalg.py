@@ -124,6 +124,16 @@ def poly_eval(ctx: FieldCtx, coeffs: list[Fel], x: Fel) -> Fel:
     return ctx.horner(coeffs, x)
 
 
+def poly_from_roots(ctx: FieldCtx, xs: list[Fel]) -> list[Fel]:
+    """Coefficients of prod_j (x - xs[j]), constant term first."""
+    out = [ctx.one]
+    for x in xs:
+        shifted = [ctx.zero] + out
+        ctx.axpy(shifted, ctx.neg(x), out)
+        out = shifted
+    return out
+
+
 def poly_interpolate(ctx: FieldCtx, xs: list[Fel], ys: list[Fel]) -> list[Fel]:
     """Coefficients of the unique degree < len(xs) polynomial through (xs, ys).
 
@@ -136,11 +146,7 @@ def poly_interpolate(ctx: FieldCtx, xs: list[Fel], ys: list[Fel]) -> list[Fel]:
     n = len(xs)
     if n != len(ys):
         raise ShapeMismatch("interpolation needs matching point/value counts")
-    master = [ctx.one]
-    for x in xs:
-        shifted = [ctx.zero] + master
-        ctx.axpy(shifted, ctx.neg(x), master)
-        master = shifted
+    master = poly_from_roots(ctx, xs)
     # M'(xs[i]) = prod_{j != i} (xs[i] - xs[j]), nonzero for distinct points
     deriv = [ctx.mul(ctx.scalar(t), master[t]) for t in range(1, n + 1)]
     moments = [ctx.zero] * n

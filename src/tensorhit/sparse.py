@@ -6,14 +6,22 @@ unique preimage of its syndrome; with an advice set S of suspected support
 positions the budget improves to |supp(x) \\ S| <= s - |S|/2, each advice
 position costing half an error.
 
-pronys_method recovers such a vector from its syndrome alone: it builds a
-mixed matrix whose first |S| rows are point-power rows for the advice
-positions and whose remaining rows are sliding windows of the syndrome,
-row-reduces it, cuts at the largest invertible leading principal minor (its
-size is |S| plus the number of surprises outside S), and reads the error
-locator polynomial off the reduced form.  The locator's roots among the
-points give the support; a final overdetermined Vandermonde solve fills in
-the values and doubles as a promise check.
+pronys_method recovers such a vector from its syndrome alone, as an
+errors-and-erasures Reed-Solomon decoder does.  The erasure polynomial
+Gamma = prod_{i in S} (z - g_i) (Forney, "On decoding BCH codes", IEEE
+Trans. IT 1965) filters the advice points out of the syndrome, leaving a
+sum of at most s - |S|/2 exponentials at the surprise points.
+Berlekamp-Massey (Massey, "Shift-register synthesis and BCH decoding",
+IEEE Trans. IT 1969) finds the shortest linear recurrence of the filtered
+sequence; its reversal is the error locator, whose roots among the other
+points are the surprises.  The values then come from a transposed
+Vandermonde system over the master polynomial M = Gamma * locator: with
+q_j = M / (z - g_j), x_j = <q_j, y> / M'(g_j), the identity
+``linalg.poly_interpolate`` uses (Kaltofen and Lakshman, ISSAC 1988, for
+this step of Ben-Or and Tiwari's sparse interpolation).  The syndrome obeys
+M's recurrence at every index, so no final check is needed: a syndrome no
+vector within the promise explains breaks the locator's length or its
+roots.
 """
 
 from dataclasses import dataclass
@@ -73,9 +81,13 @@ def pronys_method(
     """Recover x of length n from y = V x, given advice on its support.
 
     Promise: x has at most s - ceil(|advice|/2) nonzero entries outside the
-    advice set.  Violations surface as InconsistentSyndrome, never as a
-    silently wrong vector, because the final linear solve is overdetermined
-    and fully verified.
+    advice set.  An odd advice set is first enlarged by its smallest absent
+    index, or by a simulated index n when it holds them all (whose value
+    must come out zero), and the vector returned is the unique preimage of
+    y with at most that many nonzero entries outside the enlarged set.
+    When there is none, InconsistentSyndrome is raised, never a silently
+    wrong vector: y obeys the recurrence of the master polynomial at every
+    index, so the support and values found explain all of y.
     """
     if len(y) != 2 * s:
         raise ShapeMismatch(f"expected {2 * s} syndrome values, got {len(y)}")
@@ -97,44 +109,74 @@ def pronys_method(
         else:
             advice.add(free)
     t = len(advice) // 2
-    s_idx = sorted(advice)
-
-    # mixed matrix: |S| point-power rows, then s-t sliding syndrome windows
-    width = s + t + 1
-    a_rows = [ctx.powers(points[i], width) for i in s_idx]
-    a_rows.extend(y[off : off + width] for off in range(s - t))
-
-    red, pivots = linalg.rref(ctx, a_rows)
-    rho = len(pivots)
-    if pivots != list(range(rho)):
-        # honest syndromes put all pivots on the diagonal, making the
-        # locator nullspace one-dimensional at the principal-minor cut
-        raise InconsistentSyndrome("syndrome matrix is not in generic position")
-    # the locator with its sign flipped: sum_i red[i][rho] x^i - x^rho
-    coeffs = [row[rho] for row in red[:rho]] + [ctx.neg(ctx.one)]
-
     zero = ctx.zero
-    support = [i for i, pt in enumerate(points) if ctx.horner(coeffs, pt) == zero]
-    if len(support) != rho:
+
+    # filter the advice points out: f_i = sum_u Gamma_u y_(i+u) sums the
+    # surprises' exponentials alone, each weighted by Gamma at its point
+    s_idx = sorted(advice)
+    gamma = linalg.poly_from_roots(ctx, [points[i] for i in s_idx])
+    conn = _berlekamp_massey(ctx, [ctx.dot(gamma, y[i:]) for i in range(2 * (s - t))], s - t)
+    locator = conn[::-1]  # z^L C(1/z), with L = len(conn) - 1
+    others = [i for i in range(len(points)) if i not in advice]
+    if len(conn) > 1:
+        values = ctx.horner_many(locator, [points[i] for i in others])
+        roots = [i for i, v in zip(others, values) if v == zero]
+    else:
+        roots = []
+    if len(roots) != len(conn) - 1:
         raise InconsistentSyndrome(
             "locator roots do not all lie among the evaluation points"
         )
 
-    # solve the full 2s x |support| system and verify every equation
-    cols = [ctx.powers(points[i], 2 * s) for i in support]
-    rows = list(zip(*cols)) or [()] * (2 * s)  # an empty support leaves empty rows
-    z = linalg.solve(ctx, rows, list(y))
-    if z is None:
-        raise InconsistentSyndrome("syndrome outside the promised support model")
+    # x_j = <q_j, y> / M'(g_j); <q_j, y> is h evaluated at g_j, where
+    # h_e = sum_u M_(u+1+e) y_u
+    support = s_idx + roots
+    master = [zero] * (len(support) + 1)
+    for u, c in enumerate(locator):
+        ctx.axpy(master, c, gamma, u)
+    h = [ctx.dot(master[e + 1 :], y) for e in range(len(support))]
+    deriv = [ctx.mul(ctx.scalar(e), master[e]) for e in range(1, len(master))]
+    xs = [points[i] for i in support]
 
-    x = [ctx.zero] * n
-    for i, v in zip(support, z):
+    x = [zero] * n
+    for i, num, den in zip(support, ctx.horner_many(h, xs), ctx.horner_many(deriv, xs)):
+        v = ctx.mul(num, ctx.inv(den))
         if i >= n:
-            if v != ctx.zero:  # the simulated coordinate is zero by construction
+            if v != zero:  # the simulated coordinate is zero by construction
                 raise InconsistentSyndrome("virtual coordinate got a nonzero value")
             continue
         x[i] = v
     return x
+
+
+def _berlekamp_massey(ctx: FieldCtx, f: list[Fel], bound: int) -> list[Fel]:
+    """Shortest connection polynomial C of f, padded to its length L plus one.
+
+    C[0] = 1 and sum_u C[u] f[i - u] = 0 for L <= i < len(f).  Raises
+    InconsistentSyndrome as soon as L exceeds ``bound``.
+    """
+    zero = ctx.zero
+    conn, prev = [ctx.one], [ctx.one]  # C, and C before its last lengthening
+    length, shift, prev_d = 0, 1, ctx.one
+    for i in range(len(f)):
+        d = ctx.dot(conn, f[i::-1])
+        if d == zero:
+            shift += 1
+            continue
+        coef = ctx.neg(ctx.mul(d, ctx.inv(prev_d)))
+        if 2 * length > i:
+            ctx.axpy(conn, coef, prev, shift)
+            shift += 1
+            continue
+        old = conn
+        conn = conn + [zero] * (i + 1 - 2 * length)
+        ctx.axpy(conn, coef, prev, shift)
+        length, prev, prev_d, shift = i + 1 - length, old, d, 1
+        if length > bound:
+            raise InconsistentSyndrome(
+                f"syndrome needs a locator of degree {length}; the promise allows {bound}"
+            )
+    return conn
 
 
 def _fresh_point(ctx: FieldCtx, points: list[Fel]) -> Fel:

@@ -328,6 +328,15 @@ def test_vector_kernels_match_their_element_folds(name, data):
     ctx.fma(dst, u, w)
     assert dst == want
 
+    xs = vec(data.draw(st.integers(0, 5)))
+    want = []
+    for pt in xs:
+        acc, xp = ctx.zero, ctx.one
+        for a in u:
+            acc, xp = add(acc, mul(a, xp)), mul(xp, pt)
+        want.append(acc)
+    assert ctx.horner_many(u, xs) == want
+
     # pivot: row r is zero left of column c and nonzero at it
     nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
     rows = [vec(ncols) for _ in range(nrows)]
@@ -411,6 +420,8 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
         assert ctx.dot(u, v) == ref.dot(u, v)
         assert ctx.powers(x, n) == ref.powers(x, n)
         assert ctx.horner(u, x) == ref.horner(u, x)
+        xs = vec(rng.randrange(5))
+        assert ctx.horner_many(u, xs) == ref.horner_many(u, xs)
         w, dst = vec(rng.randint(0, n)), vec(n + rng.randrange(2))
         want = list(dst)
         ctx.fma(dst, u, w)
@@ -437,10 +448,12 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
             dst = list(zeros)
             c.fma(dst, zeros, els[1 : n + 1])
             assert dst == zeros
+            assert c.horner_many(zeros, els[:n]) == zeros
+            assert c.horner_many(els[1 : n + 1], []) == []
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "dot", "axpy",
-                                  "pivot", "powers", "horner", "fma",
+                                  "pivot", "powers", "horner", "fma", "horner_many",
                                   "_reduce", "_table_dot"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
     # a method with a closure cell makes it on every call, the int calls included
