@@ -333,7 +333,9 @@ class FieldCtx:
             if hi:
                 for t in range(k):
                     out[t] += hi * red[t]
-        return tuple(map(operator.mod, out, itertools.repeat(p)))
+        for t in range(k):
+            out[t] %= p
+        return tuple(out)
 
     def inv(self, a: Fel) -> Fel:
         table = self._inv_table
