@@ -176,7 +176,8 @@ def pit(run, rng, ctx, tag):
 
 def codes(run, rng, ctx, tag, p, k):
     flags = ["--p", str(p), "--k", str(k)]
-    for family, dims in (("Dprime", (5, 5)), ("Bprime", (4, 6)), ("TensorB", (2, 2, 2))):
+    for family, dims in (("Dprime", (5, 5)), ("Bprime", (4, 6)), ("TensorB", (2, 2, 2)),
+                         ("TensorB", (4, 4, 4))):
         shape = "x".join(map(str, dims))
         r = 1
         try:
