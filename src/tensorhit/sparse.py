@@ -117,12 +117,11 @@ def pronys_method(
     gamma = linalg.poly_from_roots(ctx, [points[i] for i in s_idx])
     conn = _berlekamp_massey(ctx, [ctx.dot(gamma, y[i:]) for i in range(2 * (s - t))], s - t)
     locator = conn[::-1]  # z^L C(1/z), with L = len(conn) - 1
-    others = [i for i in range(len(points)) if i not in advice]
-    if len(conn) > 1:
+    roots = []
+    if len(conn) > 1:  # skip the scan when no surprise is left, as on most recovery diagonals
+        others = [i for i in range(len(points)) if i not in advice]
         values = ctx.horner_many(locator, [points[i] for i in others])
         roots = [i for i, v in zip(others, values) if v == zero]
-    else:
-        roots = []
     if len(roots) != len(conn) - 1:
         raise InconsistentSyndrome(
             "locator roots do not all lie among the evaluation points"
