@@ -13,9 +13,10 @@ from a fixed seed, then runs every command in process through
   proper simulation over small prime fields;
 * ``measure`` of rank r and rank r + 1 inputs with every recovery family,
   ``recover`` of each syndrome file and of copies with one altered value;
-* ``pit`` of a zero, a rank-r and a rank r + 1 tensor with every family;
-* ``encode`` of a random message, and ``decode`` of the codeword plus a
-  rank-r and a rank r + 1 error.
+* ``pit`` of a zero tensor and of tensors of rank 1 to 3 with every
+  family, at r = 1 and 2;
+* ``encode`` of a random message, and ``decode`` of the codeword plus no
+  error, a rank-r and a rank r + 1 error.
 
 The fields are GF(13), GF(2^4), GF(3^2), GF(2^8), GF(1733), GF(65537),
 GF(2^31 - 1) and GF(2^9), above the exp/log table cap.  Each command
@@ -38,6 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 from tensorhit import cli, formats, rankcode, tensor  # noqa: E402
+from tensorhit.errors import TensorhitError  # noqa: E402
 from tensorhit.field import make_extension, make_prime_field  # noqa: E402
 
 FIELDS = [(13, 1), (2, 4), (3, 2), (2, 8), (1733, 1), (65537, 1), (2**31 - 1, 1), (2, 9)]
@@ -182,7 +184,7 @@ def codes(run, rng, ctx, tag, p, k):
         r = 1
         try:
             dim = rankcode.build_code(ctx, dims, r, family).dimension
-        except Exception:  # noqa: BLE001 - the commands below report the same error
+        except TensorhitError:  # the commands below report the same error
             dim = 0
         # a file cannot hold an empty message: encode a one-symbol message
         # instead, which fails as it should

@@ -39,9 +39,9 @@ def test_prony_returns_the_unique_preimage_or_raises(name, zero_first):
         els = els[1:] + els[:1]
     for n in range(1, min(5, ctx.size) + 1):
         points = els[:n]
+        vectors = [list(x) for x in itertools.product(els, repeat=n)]
         for s in (1, 2):
             v = dual_rs(ctx, points, s)
-            vectors = [list(x) for x in itertools.product(els, repeat=n)]
             syndromes = [tuple(v.measure(x)) for x in vectors]
             all_y = [list(y) for y in itertools.product(els, repeat=2 * s)]
             for size in range(min(2 * s, n) + 1):
