@@ -131,7 +131,8 @@ def _cmd_decode(args) -> int:
 
 def _st_field_axioms():
     for ctx in (make_prime_field(13), make_extension(make_prime_field(2), 2),
-                make_extension(make_prime_field(3), 2)):
+                make_extension(make_prime_field(3), 2),
+                make_extension(make_prime_field(2), 9)):  # above the table cap
         rng = random.Random(0)
         els = [ctx.from_index(t) for t in range(ctx.size)]
         for _ in range(200):

@@ -57,9 +57,7 @@ Besides the element operations, a context offers a few vector kernels:
 * ``pivot(rows, r, c)``: scale row r so its column-c entry is one, then
   clear column c of every other row, touching columns c onward only;
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
-* ``horner(coeffs, x)``: sum of coeffs[i] * x^i;
-* ``horner_many(coeffs, xs)``: horner at every x in xs, one pass per
-  coefficient.
+* ``horner(coeffs, x)``: sum of coeffs[i] * x^i.
 
 Each has one body for ints and one for tuples, and together with the
 element operations they are the only code that knows how elements are
@@ -70,6 +68,9 @@ of its nonzero pairs coefficient-wise and reduces mod p once; without
 tables it sums unreduced coefficient convolutions and reduces once.  The
 other tuple bodies fold the element operations, so they take their
 products and sums from the tables wherever ``mul`` and ``add`` do.
+``_reduce`` is the one reduction mod the modulus: the convolution ``mul``
+and ``dot`` end in it, and everything else that multiplies extension
+elements, ``embed_as_matrix`` included, goes through ``mul``.
 Extension elements stay tuples because files, the benchmark's planted
 inputs and its checks read and write them in that form.
 
@@ -487,19 +488,6 @@ class FieldCtx:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
-    def horner_many(self, coeffs, xs) -> list[Fel]:
-        """[horner(coeffs, x) for x in xs], one pass over xs per coefficient."""
-        repeat = itertools.repeat
-        if self.k == 1:
-            acc, ps = [0] * len(xs), repeat(self.p)
-            for c in reversed(coeffs):  # c and p ride along in the zip, as in fma
-                acc = [(a * x + c) % p for a, x, c, p in zip(acc, xs, repeat(c), ps)]
-            return acc
-        acc = [self.zero] * len(xs)
-        for c in reversed(coeffs):
-            acc = list(map(self.add, map(self.mul, acc, xs), repeat(c)))
-        return acc
-
     # -- enumeration and serialization ---------------------------------------
 
     def from_index(self, t: int) -> Fel:
@@ -649,21 +637,14 @@ def find_element_of_order(ctx: FieldCtx, min_order: int) -> Fel:
 def embed_as_matrix(ctx: FieldCtx, a: Fel) -> list[list[int]]:
     """Matrix of x -> a*x over the base field, in the power basis.
 
-    Column c holds the coefficients of ``a * x^c``.  The map is an algebra
-    homomorphism: it turns field addition and multiplication into matrix
-    addition and multiplication.
+    Column c holds the coefficients of ``a * x^c``, x times column c - 1.
+    The map is an algebra homomorphism: it turns field addition and
+    multiplication into matrix addition and multiplication.
     """
     if ctx.k == 1:
         return [[a]]
-    cols = []
-    cur = a
-    for _ in range(ctx.k):
-        cols.append(cur)
-        # multiply by x: shift up and reduce
-        shifted = (0,) + cur[:-1]
-        hi = cur[-1]
-        if hi:
-            red = ctx._red[0]
-            shifted = tuple((s + hi * r) % ctx.p for s, r in zip(shifted, red))
-        cur = shifted
-    return [[cols[c][r] for c in range(ctx.k)] for r in range(ctx.k)]
+    x = (0, 1) + (0,) * (ctx.k - 2)
+    cols = [a]
+    for _ in range(ctx.k - 1):  # x first, as in powers: mul skips its zero coefficients
+        cols.append(ctx.mul(x, cols[-1]))
+    return [list(row) for row in zip(*cols)]

@@ -59,11 +59,6 @@ from .tensor import (
 )
 
 
-def moment_vector(ctx: FieldCtx, x: Fel, count: int) -> tuple[Fel, ...]:
-    """(1, x, x^2, ..., x^(count-1))."""
-    return tuple(ctx.powers(x, count))
-
-
 @dataclass(frozen=True, slots=True)
 class Measurement:
     """One inner-product functional, in whichever representation is natural.
@@ -140,7 +135,7 @@ def rank_preserver(
     rows = []
     base = alpha
     for _ in range(r):
-        rows.append(list(moment_vector(ctx, base, n)))
+        rows.append(ctx.powers(base, n))
         base = ctx.mul(base, g)
     return DenseTensor.from_rows(ctx, rows)
 
@@ -155,10 +150,11 @@ def moment_schedule(
 
     Returns ``(alphas, blocks)``; each block ``(ls, mults, count)`` lists, in
     family order, the members (k, ls) for k < count, whose axis-a factor is
-    the moment vector of mults[a] * alphas[k].  So member (k, ls) evaluates
-    the polynomial sum_idx T[idx] prod_a mults[a]^idx_a x^(sum idx) at
-    alphas[k].  ``family`` is ``B``, ``Bprime`` (dims (n, m), multipliers
-    (1, g^l)) or ``TensorB`` (dims [n]^d, multipliers g^L(n, b, a, ls)).
+    the moment vector (``ctx.powers``) of mults[a] * alphas[k].  So member
+    (k, ls) evaluates the polynomial sum_idx T[idx] prod_a mults[a]^idx_a
+    x^(sum idx) at alphas[k].  ``family`` is ``B``, ``Bprime`` (dims (n, m),
+    multipliers (1, g^l)) or ``TensorB`` (dims [n]^d, multipliers
+    g^L(n, b, a, ls)).
     """
     if family not in MOMENT_FAMILIES:
         raise ValueError(f"family {family} is not a rank-1 moment family")
@@ -191,13 +187,13 @@ def _moment_family(
 ) -> MeasurementSet:
     alphas, blocks = moment_schedule(ctx, family, dims, r)
     # a multiplier of one reuses the moment vector of alpha_k itself
-    moments = [moment_vector(ctx, a, max(dims)) for a in alphas]
+    moments = [tuple(ctx.powers(a, max(dims))) for a in alphas]
     meas = []
     for ls, mults, count in blocks:
         for k, a in enumerate(alphas[:count]):
             factors = tuple(
                 moments[k][:size] if mult == ctx.one
-                else moment_vector(ctx, ctx.mul(mult, a), size)
+                else tuple(ctx.powers(ctx.mul(mult, a), size))
                 for mult, size in zip(mults, dims)
             )
             meas.append(Measurement(k=k, ls=ls, factors=factors))

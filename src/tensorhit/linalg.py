@@ -119,11 +119,6 @@ def nullspace_basis(ctx: FieldCtx, rows: Matrix, ncols: int) -> list[list[Fel]]:
     return basis
 
 
-def poly_eval(ctx: FieldCtx, coeffs: list[Fel], x: Fel) -> Fel:
-    """Horner evaluation; coeffs[i] multiplies x^i."""
-    return ctx.horner(coeffs, x)
-
-
 def poly_from_roots(ctx: FieldCtx, xs: list[Fel]) -> list[Fel]:
     """Coefficients of prod_j (x - xs[j]), constant term first."""
     out = [ctx.one]

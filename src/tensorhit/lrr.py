@@ -53,7 +53,6 @@ from .hitting import (
     diag_weight_table,
     family_tensor,
     moment_schedule,
-    moment_vector,
 )
 from .tensor import (
     DenseTensor,
@@ -167,10 +166,10 @@ def _solve_diagonal(ctx, table, n: int, m: int, k: int, ys) -> list[Fel]:
     length = j_hi - j_lo + 1
     x = linalg.solve(ctx, [row[j_lo : j_hi + 1] for row in table[:length]], ys[:length])
     if x is None:
-        raise InconsistentSyndrome(f"diagonal {k}: unsolvable square system")
+        raise InconsistentSyndrome("unsolvable square system")
     for row, target in zip(table[length:], ys[length:]):
         if ctx.dot(x, row[j_lo:]) != target:
-            raise InconsistentSyndrome(f"diagonal {k}: redundant row mismatch")
+            raise InconsistentSyndrome("redundant row mismatch")
     return x
 
 
@@ -190,6 +189,7 @@ def low_rank_recovery(
     A diagonal with at least as many rows as entries goes to
     ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
     method with the echelon advice set, reading its points from row 1.
+    An error from either names its diagonal as ``diagonal k:``.
     """
     zero, one, minus_one = ctx.zero, ctx.one, ctx.neg(ctx.one)
     L = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -235,8 +235,8 @@ def low_rank_recovery(
                 p_diag = _solve_diagonal(ctx, table, n, m, k, y)
             else:  # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
                 p_diag = pronys_method(ctx, length, r, advice, y, table[1][j_lo : j_hi + 1])
-        except PromiseViolation:
-            raise
+        except PromiseViolation as e:
+            raise type(e)(f"diagonal {k}: {e}") from e
         except TensorhitError as e:
             raise OracleFailure(f"diagonal {k}: {e}") from e
 
@@ -464,7 +464,7 @@ def tensor_recover(
         evals = syndromes[i * per_poly : (i + 1) * per_poly]
         cs = linalg.poly_interpolate(ctx, alphas[: deg + 1], list(evals[: deg + 1]))
         for a, e in zip(alphas[deg + 1 :], evals[deg + 1 :]):
-            if linalg.poly_eval(ctx, cs, a) != e:
+            if ctx.horner(cs, a) != e:
                 raise InconsistentSyndrome(
                     "redundant evaluation disagrees with interpolant"
                 )
@@ -504,14 +504,14 @@ def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
     ctx = t.ctx
     zero = ctx.zero
     *outer, n = t.dims
-    pw = moment_vector(ctx, mults[-1], n)
+    pw = ctx.powers(mults[-1], n)
     entries = t.entries
     polys = [
         [e if e == zero else ctx.mul(c, e) for c, e in zip(pw, entries[base : base + n])]
         for base in range(0, len(entries), n)
     ]
     for n, mult in zip(reversed(outer), reversed(mults[:-1])):
-        pw = moment_vector(ctx, mult, n)
+        pw = ctx.powers(mult, n)
         width = len(polys[0]) + n - 1
         folded = []
         for base in range(0, len(polys), n):
@@ -540,7 +540,7 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     out = []
     for _, mults, count in blocks:
         coeffs = _collapse(t, mults)
-        out.extend(linalg.poly_eval(ctx, coeffs, a) for a in alphas[:count])
+        out.extend(ctx.horner(coeffs, a) for a in alphas[:count])
     return out
 
 

@@ -72,7 +72,7 @@ def encode(code: RankMetricCode, message: list) -> DenseTensor:
 
 
 def syndrome(code: RankMetricCode, word: DenseTensor) -> list:
-    return lrr.measure_syndromes(word, code.parity)
+    return lrr.measure(word, code.family, code.r)
 
 
 def error_rank_bound(t: DenseTensor) -> int:

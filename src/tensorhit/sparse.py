@@ -119,9 +119,10 @@ def pronys_method(
     locator = conn[::-1]  # z^L C(1/z), with L = len(conn) - 1
     roots = []
     if len(conn) > 1:  # skip the scan when no surprise is left, as on most recovery diagonals
-        others = [i for i in range(len(points)) if i not in advice]
-        values = ctx.horner_many(locator, [points[i] for i in others])
-        roots = [i for i, v in zip(others, values) if v == zero]
+        roots = [
+            i for i in range(len(points))
+            if i not in advice and ctx.horner(locator, points[i]) == zero
+        ]
     if len(roots) != len(conn) - 1:
         raise InconsistentSyndrome(
             "locator roots do not all lie among the evaluation points"
@@ -135,11 +136,10 @@ def pronys_method(
         ctx.axpy(master, c, gamma, u)
     h = [ctx.dot(master[e + 1 :], y) for e in range(len(support))]
     deriv = [ctx.mul(ctx.scalar(e), master[e]) for e in range(1, len(master))]
-    xs = [points[i] for i in support]
 
     x = [zero] * n
-    for i, num, den in zip(support, ctx.horner_many(h, xs), ctx.horner_many(deriv, xs)):
-        v = ctx.mul(num, ctx.inv(den))
+    for i in support:
+        v = ctx.mul(ctx.horner(h, points[i]), ctx.inv(ctx.horner(deriv, points[i])))
         if i >= n:
             if v != zero:  # the simulated coordinate is zero by construction
                 raise InconsistentSyndrome("virtual coordinate got a nonzero value")

@@ -92,9 +92,6 @@ class DenseTensor:
         return [self.entries[i * m : (i + 1) * m] for i in range(n)]
 
 
-DenseMatrix = DenseTensor  # d = 2 alias, for signatures that read better
-
-
 @dataclass(frozen=True)
 class Rank1Tensor:
     """Outer product of d factor vectors, each with a nonzero coordinate."""
@@ -176,12 +173,19 @@ def _inner_dense_factors(ctx, dense: DenseTensor, factors) -> Fel:
 
 
 def inner_product(t1, t2) -> Fel:
-    """<T1, T2>: sum of entrywise products; factored shortcut when possible."""
+    """<T1, T2>: sum of entrywise products; factored shortcut when possible.
+
+    A LowRankTensor operand is expanded first.
+    """
     ctx = t1.ctx
     if ctx != t2.ctx:
         raise ShapeMismatch("inner product requires a common field")
     if t1.dims != t2.dims:
         raise ShapeMismatch(f"shape {t1.dims} vs {t2.dims}")
+    if isinstance(t1, LowRankTensor):
+        t1 = expand(t1)
+    if isinstance(t2, LowRankTensor):
+        t2 = expand(t2)
     if isinstance(t1, Rank1Tensor) and isinstance(t2, Rank1Tensor):
         out = ctx.one
         for u, v in zip(t1.factors, t2.factors):

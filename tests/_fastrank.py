@@ -80,7 +80,7 @@ def _pair_arrays(ms, measurements=None):
     """
     ctx = ms.ctx
     p = ctx.p
-    r0, r1 = ctx._red[0]  # x^2 = r0 + r1 x
+    r0, r1 = (-c % p for c in ctx.modulus[:2])  # x^2 = r0 + r1 x
     n, m = ms.dims
     measurements = ms.measurements if measurements is None else measurements
     total = n * m
@@ -112,7 +112,7 @@ def doubled_rows(ms, measurements=None) -> np.ndarray:
     ctx = ms.ctx
     assert ctx.k == 2
     p = ctx.p
-    r0, r1 = ctx._red[0]
+    r0, r1 = (-c % p for c in ctx.modulus[:2])
     a0, a1 = _pair_arrays(ms, measurements)
     nrows, ncols = a0.shape
     out = np.zeros((2 * nrows, 2 * ncols), dtype=np.int64)

@@ -231,6 +231,21 @@ def test_recovery_above_the_rank_promise_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_prony_failure_names_its_diagonal(tmp_path, capsys):
+    # measure of the rank-1 4x4 matrix of test_measure_recover_roundtrip_bytes
+    # at r=1, with its fifth value raised by one: the long diagonal 4 then
+    # needs a locator of degree 2
+    synd = tmp_path / "synd.txt"
+    synd.write_text(
+        "field p=13 k=1\nsyndromes family=Dprime r=1 dims=4x4\n"
+        + "".join(f"{v}\n" for v in (1, 7, 12, 2, 6, 4, 2, 1, 7, 3, 5, 2))
+    )
+    out = tmp_path / "out.txt"
+    assert run("recover", "--syndromes", str(synd), "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error: diagonal 4: syndrome needs a locator")
+    assert not out.exists()
+
+
 def test_inconsistent_tensor_syndromes_exit_3(tmp_path, capsys):
     # no 3x3 tensor measures to these twelve values; the corner tensor that
     # D' alone would return measures as twelve 5s

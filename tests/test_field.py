@@ -184,11 +184,17 @@ def test_embed_as_matrix_examples():
         make_extension(make_prime_field(2), 3),
         make_extension(make_prime_field(3), 2),
         make_extension(make_prime_field(7), 2),
+        make_extension(make_prime_field(2), 9),  # these two are above the table
+        make_extension(make_prime_field(13), 3),  # cap, so embed runs convolution mul
     ],
-    ids=["GF4", "GF8", "GF9", "GF49"],
+    ids=["GF4", "GF8", "GF9", "GF49", "GF(2^9)", "GF(13^3)"],
 )
 def test_embed_is_algebra_homomorphism(ctx):
     els = [ctx.from_index(t) for t in range(ctx.size)]
+    pairs = itertools.product(els, els)
+    if ctx.size > 49:  # too many pairs to walk them all: sample
+        rng = random.Random(ctx.size)
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(1000)]
     mats = {a: embed_as_matrix(ctx, a) for a in els}
     p, k = ctx.p, ctx.k
 
@@ -201,10 +207,9 @@ def test_embed_is_algebra_homomorphism(ctx):
             for i in range(k)
         ]
 
-    for a in els:
-        for b in els:
-            assert mats[ctx.add(a, b)] == madd(mats[a], mats[b])
-            assert mats[ctx.mul(a, b)] == mmul(mats[a], mats[b])
+    for a, b in pairs:
+        assert mats[ctx.add(a, b)] == madd(mats[a], mats[b])
+        assert mats[ctx.mul(a, b)] == mmul(mats[a], mats[b])
 
 
 @pytest.mark.parametrize(
@@ -328,15 +333,6 @@ def test_vector_kernels_match_their_element_folds(name, data):
     ctx.fma(dst, u, w)
     assert dst == want
 
-    xs = vec(data.draw(st.integers(0, 5)))
-    want = []
-    for pt in xs:
-        acc, xp = ctx.zero, ctx.one
-        for a in u:
-            acc, xp = add(acc, mul(a, xp)), mul(xp, pt)
-        want.append(acc)
-    assert ctx.horner_many(u, xs) == want
-
     # pivot: row r is zero left of column c and nonzero at it
     nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
     rows = [vec(ncols) for _ in range(nrows)]
@@ -420,8 +416,6 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
         assert ctx.dot(u, v) == ref.dot(u, v)
         assert ctx.powers(x, n) == ref.powers(x, n)
         assert ctx.horner(u, x) == ref.horner(u, x)
-        xs = vec(rng.randrange(5))
-        assert ctx.horner_many(u, xs) == ref.horner_many(u, xs)
         w, dst = vec(rng.randint(0, n)), vec(n + rng.randrange(2))
         want = list(dst)
         ctx.fma(dst, u, w)
@@ -448,12 +442,11 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
             dst = list(zeros)
             c.fma(dst, zeros, els[1 : n + 1])
             assert dst == zeros
-            assert c.horner_many(zeros, els[:n]) == zeros
-            assert c.horner_many(els[1 : n + 1], []) == []
+            assert c.horner(zeros, els[1]) == zero
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "dot", "axpy",
-                                  "pivot", "powers", "horner", "fma", "horner_many",
+                                  "pivot", "powers", "horner", "fma",
                                   "_reduce", "_table_dot"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
     # a method with a closure cell makes it on every call, the int calls included

@@ -394,7 +394,7 @@ def test_tensor_recover_returns_only_tensors_that_match(data):
     coeff = st.sampled_from([0, 0, 0, 1, 2])  # sparse, so some are consistent
     for _ in range(2 ** (d - 1).bit_length()):  # R^b polynomials, R = 2r = 2
         cs = data.draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))
-        synd.extend(linalg.poly_eval(ctx, cs, a) for a in alphas)
+        synd.extend(ctx.horner(cs, a) for a in alphas)
     try:
         t = tensor_recover(ctx, d, n, 1, synd)
     except PromiseViolation:
@@ -438,7 +438,7 @@ _TENSOR_MAX_N = {2: 4, 3: 3, 4: 2}  # (2dn)^d <= 65536
 @settings(max_examples=60, deadline=None)
 def test_collapsed_measurement_equals_member_inner_products(data):
     ctx = data.draw(st.sampled_from([GF13, GF16, GF65537]), label="field")
-    families = ["B", "Bprime"] + (["TensorB"] if ctx is GF65537 else [])
+    families = ["B", "Bprime", "Dprime"] + (["TensorB"] if ctx is GF65537 else [])
     family = data.draw(st.sampled_from(families), label="family")
     if family == "TensorB":
         d = data.draw(st.integers(2, 4), label="d")
@@ -456,7 +456,7 @@ def test_collapsed_measurement_equals_member_inner_products(data):
     synd = measure_syndromes(t, fam)
     assert synd == [m.inner(ctx, t) for m in fam.measurements]
 
-    if family == "TensorB" or (family == "Bprime" and dims[0] >= 2):
+    if family == "TensorB" or (family in ("Bprime", "Dprime") and dims[0] >= 2):
         top = 2 if family == "TensorB" else dims[0] // 2
         rr = data.draw(st.integers(1, top), label="recovery r")
         assert lrr.measure(t, family, rr) == measure_syndromes(

@@ -67,6 +67,18 @@ def test_rank1_shortcut_exhaustive_small():
         assert inner_product(a, b) == inner_product(a.expand(), b.expand())
 
 
+def test_inner_product_expands_low_rank_operands():
+    lr = LowRankTensor.from_factor_lists(
+        GF7, (2, 3), [[(1, 2), (3, 0, 1)], [(4, 4), (1, 5, 6)]]
+    )
+    other = LowRankTensor.from_factor_lists(GF7, (2, 3), [[(2, 1), (1, 1, 1)]])
+    dense = _rand_dense(GF7, random.Random(7), (2, 3))
+    r1 = Rank1Tensor(GF7, ((3, 5), (0, 2, 1)))
+    full = [(lr, expand(lr)), (other, expand(other)), (dense, dense), (r1, r1.expand())]
+    for (a, fa), (b, fb) in itertools.product(full, repeat=2):
+        assert inner_product(a, b) == GF7.dot(fa.entries, fb.entries)
+
+
 def test_inner_product_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         inner_product(DenseTensor.zeros(GF5, (2, 2)), DenseTensor.zeros(GF5, (2, 3)))
