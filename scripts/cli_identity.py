@@ -16,7 +16,13 @@ from a fixed seed, then runs every command in process through
 * ``pit`` of a zero tensor and of tensors of rank 1 to 3 with every
   family, at r = 1 and 2;
 * ``encode`` of a random message, and ``decode`` of the codeword plus no
-  error, a rank-r and a rank r + 1 error.
+  error, a rank-r and a rank r + 1 error;
+* once, over GF(13) unless a file says otherwise, inputs every command must
+  reject: ``measure`` of a tensor of the wrong shape for each recovery
+  family, syndrome files with r = 0, an unknown family, non-cubic
+  ``TensorB`` dims or dims of two million (which must be refused before any
+  work of that size), ``encode`` and ``decode`` with ``--r 0``, and
+  ``gen-hit --k 0``.
 
 The fields are GF(13), GF(2^4), GF(3^2), GF(2^8), GF(1733), GF(65537),
 GF(2^31 - 1) and GF(2^9), above the exp/log table cap.  Each command
@@ -208,6 +214,40 @@ def codes(run, rng, ctx, tag, p, k):
                      "--error-out", "@err.txt"], ["dec.txt", "err.txt"])
 
 
+def validation(run):
+    ctx, rng = field(13, 1), random.Random("validation")
+    for family, dims in (("Dprime", (2, 2, 2)), ("Bprime", (2, 2, 2)), ("TensorB", (2, 3)),
+                         ("TensorB", (2, 2, 3)), ("Dprime", (4,)), ("Bprime", (4,)),
+                         ("TensorB", (4,))):
+        shape = "x".join(map(str, dims))
+        src = run.write("t.txt", low_rank(ctx, rng, dims, 1))
+        run.run(f"measure wrong-shape {family} {shape}",
+                ["measure", "--tensor", src, "--family", family, "--r", "1", "--out", "@s.txt"],
+                ["s.txt"])
+    huge = "2000000x2000000"
+    for p, header in ((13, "family=Dprime r=0 dims=3x3"), (13, "family=Bprime r=0 dims=3x3"),
+                      (13, "family=TensorB r=0 dims=2x2x2"), (13, "family=Nope r=1 dims=3x3"),
+                      (13, "family=TensorB r=1 dims=3x4"), (13, "family=TensorB r=1 dims=2x2x3"),
+                      (2**31 - 1, f"family=Dprime r=1 dims={huge}"),
+                      (2**31 - 1, f"family=Bprime r=1 dims={huge}"),
+                      (2**31 - 1, f"family=TensorB r=1 dims={huge}")):
+        run.write("bad.txt", f"field p={p} k=1\nsyndromes {header}\n5\n")
+        run.run(f"recover {p}^1 {header}",
+                ["recover", "--syndromes", "@bad.txt", "--out", "@rec.txt"], ["rec.txt"])
+    run.write("msg.txt", formats.write_tensor(tensor.DenseTensor(ctx, (1,), [1])))
+    for family, shape in (("Dprime", "5x5"), ("Bprime", "4x6"), ("TensorB", "2x2x2")):
+        dims = tuple(map(int, shape.split("x")))
+        run.write("rx.txt", formats.write_tensor(tensor.DenseTensor.zeros(ctx, dims)))
+        common = ["--p", "13", "--dims", shape, "--r", "0", "--family", family]
+        run.run(f"encode 13^1 {family} {shape} r=0",
+                ["encode", *common, "--message", "@msg.txt", "--out", "@cw.txt"], ["cw.txt"])
+        run.run(f"decode 13^1 {family} {shape} r=0",
+                ["decode", *common, "--word", "@rx.txt", "--out", "@dec.txt"], ["dec.txt"])
+    run.run("gen-hit 13^0 Dprime r=1", ["gen-hit", "--p", "13", "--k", "0", "--family", "Dprime",
+                                        "--dims", "3x3", "--r", "1", "--out", "@fam.txt"],
+            ["fam.txt"])
+
+
 def main():
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as workdir:
         run = Runner(workdir)
@@ -220,6 +260,7 @@ def main():
             codes(run, rng, ctx, tag, p, k)
         for p in SIM_PRIMES:
             simulations(run, p)
+        validation(run)
     return 1 if run.failed else 0
 
 
