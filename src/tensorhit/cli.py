@@ -14,14 +14,7 @@ import time
 
 from . import formats, hitting, linalg, lrr, rankcode, sparse, tensor
 from .errors import PromiseViolation, TensorhitError
-from .field import FieldCtx, make_extension, make_prime_field
-
-
-def _build_field(p: int, k: int) -> FieldCtx:
-    ctx = make_prime_field(p)
-    if k > 1:
-        ctx = make_extension(ctx, k)
-    return ctx
+from .field import make_extension, make_field, make_prime_field
 
 
 def _family_with_simulation(ctx, family, dims, r, extend, simulate):
@@ -48,7 +41,7 @@ def _random_low_rank(ctx, rng, dims, r):
 
 
 def _cmd_gen_hit(args) -> int:
-    ctx = _build_field(args.p, args.k)
+    ctx = make_field(args.p, args.k)
     dims = formats._parse_dims(args.dims)
     ms = _family_with_simulation(ctx, args.family, dims, args.r, args.extend, args.simulate)
     text = formats.write_measurements(ms)
@@ -94,7 +87,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    ctx = _build_field(args.p, args.k)
+    ctx = make_field(args.p, args.k)
     dims = formats._parse_dims(args.dims)
     code = rankcode.build_code(ctx, dims, args.r, args.family)
     with open(args.message) as fh:
@@ -109,7 +102,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    ctx = _build_field(args.p, args.k)
+    ctx = make_field(args.p, args.k)
     dims = formats._parse_dims(args.dims)
     code = rankcode.build_code(ctx, dims, args.r, args.family)
     with open(args.word) as fh:

@@ -629,6 +629,12 @@ def make_extension(base: FieldCtx, k: int) -> FieldCtx:
     return ctx
 
 
+def make_field(p: int, k: int) -> FieldCtx:
+    """GF(p^k): GF(p) for k = 1, else its canonical extension (k >= 2)."""
+    ctx = make_prime_field(p)
+    return ctx if k == 1 else make_extension(ctx, k)
+
+
 def find_element_of_order(ctx: FieldCtx, min_order: int) -> Fel:
     """First canonical element with multiplicative order >= min_order."""
     return ctx.element_of_order(min_order)

@@ -13,7 +13,7 @@ invocations produce byte-identical files.
 import math
 
 from .errors import ShapeMismatch
-from .field import FieldCtx, make_extension, make_prime_field
+from .field import FieldCtx, make_field
 from .hitting import Measurement, MeasurementSet
 from .tensor import DenseTensor, LowRankTensor, Rank1Tensor
 
@@ -66,18 +66,15 @@ def parse_field_header(line: str, no: int = 1) -> FieldCtx:
     kv = _keyed(no, line, "field", ("p", "k"))
     p = _parse(no, int, kv["p"])
     k = _parse(no, int, kv["k"])
-    ctx = make_prime_field(p)
-    if k == 1:
-        return ctx
-    ext = make_extension(ctx, k)
-    if "mod" in kv:
+    ctx = make_field(p, k)
+    if k > 1 and "mod" in kv:
         mod = _parse(no, _parse_ints, kv["mod"])
-        if mod != ext.modulus:
+        if mod != ctx.modulus:
             raise ShapeMismatch(
                 f"line {no}: modulus {kv['mod']} is not the canonical one "
                 f"for GF({p}^{k})"
             )
-    return ext
+    return ctx
 
 
 def _read_field(lines) -> FieldCtx:

@@ -18,13 +18,12 @@ reproducible):
 * ``SimImproper`` / ``SimProper``  base-field simulations of a family built
                over an extension; source-major, projection index minor.
 
-``moment_schedule`` is the one definition of the alphas and multipliers of
-the rank-1 families B, Bprime and TensorB; their builders and
-``lrr.measure_moments`` both read it.  ``diag_weight_table`` is the one
-geometry of the diagonal families D and Dprime: row l holds g^(l j) for
-every column j, and the k-diagonal reads row l over its columns
-``diag_columns``.  The builders, ``lrr.measure_D``, diagonal recovery and
-``lrr.convert_B_to_D`` all slice the same table.
+Each family is decided here once, and ``lrr`` and ``rankcode`` read it:
+``check_shape`` is the one shape rule and ``family_generator`` the one g.
+``moment_schedule`` is the one definition of the alphas, multipliers and
+block counts of the rank-1 families B, Bprime and TensorB.
+``dprime_table`` is the one weight table of the diagonal families D and
+Dprime (``diag_weight_table``), and ``dprime_size`` counts D'.
 
 The alphas are the first canonical nonzero field elements, so they are
 distinct and nonzero; nonzero matters because downstream interpolation
@@ -140,7 +139,27 @@ def rank_preserver(
     return DenseTensor.from_rows(ctx, rows)
 
 
+FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB", "Naive")
 MOMENT_FAMILIES = ("B", "Bprime", "TensorB")
+
+
+def check_shape(family: str, dims: tuple[int, ...]) -> None:
+    """Raise unless family is defined on dims: TensorB on [n]^d, Naive on any, else matrices."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family == "TensorB":
+        if len(dims) < 2 or len(set(dims)) != 1:
+            raise ShapeMismatch("TensorB requires shape [n]^d with d >= 2")
+    elif family != "Naive" and len(dims) != 2:
+        raise ShapeMismatch(f"family {family} is for matrices")
+
+
+def family_generator(ctx: FieldCtx, family: str, dims: tuple[int, ...]) -> Fel:
+    """The family's g: of order >= (2dn)^d for TensorB on [n]^d, else >= m."""
+    if family == "TensorB":
+        d = len(dims)
+        return ctx.element_of_order((2 * d * dims[0]) ** d)
+    return ctx.element_of_order(dims[1])
 
 
 def moment_schedule(
@@ -158,13 +177,13 @@ def moment_schedule(
     """
     if family not in MOMENT_FAMILIES:
         raise ValueError(f"family {family} is not a rank-1 moment family")
+    check_shape(family, dims)
     if family == "TensorB":
-        d = len(dims)
-        n = dims[0] if dims else 0
-        if d < 2 or n < 1 or r < 1:
+        d, n = len(dims), dims[0]
+        if n < 1 or r < 1:
             raise ValueError(f"need d >= 2, n >= 1, r >= 1, got d={d}, n={n}, r={r}")
         b = (d - 1).bit_length()
-        g = ctx.element_of_order((2 * d * n) ** d)
+        g = family_generator(ctx, family, dims)
         alphas = ctx.first_elements(d * n)
         blocks = [
             (ls, tuple(ctx.pow(g, L(n, b, a, ls)) for a in range(d)), d * n)
@@ -173,7 +192,7 @@ def moment_schedule(
         return alphas, blocks
     n, m = dims
     _check_matrix_params(r, n, m)
-    g = ctx.element_of_order(m)
+    g = family_generator(ctx, family, dims)
     alphas = ctx.first_elements(n + m - 1)
     shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
     blocks = [
@@ -230,9 +249,21 @@ def diag_weight_table(ctx: FieldCtx, g: Fel, count: int, m: int) -> list[list[Fe
     return [ctx.powers(gl, m) for gl in ctx.powers(g, count)]
 
 
+def dprime_table(ctx: FieldCtx, n: int, m: int, R: int) -> list[list[Fel]]:
+    """The weights of D and D' at R on n x m; rows l >= (n + m) // 2 measure nothing."""
+    g = family_generator(ctx, "Dprime", (n, m))
+    return diag_weight_table(ctx, g, min(R, (n + m) // 2), m)
+
+
+def dprime_size(n: int, m: int, R: int) -> int:
+    """Members of D' at R on n x m: row l measures the n+m-1-2l diagonals l..n+m-2-l."""
+    rows = max(0, min(R, (n + m) // 2))
+    return (n + m - rows) * rows
+
+
 def _diagonal_family(ctx: FieldCtx, family: str, r: int, n: int, m: int) -> MeasurementSet:
     _check_matrix_params(r, n, m)
-    table = diag_weight_table(ctx, ctx.element_of_order(m), r, m)
+    table = dprime_table(ctx, n, m, r)
     meas = []
     for k in range(n + m - 1):
         lo, hi = diag_columns(n, m, k)
@@ -441,29 +472,13 @@ def hard_tensor(h: MeasurementSet) -> DenseTensor:
     return DenseTensor(h.ctx, h.dims, basis[0])
 
 
-FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB", "Naive")
-
-FAMILY_BUILDERS = {
-    "B": hitting_set_B,
-    "D": hitting_set_D,
-    "Dprime": hitting_set_D_prime,
-    "Bprime": hitting_set_B_prime,
-}
-
-
 def generate_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
-    """Dispatch on the family tag; TensorB requires a cubic shape."""
+    """The family on shape dims at r, built by its kind: Naive, moment or diagonal."""
+    check_shape(family, dims)
     if family == "Naive":
         return naive_set(ctx, dims)
-    if family == "TensorB":
-        d = len(dims)
-        if d < 2 or len(set(dims)) != 1:
-            raise ShapeMismatch("TensorB requires shape [n]^d with d >= 2")
-        return hitting_set_tensor(ctx, d, dims[0], r)
-    if family in FAMILY_BUILDERS:
-        if len(dims) != 2:
-            raise ShapeMismatch(f"family {family} is for matrices")
-        return FAMILY_BUILDERS[family](ctx, r, dims[0], dims[1])
-    raise ValueError(f"unknown family {family!r}")
+    if family in MOMENT_FAMILIES:
+        return _moment_family(ctx, family, dims, r)
+    return _diagonal_family(ctx, family, r, *dims)

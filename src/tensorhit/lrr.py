@@ -26,7 +26,7 @@ syndromes by staircase interpolation, and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family: each
 level packs its polynomials with ``tensor.merge_variables``, recovers the
 merged coefficient matrix, and unpacks it with ``tensor.split_variables``.
-Every diagonal weight is read from ``hitting.diag_weight_table``.
+Every shape, generator, point and weight is read from ``hitting``.
 ``measure_moments`` measures the rank-1 families (B, B', TensorB) through
 one collapsed polynomial per exponent index.  ``measure`` and ``recover``
 are the one entry point for each family in ``RECOVERY_FAMILIES``.
@@ -48,9 +48,13 @@ from .errors import (
 from .field import Fel, FieldCtx
 from .hitting import (
     MOMENT_FAMILIES,
+    check_shape,
     diag_columns,
     diag_row_count,
     diag_weight_table,
+    dprime_size,
+    dprime_table,
+    family_generator,
     family_tensor,
     moment_schedule,
 )
@@ -272,12 +276,6 @@ def low_rank_recovery(
 # ---------------------------------------------------------------------------
 
 
-def _dprime_table(ctx: FieldCtx, n: int, m: int, R: int) -> list[list[Fel]]:
-    """The weight rows D' at parameter R reads on an n x m matrix."""
-    # no diagonal has more than (n + m) // 2 rows (diag_row_count)
-    return diag_weight_table(ctx, ctx.element_of_order(m), min(R, (n + m) // 2), m)
-
-
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     """Syndromes of mat against the diagonal family with parameter 2r.
 
@@ -286,7 +284,7 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     """
     ctx = mat.ctx
     n, m = mat.dims
-    table = _dprime_table(ctx, n, m, 2 * r)
+    table = dprime_table(ctx, n, m, 2 * r)
     rows = mat.rows()
     out = []
     for k in range(n + m - 1):
@@ -309,12 +307,13 @@ def recover_from_D(
     Diagonals shorter than the 2r measurement budget are solved outright;
     the rest go through Prony's method with the echelon advice set.
     """
-    table = _dprime_table(ctx, n, m, 2 * r)
     if r < 1:
         raise ValueError(f"rank bound must be >= 1, got r={r}")
+    expected = dprime_size(n, m, 2 * r)
+    if len(syndromes) != expected:
+        raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
+    table = dprime_table(ctx, n, m, 2 * r)
     counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
-    if len(syndromes) != sum(counts):
-        raise ShapeMismatch(f"expected {sum(counts)} syndromes, got {len(syndromes)}")
     ends = itertools.accumulate(counts)
     synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
     return low_rank_recovery(ctx, n, m, r, table, synd_by_k, hooks=hooks)
@@ -343,14 +342,13 @@ def convert_B_to_D(
     holds the evaluations at the alphas of p_l(x) = sum_(i,j) M[i,j] g^(lj)
     x^(i+j), whose coefficient k is the D syndrome (k, l).
     """
-    if not 1 <= R <= n <= m:
-        raise ValueError(f"need m >= n >= R >= 1, got R={R}, n={n}, m={m}")
-    expected = (n + m - R) * R
+    # |B'| = |D'|, counted before the schedule's O(n + m) points
+    expected = dprime_size(n, m, R)
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    table = _dprime_table(ctx, n, m, R)
-    alphas = ctx.first_elements(n + m - 1)
-    width = n + m - 1
+    alphas, blocks = moment_schedule(ctx, "Bprime", (n, m), R)
+    table = dprime_table(ctx, n, m, R)
+    width = len(alphas)
 
     coeff: list[list[Fel]] = []
     diag_vals: dict[int, list[Fel]] = {}
@@ -361,8 +359,7 @@ def convert_B_to_D(
         return ctx.mul(table[l][j_lo], ctx.horner(diag_vals[kp], table[l][1]))
 
     off = 0
-    for l in range(R):
-        cnt = width - 2 * l
+    for l, (_, _, cnt) in enumerate(blocks):
         block = syndromes[off : off + cnt]
         off += cnt
         if l == 0:
@@ -405,9 +402,6 @@ def _level_sizes(d: int, n: int) -> list[list[int]]:
 
 def tensor_measure(t: DenseTensor, r: int) -> list[Fel]:
     """Inner products of a cubic tensor against the tensor family at 2r."""
-    d = len(t.dims)
-    if d < 2 or len(set(t.dims)) != 1:
-        raise ShapeMismatch("tensor measurement requires shape [n]^d, d >= 2")
     return measure_moments(t, "TensorB", 2 * r)
 
 
@@ -450,18 +444,19 @@ def tensor_recover(
     R = 2 * r
     b = (d - 1).bit_length()
     deg = d * (n - 1)
-    per_poly = d * n
-    expected = per_poly * R**b
+    # counted before the schedule's O(dn) points
+    expected = d * n * R**b
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    g = ctx.element_of_order((2 * d * n) ** d)
-    alphas = ctx.first_elements(per_poly)
+    dims = (n,) * d
+    alphas, blocks = moment_schedule(ctx, "TensorB", dims, R)
+    g = family_generator(ctx, "TensorB", dims)
     stride = n << b
     sizes = _level_sizes(d, n)
 
     polys: dict[tuple[int, ...], DenseTensor] = {}
-    for i, ls in enumerate(itertools.product(range(R), repeat=b)):
-        evals = syndromes[i * per_poly : (i + 1) * per_poly]
+    for i, (ls, _, count) in enumerate(blocks):
+        evals = syndromes[i * count : (i + 1) * count]
         cs = linalg.poly_interpolate(ctx, alphas[: deg + 1], list(evals[: deg + 1]))
         for a, e in zip(alphas[deg + 1 :], evals[deg + 1 :]):
             if ctx.horner(cs, a) != e:
@@ -491,7 +486,7 @@ def tensor_recover(
     full = polys[()]
     # dummy axes (all of length one) sit at the end; dropping them keeps
     # the row-major order intact
-    return DenseTensor(ctx, (n,) * d, full.entries)
+    return DenseTensor(ctx, dims, full.entries)
 
 
 def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
@@ -569,35 +564,30 @@ def measure_syndromes(t, fam) -> list[Fel]:
 RECOVERY_FAMILIES = ("Dprime", "Bprime", "TensorB")
 
 
-def _check_recovery(family: str, dims: tuple[int, ...], r: int) -> None:
+def check_recovery(family: str, dims: tuple[int, ...], r: int) -> None:
+    """Raise unless ``family`` recovers rank <= r tensors of shape ``dims``."""
     if family not in RECOVERY_FAMILIES:
         raise ValueError(f"family {family} is not a recovery family")
     if r < 1:
         raise ValueError(f"rank bound must be >= 1, got r={r}")
-    if family == "TensorB":
-        if len(dims) < 2 or len(set(dims)) != 1:
-            raise ShapeMismatch("TensorB requires shape [n]^d with d >= 2")
-    elif len(dims) != 2:
-        raise ShapeMismatch(f"family {family} is for matrices, got dims {dims}")
+    check_shape(family, dims)
 
 
 def measure(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t (dense or factored) against the family for rank <= r."""
-    _check_recovery(family, t.dims, r)
+    check_recovery(family, t.dims, r)
     if isinstance(t, LowRankTensor):
         t = expand(t)
     if family == "Dprime":
         return measure_D(t, r)
-    if family == "Bprime":
-        return measure_moments(t, "Bprime", 2 * r)
-    return tensor_measure(t, r)
+    return measure_moments(t, family, 2 * r)
 
 
 def recover(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int, syndromes: list[Fel]
 ) -> DenseTensor:
     """The rank <= r tensor of shape dims whose ``measure`` output is syndromes."""
-    _check_recovery(family, dims, r)
+    check_recovery(family, dims, r)
     if family == "TensorB":
         return tensor_recover(ctx, len(dims), dims[0], r, syndromes)
     n, m = dims

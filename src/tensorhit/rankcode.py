@@ -46,11 +46,8 @@ def build_code(
     ctx: FieldCtx, dims: tuple[int, ...], r: int, family: str
 ) -> RankMetricCode:
     """Code correcting r rank errors, from the chosen parity family at 2r."""
-    if r < 1:
-        raise ValueError("error-correction radius r must be >= 1")
-    if family not in lrr.RECOVERY_FAMILIES:
-        raise ValueError(f"unsupported parity family {family!r}")
     dims = tuple(dims)
+    lrr.check_recovery(family, dims, r)
     parity = generate_family(ctx, family, dims, 2 * r)
     rows = parity.dense_rows()
     basis = linalg.nullspace_basis(ctx, rows, math.prod(dims))

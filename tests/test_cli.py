@@ -135,6 +135,22 @@ def test_usage_error_exit_code_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("k", [0, -2])
+@pytest.mark.parametrize("verb", ["gen-hit", "encode", "decode"])
+def test_a_field_degree_below_one_exits_2(tmp_path, capsys, verb, k):
+    msg = tmp_path / "msg.txt"
+    msg.write_text(formats.write_tensor(DenseTensor(GF13, (4,), [1, 2, 3, 4])))
+    word = tmp_path / "word.txt"
+    word.write_text(formats.write_tensor(DenseTensor.zeros(GF13, (4, 4))))
+    extra = {"gen-hit": ["--family", "Dprime"], "encode": ["--message", str(msg)],
+             "decode": ["--word", str(word)]}[verb]
+    out = tmp_path / "out.txt"
+    assert run(verb, "--p", "13", "--k", str(k), "--dims", "4x4", "--r", "1", *extra,
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def _syndrome_file(tmp_path, family, header_dims):
     # a valid 3x3 syndrome file whose header then claims other dims
     ctx = make_prime_field(157)

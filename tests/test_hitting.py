@@ -11,6 +11,8 @@ from tensorhit.field import make_extension, make_prime_field
 from tensorhit.hitting import (
     L,
     combine_simulated_syndromes,
+    diag_row_count,
+    dprime_size,
     first_witness,
     generate_family,
     hard_tensor,
@@ -118,6 +120,13 @@ def test_D_sizes_and_indicator():
             for i in range(3):
                 for j in range(3):
                     assert dense[i, j] == (1 if i + j == m.k else 0)
+
+
+def test_dprime_size_is_the_sum_of_the_diagonal_row_counts():
+    for n, m in itertools.product(range(1, 15), repeat=2):
+        for R in range(20):
+            rows = [diag_row_count(R, n, m, k) for k in range(n + m - 1)]
+            assert dprime_size(n, m, R) == sum(rows), (n, m, R)
 
 
 @pytest.mark.parametrize(

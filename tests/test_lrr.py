@@ -20,6 +20,7 @@ from tensorhit.errors import (
 )
 from tensorhit.field import make_extension, make_prime_field
 from tensorhit.hitting import (
+    MOMENT_FAMILIES,
     combine_simulated_syndromes,
     diag_row_count,
     generate_family,
@@ -40,6 +41,7 @@ from tensorhit.lrr import (
     tensor_measure,
     tensor_recover,
 )
+from tensorhit.rankcode import build_code
 from tensorhit.tensor import (
     DenseTensor,
     LowRankTensor,
@@ -188,6 +190,36 @@ def test_recover_rectangular_and_transposed_shapes():
 def test_recover_syndrome_count_mismatch():
     with pytest.raises(ShapeMismatch):
         recover_from_D(GF13, 4, 4, 1, [0] * 11)
+
+
+def test_recover_checks_the_syndrome_count_before_any_work_of_that_size():
+    # the weights of a 10^6 x 10^6 matrix need an element of order 10^6,
+    # which GF(5) lacks; the count is checked first
+    with pytest.raises(ShapeMismatch):
+        recover_from_D(make_prime_field(5), 10**6, 10**6, 1, [0])
+
+
+_ENTRY_POINTS = {
+    "generate_family": lambda t, family: generate_family(t.ctx, family, t.dims, 2),
+    "measure": lambda t, family: lrr.measure(t, family, 1),
+    "recover": lambda t, family: lrr.recover(t.ctx, family, t.dims, 1, [0] * 24),
+    "build_code": lambda t, family: build_code(t.ctx, t.dims, 1, family),
+    "tensor_measure": lambda t, family: tensor_measure(t, 1),
+    "measure_moments": lambda t, family: lrr.measure_moments(t, family, 2),
+}
+
+
+@pytest.mark.parametrize("family,dims,entry", [
+    pytest.param(family, dims, entry, id=f"{family}-{'x'.join(map(str, dims))}-{entry}")
+    for family, dims in (("TensorB", (2, 2, 3)), ("Dprime", (2, 2, 2)), ("Bprime", (2, 2, 2)))
+    for entry in _ENTRY_POINTS
+    if (entry != "tensor_measure" or family == "TensorB")
+    and (entry != "measure_moments" or family in MOMENT_FAMILIES)
+])
+def test_every_entry_point_rejects_a_shape_outside_the_family(family, dims, entry):
+    t = DenseTensor.zeros(make_prime_field(2**31 - 1), dims)
+    with pytest.raises(ShapeMismatch):
+        _ENTRY_POINTS[entry](t, family)
 
 
 @pytest.mark.parametrize("family", lrr.RECOVERY_FAMILIES)
