@@ -14,7 +14,9 @@ from a fixed seed, then runs every command in process through
 * ``measure`` of rank r and rank r + 1 inputs with every recovery family,
   ``recover`` of each syndrome file and of copies with one altered value;
 * ``pit`` of a zero tensor and of tensors of rank 1 to 3 with every
-  family, at r = 1 and 2;
+  family, at r = 1 and 2; and the same over GF(2) and GF(3) with
+  ``--extend 3`` and improper or proper simulation (the families proper
+  simulation rejects print their error);
 * ``encode`` of a random message, and ``decode`` of the codeword plus no
   error, a rank-r and a rank r + 1 error;
 * once, over GF(13) unless a file says otherwise, inputs every command must
@@ -50,6 +52,7 @@ from tensorhit.field import make_extension, make_prime_field  # noqa: E402
 
 FIELDS = [(13, 1), (2, 4), (3, 2), (2, 8), (1733, 1), (65537, 1), (2**31 - 1, 1), (2, 9)]
 SIM_PRIMES = [2, 3, 13]  # --extend with each simulation
+PIT_SIM_PRIMES = [2, 3]  # pit --extend 3 with each simulation
 FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB", "Naive")
 MATRIX_DIMS = ((6, 7), (5, 5), (10, 12))
 CUBE_DIMS = ((2, 2, 2), (3, 3, 3))
@@ -168,7 +171,7 @@ def recovery(run, rng, ctx, tag):
                             ["rec.txt"])
 
 
-def pit(run, rng, ctx, tag):
+def pit(run, rng, ctx, tag, sims=("",)):
     for dims in ((4, 5), (2, 2, 2)):
         shape = "x".join(map(str, dims))
         tensors = {"zero": formats.write_tensor(tensor.DenseTensor.zeros(ctx, dims))}
@@ -178,8 +181,12 @@ def pit(run, rng, ctx, tag):
             src = run.write("pit.txt", text)
             for family in FAMILIES:
                 for r in (1, 2):
-                    run.run(f"pit {tag} {shape} {name} {family} r={r}",
-                            ["pit", "--tensor", src, "--family", family, "--r", str(r)])
+                    for sim in sims:
+                        flags = ["--extend", "3", "--simulate", sim] if sim else []
+                        run.run(f"pit {tag} {shape} {name} {family} r={r}"
+                                + (f" extend=3 sim={sim}" if sim else ""),
+                                ["pit", "--tensor", src, "--family", family, "--r", str(r),
+                                 *flags])
 
 
 def codes(run, rng, ctx, tag, p, k):
@@ -260,6 +267,9 @@ def main():
             codes(run, rng, ctx, tag, p, k)
         for p in SIM_PRIMES:
             simulations(run, p)
+        for p in PIT_SIM_PRIMES:
+            pit(run, random.Random(f"pit {p}"), field(p, 1), f"{p}^1",
+                sims=("improper", "proper"))
         validation(run)
     return 1 if run.failed else 0
 
