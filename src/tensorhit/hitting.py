@@ -24,6 +24,8 @@ Each family is decided here once, and ``lrr`` and ``rankcode`` read it:
 block counts of the rank-1 families B, Bprime and TensorB.
 ``dprime_table`` is the one weight table of the diagonal families D and
 Dprime (``diag_weight_table``), and ``dprime_size`` counts D'.
+``inner_products`` is the one scan of a family against a tensor: it
+reuses the contractions of the trailing factors its members share.
 
 The alphas are the first canonical nonzero field elements, so they are
 distinct and nonzero; nonzero matters because downstream interpolation
@@ -49,6 +51,7 @@ from .field import Fel, FieldCtx, embed_as_matrix, make_prime_field
 from .tensor import (
     DenseTensor,
     LowRankTensor,
+    _contract_last_axis,
     _expand_outer,
     _inner_dense_factors,
     diag_bounds,
@@ -348,16 +351,12 @@ def simulate_improper(h: MeasurementSet) -> MeasurementSet:
             dk, weights = src.diag
             for l in range(k):
                 proj = tuple(w[l] for w in weights)
-                meas.append(
-                    Measurement(k=src.k, ls=src.ls, phi=(l,), diag=(dk, proj))
-                )
+                meas.append(Measurement(k=src.k, ls=src.ls, phi=(l,), diag=(dk, proj)))
         else:
             dense = src.to_dense(h.ctx, h.dims)
             for l in range(k):
                 proj = tuple(e[l] for e in dense.entries)
-                meas.append(
-                    Measurement(k=src.k, ls=src.ls, phi=(l,), entries=proj)
-                )
+                meas.append(Measurement(k=src.k, ls=src.ls, phi=(l,), entries=proj))
     return MeasurementSet(base, h.dims, "SimImproper", h.r, tuple(meas))
 
 
@@ -376,24 +375,15 @@ def simulate_proper(h: MeasurementSet) -> MeasurementSet:
         raise NotRank1(f"family {h.family} is not rank-1; use simulate_improper")
     base = make_prime_field(h.ctx.p)
     d = len(h.dims)
-    emb: dict = {}
-
-    def mat(a: Fel):
-        m = emb.get(a)
-        if m is None:
-            m = embed_as_matrix(h.ctx, a)
-            emb[a] = m
-        return m
-
+    coords = {c for src in h.measurements for factor in src.factors for c in factor}
+    flat = {c: sum(embed_as_matrix(h.ctx, c), []) for c in coords}  # row-major matrices
     meas = []
     for src in h.measurements:
-        mats = [[mat(c) for c in v] for v in src.factors]
+        # sel[a][u*k + v]: entry (u, v) of every coordinate of factor a
+        sel = [tuple(zip(*[flat[c] for c in factor])) for factor in src.factors]
         for ls in itertools.product(range(k), repeat=d):
             pins = ls + (0,)
-            factors = tuple(
-                tuple(mats[a][i][pins[a]][pins[a + 1]] for i in range(h.dims[a]))
-                for a in range(d)
-            )
+            factors = tuple(sel[a][pins[a] * k + pins[a + 1]] for a in range(d))
             meas.append(Measurement(k=src.k, ls=src.ls, phi=ls, factors=factors))
     return MeasurementSet(base, h.dims, "SimProper", h.r, tuple(meas))
 
@@ -438,13 +428,36 @@ def family_tensor(t, h: MeasurementSet) -> DenseTensor:
     return DenseTensor(h.ctx, t.dims, [h.ctx.scalar(e) for e in t.entries])
 
 
-def first_witness(t, h: MeasurementSet) -> int | None:
-    """Index of the first measurement with nonzero inner product, else None."""
+def inner_products(t, h: MeasurementSet):
+    """Yield <t, m> for each member m of h, in family order, as it is read.
+
+    t is taken to h's field (``family_tensor``).  A factored member
+    contracts t from its last axis inward, and each partial contraction is
+    kept for this scan, keyed by the trailing factors it used: members that
+    share them (k per source and axis-1 row of a proper simulation) reuse it.
+    """
     t = family_tensor(t, h)
-    for i, m in enumerate(h.measurements):
-        if m.inner(h.ctx, t) != h.ctx.zero:
-            return i
-    return None
+    ctx, memo = h.ctx, {(): t.entries}
+    for m in h.measurements:
+        f = m.factors
+        if f is None:
+            yield m.inner(ctx, t)
+            continue
+        j = next(i for i in range(1, len(f) + 1) if f[i:] in memo)  # longest suffix first
+        part = memo[f[j:]]
+        for i in range(j - 1, 0, -1):
+            part = memo[f[i:]] = _contract_last_axis(ctx, part, f[i])
+        yield ctx.dot(part, f[0])
+
+
+def first_witness(t, h: MeasurementSet) -> int | None:
+    """Index of the first measurement with nonzero inner product, else None.
+
+    One ``inner_products`` scan: it reuses trailing-factor contractions and
+    stops at the first nonzero value.
+    """
+    zero = h.ctx.zero
+    return next((i for i, v in enumerate(inner_products(t, h)) if v != zero), None)
 
 
 def pit_test(t, h: MeasurementSet) -> bool:

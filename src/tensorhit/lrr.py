@@ -56,6 +56,7 @@ from .hitting import (
     dprime_table,
     family_generator,
     family_tensor,
+    inner_products,
     moment_schedule,
 )
 from .tensor import (
@@ -277,11 +278,14 @@ def low_rank_recovery(
 
 
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
-    """Syndromes of mat against the diagonal family with parameter 2r.
+    """Syndromes of mat (dense or factored) against the diagonal family at 2r.
 
     Ordered by ascending diagonal, ascending weight exponent inside each
     diagonal; generation depends only on (shape, r, field), never on mat.
     """
+    check_recovery("Dprime", mat.dims, r)
+    if isinstance(mat, LowRankTensor):
+        mat = expand(mat)
     ctx = mat.ctx
     n, m = mat.dims
     table = dprime_table(ctx, n, m, 2 * r)
@@ -547,14 +551,14 @@ def measure_syndromes(t, fam) -> list[Fel]:
     and TensorB families with factored members, as the ``hitting`` builders
     make them, take the collapsed ``measure_moments`` path; every other
     family (D, D', Naive, simulated, read from a file) is measured member
-    by member with ``Measurement.inner``.
+    by member in one ``hitting.inner_products`` scan.
     """
     t = family_tensor(t, fam)
     if fam.family in MOMENT_FAMILIES and all(
         m.factors is not None for m in fam.measurements
     ):
         return measure_moments(t, fam.family, fam.r)
-    return [m.inner(fam.ctx, t) for m in fam.measurements]
+    return list(inner_products(t, fam))
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +580,6 @@ def check_recovery(family: str, dims: tuple[int, ...], r: int) -> None:
 def measure(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t (dense or factored) against the family for rank <= r."""
     check_recovery(family, t.dims, r)
-    if isinstance(t, LowRankTensor):
-        t = expand(t)
     if family == "Dprime":
         return measure_D(t, r)
     return measure_moments(t, family, 2 * r)

@@ -154,9 +154,9 @@ def expand(t: LowRankTensor) -> DenseTensor:
     return out
 
 
-def _contract_last_axis(ctx, entries, dims, vec):
-    """Sum entries against vec along the final axis."""
-    inner = dims[-1]
+def _contract_last_axis(ctx, entries, vec):
+    """Sum entries against vec along the final axis, of length len(vec)."""
+    inner = len(vec)
     return [
         ctx.dot(entries[base : base + inner], vec)
         for base in range(0, len(entries), inner)
@@ -165,10 +165,8 @@ def _contract_last_axis(ctx, entries, dims, vec):
 
 def _inner_dense_factors(ctx, dense: DenseTensor, factors) -> Fel:
     entries = dense.entries
-    dims = list(dense.dims)
     for v in reversed(factors):
-        entries = _contract_last_axis(ctx, entries, dims, v)
-        dims.pop()
+        entries = _contract_last_axis(ctx, entries, v)
     return entries[0]
 
 

@@ -4,15 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorhit import linalg
 from tensorhit.errors import FieldTooSmall, NoNullspace, NotRank1, OrderTooSmall
-from tensorhit.field import make_extension, make_prime_field
+from tensorhit.field import embed_as_matrix, make_extension, make_prime_field
 from tensorhit.hitting import (
     L,
     combine_simulated_syndromes,
     diag_row_count,
     dprime_size,
+    family_tensor,
     first_witness,
     generate_family,
     hard_tensor,
@@ -21,13 +24,14 @@ from tensorhit.hitting import (
     hitting_set_D,
     hitting_set_D_prime,
     hitting_set_tensor,
+    inner_products,
     naive_set,
     pit_test,
     rank_preserver,
     simulate_improper,
     simulate_proper,
 )
-from tensorhit.tensor import DenseTensor, matrix_rank
+from tensorhit.tensor import DenseTensor, LowRankTensor, matrix_rank
 
 GF7 = make_prime_field(7)
 GF13 = make_prime_field(13)
@@ -310,6 +314,25 @@ def test_simulate_proper_size_and_pin():
     assert all(m.factors is not None for m in sim.measurements)
 
 
+@pytest.mark.parametrize("p, k, dims", [(2, 4, (4, 5)), (3, 2, (3, 3)), (2, 9, (3, 4))])
+def test_simulate_proper_matches_the_multiplication_matrix_formula(p, k, dims):
+    # GF(2^9) is above the exp/log table cap
+    K = make_extension(make_prime_field(p), k)
+    fam = hitting_set_B_prime(K, 2, *dims)
+    sim = simulate_proper(fam)
+    per_source = list(itertools.product(range(k), repeat=2))
+    assert len(sim) == len(per_source) * len(fam)
+    for i, m in enumerate(sim.measurements):
+        src = fam.measurements[i // len(per_source)]
+        ls = per_source[i % len(per_source)]
+        assert (m.k, m.ls, m.phi) == (src.k, src.ls, ls)
+        pins = ls + (0,)
+        assert m.factors == tuple(
+            tuple(embed_as_matrix(K, c)[pins[a]][pins[a + 1]] for c in factor)
+            for a, factor in enumerate(src.factors)
+        )
+
+
 def test_simulate_proper_rejects_improper_input():
     K = make_extension(make_prime_field(2), 2)
     with pytest.raises(NotRank1):
@@ -347,6 +370,49 @@ def test_pit_detects_unit_matrix():
     assert pit_test(e00, fam)
     assert first_witness(e00, fam) == next(
         i for i, v in enumerate(inners) if v != 0
+    )
+
+
+def _scan_families():
+    gf2, gf3, gf13 = make_prime_field(2), make_prime_field(3), make_prime_field(13)
+    gf8, gf9 = make_extension(gf2, 3), make_extension(gf3, 2)
+    return [
+        hitting_set_B_prime(gf13, 2, 3, 4),
+        hitting_set_tensor(make_extension(gf13, 3), 3, 2, 2),  # suffixes of two levels
+        simulate_improper(hitting_set_D_prime(gf8, 2, 3, 4)),
+        simulate_improper(hitting_set_B(gf9, 1, 3, 3)),
+        simulate_proper(hitting_set_B_prime(gf8, 2, 3, 4)),
+        simulate_proper(hitting_set_B_prime(gf9, 2, 3, 3)),
+        simulate_proper(naive_set(gf8, (2, 2, 2))),  # shared suffixes of two levels
+    ]
+
+
+SCAN_FAMILIES = _scan_families()
+
+
+@given(st.sampled_from(SCAN_FAMILIES), st.sampled_from(["zero", "sparse", "factored"]),
+       st.booleans(), st.data())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_the_memoized_scan_equals_the_member_by_member_scan(fam, kind, prime, data):
+    ctx = make_prime_field(fam.ctx.p) if prime else fam.ctx
+    dims = fam.dims
+    element = st.integers(0, ctx.size - 1).map(ctx.from_index)
+    if kind == "factored":
+        rank = data.draw(st.integers(1, 3), label="rank")
+        terms = [[data.draw(st.lists(element, min_size=n, max_size=n)) for n in dims]
+                 for _ in range(rank)]
+        t = LowRankTensor.from_factor_lists(ctx, dims, terms)
+    else:
+        t = DenseTensor.zeros(ctx, dims)
+        if kind == "sparse":
+            size = len(t.entries)
+            for i in data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3)):
+                t.entries[i] = data.draw(element)
+    dense = family_tensor(t, fam)
+    want = [m.inner(fam.ctx, dense) for m in fam.measurements]
+    assert list(inner_products(t, fam)) == want
+    assert first_witness(t, fam) == next(
+        (i for i, v in enumerate(want) if v != fam.ctx.zero), None
     )
 
 

@@ -222,6 +222,22 @@ def test_every_entry_point_rejects_a_shape_outside_the_family(family, dims, entr
         _ENTRY_POINTS[entry](t, family)
 
 
+@pytest.mark.parametrize("dims, r", [((3, 3), 0), ((3, 3), -1), ((2, 2, 2), 1), ((4,), 1)])
+def test_measure_D_rejects_what_measure_rejects(dims, r):
+    t = DenseTensor.zeros(GF13, dims)
+    with pytest.raises((ValueError, ShapeMismatch)) as want:
+        lrr.measure(t, "Dprime", r)
+    with pytest.raises(want.type) as got:
+        measure_D(t, r)
+    assert str(got.value) == str(want.value)
+
+
+def test_measure_D_of_a_factored_matrix_measures_its_expansion():
+    t = LowRankTensor.from_factor_lists(GF13, (3, 4), [[[1, 2, 3], [4, 5, 6, 7]],
+                                                      [[0, 1, 1], [2, 0, 0, 9]]])
+    assert measure_D(t, 2) == measure_D(expand(t), 2)
+
+
 @pytest.mark.parametrize("family", lrr.RECOVERY_FAMILIES)
 def test_a_field_without_the_needed_order_raises_field_too_small(family):
     # GF(5)^* has order 4; every recovery family at 8x8 needs order >= 8
