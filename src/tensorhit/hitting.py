@@ -351,12 +351,16 @@ def simulate_improper(h: MeasurementSet) -> MeasurementSet:
             dk, weights = src.diag
             for l in range(k):
                 proj = tuple(w[l] for w in weights)
-                meas.append(Measurement(k=src.k, ls=src.ls, phi=(l,), diag=(dk, proj)))
+                meas.append(
+                    Measurement(k=src.k, ls=src.ls, phi=(l,), diag=(dk, proj))
+                )
         else:
             dense = src.to_dense(h.ctx, h.dims)
             for l in range(k):
                 proj = tuple(e[l] for e in dense.entries)
-                meas.append(Measurement(k=src.k, ls=src.ls, phi=(l,), entries=proj))
+                meas.append(
+                    Measurement(k=src.k, ls=src.ls, phi=(l,), entries=proj)
+                )
     return MeasurementSet(base, h.dims, "SimImproper", h.r, tuple(meas))
 
 
@@ -451,11 +455,8 @@ def inner_products(t, h: MeasurementSet):
 
 
 def first_witness(t, h: MeasurementSet) -> int | None:
-    """Index of the first measurement with nonzero inner product, else None.
-
-    One ``inner_products`` scan: it reuses trailing-factor contractions and
-    stops at the first nonzero value.
-    """
+    """Index of the first measurement with nonzero inner product, else None:
+    one ``inner_products`` scan, reusing trailing-factor contractions, stopped there."""
     zero = h.ctx.zero
     return next((i for i, v in enumerate(inner_products(t, h)) if v != zero), None)
 
