@@ -19,6 +19,10 @@ from a fixed seed, then runs every command in process through
   simulation rejects print their error);
 * ``encode`` of a random message, and ``decode`` of the codeword plus no
   error, a rank-r and a rank r + 1 error;
+* back-to-back ``recover`` of ``Bprime`` and ``TensorB`` syndrome files of
+  one 4x4 matrix, whose evaluation points are the first 7 and the first 8
+  field elements, and of ``Bprime`` files at 3x4 then 4x5 (the first 6 and
+  the first 8), each first file recovered again after the second;
 * once, over GF(13) unless a file says otherwise, inputs every command must
   reject: ``measure`` of a tensor of the wrong shape for each recovery
   family, syndrome files with r = 0, an unknown family, non-cubic
@@ -221,6 +225,26 @@ def codes(run, rng, ctx, tag, p, k):
                      "--error-out", "@err.txt"], ["dec.txt", "err.txt"])
 
 
+def schedules(run, rng, ctx, tag):
+    """Recoveries whose evaluation points are prefixes of each other's, back to back."""
+    pairs = ((((4, 4), "Bprime", 2), ((4, 4), "TensorB", 1)),
+             (((3, 4), "Bprime", 1), ((4, 5), "Bprime", 2)))
+    for pair in pairs:
+        names = []
+        for i, (dims, family, r) in enumerate(pair):
+            shape = "x".join(map(str, dims))
+            names.append((f"{tag} {family} {shape} r={r}", f"sched{i}.txt"))
+            src = run.write("t.txt", low_rank(ctx, rng, dims, r))
+            run.run(f"measure schedule {names[-1][0]}",
+                    ["measure", "--tensor", src, "--family", family, "--r", str(r),
+                     "--out", f"@{names[-1][1]}"], [names[-1][1]])
+        for label, name in names + names[:1]:
+            if os.path.exists(run.path(name)):
+                run.run(f"recover schedule {label}",
+                        ["recover", "--syndromes", f"@{name}", "--out", "@rec.txt"],
+                        ["rec.txt"])
+
+
 def validation(run):
     ctx, rng = field(13, 1), random.Random("validation")
     for family, dims in (("Dprime", (2, 2, 2)), ("Bprime", (2, 2, 2)), ("TensorB", (2, 3)),
@@ -265,6 +289,7 @@ def main():
             recovery(run, rng, ctx, tag)
             pit(run, rng, ctx, tag)
             codes(run, rng, ctx, tag, p, k)
+            schedules(run, rng, ctx, tag)
         for p in SIM_PRIMES:
             simulations(run, p)
         for p in PIT_SIM_PRIMES:
