@@ -87,8 +87,8 @@ class Measurement:
         return out
 
     def inner(self, ctx: FieldCtx, t) -> Fel:
-        if isinstance(t, LowRankTensor):
-            t = expand(t)
+        """<t, self> over ctx, the member's field (a base-field t is embedded)."""
+        t = _in_field(t, ctx)
         if self.diag is not None:
             k, weights = self.diag
             return ctx.dot(diagonal(t, k), weights)
@@ -421,15 +421,23 @@ def family_tensor(t, h: MeasurementSet) -> DenseTensor:
     Raises ShapeMismatch when t's shape differs from h's or its field does
     not embed in h's.
     """
-    if isinstance(t, LowRankTensor):
-        t = expand(t)
     if t.dims != h.dims:
         raise ShapeMismatch(f"tensor shape {t.dims} vs family shape {h.dims}")
-    if t.ctx == h.ctx:
+    return _in_field(t, h.ctx)
+
+
+def _in_field(t, ctx: FieldCtx) -> DenseTensor:
+    """t as a dense tensor over ctx: a tensor over ctx's prime field is embedded.
+
+    Raises ShapeMismatch for any other field.
+    """
+    if isinstance(t, LowRankTensor):
+        t = expand(t)
+    if t.ctx == ctx:
         return t
-    if t.ctx.p != h.ctx.p or t.ctx.k != 1:
+    if t.ctx.p != ctx.p or t.ctx.k != 1:
         raise ShapeMismatch("tensor field does not embed in the family field")
-    return DenseTensor(h.ctx, t.dims, [h.ctx.scalar(e) for e in t.entries])
+    return DenseTensor(ctx, t.dims, [ctx.scalar(e) for e in t.entries])
 
 
 def inner_products(t, h: MeasurementSet):

@@ -5,7 +5,17 @@ plain lists of field elements and written once for every field on top of
 the FieldCtx vector kernels.  Pivoting takes the first nonzero entry
 scanning top to bottom; over a finite field there is nothing better to
 choose, and the fixed rule keeps every derived construction deterministic.
+
+Interpolation is in Newton form through one cached table per point
+sequence (``_newton_tables``: divided-difference weights and Newton-basis
+columns, the last four sequences kept).  Recovery interpolates on
+prefixes of one fixed schedule of evaluation points, and every prefix
+reads the leading blocks of that sequence's table, so the inversions are
+paid once per schedule, not once per call.  The tables are tuples, so no
+caller can change them.
 """
+
+import functools
 
 from .errors import ShapeMismatch
 from .field import Fel, FieldCtx
@@ -130,22 +140,45 @@ def poly_from_roots(ctx: FieldCtx, xs: list[Fel]) -> list[Fel]:
 
 
 def poly_interpolate(ctx: FieldCtx, xs: list[Fel], ys: list[Fel]) -> list[Fel]:
-    """Coefficients of the unique degree < len(xs) polynomial through (xs, ys).
+    """Coefficients of the degree < len(ys) polynomial taking ys on xs[:len(ys)].
 
-    Lagrange form over the master polynomial M(x) = prod_j (x - xs[j]):
-    P = sum_i c_i M(x) / (x - xs[i]) with c_i = ys[i] / M'(xs[i]), and
-    coefficient j of P is sum_u M[j+1+u] s_u for the moments
-    s_u = sum_i c_i xs[i]^u.  O(n) vector kernels of length n and n
-    inversions, instead of O(n^2) scalar steps and inversions.
+    Newton form P = sum_k a_k N_k with N_k = prod_(j<k) (x - xs[j]), read
+    off the tables of ``_newton_tables``: a_k = <dd[k], ys>, and
+    coefficient j of P is <basis[j], a[j:]>.  That is 2 len(ys) vector
+    kernels and no inversion.  Any prefix of xs reads the leading blocks of
+    the same tables, so callers pass their whole schedule.  Raises
+    ShapeMismatch when there are more values than points, and
+    ZeroDivisionError when two points of xs coincide.
     """
-    n = len(xs)
-    if n != len(ys):
-        raise ShapeMismatch("interpolation needs matching point/value counts")
-    master = poly_from_roots(ctx, xs)
-    # M'(xs[i]) = prod_{j != i} (xs[i] - xs[j]), nonzero for distinct points
-    deriv = [ctx.mul(ctx.scalar(t), master[t]) for t in range(1, n + 1)]
-    moments = [ctx.zero] * n
-    for x, y in zip(xs, ys):
-        xp = ctx.powers(x, n)
-        ctx.axpy(moments, ctx.mul(y, ctx.inv(ctx.dot(deriv, xp))), xp)
-    return [ctx.dot(master[j + 1 :], moments) for j in range(n)]
+    if len(ys) > len(xs):
+        raise ShapeMismatch("interpolation needs at least as many points as values")
+    dd, basis = _newton_tables(ctx, tuple(xs))
+    a = [ctx.dot(row, ys) for row in dd[: len(ys)]]
+    return [ctx.dot(col, a[j:]) for j, col in enumerate(basis[: len(ys)])]
+
+
+@functools.lru_cache(maxsize=4)
+def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
+    """The two triangular Newton tables of the points xs, as tuples.
+
+    ``dd[k][i] = 1 / prod_(j<=k, j!=i) (xs[i] - xs[j])`` for i <= k, so
+    <dd[k], ys> is the divided difference [ys[0], ..., ys[k]]; and
+    ``basis[j] = (coefficient j of N_k)_(k>=j)``, a column of the Newton
+    polynomials.  Row k and the first k - j + 1 entries of column j depend
+    on xs[:k+1] alone, which is what lets every prefix share them.
+    """
+    dd, prods, newton, cols = [], [], [ctx.one], [[] for _ in xs]
+    for k, x in enumerate(xs):
+        # prods[i] = prod_(j<=k, j!=i) (xs[i] - xs[j]) for every i <= k
+        prods = [ctx.mul(q, ctx.sub(xi, x)) for q, xi in zip(prods, xs)]
+        last = ctx.one
+        for xj in xs[:k]:
+            last = ctx.mul(last, ctx.sub(x, xj))
+        prods.append(last)
+        dd.append(tuple(map(ctx.inv, prods)))
+        for col, c in zip(cols, newton):  # newton = N_k
+            col.append(c)
+        shifted = [ctx.zero] + newton  # N_(k+1) = x N_k - xs[k] N_k
+        ctx.axpy(shifted, ctx.neg(x), newton)
+        newton = shifted
+    return tuple(dd), tuple(map(tuple, cols))

@@ -367,7 +367,7 @@ def convert_B_to_D(
         block = syndromes[off : off + cnt]
         off += cnt
         if l == 0:
-            coeff.append(linalg.poly_interpolate(ctx, alphas[:cnt], list(block)))
+            coeff.append(linalg.poly_interpolate(ctx, alphas, block))
             continue
         # diagonals l - 1 and width - l have l entries, all measured by now
         for kp in (l - 1, width - l):
@@ -382,7 +382,7 @@ def convert_B_to_D(
                 ctx.mul(ctx.pow(a, width - l), ctx.horner(highs, a)),
             )
             h_vals.append(ctx.mul(ctx.sub(e, fringe), ctx.inv(ctx.pow(a, l))))
-        h = linalg.poly_interpolate(ctx, alphas[:cnt], h_vals)
+        h = linalg.poly_interpolate(ctx, alphas, h_vals)
         coeff.append(lows + h + highs)
     return [coeff[l][k] for k in range(width) for l in range(diag_row_count(R, n, m, k))]
 
@@ -461,7 +461,7 @@ def tensor_recover(
     polys: dict[tuple[int, ...], DenseTensor] = {}
     for i, (ls, _, count) in enumerate(blocks):
         evals = syndromes[i * count : (i + 1) * count]
-        cs = linalg.poly_interpolate(ctx, alphas[: deg + 1], list(evals[: deg + 1]))
+        cs = linalg.poly_interpolate(ctx, alphas, evals[: deg + 1])
         for a, e in zip(alphas[deg + 1 :], evals[deg + 1 :]):
             if ctx.horner(cs, a) != e:
                 raise InconsistentSyndrome(

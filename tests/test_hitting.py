@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorhit import linalg
-from tensorhit.errors import FieldTooSmall, NoNullspace, NotRank1, OrderTooSmall
+from tensorhit.errors import FieldTooSmall, NoNullspace, NotRank1, OrderTooSmall, ShapeMismatch
 from tensorhit.field import embed_as_matrix, make_extension, make_prime_field
 from tensorhit.hitting import (
     L,
@@ -371,6 +371,23 @@ def test_pit_detects_unit_matrix():
     assert first_witness(e00, fam) == next(
         i for i, v in enumerate(inners) if v != 0
     )
+
+
+@pytest.mark.parametrize("build", [hitting_set_D, hitting_set_B], ids=["D", "B"])
+def test_a_member_embeds_a_prime_field_tensor_and_rejects_any_other_field(build):
+    gf2 = make_prime_field(2)
+    K = make_extension(gf2, 3)
+    fam = build(K, 2, 3, 3)
+    dense = DenseTensor(gf2, (3, 3), [1, 0, 1, 0, 1, 1, 0, 0, 1])
+    factored = LowRankTensor.from_factor_lists(gf2, (3, 3), [[[1, 1, 0], [0, 1, 1]]])
+    for t in (dense, factored):
+        lifted = family_tensor(t, fam)
+        want = [m.inner(K, lifted) for m in fam.measurements]
+        assert any(v != K.zero for v in want)
+        assert [m.inner(K, t) for m in fam.measurements] == want
+    gf5_tensor = DenseTensor(make_prime_field(5), (3, 3), [1] * 9)
+    with pytest.raises(ShapeMismatch):
+        fam.measurements[0].inner(K, gf5_tensor)
 
 
 def _scan_families():

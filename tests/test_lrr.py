@@ -545,3 +545,49 @@ def test_factored_tensors_are_measured_as_their_expansion():
     cube = LowRankTensor(GF65537, (2, 2, 2), (Rank1Tensor(GF65537, ((1, 2), (3, 4), (5, 6))),))
     fam = hitting_set_tensor(GF65537, 3, 2, 2)
     assert tensor_measure(cube, 1) == [m.inner(GF65537, cube) for m in fam.measurements]
+
+
+# -- interpolation tables: cold, warm, and the moments formula ------------------------
+
+
+def _moments_interpolate(ctx, xs, ys):
+    """Lagrange interpolation over the master polynomial of the first len(ys) points.
+
+    The formula recovery interpolated with before the cached Newton tables:
+    P = sum_i c_i M(x) / (x - xs[i]), c_i = ys[i] / M'(xs[i]), so
+    coefficient j of P is sum_u M[j+1+u] s_u over the moments
+    s_u = sum_i c_i xs[i]^u.
+    """
+    xs = xs[: len(ys)]
+    n = len(xs)
+    master = linalg.poly_from_roots(ctx, xs)
+    deriv = [ctx.mul(ctx.scalar(t), master[t]) for t in range(1, n + 1)]
+    moments = [ctx.zero] * n
+    for x, y in zip(xs, ys):
+        xp = ctx.powers(x, n)
+        ctx.axpy(moments, ctx.mul(y, ctx.inv(ctx.dot(deriv, xp))), xp)
+    return [ctx.dot(master[j + 1 :], moments) for j in range(n)]
+
+
+@pytest.mark.parametrize("ctx", [GF65537, GF16, make_extension(make_prime_field(2), 9)],
+                         ids=repr)
+def test_cold_and_warm_tables_recover_as_the_moments_formula(ctx, monkeypatch):
+    # 4x4 B' and the 4x4 tensor family interpolate on the first 7 and first 8
+    # points, 3x4 and 4x5 B' on the first 6 and first 8: prefixes of each other
+    rng = random.Random(13)
+    calls = []
+    for (n, m), R in (((4, 4), 4), ((3, 4), 2), ((4, 5), 4)):
+        mat = _rand_low_rank(ctx, rng, (n, m), R // 2)
+        bs = measure_syndromes(mat, hitting_set_B_prime(ctx, R, n, m))
+        calls.append(lambda n=n, m=m, R=R, bs=bs: convert_B_to_D(ctx, n, m, R, bs))
+    for d, n in ((2, 4), (3, 2)):
+        if ctx.size - 1 >= (2 * d * n) ** d:
+            synd = tensor_measure(_rand_low_rank(ctx, rng, (n,) * d, 1), 1)
+            calls.append(lambda d=d, n=n, synd=synd: tensor_recover(ctx, d, n, 1, synd).entries)
+    cold = []
+    for call in calls:
+        linalg._newton_tables.cache_clear()
+        cold.append(call())
+    warm = [call() for call in calls]
+    monkeypatch.setattr(linalg, "poly_interpolate", _moments_interpolate)
+    assert cold == warm == [call() for call in calls]
