@@ -16,6 +16,7 @@ caller can change them.
 """
 
 import functools
+import itertools
 
 from .errors import ShapeMismatch
 from .field import Fel, FieldCtx
@@ -167,15 +168,15 @@ def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
     polynomials.  Row k and the first k - j + 1 entries of column j depend
     on xs[:k+1] alone, which is what lets every prefix share them.
     """
-    dd, prods, newton, cols = [], [], [ctx.one], [[] for _ in xs]
+    # dd[k][i] = dd[k-1][i] / (xs[i] - xs[k]); a schedule's differences
+    # repeat, so each distinct one is inverted once
+    inv = functools.lru_cache(maxsize=None)(ctx.inv)
+    dd, row, newton, cols = [], (), [ctx.one], [[] for _ in xs]
     for k, x in enumerate(xs):
-        # prods[i] = prod_(j<=k, j!=i) (xs[i] - xs[j]) for every i <= k
-        prods = [ctx.mul(q, ctx.sub(xi, x)) for q, xi in zip(prods, xs)]
-        last = ctx.one
-        for xj in xs[:k]:
-            last = ctx.mul(last, ctx.sub(x, xj))
-        prods.append(last)
-        dd.append(tuple(map(ctx.inv, prods)))
+        invs = list(map(inv, map(ctx.sub, xs[:k], itertools.repeat(x))))
+        last = functools.reduce(ctx.mul, invs, ctx.one)  # (-1)^k dd[k][k]
+        row = (*map(ctx.mul, row, invs), ctx.neg(last) if k % 2 else last)
+        dd.append(row)
         for col, c in zip(cols, newton):  # newton = N_k
             col.append(c)
         shifted = [ctx.zero] + newton  # N_(k+1) = x N_k - xs[k] N_k

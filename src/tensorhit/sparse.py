@@ -16,13 +16,12 @@ IEEE Trans. IT 1969) finds the shortest linear recurrence of the filtered
 sequence; its reversal is the error locator, whose roots among the other
 points are the surprises.  The values then solve a transposed
 Vandermonde system over the master polynomial M = Gamma * locator, whose
-roots are the support points: with q_j = M / (z - g_j), which vanishes at
-every support point but g_j, x_j = <q_j, y> / M'(g_j) (Kaltofen and
+roots are the support points: q_j = M / (z - g_j) vanishes at every
+support point but g_j, so x_j = <q_j, y> / M'(g_j) (Kaltofen and
 Lakshman, ISSAC 1988, for this step of Ben-Or and Tiwari's sparse
-interpolation).  The syndrome obeys
-M's recurrence at every index, so no final check is needed: a syndrome no
-vector within the promise explains breaks the locator's length or its
-roots.
+interpolation).  The syndrome obeys M's recurrence at every index, so no
+final check is needed: a syndrome no vector within the promise explains
+breaks the locator's length or its roots.
 """
 
 from dataclasses import dataclass
