@@ -6,13 +6,10 @@ the FieldCtx vector kernels.  Pivoting takes the first nonzero entry
 scanning top to bottom; over a finite field there is nothing better to
 choose, and the fixed rule keeps every derived construction deterministic.
 
-Interpolation is in Newton form through one cached table per point
-sequence (``_newton_tables``: divided-difference weights and Newton-basis
-columns, the last four sequences kept).  Recovery interpolates on
-prefixes of one fixed schedule of evaluation points, and every prefix
-reads the leading blocks of that sequence's table, so the inversions are
-paid once per schedule, not once per call.  The tables are tuples, so no
-caller can change them.
+Interpolation reads one cached Newton table per point sequence
+(``_newton_tables``, the last four kept).  Recovery interpolates on
+prefixes of one fixed schedule, and every prefix reads the leading blocks
+of the schedule's table, so its inversions are paid once per schedule.
 """
 
 import functools
