@@ -4,29 +4,35 @@ Element representation
 ----------------------
 GF(p) elements are plain ints in ``[0, p)``.  GF(p^k) elements with k >= 2
 are length-k tuples of ints: the coefficients of the residue polynomial in
-the power basis ``1, x, ..., x^(k-1)``, constant term first.  All arithmetic
-goes through the :class:`FieldCtx` owning the element.
+the power basis ``1, x, ..., x^(k-1)``, constant term first.  Extension
+elements stay tuples because files, the benchmark's planted inputs and its
+checks read and write them in that form.  All arithmetic goes through the
+context owning the element, whose class :func:`make_prime_field` and
+:func:`make_extension` pick once:
 
-An extension with q = p^k <= 2^8 elements also carries discrete-log tables
-(Lidl and Niederreiter, *Finite Fields*, ch. 9), which :func:`make_extension`
-builds before it returns.  With g = ``element_of_order(q - 1)``, ``exp``
-lists g^0, ..., g^(q-2) twice over and then zeros, and ``log`` maps each
-tuple to its exponent, zero to 2(q - 1), which indexes the zero padding.  A
-product is ``exp[log[a] + log[b]]`` with no branch, and ``inv`` and ``pow``
-are index arithmetic.  Sums use Zech logarithms (K. Huber, "Some comments
-on Zech's logarithms", IEEE Trans. IT 36(4), 1990): ``zech[i] = log(1 +
-g^i)``, listed twice over, so a sum of nonzero a and b is
-``exp[la + zech[lb - la]]``.  A difference shifts ``lb`` by ``half =
-log(-1)``, which is 0 for p = 2 and (q - 1)/2 otherwise, and a negation is
-``exp[log[a] + half]``; a zero operand of a sum or difference takes a
-branch of its own.  The tables change speed, never a value.  The cap
-keeps the build at a few milliseconds, which every command reading a file
-pays; GF(2^8) is the largest extension the benchmark multiplies in.  Larger
-extensions (GF(2^16), GF(13^3) and the larger GF(13^k) of tensor families,
-extensions of large primes) and the rings GF(p)[x]/f of the irreducibility
-test, which have no logarithm, add coefficient-wise, multiply by
-coefficient convolution reduced mod the modulus and invert by extended
-Euclid.
+* :class:`PrimeField`, for GF(p), reduces ints mod p inline;
+* :class:`TableField`, for an extension with q = p^k <= 2^8 elements, looks
+  products, sums and inverses up in discrete-log tables (Lidl and
+  Niederreiter, *Finite Fields*, ch. 9);
+* :class:`FieldCtx`, the base of both, is the ring GF(p)[x]/f of a monic f:
+  it adds coefficient-wise, multiplies by coefficient convolution reduced
+  mod f and inverts by extended Euclid.  Larger extensions (GF(2^16),
+  GF(13^3), extensions of large primes) and the rings of the
+  irreducibility test, which have no logarithm, run on it.
+
+With g = ``element_of_order(q - 1)``, a TableField's ``exp`` lists g^0, ...,
+g^(q-2) twice over and then zeros, and ``log`` maps each tuple to its
+exponent, zero to 2(q - 1), which indexes the zero padding.  A product is
+``exp[log[a] + log[b]]`` with no branch, and ``inv`` and ``pow`` are index
+arithmetic.  Sums use Zech logarithms (K. Huber, "Some comments on Zech's
+logarithms", IEEE Trans. IT 36(4), 1990): with ``zech[i] = log(1 + g^i)``,
+a sum of nonzero a and b is ``exp[la + zech[lb - la]]``; a zero operand
+takes a branch of its own.  A negation is ``exp[log[a] + half]`` with
+``half = log(-1)``, which is 0 for p = 2 and (q - 1)/2 otherwise, and a
+difference adds the negation.  The tables change speed, never a value: a
+TableField equals, and hashes as, the ring on its modulus.  The cap keeps
+the build at a few milliseconds, which every command reading a file pays;
+GF(2^8) is the largest extension the benchmark multiplies in.
 
 Canonical enumeration
 ---------------------
@@ -59,25 +65,21 @@ Besides the element operations, a context offers a few vector kernels:
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
 * ``horner(coeffs, x)``: sum of coeffs[i] * x^i.
 
-Each has one body for ints and one for tuples, and together with the
-element operations they are the only code that knows how elements are
-stored: linear algebra, Prony's method, recovery, measurement and encoding
-are written once, over any field, on top of them.  The int bodies reduce
-mod p inline.  On a table-backed extension, ``dot`` sums the table products
-of its nonzero pairs coefficient-wise and reduces mod p once; without
-tables it sums unreduced coefficient convolutions and reduces once.  The
-other tuple bodies fold the element operations, so they take their
-products and sums from the tables wherever ``mul`` and ``add`` do.
-``_reduce`` is the one reduction mod the modulus: the convolution ``mul``
-and ``dot`` end in it, and everything else that multiplies extension
-elements, ``embed_as_matrix`` included, goes through ``mul``.
-Extension elements stay tuples because files, the benchmark's planted
-inputs and its checks read and write them in that form.
+Each class has one body per element operation and kernel that its
+representation changes, and these bodies are the only code that knows how
+elements are stored: linear algebra, Prony's method, recovery, measurement
+and encoding are written once, over any field, on top of them.  FieldCtx's
+``dot`` sums unreduced coefficient convolutions and reduces once through
+``_reduce``, the one reduction mod the modulus (everything else that
+multiplies extension elements, ``embed_as_matrix`` included, goes through
+``mul``); its other kernels fold ``add`` and ``mul``.  TableField defines
+the element operations and a ``dot`` that sums table products
+coefficient-wise, and inherits the other kernels with table lookups inside.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and the lazily built inverse table of a prime field below
-2^16, which are write-once and race-benign.  An extension's exp/log/Zech
-tables are complete before :func:`make_extension` returns and never change.
+2^16, which are write-once and race-benign.  A TableField's tables are
+complete when it is built and never change.
 Contexts may be shared freely across threads and all element operations
 are pure.
 """
@@ -93,7 +95,11 @@ _TABLE_CAP = 1 << 8  # extensions with at most this many elements get exp/log/Ze
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases; deterministic below 3.3e24."""
+    """Miller-Rabin on the first twelve prime bases; deterministic below 3.3e24.
+
+    Above that bound a pass rests on these fixed bases, and so does every
+    factorization of p^k - 1 (``_exact_order``) with a cofactor that large.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -201,31 +207,18 @@ def _poly_inv(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]
     return tuple(out[: len(a)])
 
 
-# coefficient-wise sum, difference and negation of extension elements: the
-# comprehensions live out of the FieldCtx methods, whose every call (the int
-# ones included) would otherwise make a closure cell for p on entry
-
-
-def _coeff_add(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple([(x + y) % p for x, y in zip(a, b)])
-
-
-def _coeff_sub(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple([(x - y) % p for x, y in zip(a, b)])
-
-
-def _coeff_neg(a: tuple[int, ...], p: int) -> tuple[int, ...]:
-    return tuple([-x % p for x in a])
-
-
 class FieldCtx:
-    """A prime field GF(p) or extension GF(p^k) with exact arithmetic.
+    """The ring GF(p)[x]/f of a monic f, in convolution arithmetic.
 
-    Callers use :func:`make_prime_field` and :func:`make_extension`; the
-    irreducibility test also builds the ring GF(p)[x]/f on a candidate
-    modulus f, where every operation but ``inv`` is valid.  A context built
-    directly has no exp/log tables and runs the convolution bodies.
+    With f irreducible it is the field GF(p^k) (k = deg f).  Callers use
+    :func:`make_prime_field` and :func:`make_extension`, which pick the
+    subclass; the irreducibility test builds the ring on a candidate modulus
+    f, where every operation but ``inv`` is valid.  A context built directly
+    has no exp/log tables and runs the convolution bodies.
     """
+
+    _exp: list[tuple[int, ...]] | None = None  # a TableField's tables
+    _log: dict[tuple[int, ...], int] | None = None
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -235,12 +228,7 @@ class FieldCtx:
         self.zero: Fel = 0 if k == 1 else (0,) * k
         self.one: Fel = 1 if k == 1 else (1,) + (0,) * (k - 1)
         self._order_memo: dict[int, Fel] = {}
-        self._inv_table: list[int] | None = None
         self._group_factors: dict[int, int] | None = None
-        self._exp: list[tuple[int, ...]] | None = None
-        self._log: dict[tuple[int, ...], int] | None = None
-        self._zech: list[int] | None = None
-        self._zero_log = self._half = 0  # log of zero, log of -1
         if k > 1:
             # reduction table: x^(k+i) mod modulus, i in [0, k-1)
             assert modulus is not None and modulus[-1] == 1 and len(modulus) == k + 1
@@ -273,51 +261,18 @@ class FieldCtx:
         return f"GF({self.p}^{self.k})"
 
     # -- arithmetic ---------------------------------------------------------
+    # map over repeat(p): a comprehension reading p makes a closure cell per call
 
     def add(self, a: Fel, b: Fel) -> Fel:
-        if self.k == 1:
-            return (a + b) % self.p
-        log = self._log
-        if log is None:
-            return _coeff_add(a, b, self.p)
-        la, lb = log[a], log[b]
-        zero_log = self._zero_log
-        if la == zero_log:
-            return b
-        if lb == zero_log:
-            return a
-        return self._exp[la + self._zech[lb - la]]
+        return tuple(map(operator.mod, map(operator.add, a, b), itertools.repeat(self.p)))
 
     def sub(self, a: Fel, b: Fel) -> Fel:
-        if self.k == 1:
-            return (a - b) % self.p
-        log = self._log
-        if log is None:
-            return _coeff_sub(a, b, self.p)
-        la, lb = log[a], log[b]
-        zero_log = self._zero_log
-        if lb == zero_log:
-            return a
-        lb += self._half  # the log of -b
-        if la == zero_log:
-            return self._exp[lb]
-        return self._exp[la + self._zech[lb - la]]
+        return tuple(map(operator.mod, map(operator.sub, a, b), itertools.repeat(self.p)))
 
     def neg(self, a: Fel) -> Fel:
-        if self.k == 1:
-            return -a % self.p
-        log = self._log
-        if log is None:
-            return _coeff_neg(a, self.p)
-        return self._exp[log[a] + self._half]
+        return tuple(map(operator.mod, map(operator.neg, a), itertools.repeat(self.p)))
 
     def mul(self, a: Fel, b: Fel) -> Fel:
-        p = self.p
-        if self.k == 1:
-            return a * b % p
-        log = self._log
-        if log is not None:
-            return self._exp[log[a] + log[b]]
         conv = [0] * (2 * self.k - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -339,37 +294,15 @@ class FieldCtx:
         return tuple(out)
 
     def inv(self, a: Fel) -> Fel:
-        table = self._inv_table
-        if table is not None and a:  # a nonzero int of a small prime field
-            return table[a]
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        p = self.p
-        if self.k == 1:
-            if p >= 1 << 16:
-                return pow(a, -1, p)
-            table = [0, 1]
-            for v in range(2, p):  # 1/v = -(p // v) / (p mod v)
-                table.append(-(p // v) * table[p % v] % p)
-            self._inv_table = table
-            return table[a]
-        log = self._log
-        if log is not None:
-            return self._exp[self.size - 1 - log[a]]
-        return _poly_inv(a, self.modulus, p)
+        return _poly_inv(a, self.modulus, self.p)
 
     def pow(self, a: Fel, e: int) -> Fel:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        if self.k == 1:
-            return pow(a, e, self.p)
         if e == 0:
             return self.one
-        log = self._log
-        if log is not None:
-            if a == self.zero:
-                return self.zero
-            return self._exp[log[a] * e % (self.size - 1)]
         result = a  # left-to-right square-and-multiply over the bits after the top one
         for bit in bin(e)[3:]:
             result = self.mul(result, result)
@@ -379,18 +312,12 @@ class FieldCtx:
 
     def scalar(self, n: int) -> Fel:
         """Image of the integer n in the field (n mod p, embedded)."""
-        if self.k == 1:
-            return n % self.p
         return (n % self.p,) + (0,) * (self.k - 1)
 
     # -- vector kernels -------------------------------------------------------
 
     def dot(self, u, v) -> Fel:
         """sum_i u[i] * v[i], over the shorter of the two vectors."""
-        if self.k == 1:
-            return sum(map(operator.mul, u, v)) % self.p
-        if self._log is not None:
-            return self._table_dot(u, v)
         zero = self.zero
         conv = [0] * (2 * self.k - 1)
         for a, b in zip(u, v):
@@ -401,38 +328,18 @@ class FieldCtx:
                             conv[j] += ai * bj
         return self._reduce(conv)
 
-    def _table_dot(self, u, v) -> tuple[int, ...]:
-        zero, exp, log = self.zero, self._exp, self._log
-        prods = [zero]
-        for a, b in zip(u, v):
-            if a != zero and b != zero:
-                prods.append(exp[log[a] + log[b]])
-        return tuple(map(operator.mod, map(sum, zip(*prods)), itertools.repeat(self.p)))
-
     def fma(self, dst: list, u, v) -> None:
         """dst[i] += u[i] * v[i] over the shorter of u and v, in place.
 
         dst must be at least as long as that.
         """
-        n = min(len(u), len(v))
-        if self.k == 1:
-            # p rides along in the zip, so the comprehension closes over nothing
-            ps = itertools.repeat(self.p)
-            dst[:n] = [(d + a * b) % p for d, a, b, p in zip(dst, u, v, ps)]
-            return
-        dst[:n] = map(self.add, dst, map(self.mul, u, v))
+        dst[: min(len(u), len(v))] = map(self.add, dst, map(self.mul, u, v))
 
     def axpy(self, dst: list, c: Fel, src, start: int = 0) -> None:
         """dst[start + j] += c * src[j] for every j, in place."""
-        if c == self.zero:
-            return
-        if self.k == 1:
-            p = self.p
-            for j, s in enumerate(src, start):
-                if s:
-                    dst[j] = (dst[j] + c * s) % p
-            return
         zero, one = self.zero, self.one
+        if c == zero:
+            return
         for j, s in enumerate(src, start):
             if s != zero:
                 dst[j] = self.add(dst[j], s if c == one else self.mul(c, s))
@@ -444,22 +351,7 @@ class FieldCtx:
         onward are updated, in place.
         """
         prow = rows[r]
-        inv = self.inv(prow[c])
-        if self.k == 1:
-            # inline loops: an axpy call per row costs more than the row
-            # itself on the tiny systems Prony's method solves
-            p, cols = self.p, range(c, len(prow))
-            if inv != 1:
-                for j in cols:
-                    prow[j] = prow[j] * inv % p
-            for row in rows:
-                f = row[c]
-                if f and row is not prow:
-                    for j in cols:
-                        if prow[j]:
-                            row[j] = (row[j] - f * prow[j]) % p
-            return
-        prow[c:] = tail = list(map(self.mul, itertools.repeat(inv), prow[c:]))
+        prow[c:] = tail = list(map(self.mul, itertools.repeat(self.inv(prow[c])), prow[c:]))
         for row in rows:
             if row[c] != self.zero and row is not prow:
                 self.axpy(row, self.neg(row[c]), tail, c)
@@ -467,22 +359,12 @@ class FieldCtx:
     def powers(self, x: Fel, count: int) -> list[Fel]:
         """[1, x, x^2, ..., x^(count-1)]."""
         out = [self.one] if count > 0 else []
-        if self.k == 1:
-            p = self.p
-            for _ in range(count - 1):
-                out.append(out[-1] * x % p)
-            return out
         for _ in range(count - 1):  # the base first: mul skips its zero coefficients
             out.append(self.mul(x, out[-1]))
         return out
 
     def horner(self, coeffs, x: Fel) -> Fel:
         """sum_i coeffs[i] * x^i."""
-        if self.k == 1:
-            p, acc = self.p, 0
-            for c in reversed(coeffs):
-                acc = (acc * x + c) % p
-            return acc
         acc = self.zero
         for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), c)
@@ -527,6 +409,10 @@ class FieldCtx:
     # -- multiplicative order -------------------------------------------------
 
     def _exact_order(self, a: Fel) -> int:
+        """Multiplicative order of a nonzero a, from p^k - 1's factorization.
+
+        A factor above 3.3e24 is taken as prime on fixed-base Miller-Rabin.
+        """
         if self._group_factors is None:
             self._group_factors = _factorize(self.size - 1)
         order = self.size - 1
@@ -558,11 +444,157 @@ class FieldCtx:
         raise AssertionError("cyclic group must contain a high-order element")
 
 
-def make_prime_field(p: int) -> FieldCtx:
+class PrimeField(FieldCtx):
+    """GF(p) on ints in [0, p), every body reducing mod p inline."""
+
+    def __init__(self, p: int):
+        super().__init__(p, 1, None)
+        self._inv_table: list[int] | None = None  # built by the first inv below 2^16
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg(self, a: int) -> int:
+        return -a % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        table = self._inv_table
+        if table is not None and a:
+            return table[a]
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        p = self.p
+        if p >= 1 << 16:
+            return pow(a, -1, p)
+        table = [0, 1]
+        for v in range(2, p):  # 1/v = -(p // v) / (p mod v)
+            table.append(-(p // v) * table[p % v] % p)
+        self._inv_table = table
+        return table[a]
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        return pow(a, e, self.p)
+
+    def scalar(self, n: int) -> int:
+        return n % self.p
+
+    def dot(self, u, v) -> int:
+        return sum(map(operator.mul, u, v)) % self.p
+
+    def fma(self, dst: list, u, v) -> None:
+        # p rides along in the zip, so the comprehension closes over nothing
+        ps = itertools.repeat(self.p)
+        dst[: min(len(u), len(v))] = [(d + a * b) % p for d, a, b, p in zip(dst, u, v, ps)]
+
+    def axpy(self, dst: list, c: int, src, start: int = 0) -> None:
+        if c:
+            p = self.p
+            for j, s in enumerate(src, start):
+                if s:
+                    dst[j] = (dst[j] + c * s) % p
+
+    def pivot(self, rows: list[list], r: int, c: int) -> None:
+        # inline loops: an axpy call per row costs more than the row itself
+        # on the small systems linalg reduces, such as the square Vandermonde
+        # systems of lrr._solve_diagonal
+        prow = rows[r]
+        inv = self.inv(prow[c])
+        p, cols = self.p, range(c, len(prow))
+        if inv != 1:
+            for j in cols:
+                prow[j] = prow[j] * inv % p
+        for row in rows:
+            f = row[c]
+            if f and row is not prow:
+                for j in cols:
+                    if prow[j]:
+                        row[j] = (row[j] - f * prow[j]) % p
+
+    def powers(self, x: int, count: int) -> list[int]:
+        out = [1] if count > 0 else []
+        p = self.p
+        for _ in range(count - 1):
+            out.append(out[-1] * x % p)
+        return out
+
+    def horner(self, coeffs, x: int) -> int:
+        p, acc = self.p, 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        return acc
+
+
+class TableField(FieldCtx):
+    """GF(p^k) on exp/log/Zech tables of a generator g of the ring's units."""
+
+    def __init__(self, ring: FieldCtx, g: tuple[int, ...]):
+        super().__init__(ring.p, ring.k, ring.modulus)
+        n, p = self.size - 1, self.p
+        exp = ring.powers(g, n)
+        log = {a: i for i, a in enumerate(exp)}
+        log[self.zero] = 2 * n  # a sum of logs with a zero among them indexes the padding
+        # zech[i] = log(1 + g^i): bump the constant coefficient of g^i; a
+        # negative difference of logs in (-n, 0) indexes it from the end
+        self._zech = [log[((e[0] + 1) % p,) + e[1:]] for e in exp]
+        self._exp = exp + exp + [self.zero] * (2 * n + 1)
+        self._log = log
+        self._zero_log = 2 * n
+        self._half = 0 if p == 2 else n // 2  # log(-1): g^(n/2) = -1 for odd p
+
+    def add(self, a: Fel, b: Fel) -> Fel:
+        log = self._log
+        la, lb = log[a], log[b]
+        zero_log = self._zero_log
+        if la == zero_log:
+            return b
+        if lb == zero_log:
+            return a
+        return self._exp[la + self._zech[lb - la]]
+
+    def sub(self, a: Fel, b: Fel) -> Fel:
+        return self.add(a, self.neg(b))
+
+    def neg(self, a: Fel) -> Fel:
+        return self._exp[self._log[a] + self._half]
+
+    def mul(self, a: Fel, b: Fel) -> Fel:
+        log = self._log
+        return self._exp[log[a] + log[b]]
+
+    def inv(self, a: Fel) -> Fel:
+        if a == self.zero:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self.size - 1 - self._log[a]]
+
+    def pow(self, a: Fel, e: int) -> Fel:
+        if a != self.zero:
+            return self._exp[self._log[a] * e % (self.size - 1)]
+        if e < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.one if e == 0 else a
+
+    def dot(self, u, v) -> Fel:
+        zero, exp, log = self.zero, self._exp, self._log
+        prods = [zero]
+        for a, b in zip(u, v):
+            if a != zero and b != zero:
+                prods.append(exp[log[a] + log[b]])
+        return tuple(map(operator.mod, map(sum, zip(*prods)), itertools.repeat(self.p)))
+
+
+def make_prime_field(p: int) -> PrimeField:
     """GF(p) for prime p."""
     if not _is_prime(p):
         raise CompositeCharacteristic(f"{p} is not prime")
-    return FieldCtx(p, 1, None)
+    return PrimeField(p)
 
 
 def _digits(t: int, p: int, k: int) -> tuple[int, ...]:
@@ -610,23 +642,10 @@ def make_extension(base: FieldCtx, k: int) -> FieldCtx:
         raise ValueError("extension base must be a prime field")
     if k < 2:
         raise ValueError("extension degree must be >= 2")
-    ctx = FieldCtx(base.p, k, lexicographically_least_irreducible(base.p, k))
-    if ctx.size <= _TABLE_CAP:
-        # exp[i] = g^i for i < 2n, then zeros; log maps zero to 2n, so a sum
-        # of two logs with a zero among them lands in the zero padding
-        n, p = ctx.size - 1, ctx.p
-        exp = ctx.powers(ctx.element_of_order(n), n)
-        log = {a: i for i, a in enumerate(exp)}
-        log[ctx.zero] = 2 * n
-        # zech[i] = log(1 + g^i): bump the constant coefficient of g^i;
-        # twice over, so that differences of logs in (-n, n + n/2) index it
-        zech = [log[((e[0] + 1) % p,) + e[1:]] for e in exp]
-        ctx._exp = exp + exp + [ctx.zero] * (2 * n + 1)
-        ctx._log = log
-        ctx._zech = zech + zech
-        ctx._zero_log = 2 * n
-        ctx._half = 0 if p == 2 else n // 2  # g^(n/2) = -1 for odd p
-    return ctx
+    ring = FieldCtx(base.p, k, lexicographically_least_irreducible(base.p, k))
+    if ring.size <= _TABLE_CAP:
+        return TableField(ring, ring.element_of_order(ring.size - 1))
+    return ring
 
 
 def make_field(p: int, k: int) -> FieldCtx:

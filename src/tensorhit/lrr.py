@@ -353,6 +353,9 @@ def convert_B_to_D(
     alphas, blocks = moment_schedule(ctx, "Bprime", (n, m), R)
     table = dprime_table(ctx, n, m, R)
     width = len(alphas)
+    inv_alphas = [ctx.inv(a) for a in alphas]
+    down = [ctx.one] * width  # a^-l at block l, for each point a
+    up = [ctx.pow(a, width) for a in alphas]  # a^(width - l) at block l
 
     coeff: list[list[Fel]] = []
     diag_vals: dict[int, list[Fel]] = {}
@@ -374,14 +377,13 @@ def convert_B_to_D(
             diag_vals[kp] = _solve_diagonal(ctx, table, n, m, kp, [c[kp] for c in coeff])
         lows = [fringe_value(l, kp) for kp in range(l)]
         highs = [fringe_value(l, kp) for kp in range(width - l, width)]
+        down = list(map(ctx.mul, down[:cnt], inv_alphas))
+        up = list(map(ctx.mul, up[:cnt], inv_alphas))
         h_vals = []
-        for a, e in zip(alphas[:cnt], block):
+        for a, e, a_down, a_up in zip(alphas, block, down, up):
             # e minus the fringe terms sum_kp c_kp a^kp, divided by a^l
-            fringe = ctx.add(
-                ctx.horner(lows, a),
-                ctx.mul(ctx.pow(a, width - l), ctx.horner(highs, a)),
-            )
-            h_vals.append(ctx.mul(ctx.sub(e, fringe), ctx.inv(ctx.pow(a, l))))
+            fringe = ctx.add(ctx.horner(lows, a), ctx.mul(a_up, ctx.horner(highs, a)))
+            h_vals.append(ctx.mul(ctx.sub(e, fringe), a_down))
         h = linalg.poly_interpolate(ctx, alphas, h_vals)
         coeff.append(lows + h + highs)
     return [coeff[l][k] for k in range(width) for l in range(diag_row_count(R, n, m, k))]

@@ -12,11 +12,14 @@ from tensorhit import linalg
 from tensorhit.errors import CompositeCharacteristic, OrderUnreachable
 from tensorhit.field import (
     FieldCtx,
+    PrimeField,
+    TableField,
     _is_irreducible,
     _is_prime,
     embed_as_matrix,
     find_element_of_order,
     make_extension,
+    make_field,
     make_prime_field,
 )
 
@@ -277,6 +280,16 @@ def test_ctx_equality_and_hash():
     assert a != make_prime_field(2)
 
 
+@pytest.mark.parametrize("p,k,cls", [(13, 1, PrimeField), (65537, 1, PrimeField),
+                                     (2, 4, TableField), (2, 8, TableField),
+                                     (2, 9, FieldCtx), (13, 3, FieldCtx)])
+def test_make_field_picks_one_class_per_representation(p, k, cls):
+    ctx = make_field(p, k)
+    assert type(ctx) is cls
+    ring = FieldCtx(p, k, ctx.modulus)  # linalg's Newton-table cache keys on the context
+    assert ctx == ring and hash(ctx) == hash(ring)
+
+
 KERNEL_FIELDS = {
     "GF13": make_prime_field(13),
     "GF257": make_prime_field(257),
@@ -445,12 +458,12 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
             assert c.horner(zeros, els[1]) == zero
 
 
-@pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "dot", "axpy",
-                                  "pivot", "powers", "horner", "fma",
-                                  "_reduce", "_table_dot"])
+@pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "scalar", "dot",
+                                  "axpy", "pivot", "powers", "horner", "fma", "_reduce"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
-    # a method with a closure cell makes it on every call, the int calls included
-    assert getattr(FieldCtx, name).__code__.co_cellvars == ()
+    # a method with a closure cell makes it on every call; each class's own body is checked
+    bodies = [vars(cls)[name] for cls in (FieldCtx, PrimeField, TableField) if name in vars(cls)]
+    assert bodies and all(f.__code__.co_cellvars == () for f in bodies)
 
 
 def test_an_extension_above_the_table_cap_builds_no_table_and_round_trips():
