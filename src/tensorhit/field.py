@@ -210,14 +210,13 @@ def _poly_inv(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]
 class FieldCtx:
     """The ring GF(p)[x]/f of a monic f, in convolution arithmetic.
 
-    With f irreducible it is the field GF(p^k) (k = deg f).  Callers use
-    :func:`make_prime_field` and :func:`make_extension`, which pick the
-    subclass; the irreducibility test builds the ring on a candidate modulus
-    f, where every operation but ``inv`` is valid.  A context built directly
-    has no exp/log tables and runs the convolution bodies.
+    With f irreducible of degree k it is the field GF(p^k).  Callers use
+    :func:`make_prime_field` and :func:`make_extension`, which build a
+    subclass where one applies; the irreducibility test builds the ring on a
+    candidate modulus f, where every operation but ``inv`` is valid.
     """
 
-    _exp: list[tuple[int, ...]] | None = None  # a TableField's tables
+    _exp: list[tuple[int, ...]] | None = None  # set by TableField only
     _log: dict[tuple[int, ...], int] | None = None
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
