@@ -13,6 +13,8 @@ from a fixed seed, then runs every command in process through
   proper simulation over small prime fields;
 * ``measure`` of rank r and rank r + 1 inputs with every recovery family,
   ``recover`` of each syndrome file and of copies with one altered value;
+  the same at r = 2 over GF(2^61 - 1), the largest prime of the documented
+  64-bit scope, with one altered copy of each file;
 * ``pit`` of a zero tensor and of tensors of rank 1 to 3 with every
   family, at r = 1 and 2; and the same over GF(2) and GF(3) with
   ``--extend 3`` and improper or proper simulation (the families proper
@@ -60,6 +62,9 @@ PIT_SIM_PRIMES = [2, 3]  # pit --extend 3 with each simulation
 FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB", "Naive")
 MATRIX_DIMS = ((6, 7), (5, 5), (10, 12))
 CUBE_DIMS = ((2, 2, 2), (3, 3, 3))
+RECOVERY_SHAPES = ([(fam, dims) for fam in ("Dprime", "Bprime") for dims in MATRIX_DIMS]
+                   + [("TensorB", dims) for dims in CUBE_DIMS])
+WIDE_PRIME = 2**61 - 1
 
 
 def field(p, k):
@@ -151,12 +156,10 @@ def simulations(run, p):
                     argv + (["--simulate", sim] if sim else []), ["sim.txt"])
 
 
-def recovery(run, rng, ctx, tag):
-    shapes = [(fam, dims) for fam in ("Dprime", "Bprime") for dims in MATRIX_DIMS]
-    shapes += [("TensorB", dims) for dims in CUBE_DIMS]
+def recovery(run, rng, ctx, tag, shapes=RECOVERY_SHAPES, rs=(1, 2, 3), alterations=3):
     for family, dims in shapes:
         shape = "x".join(map(str, dims))
-        for r in (1, 2, 3):
+        for r in rs:
             for rank in (r, r + 1):
                 src = run.write("t.txt", low_rank(ctx, rng, dims, rank))
                 label = f"{tag} {family} {shape} r={r} rank={rank}"
@@ -168,7 +171,7 @@ def recovery(run, rng, ctx, tag):
                 run.run(f"recover {label}", ["recover", "--syndromes", "@s.txt",
                                              "--out", "@rec.txt"], ["rec.txt"])
                 text = run.read("s.txt")
-                for i in range(3):
+                for i in range(alterations):
                     run.write("bad.txt", altered(text, rng))
                     run.run(f"recover {label} altered#{i}",
                             ["recover", "--syndromes", "@bad.txt", "--out", "@rec.txt"],
@@ -290,6 +293,9 @@ def main():
             pit(run, rng, ctx, tag)
             codes(run, rng, ctx, tag, p, k)
             schedules(run, rng, ctx, tag)
+        recovery(run, random.Random(f"{WIDE_PRIME}^1"), field(WIDE_PRIME, 1), f"{WIDE_PRIME}^1",
+                 shapes=(("Dprime", (10, 12)), ("Bprime", (10, 12)), ("TensorB", (3, 3, 3))),
+                 rs=(2,), alterations=1)
         for p in SIM_PRIMES:
             simulations(run, p)
         for p in PIT_SIM_PRIMES:
