@@ -12,7 +12,8 @@ are counted against r, so a returned matrix has rank <= r and matches
 every syndrome.  The row operations live in a unit lower-triangular L whose
 off-identity columns stay confined to rows that own leading nonzero
 entries, so the correction of a diagonal is at most r kernel passes, one
-per such column.
+per such column.  An echelon op is applied only where it is read: one
+entry of P and at most r + 1 entries of L, so O(r) field operations.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
 nonzero column; lne(M^(<k)) collects those falling strictly below the
@@ -189,16 +190,25 @@ def low_rank_recovery(
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
-    syndromes_by_k[k][l] is the inner product of diagonal k with row l of
-    ``table`` (``hitting.diag_weight_table``) over the diagonal's columns.
+    syndromes_by_k[k][l] is the inner product of diagonal k (of n + m - 1)
+    with row l of ``table`` (``hitting.diag_weight_table``) over its columns.
     A diagonal with at least as many rows as entries goes to
     ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
     method with the echelon advice set, reading its points from row 1.
     An error from either names its diagonal as ``diagonal k:``.
+
+    An echelon op (tgt, src, c) writes one entry of P, (tgt, k - tgt): row
+    src is zero left of that column, and the later diagonals it would
+    change are overwritten by the oracle before they are read.  Row src of
+    L is zero outside the off-identity columns and src, so the op updates
+    at most r + 1 entries of L, in its rows and the correction's columns.
     """
+    syndromes_by_k = list(syndromes_by_k)
+    if len(syndromes_by_k) != n + m - 1:
+        raise ShapeMismatch(f"expected {n + m - 1} diagonals, got {len(syndromes_by_k)}")
     zero, one, minus_one = ctx.zero, ctx.one, ctx.neg(ctx.one)
     L = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    l_cols: set[int] = set()
+    l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries
     N = [[zero] * m for _ in range(n)]
     P = [[zero] * m for _ in range(n)]
     lne: dict[int, int] = {}
@@ -210,10 +220,10 @@ def low_rank_recovery(
         # correction ((L - I) N) on this diagonal, column order: each
         # off-identity column c of L meets row c of N on the columns j < k - c
         a_diag = [zero] * length
-        for c in l_cols:
+        for c, col in l_cols.items():
             end = min(j_hi + 1, k - c)
             if end > j_lo:
-                ctx.fma(a_diag, [L[i][c] for i in range(k - j_lo, k - end, -1)], N[c][j_lo:end])
+                ctx.fma(a_diag, col[k - j_lo : k - end : -1], N[c][j_lo:end])
 
         advice = set()
         for i0, j0 in lne.items():
@@ -251,11 +261,14 @@ def low_rank_recovery(
             P[k - j][j] = p_val
             N[k - j][j] = n_val
 
-        ops = _echelon_ops(ctx, P, lne, n, k)
-        apply_row_ops(ctx, P, ops)
-        apply_row_ops(ctx, L, ops)
-        for _, src, _ in ops:
-            l_cols.add(src)
+        for tgt, src, coef in _echelon_ops(ctx, P, lne, n, k):
+            P[tgt][k - tgt] = zero
+            if src not in l_cols:
+                l_cols[src] = [row[src] for row in L]
+            for c, col in l_cols.items():
+                v = L[src][c]
+                if v != zero:
+                    L[tgt][c] = col[tgt] = ctx.add(col[tgt], ctx.mul(coef, v))
 
         if hooks and hooks.after_iteration:
             hooks.after_iteration(k, EchelonState(ctx, n, m, L, N, P, lne))

@@ -10,6 +10,7 @@ import random
 import time
 
 import _fastrank
+from _invariants import InvariantChecker
 import numpy as np
 from tensorhit import linalg
 from tensorhit.field import (
@@ -30,7 +31,6 @@ from tensorhit.hitting import (
     simulate_proper,
 )
 from tensorhit.lrr import (
-    RecoveryHooks,
     convert_B_to_D,
     measure_D,
     measure_syndromes,
@@ -339,83 +339,6 @@ def test_criterion_05_prony_roundtrip():
 # -- 6 + 7: matrix LRR roundtrip with loop invariants ---------------------------------
 
 
-class _InvariantChecker:
-    """Asserts the recovery loop invariants against a planted matrix."""
-
-    def __init__(self, ctx, planted, n, m, r):
-        self.ctx = ctx
-        self.M = planted.rows()
-        self.n, self.m, self.r = n, m, r
-
-    def _lm_diag(self, state, k):
-        ctx, M = self.ctx, self.M
-        lo, hi = max(0, k - (self.n - 1)), min(self.m - 1, k)
-        out = []
-        cols = [c for c in state.lne]
-        for j in range(lo, hi + 1):
-            i = k - j
-            acc = M[i][j]
-            lrow = state.L[i]
-            for c in cols:
-                if c < i and lrow[c] != ctx.zero and M[c][j] != ctx.zero:
-                    acc = ctx.add(acc, ctx.mul(lrow[c], M[c][j]))
-            out.append(acc)
-        return out, lo, hi
-
-    def before_oracle(self, k, state, advice_cols):
-        # corrected-diagonal sparsity: <= r - |lne| nonzeros outside the advice
-        ctx = self.ctx
-        s_cnt = len(state.lne)
-        assert s_cnt <= self.r
-        diag, lo, hi = self._lm_diag(state, k)
-        outside = sum(
-            1
-            for t, j in enumerate(range(lo, hi + 1))
-            if diag[t] != ctx.zero and j not in advice_cols
-        )
-        assert outside <= self.r - s_cnt, f"sparsity bound broke at diagonal {k}"
-
-    def after_iteration(self, k, state):
-        ctx = self.ctx
-        n, m = self.n, self.m
-        lo, hi = max(0, k - (n - 1)), min(m - 1, k)
-        # invariant 1: N agrees with the planted matrix on the new diagonal
-        for j in range(lo, hi + 1):
-            assert state.N[k - j][j] == self.M[k - j][j], f"N != M at diagonal {k}"
-        # invariant 2: P agrees with (L M) on the new diagonal (current L)
-        diag, lo, hi = self._lm_diag(state, k)
-        for t, j in enumerate(range(lo, hi + 1)):
-            assert state.P[k - j][j] == diag[t], f"P != LM at diagonal {k}"
-        # invariant 3: the k-diagonal entry under every lne column was zeroed
-        for i, j in state.lne.items():
-            tgt = k - j
-            if i < tgt < n:
-                assert state.P[tgt][j] == ctx.zero, f"echelon broke at diagonal {k}"
-        # invariant 4: L unit lower-triangular, off-identity columns in lne rows
-        lne_rows = set(state.lne)
-        for i in range(n):
-            row = state.L[i]
-            assert row[i] == ctx.one
-            for j in range(i + 1, n):
-                assert row[j] == ctx.zero
-            for j in range(i):
-                if row[j] != ctx.zero:
-                    assert j in lne_rows, f"L column {j} outside lne rows"
-        if k == n + m - 2:
-            self._final(state)
-
-    def _final(self, state):
-        ctx = self.ctx
-        for i in range(self.n):
-            for j in range(self.m):
-                assert state.N[i][j] == self.M[i][j]
-                acc = self.M[i][j]
-                for c in state.lne:
-                    if c < i and state.L[i][c] != ctx.zero:
-                        acc = ctx.add(acc, ctx.mul(state.L[i][c], self.M[c][j]))
-                assert state.P[i][j] == acc
-
-
 def test_criterion_06_07_matrix_lrr_roundtrip_and_invariants():
     t0 = time.perf_counter()
     ctx = make_prime_field(67)
@@ -429,11 +352,7 @@ def test_criterion_06_07_matrix_lrr_roundtrip_and_invariants():
             assert len(bprime) == count_expected
             for _ in range(trials_per_cell):
                 mat = _rand_low_rank(ctx, rng, (n, n), r, exact=True)
-                checker = _InvariantChecker(ctx, mat, n, n, r)
-                hooks = RecoveryHooks(
-                    before_oracle=checker.before_oracle,
-                    after_iteration=checker.after_iteration,
-                )
+                hooks = InvariantChecker(ctx, mat, n, n, r).hooks()
                 synd = measure_D(mat, r)
                 assert len(synd) == count_expected
                 rec = recover_from_D(ctx, n, n, r, synd, hooks=hooks)
@@ -441,11 +360,7 @@ def test_criterion_06_07_matrix_lrr_roundtrip_and_invariants():
                 total += 1
 
                 mat2 = _rand_low_rank(ctx, rng, (n, n), r, exact=True)
-                checker2 = _InvariantChecker(ctx, mat2, n, n, r)
-                hooks2 = RecoveryHooks(
-                    before_oracle=checker2.before_oracle,
-                    after_iteration=checker2.after_iteration,
-                )
+                hooks2 = InvariantChecker(ctx, mat2, n, n, r).hooks()
                 bs = measure_syndromes(mat2, bprime)
                 ds = convert_B_to_D(ctx, n, n, 2 * r, bs)
                 rec2 = recover_from_D(ctx, n, n, r, ds, hooks=hooks2)

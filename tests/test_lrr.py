@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from _invariants import InvariantChecker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,12 @@ from tensorhit.errors import (
     RankPromiseViolated,
     ShapeMismatch,
 )
-from tensorhit.field import make_extension, make_prime_field
+from tensorhit.field import PrimeField, make_extension, make_prime_field
 from tensorhit.hitting import (
     MOMENT_FAMILIES,
     combine_simulated_syndromes,
     diag_row_count,
+    dprime_table,
     generate_family,
     hitting_set_B_prime,
     hitting_set_D_prime,
@@ -192,6 +194,21 @@ def test_recover_syndrome_count_mismatch():
         recover_from_D(GF13, 4, 4, 1, [0] * 11)
 
 
+def test_low_rank_recovery_rejects_a_missing_diagonal():
+    # a dropped last diagonal used to come back as zeros: entry (2, 2) read 0, not 9
+    mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
+    table = dprime_table(GF13, 3, 3, 4)
+    synd = measure_D(mat, 2)
+    by_k, off = [], 0
+    for k in range(5):
+        count = diag_row_count(4, 3, 3, k)
+        by_k.append(synd[off : off + count])
+        off += count
+    assert lrr.low_rank_recovery(GF13, 3, 3, 2, table, by_k).entries == mat.entries
+    with pytest.raises(ShapeMismatch, match="expected 5 diagonals, got 4"):
+        lrr.low_rank_recovery(GF13, 3, 3, 2, table, by_k[:-1])
+
+
 def test_recover_checks_the_syndrome_count_before_any_work_of_that_size():
     # the weights of a 10^6 x 10^6 matrix need an element of order 10^6,
     # which GF(5) lacks; the count is checked first
@@ -329,6 +346,88 @@ def test_recovery_hooks_fire_in_order():
     ks = [k for tag, k in seen if tag == "pre"]
     assert ks == list(range(7))
     assert seen[0] == ("pre", 0) and seen[1] == ("post", 0)
+
+
+@pytest.mark.parametrize("ctx", [make_extension(make_prime_field(2), 8),
+                                 make_extension(make_prime_field(2), 9)],
+                         ids=["GF(2^8)-tables", "GF(2^9)-convolution"])
+def test_recovery_invariants_hold_over_extension_fields(ctx):
+    # N == M and P == L M on each new diagonal, the full P == L M at the end,
+    # on the D' path and on B' after conversion
+    rng = random.Random(repr(ctx))
+    for n in (8, 12):
+        for r in (1, 2):
+            mat = _rand_low_rank(ctx, rng, (n, n), r, exact=True)
+            checker = InvariantChecker(ctx, mat, n, n, r)
+            assert recover_from_D(ctx, n, n, r, measure_D(mat, r), hooks=checker.hooks()) == mat
+            assert checker.finished
+            mat = _rand_low_rank(ctx, rng, (n, n), r, exact=True)
+            checker = InvariantChecker(ctx, mat, n, n, r)
+            bs = measure_syndromes(mat, hitting_set_B_prime(ctx, 2 * r, n, n))
+            ds = convert_B_to_D(ctx, n, n, 2 * r, bs)
+            assert recover_from_D(ctx, n, n, r, ds, hooks=checker.hooks()) == mat
+            assert checker.finished
+
+
+def _counted(name):
+    def op(self, *args):
+        self.ops += 1
+        return getattr(PrimeField, name)(self, *args)
+    return op
+
+
+class _CountingField(PrimeField):
+    """GF(65537) counting field operations.
+
+    An element op counts 1; ``dot`` and ``fma`` count the shorter vector's
+    length, ``axpy`` and ``horner`` the source length, ``powers`` its count.
+    """
+
+    def __init__(self):
+        super().__init__(65537)
+        self.ops = 0
+
+    add, sub, neg, mul, inv, pow, scalar = map(
+        _counted, ("add", "sub", "neg", "mul", "inv", "pow", "scalar"))
+
+    def dot(self, u, v):
+        self.ops += min(len(u), len(v))
+        return super().dot(u, v)
+
+    def fma(self, dst, u, v):
+        self.ops += min(len(u), len(v))
+        super().fma(dst, u, v)
+
+    def axpy(self, dst, c, src, start=0):
+        self.ops += len(src)
+        super().axpy(dst, c, src, start)
+
+    def horner(self, coeffs, x):
+        self.ops += len(coeffs)
+        return super().horner(coeffs, x)
+
+    def powers(self, x, count):
+        self.ops += count
+        return super().powers(x, count)
+
+
+def _recovery_ops(n, r):
+    ctx = _CountingField()
+    mat = _rand_low_rank(ctx, random.Random(f"ops {n} {r}"), (n, n), r)
+    synd = measure_D(mat, r)
+    ctx.ops = 0
+    assert recover_from_D(ctx, n, n, r, synd) == mat
+    return ctx.ops
+
+
+def test_recovery_op_count_grows_as_r_n2_plus_r3_n():
+    # O(r n^2 + r^3 n) field operations; at these sizes the r n^2 term
+    # leads, so a doubling of n costs about 4x and one of r about 2x, and
+    # the bounds leave room for the lower-order terms
+    by_n = [_recovery_ops(n, 2) for n in (32, 64, 128)]
+    by_r = [_recovery_ops(64, r) for r in (1, 2, 4, 8)]
+    assert all(b <= 4.5 * a for a, b in zip(by_n, by_n[1:])), by_n
+    assert all(b <= 2.5 * a for a, b in zip(by_r, by_r[1:])), by_r
 
 
 # -- conversion -----------------------------------------------------------------
