@@ -19,7 +19,10 @@ reproducible):
                over an extension; source-major, projection index minor.
 
 Each family is decided here once, and ``lrr`` and ``rankcode`` read it:
-``check_shape`` is the one shape rule and ``family_generator`` the one g.
+``check_family`` is the one parameter domain and ``family_generator`` the
+one g.  Naive takes any shape; TensorB takes [n]^d with d >= 2 and R >= 1;
+Dprime takes any matrix with R >= 1 (rows past (n + m) // 2 measure
+nothing); B, Bprime and D take n x m with 1 <= R <= n <= m, the paper's.
 ``moment_schedule`` is the one definition of the alphas, multipliers and
 block counts of the rank-1 families B, Bprime and TensorB.
 ``dprime_table`` is the one weight table of the diagonal families D and
@@ -117,11 +120,6 @@ class MeasurementSet:
         ]
 
 
-def _check_matrix_params(r: int, n: int, m: int) -> None:
-    if not 1 <= r <= n <= m:
-        raise ValueError(f"need m >= n >= r >= 1, got r={r}, n={n}, m={m}")
-
-
 def rank_preserver(
     ctx: FieldCtx, g: Fel, r: int, n: int, alpha: Fel
 ) -> DenseTensor:
@@ -146,15 +144,25 @@ FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB", "Naive")
 MOMENT_FAMILIES = ("B", "Bprime", "TensorB")
 
 
-def check_shape(family: str, dims: tuple[int, ...]) -> None:
-    """Raise unless family is defined on dims: TensorB on [n]^d, Naive on any, else matrices."""
+def check_family(family: str, dims: tuple[int, ...], R: int) -> None:
+    """Raise unless family is defined on dims at R (module docstring): an R below
+    one raises ValueError before any shape is read, then a shape outside the
+    family (or an empty axis) ShapeMismatch and an R outside the shape ValueError."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if family == "Naive":
+        return
+    if R < 1:
+        raise ValueError(f"need r >= 1, got r={R}")
     if family == "TensorB":
         if len(dims) < 2 or len(set(dims)) != 1:
             raise ShapeMismatch("TensorB requires shape [n]^d with d >= 2")
-    elif family != "Naive" and len(dims) != 2:
+    elif len(dims) != 2:
         raise ShapeMismatch(f"family {family} is for matrices")
+    elif family != "Dprime" and not R <= dims[0] <= dims[1]:
+        raise ValueError(f"need m >= n >= r >= 1, got r={R}, n={dims[0]}, m={dims[1]}")
+    if min(dims) < 1:
+        raise ShapeMismatch(f"family {family} needs dimensions >= 1, got {dims}")
 
 
 def family_generator(ctx: FieldCtx, family: str, dims: tuple[int, ...]) -> Fel:
@@ -180,11 +188,9 @@ def moment_schedule(
     """
     if family not in MOMENT_FAMILIES:
         raise ValueError(f"family {family} is not a rank-1 moment family")
-    check_shape(family, dims)
+    check_family(family, dims, r)
     if family == "TensorB":
         d, n = len(dims), dims[0]
-        if n < 1 or r < 1:
-            raise ValueError(f"need d >= 2, n >= 1, r >= 1, got d={d}, n={n}, r={r}")
         b = (d - 1).bit_length()
         g = family_generator(ctx, family, dims)
         alphas = ctx.first_elements(d * n)
@@ -194,7 +200,6 @@ def moment_schedule(
         ]
         return alphas, blocks
     n, m = dims
-    _check_matrix_params(r, n, m)
     g = family_generator(ctx, family, dims)
     alphas = ctx.first_elements(n + m - 1)
     shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
@@ -264,8 +269,11 @@ def dprime_size(n: int, m: int, R: int) -> int:
     return (n + m - rows) * rows
 
 
-def _diagonal_family(ctx: FieldCtx, family: str, r: int, n: int, m: int) -> MeasurementSet:
-    _check_matrix_params(r, n, m)
+def _diagonal_family(
+    ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
+) -> MeasurementSet:
+    check_family(family, dims, r)
+    n, m = dims
     table = dprime_table(ctx, n, m, r)
     meas = []
     for k in range(n + m - 1):
@@ -279,12 +287,12 @@ def _diagonal_family(ctx: FieldCtx, family: str, r: int, n: int, m: int) -> Meas
 
 def hitting_set_D(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
     """(n+m-1)r n-sparse matrices, each supported on one k-diagonal."""
-    return _diagonal_family(ctx, "D", r, n, m)
+    return _diagonal_family(ctx, "D", (n, m), r)
 
 
 def hitting_set_D_prime(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
     """The (n+m-r)r linearly independent subfamily of D."""
-    return _diagonal_family(ctx, "Dprime", r, n, m)
+    return _diagonal_family(ctx, "Dprime", (n, m), r)
 
 
 def L(n: int, b: int, k: int, indices: tuple[int, ...]) -> int:
@@ -497,10 +505,9 @@ def hard_tensor(h: MeasurementSet) -> DenseTensor:
 def generate_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
-    """The family on shape dims at r, built by its kind: Naive, moment or diagonal."""
-    check_shape(family, dims)
+    """The family on dims at r, built and checked by its kind: Naive, moment or diagonal."""
     if family == "Naive":
         return naive_set(ctx, dims)
     if family in MOMENT_FAMILIES:
         return _moment_family(ctx, family, dims, r)
-    return _diagonal_family(ctx, family, r, *dims)
+    return _diagonal_family(ctx, family, dims, r)

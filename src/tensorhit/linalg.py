@@ -59,28 +59,21 @@ def rank(ctx: FieldCtx, rows: Matrix) -> int:
 
 
 def det(ctx: FieldCtx, rows: Matrix) -> Fel:
-    """Determinant by fraction-free-ish elimination with row swaps."""
+    """Determinant by elimination: the product of the pivots, negated per row swap."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeMismatch("determinant needs a square matrix")
     a = [list(r) for r in rows]
     result = ctx.one
     for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if a[i][c] != ctx.zero:
-                pivot = i
-                break
-        if pivot is None:
+        i = next((i for i in range(c, n) if a[i][c] != ctx.zero), None)
+        if i is None:
             return ctx.zero
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
+        if i != c:
+            a[c], a[i] = a[i], a[c]
             result = ctx.neg(result)
         result = ctx.mul(result, a[c][c])
-        inv = ctx.inv(a[c][c])
-        for i in range(c + 1, n):
-            if a[i][c] != ctx.zero:
-                ctx.axpy(a[i], ctx.neg(ctx.mul(a[i][c], inv)), a[c][c:], c)
+        ctx.pivot(a, c, c)
     return result
 
 

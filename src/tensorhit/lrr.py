@@ -49,7 +49,7 @@ from .errors import (
 from .field import Fel, FieldCtx
 from .hitting import (
     MOMENT_FAMILIES,
-    check_shape,
+    check_family,
     diag_columns,
     diag_row_count,
     diag_weight_table,
@@ -324,8 +324,7 @@ def recover_from_D(
     Diagonals shorter than the 2r measurement budget are solved outright;
     the rest go through Prony's method with the echelon advice set.
     """
-    if r < 1:
-        raise ValueError(f"rank bound must be >= 1, got r={r}")
+    check_recovery("Dprime", (n, m), r)
     expected = dprime_size(n, m, 2 * r)
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
@@ -458,8 +457,8 @@ def tensor_recover(
     recovered from all R rows of every diagonal and unpacked into one more
     variable pair per level.
     """
-    if r < 1:
-        raise ValueError(f"rank bound must be >= 1, got r={r}")
+    dims = (n,) * d
+    check_recovery("TensorB", dims, r)
     R = 2 * r
     b = (d - 1).bit_length()
     deg = d * (n - 1)
@@ -467,7 +466,6 @@ def tensor_recover(
     expected = d * n * R**b
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    dims = (n,) * d
     alphas, blocks = moment_schedule(ctx, "TensorB", dims, R)
     g = family_generator(ctx, "TensorB", dims)
     stride = n << b
@@ -584,12 +582,13 @@ RECOVERY_FAMILIES = ("Dprime", "Bprime", "TensorB")
 
 
 def check_recovery(family: str, dims: tuple[int, ...], r: int) -> None:
-    """Raise unless ``family`` recovers rank <= r tensors of shape ``dims``."""
+    """Raise unless ``family`` recovers rank <= r tensors of shape ``dims``: a
+    recovery family, r >= 1, then ``hitting.check_family`` at R = 2r."""
     if family not in RECOVERY_FAMILIES:
         raise ValueError(f"family {family} is not a recovery family")
     if r < 1:
         raise ValueError(f"rank bound must be >= 1, got r={r}")
-    check_shape(family, dims)
+    check_family(family, dims, 2 * r)
 
 
 def measure(t: DenseTensor, family: str, r: int) -> list[Fel]:

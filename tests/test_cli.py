@@ -215,6 +215,29 @@ def test_malformed_recovery_inputs_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_dprime_commands_take_any_matrix_and_rank(tmp_path, capsys):
+    # D' is defined on every matrix shape and R; rows past (n + m) // 2 measure nothing
+    out = tmp_path / "ms.txt"
+    assert run("gen-hit", "--p", "13", "--family", "Dprime", "--dims", "6x3", "--r", "4",
+               "--out", str(out)) == 0
+    assert len(formats.read_measurements(out.read_text())) == 20
+    word = tmp_path / "zero.txt"
+    word.write_text(formats.write_tensor(DenseTensor.zeros(GF13, (4, 4))))
+    dec = tmp_path / "dec.txt"
+    assert run("decode", "--p", "13", "--family", "Dprime", "--dims", "4x4", "--r", "3",
+               "--word", str(word), "--out", str(dec)) == 0
+    assert formats.read_tensor(dec.read_text()).is_zero()
+
+
+def test_decode_of_a_word_of_another_shape_exits_2(tmp_path, capsys):
+    word = tmp_path / "word.txt"
+    word.write_text(formats.write_tensor(DenseTensor.zeros(GF13, (3, 4))))
+    capsys.readouterr()
+    assert run("decode", "--p", "13", "--dims", "4x4", "--r", "1", "--word", str(word),
+               "--out", str(tmp_path / "dec.txt")) == 2
+    assert "does not match the code's shape/field" in capsys.readouterr().err
+
+
 def test_file_outputs_are_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for out in (a, b):

@@ -71,6 +71,11 @@ def test_rank_preserver_order_too_small():
         rank_preserver(GF7, 1, 2, 3, 2)  # 1 has order 1 < 3
 
 
+def test_rank_preserver_rejects_more_rows_than_columns():
+    with pytest.raises(ValueError, match="need n >= r >= 1, got r=3, n=2"):
+        rank_preserver(GF7, 3, 3, 2, 2)
+
+
 def test_rank_preserver_bad_alpha_count():
     # exhaustive sweep: number of rank-dropping alphas <= nr - r(r+1)/2
     ctx = make_prime_field(17)
@@ -499,6 +504,13 @@ def test_hard_tensor_exceeds_rank_bound():
 def test_hard_tensor_full_rank_system():
     with pytest.raises(NoNullspace):
         hard_tensor(naive_set(GF7, (2, 2)))
+
+
+@pytest.mark.parametrize("family,dims", [("Dprime", (0, 3)), ("Dprime", (3, 0)),
+                                         ("TensorB", (0, 0))])
+def test_a_family_refuses_an_empty_axis(family, dims):
+    with pytest.raises(ShapeMismatch, match="needs dimensions >= 1"):
+        generate_family(GF13, family, dims, 2)
 
 
 def test_generate_family_dispatch():

@@ -59,3 +59,9 @@ def test_duplicate_points_raise_zero_division(name):
     a, b = ctx.first_elements(2)
     with pytest.raises(ZeroDivisionError):
         linalg.poly_interpolate(ctx, [a, b, a], [a, b, b])
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    ctx = FIELDS["GF13"]
+    with pytest.raises(ShapeMismatch, match="rhs length does not match row count"):
+        linalg.solve(ctx, [[1, 0], [0, 1]], [1, 2, 3])

@@ -18,6 +18,7 @@ from tensorhit.errors import (
     PromiseViolation,
     RankPromiseViolated,
     ShapeMismatch,
+    TensorhitError,
 )
 from tensorhit.field import PrimeField, make_extension, make_prime_field
 from tensorhit.hitting import (
@@ -690,3 +691,63 @@ def test_cold_and_warm_tables_recover_as_the_moments_formula(ctx, monkeypatch):
     warm = [call() for call in calls]
     monkeypatch.setattr(linalg, "poly_interpolate", _moments_interpolate)
     assert cold == warm == [call() for call in calls]
+
+
+# -- one parameter domain per family ---------------------------------------------------
+
+
+def _raised(call, accepts=()):
+    """The error class call raises, or None when it returns or raises one of accepts."""
+    try:
+        call()
+    except accepts:
+        return None
+    except (ValueError, TensorhitError) as e:  # the CLI's usage errors; anything else fails
+        return type(e)
+    return None
+
+
+def _family_length(family, dims, r):
+    """Members of a recovery family at 2r on dims by the paper's counts; any count off its shapes."""
+    if family == "TensorB":
+        d = len(dims)
+        return d * dims[0] * (2 * r) ** (d - 1).bit_length()
+    if len(dims) != 2:
+        return 0
+    n, m = dims
+    return sum(max(0, min(2 * r, k + 1, n + m - k - 1)) for k in range(n + m - 1))
+
+
+@given(st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_every_entry_point_of_a_family_accepts_the_same_inputs(data):
+    # measure, recover, the builders and the code all read hitting.check_family;
+    # recover may still find random syndromes outside the rank promise
+    family = data.draw(st.sampled_from(lrr.RECOVERY_FAMILIES), label="family")
+    if data.draw(st.booleans(), label="cubic"):
+        dims = (data.draw(st.integers(1, 3), label="n"),) * data.draw(st.integers(2, 3), label="d")
+    else:
+        dims = tuple(data.draw(st.integers(1, 6), label=a) for a in ("n", "m"))
+    r = data.draw(st.integers(0, 4), label="r")
+    rng = random.Random(data.draw(st.integers(0, 2**16), label="seed"))
+    t = DenseTensor(GF65537, dims, [rng.randrange(65537) for _ in range(math.prod(dims))])
+    synd = [rng.randrange(65537) for _ in range(_family_length(family, dims, r))]
+    outcomes = {
+        "measure": _raised(lambda: lrr.measure(t, family, r)),
+        "recover": _raised(lambda: lrr.recover(GF65537, family, dims, r, synd), PromiseViolation),
+        "generate_family": _raised(lambda: generate_family(GF65537, family, dims, 2 * r)),
+        "build_code": _raised(lambda: build_code(GF65537, dims, r, family)),
+    }
+    assert len(set(outcomes.values())) == 1, outcomes
+    if outcomes["measure"] is None:  # an accepted input measures as its family, member by member
+        fam = generate_family(GF65537, family, dims, 2 * r)
+        assert lrr.measure(t, family, r) == [m.inner(GF65537, t) for m in fam.measurements]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: recover_from_D(GF65537, 3, 3, 0, []),
+    lambda: tensor_recover(GF65537, 2, 2, 0, []),
+], ids=["recover_from_D", "tensor_recover"])
+def test_direct_recovery_at_rank_zero_raises_value_error(call):
+    with pytest.raises(ValueError, match="rank bound must be >= 1, got r=0"):
+        call()

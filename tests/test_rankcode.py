@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tensorhit.errors import DecodeFailure, LengthMismatch, TooLarge
+from tensorhit.errors import DecodeFailure, LengthMismatch, ShapeMismatch, TooLarge
 from tensorhit.field import make_prime_field
 from tensorhit.lrr import measure_syndromes
 from tensorhit.rankcode import (
@@ -43,6 +43,16 @@ def test_build_code_dimensions():
     assert code7.dimension == 9 - 8 == 1
     with pytest.raises(ValueError):
         build_code(GF13, (4, 4), 0, "Dprime")
+
+
+@pytest.mark.parametrize("received", [DenseTensor.zeros(GF13, (4, 3)),
+                                      DenseTensor.zeros(GF13, (2, 2, 4)),
+                                      DenseTensor.zeros(GF7, (4, 4))],
+                         ids=["4x3", "2x2x4", "GF7"])
+def test_decode_rejects_a_word_of_another_shape_or_field(received):
+    code = build_code(GF13, (4, 4), 1, "Dprime")
+    with pytest.raises(ShapeMismatch, match="does not match the code's shape/field"):
+        decode(code, received)
 
 
 def test_encode_zero_and_units():

@@ -139,6 +139,13 @@ def test_prony_advice_too_large():
         pronys_method(GF7, 4, 1, {0, 1, 2}, [0, 0], list(v.points))
 
 
+@pytest.mark.parametrize("advice", [{-1}, {4}])
+def test_prony_advice_must_index_the_vector(advice):
+    v = dual_rs(GF7, 4, 1)
+    with pytest.raises(AdviceTooLarge, match="advice positions must index the vector"):
+        pronys_method(GF7, 4, 1, advice, [0, 0], list(v.points))
+
+
 def test_prony_inconsistent_syndrome_detected():
     # a 3-sparse vector breaks the s=1 promise; the verifier must notice
     v = dual_rs(GF7, 4, 1)
