@@ -30,7 +30,10 @@ from a fixed seed, then runs every command in process through
   family, syndrome files with r = 0, an unknown family, non-cubic
   ``TensorB`` dims or dims of two million (which must be refused before any
   work of that size), ``encode`` and ``decode`` with ``--r 0``, and
-  ``gen-hit --k 0``.
+  ``gen-hit --k 0``;
+* ``Dprime`` outside B's domain over GF(13): ``gen-hit`` on 6x3 at r = 4
+  and on 5x5 at r = 6, and ``decode`` of a zero and a rank-3 word in the
+  4x4 code at r = 3, whose dimension is 0.
 
 The fields are GF(13), GF(2^4), GF(3^2), GF(2^8), GF(1733), GF(65537),
 GF(2^31 - 1) and GF(2^9), above the exp/log table cap.  Each command
@@ -282,6 +285,23 @@ def validation(run):
             ["fam.txt"])
 
 
+def dprime_domain(run):
+    """D' outside B's domain: n > m, R > n, and a code with 2r > n (of dimension 0)."""
+    for shape, r in (("6x3", 4), ("5x5", 6)):
+        run.run(f"gen-hit 13^1 Dprime {shape} r={r}",
+                ["gen-hit", "--p", "13", "--family", "Dprime", "--dims", shape, "--r", str(r),
+                 "--out", "@fam.txt"], ["fam.txt"])
+    ctx, rng = field(13, 1), random.Random("dprime domain")
+    for rank in (0, 3):
+        word = formats.read_tensor_or_lowrank(low_rank(ctx, rng, (4, 4), rank)) if rank \
+            else tensor.DenseTensor.zeros(ctx, (4, 4))
+        run.write("rx.txt", formats.write_tensor(word))
+        run.run(f"decode 13^1 Dprime 4x4 r=3 error-rank={rank}",
+                ["decode", "--p", "13", "--family", "Dprime", "--dims", "4x4", "--r", "3",
+                 "--word", "@rx.txt", "--out", "@dec.txt", "--error-out", "@err.txt"],
+                ["dec.txt", "err.txt"])
+
+
 def main():
     with tempfile.TemporaryDirectory(prefix="cli-identity-") as workdir:
         run = Runner(workdir)
@@ -302,6 +322,7 @@ def main():
             pit(run, random.Random(f"pit {p}"), field(p, 1), f"{p}^1",
                 sims=("improper", "proper"))
         validation(run)
+        dprime_domain(run)
     return 1 if run.failed else 0
 
 
