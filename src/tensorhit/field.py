@@ -16,9 +16,10 @@ context owning the element, whose class :func:`make_prime_field` and
   Niederreiter, *Finite Fields*, ch. 9);
 * :class:`FieldCtx`, the base of both, is the ring GF(p)[x]/f of a monic f:
   it adds coefficient-wise, multiplies by coefficient convolution reduced
-  mod f and inverts by extended Euclid.  Larger extensions (GF(2^16),
-  GF(13^3), extensions of large primes) and the rings of the
-  irreducibility test, which have no logarithm, run on it.
+  mod f and inverts a by solving M_a x = 1 over GF(p), with M_a its
+  multiplication matrix (``embed_as_matrix``).  Larger extensions (GF(2^16),
+  GF(13^3), extensions of large primes) and the rings of the irreducibility
+  test, which have no logarithm, run on it.
 
 With g = ``element_of_order(q - 1)``, a TableField's ``exp`` lists g^0, ...,
 g^(q-2) twice over and then zeros, and ``log`` maps each tuple to its
@@ -71,17 +72,18 @@ elements are stored: linear algebra, Prony's method, recovery, measurement
 and encoding are written once, over any field, on top of them.  FieldCtx's
 ``dot`` sums unreduced coefficient convolutions and reduces once through
 ``_reduce``, the one reduction mod the modulus (everything else that
-multiplies extension elements, ``embed_as_matrix`` included, goes through
-``mul``); its other kernels fold ``add`` and ``mul``.  TableField defines
-the element operations and a ``dot`` that sums table products
-coefficient-wise, and inherits the other kernels with table lookups inside.
+multiplies extension elements, ``embed_as_matrix`` and so ``inv`` included,
+goes through ``mul``); its other kernels fold ``add`` and ``mul``.
+TableField defines the element operations and a ``dot`` that sums table
+products coefficient-wise, and inherits the other kernels with table
+lookups inside.
 
 Everything here is immutable after construction apart from memoized order
-discoveries and the lazily built inverse table of a prime field below
-2^16, which are write-once and race-benign.  A TableField's tables are
-complete when it is built and never change.
-Contexts may be shared freely across threads and all element operations
-are pure.
+discoveries and lazily built helpers (a prime field's inverse table below
+2^16, an extension's GF(p) for ``inv``), which are write-once and
+race-benign.  A TableField's tables are complete when it is built and
+never change.  Contexts may be shared freely across threads and all
+element operations are pure.
 """
 
 import itertools
@@ -160,57 +162,11 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficients as lists (constant term first)
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    _poly_trim(a)
-    db, db_lead = len(b) - 1, b[-1]
-    inv_lead = pow(db_lead, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        coeff = a[-1] * inv_lead % p
-        q[shift] = coeff
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - coeff * bi) % p
-        _poly_trim(a)
-    return q, a
-
-
-def _poly_inv(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Inverse of a nonzero a mod f, by extended Euclid; a unit mod f is assumed."""
-    r0, r1 = list(f), _poly_trim(list(a))
-    s0, s1 = [0], [1]
-    while len(r1) > 1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        qs = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs[i + j] = (qs[i + j] + qi * sj) % p
-        new_s = [(x - y) % p for x, y in itertools.zip_longest(s0, qs, fillvalue=0)]
-        s0, s1 = s1, _poly_trim(new_s)
-    lead_inv = pow(r1[0], p - 2, p)
-    out = [c * lead_inv % p for c in s1]
-    out += [0] * (len(a) - len(out))
-    return tuple(out[: len(a)])
-
-
 class FieldCtx:
     """The ring GF(p)[x]/f of a monic f, in convolution arithmetic.
 
-    With f irreducible of degree k it is the field GF(p^k).  Callers use
+    With f irreducible of degree k it is the field GF(p^k), and ``inv``
+    eliminates over GF(p) on the multiplication matrix.  Callers use
     :func:`make_prime_field` and :func:`make_extension`, which build a
     subclass where one applies; the irreducibility test builds the ring on a
     candidate modulus f, where every operation but ``inv`` is valid.
@@ -228,6 +184,7 @@ class FieldCtx:
         self.one: Fel = 1 if k == 1 else (1,) + (0,) * (k - 1)
         self._order_memo: dict[int, Fel] = {}
         self._group_factors: dict[int, int] | None = None
+        self._base: PrimeField | None = None  # GF(p), built by the first inv
         if k > 1:
             # reduction table: x^(k+i) mod modulus, i in [0, k-1)
             assert modulus is not None and modulus[-1] == 1 and len(modulus) == k + 1
@@ -293,9 +250,20 @@ class FieldCtx:
         return tuple(out)
 
     def inv(self, a: Fel) -> Fel:
+        """Solve M_a x = 1 over GF(p), M_a = ``embed_as_matrix(self, a)``."""
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
-        return _poly_inv(a, self.modulus, self.p)
+        base = self._base
+        if base is None:  # the candidate rings of the irreducibility test never get here
+            base = self._base = PrimeField(self.p)
+        rows = [row + [b] for row, b in zip(embed_as_matrix(self, a), self.one)]
+        for c in range(self.k):
+            r = c
+            while not rows[r][c]:
+                r += 1
+            rows[c], rows[r] = rows[r], rows[c]
+            base.pivot(rows, c, c)
+        return tuple(map(operator.itemgetter(self.k), rows))
 
     def pow(self, a: Fel, e: int) -> Fel:
         if e < 0:

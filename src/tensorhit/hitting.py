@@ -213,17 +213,17 @@ def _moment_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
     alphas, blocks = moment_schedule(ctx, family, dims, r)
-    # a multiplier of one reuses the moment vector of alpha_k itself
-    moments = [tuple(ctx.powers(a, max(dims))) for a in alphas]
+    moments = {}  # (multiplier, k): the moment vector of mult * alpha_k, cut per axis
     meas = []
     for ls, mults, count in blocks:
         for k, a in enumerate(alphas[:count]):
-            factors = tuple(
-                moments[k][:size] if mult == ctx.one
-                else tuple(ctx.powers(ctx.mul(mult, a), size))
-                for mult, size in zip(mults, dims)
-            )
-            meas.append(Measurement(k=k, ls=ls, factors=factors))
+            factors = []
+            for mult, size in zip(mults, dims):
+                vec = moments.get((mult, k))
+                if vec is None:
+                    vec = moments[mult, k] = tuple(ctx.powers(ctx.mul(mult, a), max(dims)))
+                factors.append(vec[:size])
+            meas.append(Measurement(k=k, ls=ls, factors=tuple(factors)))
     return MeasurementSet(ctx, tuple(dims), family, r, tuple(meas))
 
 

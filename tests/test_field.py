@@ -282,12 +282,17 @@ def test_ctx_equality_and_hash():
 
 @pytest.mark.parametrize("p,k,cls", [(13, 1, PrimeField), (65537, 1, PrimeField),
                                      (2, 4, TableField), (2, 8, TableField),
-                                     (2, 9, FieldCtx), (13, 3, FieldCtx)])
+                                     (2, 9, FieldCtx), (13, 3, FieldCtx), (2, 13, FieldCtx),
+                                     (3, 7, FieldCtx), (2**61 - 1, 2, FieldCtx)])
 def test_make_field_picks_one_class_per_representation(p, k, cls):
     ctx = make_field(p, k)
     assert type(ctx) is cls
     ring = FieldCtx(p, k, ctx.modulus)  # linalg's Newton-table cache keys on the context
     assert ctx == ring and hash(ctx) == hash(ring)
+    rng = random.Random(ctx.size)  # each class's inv against Fermat's a^(q - 2)
+    for a in [ctx.from_index(rng.randrange(1, ctx.size)) for _ in range(50)]:
+        assert ctx.inv(a) == ctx.pow(a, ctx.size - 2)
+        assert ctx.mul(a, ctx.inv(a)) == ctx.one
 
 
 KERNEL_FIELDS = {
