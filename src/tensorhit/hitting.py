@@ -19,14 +19,15 @@ reproducible):
                over an extension; source-major, projection index minor.
 
 Each family is decided here once, and ``lrr`` and ``rankcode`` read it:
-``check_family`` is the one parameter domain and ``family_generator`` the
-one g.  Naive takes any shape; TensorB takes [n]^d with d >= 2 and R >= 1;
-Dprime takes any matrix with R >= 1 (rows past (n + m) // 2 measure
-nothing); B, Bprime and D take n x m with 1 <= R <= n <= m, the paper's.
-``moment_schedule`` is the one definition of the alphas, multipliers and
-block counts of the rank-1 families B, Bprime and TensorB.
-``dprime_table`` is the one weight table of the diagonal families D and
-Dprime (``diag_weight_table``), and ``dprime_size`` counts D'.
+``check_family`` is the one parameter domain.  Naive takes any shape;
+TensorB takes [n]^d with d >= 2 and R >= 1; Dprime takes any matrix with
+R >= 1 (rows past (n + m) // 2 measure nothing); B, Bprime and D take
+n x m with 1 <= R <= n <= m, the paper's.  ``schedule`` derives the rest
+once per (field, family, shape, R): the one g, the alphas, multipliers and
+block counts of the rank-1 families B, Bprime and TensorB, the one weight
+table (D' at R for the matrix families, the widest merged matrix's for
+TensorB) and TensorB's merge levels.  ``dprime_size`` counts D' and
+``tensor_size`` counts TensorB without building them.
 ``inner_products`` is the one scan of a family against a tensor: it
 reuses the contractions of the trailing factors its members share.
 
@@ -40,6 +41,7 @@ ls[j-1] * (n 2^b)^(k >> j).  Real tensor axis a (0-based) occupies padded
 position a; the padding positions d..2^b-1 are dummies of degree zero.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -165,58 +167,85 @@ def check_family(family: str, dims: tuple[int, ...], R: int) -> None:
         raise ShapeMismatch(f"family {family} needs dimensions >= 1, got {dims}")
 
 
-def family_generator(ctx: FieldCtx, family: str, dims: tuple[int, ...]) -> Fel:
-    """The family's g: of order >= (2dn)^d for TensorB on [n]^d, else >= m."""
-    if family == "TensorB":
-        d = len(dims)
-        return ctx.element_of_order((2 * d * dims[0]) ** d)
-    return ctx.element_of_order(dims[1])
+@dataclass(frozen=True)
+class Schedule:
+    """Everything a family derives from (field, family, shape, R), built once.
 
-
-def moment_schedule(
-    ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
-) -> tuple[list[Fel], list[tuple[tuple[int, ...], tuple[Fel, ...], int]]]:
-    """Evaluation points and multipliers of a rank-1 moment family.
-
-    Returns ``(alphas, blocks)``; each block ``(ls, mults, count)`` lists, in
-    family order, the members (k, ls) for k < count, whose axis-a factor is
-    the moment vector (``ctx.powers``) of mults[a] * alphas[k].  So member
-    (k, ls) evaluates the polynomial sum_idx T[idx] prod_a mults[a]^idx_a
-    x^(sum idx) at alphas[k].  ``family`` is ``B``, ``Bprime`` (dims (n, m),
-    multipliers (1, g^l)) or ``TensorB`` (dims [n]^d, multipliers
-    g^L(n, b, a, ls)).
+    ``g`` is the generator.  Block ``(ls, mults, count)`` of a moment family
+    (B, Bprime, TensorB) lists, in family order, the members (k, ls) for
+    k < count, whose axis-a factor is the moment vector of mults[a] *
+    alphas[k]: member (k, ls) evaluates sum_idx T[idx] prod_a mults[a]^idx_a
+    x^(sum idx) at alphas[k].  Row l of ``table`` is (g^(l j))_j, the weight
+    of column j on every diagonal, built on first read in ``table_shape``:
+    for matrices D' at R on n x m, without the rows l >= (n + m) // 2 that
+    measure nothing; for TensorB R rows as wide as the widest merged
+    matrix, which only recovery reads.  TensorB's ``levels[i]`` is (target
+    variable sizes, rows, columns) of the matrix that merge level i + 1
+    recovers, its exponents packed in base ``stride`` = n 2^b.
     """
-    if family not in MOMENT_FAMILIES:
-        raise ValueError(f"family {family} is not a rank-1 moment family")
-    check_family(family, dims, r)
+
+    ctx: FieldCtx
+    g: Fel
+    table_shape: tuple[int, int]
+    alphas: tuple[Fel, ...]
+    blocks: tuple[tuple[tuple[int, ...], tuple[Fel, ...], int], ...]
+    stride: int
+    levels: tuple[tuple[tuple[int, ...], int, int], ...]
+
+    @functools.cached_property
+    def table(self) -> tuple[tuple[Fel, ...], ...]:
+        count, width = self.table_shape
+        return tuple(tuple(self.ctx.powers(gl, width)) for gl in self.ctx.powers(self.g, count))
+
+
+def schedule(ctx: FieldCtx, family: str, dims, R: int) -> Schedule:
+    """The schedule of family on dims at R, after ``check_family``: g has order
+    >= (2dn)^d for TensorB on [n]^d, else >= m.  Built once per (field,
+    family, shape, R), so equal fields and list or tuple dims share it."""
+    return _schedule(ctx, family, tuple(dims), R)
+
+
+@functools.lru_cache(maxsize=32)
+def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Schedule:
+    check_family(family, dims, R)
+    if family == "Naive":
+        raise ValueError("family Naive has no schedule")
+    alphas, blocks, stride, levels = [], [], 0, []
     if family == "TensorB":
         d, n = len(dims), dims[0]
         b = (d - 1).bit_length()
-        g = family_generator(ctx, family, dims)
+        g = ctx.element_of_order((2 * d * n) ** d)
         alphas = ctx.first_elements(d * n)
-        blocks = [
-            (ls, tuple(ctx.pow(g, L(n, b, a, ls)) for a in range(d)), d * n)
-            for ls in itertools.product(range(r), repeat=b)
-        ]
-        return alphas, blocks
-    n, m = dims
-    g = family_generator(ctx, family, dims)
-    alphas = ctx.first_elements(n + m - 1)
-    shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
-    blocks = [
-        ((l,), (ctx.one, ctx.pow(g, l)), (n + m - 1) - shrink * l) for l in range(r)
-    ]
-    return alphas, blocks
+        blocks = [(ls, tuple(ctx.pow(g, L(n, b, a, ls)) for a in range(d)), d * n)
+                  for ls in itertools.product(range(R), repeat=b)]
+        stride = n << b
+        sizes = [n] * d + [1] * ((1 << b) - d)
+        for _ in range(b):  # merge variables 2j (rows) and 2j + 1 (columns) into j
+            rows = 1 + sum((t - 1) * stride**j for j, t in enumerate(sizes[::2]))
+            cols = 1 + sum((t - 1) * stride**j for j, t in enumerate(sizes[1::2]))
+            levels.append((tuple(sizes), rows, cols))
+            sizes = [u + v - 1 for u, v in zip(sizes[::2], sizes[1::2])]
+        count, width = R, max(cols for _, _, cols in levels)
+    else:
+        n, m = dims
+        g = ctx.element_of_order(m)
+        count, width = min(R, (n + m) // 2), m
+        if family in MOMENT_FAMILIES:
+            alphas = ctx.first_elements(n + m - 1)
+            shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
+            blocks = [((l,), (ctx.one, ctx.pow(g, l)), (n + m - 1) - shrink * l)
+                      for l in range(R)]
+    return Schedule(ctx, g, (count, width), tuple(alphas), tuple(blocks), stride, tuple(levels))
 
 
 def _moment_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
-    alphas, blocks = moment_schedule(ctx, family, dims, r)
+    s = schedule(ctx, family, dims, r)
     moments = {}  # (multiplier, k): the moment vector of mult * alpha_k, cut per axis
     meas = []
-    for ls, mults, count in blocks:
-        for k, a in enumerate(alphas[:count]):
+    for ls, mults, count in s.blocks:
+        for k, a in enumerate(s.alphas[:count]):
             factors = []
             for mult, size in zip(mults, dims):
                 vec = moments.get((mult, k))
@@ -248,33 +277,22 @@ def diag_columns(n: int, m: int, k: int) -> tuple[int, int]:
     return k - hi, k - lo
 
 
-def diag_weight_table(ctx: FieldCtx, g: Fel, count: int, m: int) -> list[list[Fel]]:
-    """Rows l < count of the diagonal weights: row l is (g^(l j))_(j < m).
-
-    Row l weighs column j by g^(l j) on every diagonal, so the k-diagonal
-    reads its weights as the slice of row l over ``diag_columns(n, m, k)``.
-    """
-    return [ctx.powers(gl, m) for gl in ctx.powers(g, count)]
-
-
-def dprime_table(ctx: FieldCtx, n: int, m: int, R: int) -> list[list[Fel]]:
-    """The weights of D and D' at R on n x m; rows l >= (n + m) // 2 measure nothing."""
-    g = family_generator(ctx, "Dprime", (n, m))
-    return diag_weight_table(ctx, g, min(R, (n + m) // 2), m)
-
-
 def dprime_size(n: int, m: int, R: int) -> int:
     """Members of D' at R on n x m: row l measures the n+m-1-2l diagonals l..n+m-2-l."""
     rows = max(0, min(R, (n + m) // 2))
     return (n + m - rows) * rows
 
 
+def tensor_size(d: int, n: int, R: int) -> int:
+    """Members of TensorB at R on [n]^d: dn points per exponent index in [R]^ceil(lg d)."""
+    return d * n * R ** (d - 1).bit_length()
+
+
 def _diagonal_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
-    check_family(family, dims, r)
-    n, m = dims
-    table = dprime_table(ctx, n, m, r)
+    table = schedule(ctx, family, dims, r).table
+    n, m = dims  # only after the schedule has checked the shape
     meas = []
     for k in range(n + m - 1):
         lo, hi = diag_columns(n, m, k)

@@ -27,7 +27,7 @@ syndromes by staircase interpolation, and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family: each
 level packs its polynomials with ``tensor.merge_variables``, recovers the
 merged coefficient matrix, and unpacks it with ``tensor.split_variables``.
-Every shape, generator, point and weight is read from ``hitting``.
+Every shape rule, generator, point, weight and merge level is read from ``hitting``.
 ``measure_moments`` measures the rank-1 families (B, B', TensorB) through
 one collapsed polynomial per exponent index.  ``measure`` and ``recover``
 are the one entry point for each family in ``RECOVERY_FAMILIES``.
@@ -52,13 +52,11 @@ from .hitting import (
     check_family,
     diag_columns,
     diag_row_count,
-    diag_weight_table,
     dprime_size,
-    dprime_table,
-    family_generator,
     family_tensor,
     inner_products,
-    moment_schedule,
+    schedule,
+    tensor_size,
 )
 from .tensor import (
     DenseTensor,
@@ -191,7 +189,7 @@ def low_rank_recovery(
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
     syndromes_by_k[k][l] is the inner product of diagonal k (of n + m - 1)
-    with row l of ``table`` (``hitting.diag_weight_table``) over its columns.
+    with row l of ``table`` (``hitting.schedule``; rows may run past m) over its columns.
     A diagonal with at least as many rows as entries goes to
     ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
     method with the echelon advice set, reading its points from row 1.
@@ -301,7 +299,7 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
         mat = expand(mat)
     ctx = mat.ctx
     n, m = mat.dims
-    table = dprime_table(ctx, n, m, 2 * r)
+    table = schedule(ctx, "Dprime", (n, m), 2 * r).table
     rows = mat.rows()
     out = []
     for k in range(n + m - 1):
@@ -328,7 +326,7 @@ def recover_from_D(
     expected = dprime_size(n, m, 2 * r)
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    table = dprime_table(ctx, n, m, 2 * r)
+    table = schedule(ctx, "Dprime", (n, m), 2 * r).table
     counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
     ends = itertools.accumulate(counts)
     synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
@@ -362,8 +360,8 @@ def convert_B_to_D(
     expected = dprime_size(n, m, R)
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    alphas, blocks = moment_schedule(ctx, "Bprime", (n, m), R)
-    table = dprime_table(ctx, n, m, R)
+    s = schedule(ctx, "Bprime", (n, m), R)
+    alphas, table = s.alphas, s.table
     width = len(alphas)
     inv_alphas = [ctx.inv(a) for a in alphas]
     down = [ctx.one] * width  # a^-l at block l, for each point a
@@ -378,7 +376,7 @@ def convert_B_to_D(
         return ctx.mul(table[l][j_lo], ctx.horner(diag_vals[kp], table[l][1]))
 
     off = 0
-    for l, (_, _, cnt) in enumerate(blocks):
+    for l, (_, _, cnt) in enumerate(s.blocks):
         block = syndromes[off : off + cnt]
         off += cnt
         if l == 0:
@@ -404,18 +402,6 @@ def convert_B_to_D(
 # ---------------------------------------------------------------------------
 # tensors: measure with the tensor family, recover by reversing the merge
 # ---------------------------------------------------------------------------
-
-
-def _level_sizes(d: int, n: int) -> list[list[int]]:
-    """Variable-count/degree bookkeeping of the pairwise merging recursion."""
-    b = (d - 1).bit_length()
-    sizes = [[n] * d + [1] * ((1 << b) - d)]
-    while len(sizes[-1]) > 1:
-        prev = sizes[-1]
-        sizes.append(
-            [prev[2 * j] + prev[2 * j + 1] - 1 for j in range(len(prev) // 2)]
-        )
-    return sizes
 
 
 def tensor_measure(t: DenseTensor, r: int) -> list[Fel]:
@@ -460,19 +446,16 @@ def tensor_recover(
     dims = (n,) * d
     check_recovery("TensorB", dims, r)
     R = 2 * r
-    b = (d - 1).bit_length()
     deg = d * (n - 1)
     # counted before the schedule's O(dn) points
-    expected = d * n * R**b
+    expected = tensor_size(d, n, R)
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    alphas, blocks = moment_schedule(ctx, "TensorB", dims, R)
-    g = family_generator(ctx, "TensorB", dims)
-    stride = n << b
-    sizes = _level_sizes(d, n)
+    s = schedule(ctx, "TensorB", dims, R)
+    alphas, stride = s.alphas, s.stride
 
     polys: dict[tuple[int, ...], DenseTensor] = {}
-    for i, (ls, _, count) in enumerate(blocks):
+    for i, (ls, _, count) in enumerate(s.blocks):
         evals = syndromes[i * count : (i + 1) * count]
         cs = linalg.poly_interpolate(ctx, alphas, evals[: deg + 1])
         for a, e in zip(alphas[deg + 1 :], evals[deg + 1 :]):
@@ -482,17 +465,13 @@ def tensor_recover(
                 )
         polys[ls] = DenseTensor(ctx, (deg + 1,), cs)
 
-    for level in range(b, 0, -1):
-        tgt = sizes[level - 1]
-        half = len(tgt) // 2
-        n_rows = 1 + sum((tgt[2 * j] - 1) * stride**j for j in range(half))
-        n_cols = 1 + sum((tgt[2 * j + 1] - 1) * stride**j for j in range(half))
-        table = diag_weight_table(ctx, g, R, n_cols)
+    for level in range(len(s.levels), 0, -1):
+        tgt, n_rows, n_cols = s.levels[level - 1]
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
             univs = [_pack(polys[prefix + (i,)], stride) for i in range(R)]
             try:
-                w = low_rank_recovery(ctx, n_rows, n_cols, r, table, zip(*univs))
+                w = low_rank_recovery(ctx, n_rows, n_cols, r, s.table, zip(*univs))
                 new_polys[prefix] = _unpack(w, tgt, stride)
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
@@ -539,7 +518,7 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t against the rank-1 moment family ``family`` at r.
 
     Member (k, ls) of B, B' and TensorB evaluates one polynomial at alpha_k
-    (``hitting.moment_schedule``), so t is collapsed once per exponent index
+    (``hitting.schedule``), so t is collapsed once per exponent index
     ls and each member costs one Horner evaluation: O(R * entries) to
     collapse plus O(|family| * degree) to evaluate, instead of O(entries)
     per member.  For matrices the collapsed coefficients are the full
@@ -547,12 +526,14 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """
     if isinstance(t, LowRankTensor):
         t = expand(t)
+    if family not in MOMENT_FAMILIES:
+        raise ValueError(f"family {family} is not a rank-1 moment family")
     ctx = t.ctx
-    alphas, blocks = moment_schedule(ctx, family, t.dims, r)
+    s = schedule(ctx, family, t.dims, r)
     out = []
-    for _, mults, count in blocks:
+    for _, mults, count in s.blocks:
         coeffs = _collapse(t, mults)
-        out.extend(ctx.horner(coeffs, a) for a in alphas[:count])
+        out.extend(ctx.horner(coeffs, a) for a in s.alphas[:count])
     return out
 
 

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorhit import linalg
-from tensorhit.errors import FieldTooSmall, NoNullspace, NotRank1, OrderTooSmall, ShapeMismatch
+from tensorhit.errors import (
+    FieldTooSmall,
+    NoNullspace,
+    NotRank1,
+    OrderTooSmall,
+    OrderUnreachable,
+    ShapeMismatch,
+)
 from tensorhit.field import embed_as_matrix, make_extension, make_prime_field
 from tensorhit.hitting import (
     L,
@@ -28,6 +35,7 @@ from tensorhit.hitting import (
     naive_set,
     pit_test,
     rank_preserver,
+    schedule,
     simulate_improper,
     simulate_proper,
 )
@@ -518,6 +526,46 @@ def test_generate_family_dispatch():
     assert generate_family(GF13, "Naive", (2, 2), 0).family == "Naive"
     with pytest.raises(ValueError):
         generate_family(GF13, "Nope", (3, 3), 1)
+
+
+# -- the one schedule per (field, family, shape, R) --------------------------
+
+
+def test_equal_fields_and_list_or_tuple_dims_share_one_schedule():
+    for make in (lambda: make_prime_field(65537), lambda: make_extension(make_prime_field(3), 7)):
+        a, b = make(), make()
+        assert a is not b and a == b
+        for family, dims, R in (("Dprime", (3, 4), 4), ("B", (3, 4), 2),
+                                ("Bprime", (3, 4), 2), ("TensorB", (2, 2, 2), 2)):
+            s = schedule(a, family, dims, R)
+            assert schedule(b, family, list(dims), R) is s
+            assert schedule(a, family, dims, R + 1) is not s
+
+
+def test_a_failed_schedule_raises_on_every_call():
+    # GF(5) has no element of order 6, and a failure is never cached
+    for _ in range(3):
+        with pytest.raises(OrderUnreachable):
+            schedule(make_prime_field(5), "Dprime", (3, 6), 2)
+        with pytest.raises(OrderUnreachable):
+            hitting_set_D_prime(make_prime_field(5), 2, 3, 6)
+        with pytest.raises(ShapeMismatch, match="family D is for matrices"):
+            generate_family(GF13, "D", (2, 2, 2), 1)
+    with pytest.raises(ValueError, match="no schedule"):
+        schedule(GF13, "Naive", (2, 2), 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_each_tensor_level_reads_a_prefix_of_the_schedule_table(d):
+    ctx, n, R = make_prime_field(2**31 - 1), 3, 2
+    s = schedule(ctx, "TensorB", (n,) * d, R)
+    b = (d - 1).bit_length()
+    assert ctx.order_at_least(s.g, (2 * d * n) ** d) and s.stride == n << b
+    assert len(s.levels) == b and s.levels[0][0] == (n,) * d + (1,) * ((1 << b) - d)
+    assert len(s.table) == R and len(s.table[0]) == max(cols for _, _, cols in s.levels)
+    for _, _, cols in s.levels:
+        for l, row in enumerate(s.table):
+            assert list(row[:cols]) == ctx.powers(ctx.pow(s.g, l), cols)
 
 
 def test_random_rank1_measurements_baseline():

@@ -25,11 +25,11 @@ from tensorhit.hitting import (
     MOMENT_FAMILIES,
     combine_simulated_syndromes,
     diag_row_count,
-    dprime_table,
     generate_family,
     hitting_set_B_prime,
     hitting_set_D_prime,
     hitting_set_tensor,
+    schedule,
     simulate_improper,
 )
 from tensorhit.lrr import (
@@ -198,7 +198,7 @@ def test_recover_syndrome_count_mismatch():
 def test_low_rank_recovery_rejects_a_missing_diagonal():
     # a dropped last diagonal used to come back as zeros: entry (2, 2) read 0, not 9
     mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
-    table = dprime_table(GF13, 3, 3, 4)
+    table = schedule(GF13, "Dprime", (3, 3), 4).table
     synd = measure_D(mat, 2)
     by_k, off = [], 0
     for k in range(5):
