@@ -51,8 +51,9 @@ Order certification
 -------------------
 ``find_element_of_order(ctx, b)`` returns the first enumerated element whose
 multiplicative order is at least ``b``.  The order is computed exactly from
-the factorization of ``p^k - 1`` (factored once per field), so certifying
-costs a few exponentiations per candidate whatever the bound.
+the factorization of ``p^k - 1``, factored once per field one cyclotomic
+factor Phi_e(p), e | k, at a time, so certifying costs a few
+exponentiations per candidate whatever the bound.
 
 Vector kernels
 --------------
@@ -87,6 +88,7 @@ element operations are pure.
 """
 
 import itertools
+import math
 import operator
 
 from .errors import CompositeCharacteristic, FieldTooSmall, OrderUnreachable
@@ -127,8 +129,6 @@ def _is_prime(n: int) -> bool:
 def _pollard_rho(n: int) -> int:
     if n % 2 == 0:
         return 2
-    import math
-
     for c in itertools.count(1):
         x = y = 2
         d = 1
@@ -159,6 +159,21 @@ def _factorize(n: int) -> dict[int, int]:
             continue
         d = _pollard_rho(m)
         stack.extend((d, m // d))
+    return factors
+
+
+def _group_order_factors(p: int, k: int) -> dict[int, int]:
+    """Factorization of p^k - 1, merged from those of Phi_e(p) for e | k.
+
+    Phi_e(p) = (p^e - 1) / prod_(d | e, d < e) Phi_d(p).  Rho slows with the
+    second-largest prime of what it splits, so p - 1 and p + 1 are split one
+    at a time; a Phi_e(p), e >= 3, made of two large primes is still slow.
+    """
+    phi, factors = {}, {}
+    for e in (e for e in range(1, k + 1) if k % e == 0):
+        phi[e] = (p**e - 1) // math.prod(v for d, v in phi.items() if e % d == 0)
+        for q, c in _factorize(phi[e]).items():
+            factors[q] = factors.get(q, 0) + c
     return factors
 
 
@@ -376,12 +391,12 @@ class FieldCtx:
     # -- multiplicative order -------------------------------------------------
 
     def _exact_order(self, a: Fel) -> int:
-        """Multiplicative order of a nonzero a, from p^k - 1's factorization.
+        """Multiplicative order of a nonzero a, from ``_group_order_factors(p, k)``.
 
         A factor above 3.3e24 is taken as prime on fixed-base Miller-Rabin.
         """
         if self._group_factors is None:
-            self._group_factors = _factorize(self.size - 1)
+            self._group_factors = _group_order_factors(self.p, self.k)
         order = self.size - 1
         for q in self._group_factors:
             while order % q == 0 and self.pow(a, order // q) == self.one:

@@ -1,11 +1,15 @@
 """End-to-end CLI workflows, exit codes, and byte determinism."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensorhit
 from tensorhit import cli, formats, hitting, lrr
 from tensorhit.errors import TensorhitError
 from tensorhit.field import make_extension, make_prime_field
@@ -311,6 +315,19 @@ def test_extension_of_a_64_bit_prime_round_trips(tmp_path, capsys):
                "--out", str(synd)) == 0
     assert run("recover", "--syndromes", str(synd), "--out", str(rec)) == 0
     assert rec.read_text() == src.read_text()
+
+
+def test_gen_hit_over_gf_p2_of_a_64_bit_prime_finishes(tmp_path):
+    # a fresh process: no order certificate of an earlier test is reused
+    out = tmp_path / "ms.txt"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tensorhit.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["gen-hit", "--p", "18446744073709550771", "--k", "2", "--family", "Dprime",
+            "--dims", "3x3", "--r", "1", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "tensorhit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert len(formats.read_measurements(out.read_text())) == 5
 
 
 def _random_lowrank_file(ctx, dims, terms):

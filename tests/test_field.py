@@ -14,6 +14,8 @@ from tensorhit.field import (
     FieldCtx,
     PrimeField,
     TableField,
+    _factorize,
+    _group_order_factors,
     _is_irreducible,
     _is_prime,
     embed_as_matrix,
@@ -140,6 +142,25 @@ def test_order_certification_paths_agree():
             for a, t in zip(ctx.nonzero_elements(), orders):
                 assert ctx.order_at_least(a, bound) == (t >= bound)
         assert not ctx.order_at_least(ctx.zero, 2)
+
+
+@pytest.mark.parametrize("p,k", [(2, 9), (2, 12), (2, 13), (2, 16), (3, 6), (3, 7), (5, 4),
+                                 (7, 6), (13, 3), (257, 4), (65537, 2), (2**61 - 1, 2),
+                                 (2**31 - 1, 3)])
+def test_cyclotomic_factors_merge_to_the_group_order_factorization(p, k):
+    assert _group_order_factors(p, k) == _factorize(p**k - 1)
+
+
+def test_the_group_order_of_gf_p2_for_a_64_bit_p_factors_at_once():
+    # p - 1 and p + 1 of p = 2^64 - 845 each leave one prime near 2^60 after
+    # small factors; their product is a two-prime rho would have to split
+    p = 18446744073709550771
+    t0 = time.perf_counter()
+    factors = _group_order_factors(p, 2)
+    assert time.perf_counter() - t0 < 1.0
+    assert factors == {2: 3, 3: 2, 5: 1, 1844674407370955077: 1, 512409557603043077: 1}
+    ctx = make_extension(make_prime_field(p), 2)
+    assert ctx.order_at_least(ctx.element_of_order(6), 6)
 
 
 def _trial_division_is_prime(n):
