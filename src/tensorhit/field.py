@@ -73,11 +73,12 @@ elements are stored: linear algebra, Prony's method, recovery, measurement
 and encoding are written once, over any field, on top of them.  FieldCtx's
 ``dot`` sums unreduced coefficient convolutions and reduces once through
 ``_reduce``, the one reduction mod the modulus (everything else that
-multiplies extension elements, ``embed_as_matrix`` and so ``inv`` included,
-goes through ``mul``); its other kernels fold ``add`` and ``mul``.
-TableField defines the element operations and a ``dot`` that sums table
-products coefficient-wise, and inherits the other kernels with table
-lookups inside.
+multiplies extension elements goes through ``mul``, except that
+``embed_as_matrix``, and so ``inv``, multiplies by x as a shift plus the
+reduction table's first row, x^k mod f); its other kernels fold ``add``
+and ``mul``.  TableField defines the element operations and a ``dot``
+that sums table products coefficient-wise, and inherits the other kernels
+with table lookups inside.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and lazily built helpers (a prime field's inverse table below
@@ -644,14 +645,17 @@ def find_element_of_order(ctx: FieldCtx, min_order: int) -> Fel:
 def embed_as_matrix(ctx: FieldCtx, a: Fel) -> list[list[int]]:
     """Matrix of x -> a*x over the base field, in the power basis.
 
-    Column c holds the coefficients of ``a * x^c``, x times column c - 1.
-    The map is an algebra homomorphism: it turns field addition and
-    multiplication into matrix addition and multiplication.
+    Column c holds the coefficients of ``a * x^c``, x times column c - 1:
+    that column shifted up one degree, its x^k coefficient folded back in
+    through x^k mod f (the first row of the reduction table).  The map is an
+    algebra homomorphism: it turns field addition and multiplication into
+    matrix addition and multiplication.
     """
     if ctx.k == 1:
         return [[a]]
-    x = (0, 1) + (0,) * (ctx.k - 2)
+    p, top = ctx.p, ctx._red[0]
     cols = [a]
-    for _ in range(ctx.k - 1):  # x first, as in powers: mul skips its zero coefficients
-        cols.append(ctx.mul(x, cols[-1]))
+    for _ in range(ctx.k - 1):
+        shifted, hi = [0, *cols[-1][:-1]], cols[-1][-1]  # hi: the x^k coefficient
+        cols.append([(c + hi * t) % p for c, t in zip(shifted, top)] if hi else shifted)
     return [list(row) for row in zip(*cols)]

@@ -209,7 +209,7 @@ def test_embed_as_matrix_examples():
         make_extension(make_prime_field(3), 2),
         make_extension(make_prime_field(7), 2),
         make_extension(make_prime_field(2), 9),  # these two are above the table
-        make_extension(make_prime_field(13), 3),  # cap, so embed runs convolution mul
+        make_extension(make_prime_field(13), 3),  # cap, so inv solves on embed's matrix
     ],
     ids=["GF4", "GF8", "GF9", "GF49", "GF(2^9)", "GF(13^3)"],
 )
