@@ -171,7 +171,7 @@ def _group_order_factors(p: int, k: int) -> dict[int, int]:
     at a time; a Phi_e(p), e >= 3, made of two large primes is still slow.
     """
     phi, factors = {}, {}
-    for e in (e for e in range(1, k + 1) if k % e == 0):
+    for e in (d for d in range(1, k + 1) if k % d == 0):
         phi[e] = (p**e - 1) // math.prod(v for d, v in phi.items() if e % d == 0)
         for q, c in _factorize(phi[e]).items():
             factors[q] = factors.get(q, 0) + c
