@@ -26,8 +26,10 @@ n x m with 1 <= R <= n <= m, the paper's.  ``schedule`` derives the rest
 once per (field, family, shape, R): the one g, the alphas, multipliers and
 block counts of the rank-1 families B, Bprime and TensorB, the one weight
 table (D' at R for the matrix families, the widest merged matrix's for
-TensorB) and TensorB's merge levels.  ``dprime_size`` counts D' and
-``tensor_size`` counts TensorB without building them.
+TensorB), TensorB's merge levels and the ``Layout`` of cells recovery
+solves for (every cell of a matrix, each TensorB level's packed lattice).
+``dprime_size`` counts D' and ``tensor_size`` counts TensorB without
+building them.
 ``inner_products`` is the one scan of a family against a tensor: it
 reuses the contractions of the trailing factors its members share.
 
@@ -43,7 +45,10 @@ position a; the padding positions d..2^b-1 are dummies of degree zero.
 
 import functools
 import itertools
+import operator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -167,6 +172,79 @@ def check_family(family: str, dims: tuple[int, ...], R: int) -> None:
         raise ShapeMismatch(f"family {family} needs dimensions >= 1, got {dims}")
 
 
+class Cells(NamedTuple):
+    """The cells of one diagonal of a ``Layout``, in column order.
+
+    ``rows`` and ``cols`` are their positions in the layout (rows descend);
+    ``at_rows``, ``at_cols`` and ``at_weights`` gather, in one call, the
+    entries at those cells of a vector indexed by row position, by column
+    position and by column of the matrix (a weight-table row).
+    """
+
+    rows: Sequence[int]
+    cols: Sequence[int]
+    at_rows: Callable
+    at_cols: Callable
+    at_weights: Callable
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The cells of an n x m matrix that recovery solves for.
+
+    ``rows`` and ``cols`` (ascending) are the rows and columns that may hold
+    a nonzero entry; recovery stores its matrices over them, so position a
+    stands for row rows[a].  ``diagonals[k]`` is the ``Cells`` of the
+    k-diagonal, or None when no cell lies on it.
+    """
+
+    n: int
+    m: int
+    rows: Sequence[int]
+    cols: Sequence[int]
+    diagonals: tuple[Cells | None, ...]
+
+    @classmethod
+    def full(cls, n: int, m: int) -> "Layout":
+        """Every cell: positions are rows and columns, and each gather is a slice."""
+        diagonals = []
+        for k in range(n + m - 1):
+            lo, hi = diag_columns(n, m, k)
+            rows, cols = range(k - lo, k - hi - 1, -1), range(lo, hi + 1)
+            diagonals.append(Cells(rows, cols, _gather(rows), _gather(cols), _gather(cols)))
+        return cls(n, m, range(n), range(m), tuple(diagonals))
+
+    @classmethod
+    def lattice(cls, rows: Sequence[int], cols: Sequence[int]) -> "Layout":
+        """The cells rows x cols of a (rows[-1] + 1) x (cols[-1] + 1) matrix."""
+        by_k: dict[int, list[tuple[int, int, int]]] = {}
+        for b, j in enumerate(cols):
+            for a, i in enumerate(rows):
+                by_k.setdefault(i + j, []).append((a, b, j))
+        diagonals = [None] * (rows[-1] + cols[-1] + 1)
+        for k, cells in by_k.items():
+            a, b, j = zip(*cells)
+            diagonals[k] = Cells(a, b, _gather(a), _gather(b), _gather(j))
+        return cls(rows[-1] + 1, cols[-1] + 1, tuple(rows), tuple(cols), tuple(diagonals))
+
+
+def _gather(idx: Sequence[int]) -> Callable:
+    """v -> the entries of v at idx, as a sequence: a slice when idx is a range."""
+    if isinstance(idx, range):
+        return operator.itemgetter(slice(idx.start, idx.stop if idx.stop >= 0 else None, idx.step))
+    if len(idx) == 1:
+        return operator.itemgetter(slice(idx[0], idx[0] + 1))
+    return operator.itemgetter(*idx)
+
+
+def packed(sizes: Sequence[int], steps: Sequence[int]) -> list[int]:
+    """Every sum_j a_j steps[j] with 0 <= a_j < sizes[j], digit 0 fastest."""
+    out = [0]
+    for size, step in zip(sizes, steps):
+        out = [x + a * step for a in range(size) for x in out]
+    return out
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Everything a family derives from (field, family, shape, R), built once.
@@ -181,10 +259,15 @@ class Schedule:
     measure nothing; for TensorB R rows as wide as the widest merged
     matrix, which only recovery reads.  TensorB's ``levels[i]`` is (target
     variable sizes, rows, columns) of the matrix that merge level i + 1
-    recovers, its exponents packed in base ``stride`` = n 2^b.
+    recovers, its exponents packed in base ``stride`` = n 2^b.  ``layouts``
+    are the cells recovery solves for, built on first read: every cell of
+    n x m for a matrix family; for TensorB level i + 1's packed lattice,
+    the rows (columns) whose base-stride digits lie below the sizes of the
+    even (odd) target variables, the only cells a merged matrix can fill.
     """
 
     ctx: FieldCtx
+    dims: tuple[int, ...]
     g: Fel
     table_shape: tuple[int, int]
     alphas: tuple[Fel, ...]
@@ -196,6 +279,14 @@ class Schedule:
     def table(self) -> tuple[tuple[Fel, ...], ...]:
         count, width = self.table_shape
         return tuple(tuple(self.ctx.powers(gl, width)) for gl in self.ctx.powers(self.g, count))
+
+    @functools.cached_property
+    def layouts(self) -> tuple[Layout, ...]:
+        if not self.levels:
+            return (Layout.full(*self.dims),)
+        steps = [self.stride**j for j in range(len(self.levels[0][0]) // 2)]
+        return tuple(Layout.lattice(packed(tgt[0::2], steps), packed(tgt[1::2], steps))
+                     for tgt, _, _ in self.levels)
 
 
 def schedule(ctx: FieldCtx, family: str, dims, R: int) -> Schedule:
@@ -235,7 +326,8 @@ def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Sche
             shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
             blocks = [((l,), (ctx.one, ctx.pow(g, l)), (n + m - 1) - shrink * l)
                       for l in range(R)]
-    return Schedule(ctx, g, (count, width), tuple(alphas), tuple(blocks), stride, tuple(levels))
+    return Schedule(ctx, dims, g, (count, width), tuple(alphas), tuple(blocks), stride,
+                    tuple(levels))
 
 
 def _moment_family(

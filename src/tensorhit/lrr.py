@@ -1,7 +1,9 @@
 """Low-rank recovery from diagonal measurements.
 
 The engine reconstructs a rank <= r matrix one k-diagonal at a time from
-non-adaptive inner products.  Row-reducing the already-recovered prefix
+non-adaptive inner products, over the cells of a ``hitting.Layout``: every
+cell of a plain matrix, or the packed lattice of a TensorB merge level,
+the only cells its matrix can fill.  Row-reducing the already-recovered prefix
 keeps it in (<k)-upper-echelon form, which forces the next diagonal of the
 reduced matrix to be sparse outside a small set of predictable columns.
 A diagonal with at least as many syndrome rows as entries is solved from
@@ -26,14 +28,16 @@ Beyond matrices, the module converts rank-1-family syndromes into diagonal
 syndromes by staircase interpolation, and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family: each
 level packs its polynomials with ``tensor.merge_variables``, recovers the
-merged coefficient matrix, and unpacks it with ``tensor.split_variables``.
-Every shape rule, generator, point, weight and merge level is read from ``hitting``.
+merged coefficient matrix on the level's lattice, and writes its cells
+straight into the finer level's tensor.  Every shape rule, generator,
+point, weight, merge level and layout is read from ``hitting``.
 ``measure_moments`` measures the rank-1 families (B, B', TensorB) through
 one collapsed polynomial per exponent index.  ``measure`` and ``recover``
 are the one entry point for each family in ``RECOVERY_FAMILIES``.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -49,12 +53,14 @@ from .errors import (
 from .field import Fel, FieldCtx
 from .hitting import (
     MOMENT_FAMILIES,
+    Layout,
     check_family,
     diag_columns,
     diag_row_count,
     dprime_size,
     family_tensor,
     inner_products,
+    packed,
     schedule,
     tensor_size,
 )
@@ -63,8 +69,6 @@ from .tensor import (
     LowRankTensor,
     expand,
     merge_variables,
-    permute_axes,
-    split_variables,
 )
 from .sparse import pronys_method
 
@@ -105,16 +109,20 @@ def make_upper_echelon(p: DenseTensor, n: int, m: int, k: int) -> list[RowOp]:
     """
     if not _check_lt_k_echelon(p, k):
         raise NotEchelon(f"matrix is not (<{k})-upper-echelon")
-    return _echelon_ops(p.ctx, p.rows(), dict(lne_scan(p, k)), n, k)
+    cols = range(max(0, k - n + 1), min(m, k + 1))
+    rows = range(k - cols.start, k - cols.stop, -1)
+    return _echelon_ops(p.ctx, p.rows(), dict(lne_scan(p, k)), rows, cols)
 
 
-def _echelon_ops(ctx, rows, lne: dict[int, int], n: int, k: int) -> list[RowOp]:
+def _echelon_ops(ctx, rows, lne: dict[int, int], diag_rows, diag_cols) -> list[RowOp]:
+    """The ops clearing, under each lne (i, j), the cell of column j on a
+    diagonal whose cells are (diag_rows[t], diag_cols[t])."""
     ops = []
     for i in sorted(lne):
         j = lne[i]
-        tgt = k - j
-        if tgt >= n:
+        if j not in diag_cols:
             continue
+        tgt = diag_rows[diag_cols.index(j)]
         v = rows[tgt][j]
         if v == ctx.zero:
             continue
@@ -122,24 +130,17 @@ def _echelon_ops(ctx, rows, lne: dict[int, int], n: int, k: int) -> list[RowOp]:
     return ops
 
 
-def apply_row_ops(ctx, rows, ops: list[RowOp]) -> None:
-    for tgt, src, c in ops:
-        ctx.axpy(rows[tgt], c, rows[src])
-
-
-def ops_to_dense(ctx, n: int, ops: list[RowOp]) -> list[list[Fel]]:
-    rows = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-    apply_row_ops(ctx, rows, ops)
-    return rows
-
-
 @dataclass(frozen=True)
 class EchelonState:
-    """Live view of the recovery loop's state, passed to hooks (read-only)."""
+    """Live view of the recovery loop's state, passed to hooks (read-only).
+
+    L, N and P are stored over the layout's rows and columns: entry [a][b]
+    is cell (layout.rows[a], layout.cols[b]), and lne maps row positions to
+    column positions.
+    """
 
     ctx: FieldCtx
-    n: int
-    m: int
+    layout: Layout
     L: list
     N: list
     P: list
@@ -151,28 +152,28 @@ class RecoveryHooks:
     """Optional instrumentation points for the recovery loop.
 
     before_oracle(k, state, advice_cols) fires after the correction is
-    computed and before the diagonal is solved; after_iteration(k, state)
-    fires at the end of the loop body, with state.lne still describing the
-    (<k) region.
+    computed and before a diagonal that meets the layout is solved, with the
+    advice as column positions; after_iteration(k, state) fires at the end
+    of that diagonal's loop body, with state.lne still describing the (<k)
+    region.
     """
 
     before_oracle: object = None
     after_iteration: object = None
 
 
-def _solve_diagonal(ctx, table, n: int, m: int, k: int, ys) -> list[Fel]:
-    """Diagonal k (column order) from ys[l], its inner product with row l of table.
+def _solve_diagonal(ctx, weights, ys) -> list[Fel]:
+    """A diagonal's entries x from ys[l] = <x, weights[l]>.
 
     Solves the square Vandermonde system of the first rows, one per entry,
     and checks every further row against the solution.
     """
-    j_lo, j_hi = diag_columns(n, m, k)
-    length = j_hi - j_lo + 1
-    x = linalg.solve(ctx, [row[j_lo : j_hi + 1] for row in table[:length]], ys[:length])
+    length = len(weights[0])
+    x = linalg.solve(ctx, weights[:length], ys[:length])
     if x is None:
         raise InconsistentSyndrome("unsolvable square system")
-    for row, target in zip(table[length:], ys[length:]):
-        if ctx.dot(x, row[j_lo:]) != target:
+    for row, target in zip(weights[length:], ys[length:]):
+        if ctx.dot(x, row) != target:
             raise InconsistentSyndrome("redundant row mismatch")
     return x
 
@@ -185,69 +186,76 @@ def low_rank_recovery(
     table: list[list[Fel]],
     syndromes_by_k,
     hooks: RecoveryHooks | None = None,
+    layout: Layout | None = None,
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
     syndromes_by_k[k][l] is the inner product of diagonal k (of n + m - 1)
     with row l of ``table`` (``hitting.schedule``; rows may run past m) over its columns.
-    A diagonal with at least as many rows as entries goes to
+    ``layout`` (``hitting.Layout``; None is every cell of n x m) names the
+    cells that may be nonzero: L, N and P are stored over its rows and
+    columns, and the returned matrix is N over them.  A diagonal that meets
+    no cell must measure zero; any other is solved on its cells, from their
+    points ``table[1][j]``.  One with at least as many rows as cells goes to
     ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
-    method with the echelon advice set, reading its points from row 1.
-    An error from either names its diagonal as ``diagonal k:``.
+    method with the echelon advice set.  An error names its diagonal as
+    ``diagonal k:``.
 
-    An echelon op (tgt, src, c) writes one entry of P, (tgt, k - tgt): row
-    src is zero left of that column, and the later diagonals it would
-    change are overwritten by the oracle before they are read.  Row src of
-    L is zero outside the off-identity columns and src, so the op updates
-    at most r + 1 entries of L, in its rows and the correction's columns.
+    The correction of a cell (i, j) is sum_c L[i][c] N[c][j] over the
+    off-identity columns c of L: row c of N is still zero on the diagonal
+    and beyond, so the unit entry L[c][c] adds nothing.  An echelon op
+    (tgt, src, c) writes one entry of P, (tgt, lne column of src): row src
+    is zero left of that column, and the later diagonals it would change
+    are overwritten by the oracle before they are read.  Row src of L is
+    zero outside the off-identity columns and src, so the op updates at
+    most r + 1 entries of L, in its rows and the correction's columns.
     """
+    layout = layout or Layout.full(n, m)
     syndromes_by_k = list(syndromes_by_k)
     if len(syndromes_by_k) != n + m - 1:
         raise ShapeMismatch(f"expected {n + m - 1} diagonals, got {len(syndromes_by_k)}")
     zero, one, minus_one = ctx.zero, ctx.one, ctx.neg(ctx.one)
-    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    size, width = len(layout.rows), len(layout.cols)
+    L = [[one if i == j else zero for j in range(size)] for i in range(size)]
     l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries
-    N = [[zero] * m for _ in range(n)]
-    P = [[zero] * m for _ in range(n)]
+    N = [[zero] * width for _ in range(size)]
+    P = [[zero] * width for _ in range(size)]
     lne: dict[int, int] = {}
 
     for k, synd in enumerate(syndromes_by_k):
-        j_lo, j_hi = diag_columns(n, m, k)
-        length = j_hi - j_lo + 1
+        cells = layout.diagonals[k]
+        if cells is None:
+            if synd.count(zero) != len(synd):
+                raise InconsistentSyndrome(f"diagonal {k}: nonzero syndrome off the layout")
+            continue
+        rows, cols = cells.rows, cells.cols
 
-        # correction ((L - I) N) on this diagonal, column order: each
-        # off-identity column c of L meets row c of N on the columns j < k - c
-        a_diag = [zero] * length
+        a_diag = [zero] * len(cols)  # correction ((L - I) N) on this diagonal
         for c, col in l_cols.items():
-            end = min(j_hi + 1, k - c)
-            if end > j_lo:
-                ctx.fma(a_diag, col[k - j_lo : k - end : -1], N[c][j_lo:end])
+            ctx.fma(a_diag, cells.at_rows(col), cells.at_cols(N[c]))
 
         advice = set()
         for i0, j0 in lne.items():
-            c1 = k - i0
-            if j_lo <= c1 <= j_hi:
-                advice.add(c1 - j_lo)
-            if j_lo <= j0 <= j_hi:
-                advice.add(j0 - j_lo)
+            if i0 in rows:
+                advice.add(rows.index(i0))
+            if j0 in cols:
+                advice.add(cols.index(j0))
 
-        y = [
-            ctx.add(s_val, ctx.dot(a_diag, row[j_lo:]))
-            for row, s_val in zip(table, synd)
-        ]
+        weights = [cells.at_weights(row) for row in table[: len(synd)]]
+        y = [ctx.add(s_val, ctx.dot(a_diag, w)) for w, s_val in zip(weights, synd)]
 
         if hooks and hooks.before_oracle:
             hooks.before_oracle(
                 k,
-                EchelonState(ctx, n, m, L, N, P, lne),
-                {j_lo + t for t in advice},
+                EchelonState(ctx, layout, L, N, P, lne),
+                {cols[t] for t in advice},
             )
 
         try:
-            if len(y) >= length:
-                p_diag = _solve_diagonal(ctx, table, n, m, k, y)
+            if len(y) >= len(cols):
+                p_diag = _solve_diagonal(ctx, weights, y)
             else:  # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
-                p_diag = pronys_method(ctx, length, r, advice, y, table[1][j_lo : j_hi + 1])
+                p_diag = pronys_method(ctx, len(cols), r, advice, y, weights[1])
         except PromiseViolation as e:
             raise type(e)(f"diagonal {k}: {e}") from e
         except TensorhitError as e:
@@ -255,12 +263,12 @@ def low_rank_recovery(
 
         n_diag = list(p_diag)  # N = P - correction
         ctx.axpy(n_diag, minus_one, a_diag)
-        for j, p_val, n_val in zip(range(j_lo, j_hi + 1), p_diag, n_diag):
-            P[k - j][j] = p_val
-            N[k - j][j] = n_val
+        for i, j, p_val, n_val in zip(rows, cols, p_diag, n_diag):
+            P[i][j] = p_val
+            N[i][j] = n_val
 
-        for tgt, src, coef in _echelon_ops(ctx, P, lne, n, k):
-            P[tgt][k - tgt] = zero
+        for tgt, src, coef in _echelon_ops(ctx, P, lne, rows, cols):
+            P[tgt][lne[src]] = zero
             if src not in l_cols:
                 l_cols[src] = [row[src] for row in L]
             for c, col in l_cols.items():
@@ -269,10 +277,9 @@ def low_rank_recovery(
                     L[tgt][c] = col[tgt] = ctx.add(col[tgt], ctx.mul(coef, v))
 
         if hooks and hooks.after_iteration:
-            hooks.after_iteration(k, EchelonState(ctx, n, m, L, N, P, lne))
+            hooks.after_iteration(k, EchelonState(ctx, layout, L, N, P, lne))
 
-        for j in range(j_lo, j_hi + 1):
-            i = k - j
+        for i, j in zip(rows, cols):
             if i not in lne and P[i][j] != zero:
                 lne[i] = j
         if len(lne) > r:
@@ -326,11 +333,11 @@ def recover_from_D(
     expected = dprime_size(n, m, 2 * r)
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
-    table = schedule(ctx, "Dprime", (n, m), 2 * r).table
+    s = schedule(ctx, "Dprime", (n, m), 2 * r)
     counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
     ends = itertools.accumulate(counts)
     synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
-    return low_rank_recovery(ctx, n, m, r, table, synd_by_k, hooks=hooks)
+    return low_rank_recovery(ctx, n, m, r, s.table, synd_by_k, hooks=hooks, layout=s.layouts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +391,9 @@ def convert_B_to_D(
             continue
         # diagonals l - 1 and width - l have l entries, all measured by now
         for kp in (l - 1, width - l):
-            diag_vals[kp] = _solve_diagonal(ctx, table, n, m, kp, [c[kp] for c in coeff])
+            j_lo, j_hi = diag_columns(n, m, kp)
+            weights = [row[j_lo : j_hi + 1] for row in table[:l]]
+            diag_vals[kp] = _solve_diagonal(ctx, weights, [c[kp] for c in coeff])
         lows = [fringe_value(l, kp) for kp in range(l)]
         highs = [fringe_value(l, kp) for kp in range(width - l, width)]
         down = list(map(ctx.mul, down[:cnt], inv_alphas))
@@ -416,19 +425,21 @@ def _pack(t: DenseTensor, stride: int) -> list[Fel]:
     return t.entries
 
 
-def _unpack(w: DenseTensor, tgt: list[int], stride: int) -> DenseTensor:
-    """Split w's row and column exponents into base-stride digits, interleaved.
+def _unpack(w: DenseTensor, tgt: tuple[int, ...]) -> DenseTensor:
+    """The finer level's tensor, of variable sizes ``tgt``, from w over the level's lattice.
 
-    Row digit j is variable 2j of the finer level and column digit j is
-    variable 2j + 1, with lengths ``tgt``; a nonzero coefficient whose digit
-    overflows its length raises ShapeMismatch.
+    Lattice row a holds the digits of the even variables 0, 2, ... and
+    column b those of the odd ones, digit 0 fastest (``hitting.packed``), so
+    w's cells are exactly the finer tensor's entries, each written straight
+    to its row-major place.
     """
-    half = len(tgt) // 2
-    for j in range(half - 1):
-        w = split_variables(w, j, stride, tgt[2 * j])
-    for j in range(half - 1):
-        w = split_variables(w, half + j, stride, tgt[2 * j + 1])
-    return permute_axes(w, tuple(a for j in range(half) for a in (j, half + j)))
+    steps = [math.prod(tgt[a + 1 :]) for a in range(len(tgt))]
+    entries = [w.ctx.zero] * (steps[0] * tgt[0])
+    cols = packed(tgt[1::2], steps[1::2])
+    for a, row in zip(packed(tgt[0::2], steps[0::2]), w.rows()):
+        for b, x in zip(cols, row):
+            entries[a + b] = x
+    return DenseTensor(w.ctx, tgt, entries)
 
 
 def tensor_recover(
@@ -439,9 +450,13 @@ def tensor_recover(
     Interpolates one univariate polynomial per exponent-index tuple, then
     walks the merging recursion backwards: the R polynomials that share an
     index prefix, packed into one variable, hold the full diagonal-family
-    syndromes of a merged coefficient matrix of rank <= r.  Each matrix is
-    recovered from all R rows of every diagonal and unpacked into one more
-    variable pair per level.
+    syndromes of a merged coefficient matrix of rank <= r.  Only the cells
+    of the level's packed lattice (``Schedule.layouts``) can be nonzero, so
+    each matrix is recovered over them from all R rows of every diagonal,
+    and the diagonals that meet none must measure zero.  Its cells are then
+    written into the finer level's tensor, one more variable pair per
+    level.  Every cell of the lattice is an entry of that tensor, so no
+    recovered entry can fall outside it and nothing is left to reject there.
     """
     dims = (n,) * d
     check_recovery("TensorB", dims, r)
@@ -466,17 +481,17 @@ def tensor_recover(
         polys[ls] = DenseTensor(ctx, (deg + 1,), cs)
 
     for level in range(len(s.levels), 0, -1):
-        tgt, n_rows, n_cols = s.levels[level - 1]
+        tgt = s.levels[level - 1][0]
+        layout = s.layouts[level - 1]
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
             univs = [_pack(polys[prefix + (i,)], stride) for i in range(R)]
             try:
-                w = low_rank_recovery(ctx, n_rows, n_cols, r, s.table, zip(*univs))
-                new_polys[prefix] = _unpack(w, tgt, stride)
+                w = low_rank_recovery(ctx, layout.n, layout.m, r, s.table, zip(*univs),
+                                      layout=layout)
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
-            except ShapeMismatch as e:
-                raise InconsistentSyndrome(f"level {level}: {e}") from e
+            new_polys[prefix] = _unpack(w, tgt)
         polys = new_polys
 
     full = polys[()]

@@ -84,3 +84,27 @@ class InvariantChecker:
                         acc = ctx.add(acc, ctx.mul(state.L[i][c], self.M[c][j]))
                 assert state.P[i][j] == acc
         self.finished = True
+
+
+class LatticeSupportChecker:
+    """Asserts that P, N and the off-identity entries of L stay on a layout's
+    rows and columns while the loop runs on every cell of the same matrix."""
+
+    def __init__(self, ctx, layout):
+        self.zero = ctx.zero
+        self.rows, self.cols = set(layout.rows), set(layout.cols)
+        self.iterations = 0
+
+    def hooks(self):
+        return RecoveryHooks(after_iteration=self.after_iteration)
+
+    def after_iteration(self, k, state):
+        zero, rows, cols = self.zero, self.rows, self.cols
+        for i, (prow, nrow, lrow) in enumerate(zip(state.P, state.N, state.L)):
+            for j, (p, q) in enumerate(zip(prow, nrow)):
+                if p != zero or q != zero:
+                    assert i in rows and j in cols, f"P or N left the lattice at diagonal {k}"
+            for c in range(i):
+                if lrow[c] != zero:
+                    assert i in rows and c in rows, f"L left the lattice at diagonal {k}"
+        self.iterations += 1

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from _invariants import InvariantChecker
+from _invariants import InvariantChecker, LatticeSupportChecker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +39,6 @@ from tensorhit.lrr import (
     make_upper_echelon,
     measure_D,
     measure_syndromes,
-    ops_to_dense,
     recover_from_D,
     tensor_measure,
     tensor_recover,
@@ -72,6 +71,17 @@ def _rand_low_rank(ctx, rng, dims, r, exact=False):
             out.entries = [ctx.add(a, b) for a, b in zip(out.entries, term)]
         if not exact or len(dims) != 2 or matrix_rank(out) == r:
             return out
+
+
+def apply_row_ops(ctx, rows, ops):
+    for tgt, src, c in ops:
+        ctx.axpy(rows[tgt], c, rows[src])
+
+
+def ops_to_dense(ctx, n, ops):
+    rows = [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+    apply_row_ops(ctx, rows, ops)
+    return rows
 
 
 # -- lne and echelon ----------------------------------------------------------
@@ -524,6 +534,160 @@ def test_tensor_d4_roundtrip():
         t = _rand_low_rank(ctx, rng, (2, 2, 2, 2), 2)
         rec = tensor_recover(ctx, 4, 2, 2, tensor_measure(t, 2))
         assert rec.entries == t.entries
+
+
+# -- each TensorB level on its packed lattice ---------------------------------
+
+LATTICE_SHAPES = [(3, 3, 2), (4, 3, 1), (4, 2, 2), (5, 2, 1), (3, 4, 1)]  # (d, n, r)
+GF_M31 = make_prime_field(2**31 - 1)
+
+
+def _level_calls(d, n, r, seed):
+    """(layout, table, syndromes by diagonal) of each level that recovering a
+    random rank <= r tensor of shape [n]^d solves, in the order it solves them."""
+    t = _rand_low_rank(GF_M31, random.Random(seed), (n,) * d, r)
+    calls, real = [], lrr.low_rank_recovery
+
+    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None):
+        by_k = [list(v) for v in by_k]
+        calls.append((layout, table, by_k))
+        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout)
+
+    lrr.low_rank_recovery = spy
+    try:
+        assert tensor_recover(GF_M31, d, n, r, tensor_measure(t, r)).entries == t.entries
+    finally:
+        lrr.low_rank_recovery = real
+    return calls
+
+
+def _on_lattice(ctx, layout, r, table, by_k):
+    return lrr.low_rank_recovery(ctx, layout.n, layout.m, r, table, by_k, layout=layout)
+
+
+def _on_every_cell(ctx, layout, r, table, by_k, hooks=None):
+    """The level recovered on every cell, as a padded matrix, then cut to the
+    lattice; an entry off the lattice is a violation."""
+    rows = lrr.low_rank_recovery(ctx, layout.n, layout.m, r, table, by_k, hooks=hooks).rows()
+    on = [[rows[i][j] for j in layout.cols] for i in layout.rows]
+    nonzero = sum(v != ctx.zero for row in rows for v in row)
+    if nonzero != sum(v != ctx.zero for row in on for v in row):
+        raise InconsistentSyndrome("a recovered entry lies off the lattice")
+    return DenseTensor.from_rows(ctx, on)
+
+
+def _level_syndromes(ctx, layout, table, rows):
+    """Syndromes by diagonal of the matrix holding rows (over the layout) on its cells."""
+    by_k = [[ctx.zero] * len(table) for _ in layout.diagonals]
+    for a, i in enumerate(layout.rows):
+        for b, j in enumerate(layout.cols):
+            if rows[a][b] != ctx.zero:
+                for l, w in enumerate(table):
+                    by_k[i + j][l] = ctx.add(by_k[i + j][l], ctx.mul(rows[a][b], w[j]))
+    return by_k
+
+
+@pytest.mark.parametrize("d, n, r", LATTICE_SHAPES)
+def test_a_level_recovers_the_same_matrix_on_its_lattice_and_on_every_cell(d, n, r):
+    ctx = GF_M31
+    calls = _level_calls(d, n, r, f"levels {d} {n} {r}")
+    assert len(calls) == sum((2 * r) ** i for i in range((d - 1).bit_length()))
+    rng = random.Random(f"lattice {d} {n} {r}")
+    for layout, table, by_k in calls:
+        # the level's own syndromes, then a random rank <= r matrix on its
+        # lattice, measured as the level is
+        m = _rand_low_rank(ctx, rng, (len(layout.rows), len(layout.cols)), r)
+        for synd in (by_k, _level_syndromes(ctx, layout, table, m.rows())):
+            checker = LatticeSupportChecker(ctx, layout)
+            padded = _on_every_cell(ctx, layout, r, table, synd, checker.hooks())
+            assert checker.iterations == layout.n + layout.m - 1
+            assert _on_lattice(ctx, layout, r, table, synd) == padded
+        assert padded == m
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except PromiseViolation as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("d, n, r", LATTICE_SHAPES)
+def test_corrupted_level_syndromes_raise_on_the_lattice_and_on_every_cell(d, n, r):
+    ctx, R = GF_M31, 2 * r
+    rng = random.Random(f"corrupt {d} {n} {r}")
+    off_lattice = 0
+    for layout, table, by_k in _level_calls(d, n, r, f"corrupt levels {d} {n} {r}"):
+        # a bump on a diagonal with fewer cells than rows is inconsistent;
+        # one on a longer diagonal may or may not be, alike on both
+        short = [k for k, c in enumerate(layout.diagonals) if c and len(c.cols) < R]
+        long = [k for k, c in enumerate(layout.diagonals) if c and len(c.cols) >= R]
+        for ks, must_raise in ((short, True), (long, False)):
+            for k in rng.sample(ks, min(3, len(ks))):
+                bad = [list(v) for v in by_k]
+                l = rng.randrange(R)
+                bad[k][l] = ctx.add(bad[k][l], ctx.from_index(rng.randrange(1, ctx.size)))
+                got = _outcome(_on_lattice, ctx, layout, r, table, bad)
+                padded = _outcome(_on_every_cell, ctx, layout, r, table, bad)
+                if must_raise or isinstance(got, type):
+                    assert issubclass(got, PromiseViolation)
+                    assert issubclass(padded, PromiseViolation)
+                else:
+                    assert got == padded
+        # one cell off the lattice: syndromes nonzero on one diagonal that
+        # meets no lattice cell, zero everywhere else (the top level fills
+        # every cell of its matrix)
+        k = next((k for k, c in enumerate(layout.diagonals) if c is None), None)
+        if k is None:
+            continue
+        off_lattice += 1
+        j = min(k, layout.m - 1)
+        bad = [[ctx.zero] * R for _ in by_k]
+        bad[k] = [ctx.mul(5, w[j]) for w in table]
+        with pytest.raises(InconsistentSyndrome, match=f"diagonal {k}: nonzero syndrome off"):
+            _on_lattice(ctx, layout, r, table, bad)
+        with pytest.raises(InconsistentSyndrome, match="off the lattice"):
+            _on_every_cell(ctx, layout, r, table, bad)
+    assert off_lattice
+
+
+def test_a_level_names_itself_and_the_diagonal_off_its_lattice():
+    ctx = make_prime_field(_prime_at_least((2 * 3 * 2) ** 3))
+    t = DenseTensor.zeros(ctx, (2, 2, 2))
+    synd = tensor_measure(t, 1)
+    s = schedule(ctx, "TensorB", (2, 2, 2), 2)
+    # level 1 (4 variables of sizes 2, 2, 2, 1; stride 8) is solved last:
+    # rows 0, 1, 8, 9 and columns 0, 1, so diagonals 3 to 7 meet no cell
+    assert s.layouts[0].rows == (0, 1, 8, 9) and s.layouts[0].cols == (0, 1)
+    assert [k for k, c in enumerate(s.layouts[0].diagonals) if c is None] == [3, 4, 5, 6, 7]
+    assert None not in s.layouts[1].diagonals
+    real = lrr.low_rank_recovery
+
+    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None):
+        by_k = [list(v) for v in by_k]
+        if layout is s.layouts[0]:
+            by_k[3] = [table[0][1], table[1][1]]  # cell (2, 1)
+        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout)
+
+    lrr.low_rank_recovery = spy
+    try:
+        with pytest.raises(InconsistentSyndrome,
+                           match="level 1: diagonal 3: nonzero syndrome off the layout"):
+            tensor_recover(ctx, 3, 2, 1, synd)
+    finally:
+        lrr.low_rank_recovery = real
+
+
+def test_a_rank_1_tensor_of_shape_2_to_the_8_round_trips_over_gf_2_61_minus_1():
+    # level 1 is a 4370 x 4370 matrix of which 16 rows and 16 columns can be
+    # nonzero; recovered on every cell it took about 16 s
+    ctx = make_prime_field(2**61 - 1)
+    t = _rand_low_rank(ctx, random.Random(12), (2,) * 8, 1)
+    s = schedule(ctx, "TensorB", (2,) * 8, 2)
+    assert (s.layouts[0].n, len(s.layouts[0].rows), len(s.layouts[0].cols)) == (4370, 16, 16)
+    synd = tensor_measure(t, 1)
+    assert len(synd) == 128
+    assert tensor_recover(ctx, 8, 2, 1, synd).entries == t.entries
 
 
 GF7919 = make_prime_field(7919)  # order >= (2dn)^d for d, n <= 3
