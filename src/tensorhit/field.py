@@ -65,7 +65,9 @@ Besides the element operations, a context offers a few vector kernels:
 * ``pivot(rows, r, c)``: scale row r so its column-c entry is one, then
   clear column c of every other row, touching columns c onward only;
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
-* ``horner(coeffs, x)``: sum of coeffs[i] * x^i.
+* ``horner(coeffs, x)``: sum of coeffs[i] * x^i;
+* ``pack(rows)`` and ``dots(u, packed, count, start=0)``: rows bundled
+  once, then [dot(u, row[start:]) for row in rows[:count]] in one call.
 
 Each class has one body per element operation and kernel that its
 representation changes, and these bodies are the only code that knows how
@@ -76,9 +78,10 @@ and encoding are written once, over any field, on top of them.  FieldCtx's
 multiplies extension elements goes through ``mul``, except that
 ``embed_as_matrix``, and so ``inv``, multiplies by x as a shift plus the
 reduction table's first row, x^k mod f); its other kernels fold ``add``
-and ``mul``.  TableField defines the element operations and a ``dot``
-that sums table products coefficient-wise, and inherits the other kernels
-with table lookups inside.
+and ``mul``, and its ``dots`` makes one ``dot`` per row.  TableField
+defines the element operations and a ``dot`` that sums table products
+coefficient-wise, and inherits the other kernels with table lookups
+inside.  PrimeField packs the rows of ``dots`` into one int per column.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and lazily built helpers (a prime field's inverse table below
@@ -353,6 +356,15 @@ class FieldCtx:
             acc = self.add(self.mul(acc, x), c)
         return acc
 
+    def pack(self, rows) -> list:
+        """Equal-length rows, bundled for ``dots``."""
+        return list(rows)
+
+    def dots(self, u, packed, count: int, start: int = 0) -> list[Fel]:
+        """[dot(u, row[start:]) for row in rows[:count]], with packed = pack(rows)."""
+        cut = operator.itemgetter(slice(start, start + len(u)))
+        return list(map(self.dot, itertools.repeat(u), map(cut, packed[:count])))
+
     # -- enumeration and serialization ---------------------------------------
 
     def from_index(self, t: int) -> Fel:
@@ -428,11 +440,22 @@ class FieldCtx:
 
 
 class PrimeField(FieldCtx):
-    """GF(p) on ints in [0, p), every body reducing mod p inline."""
+    """GF(p) on ints in [0, p), every body reducing mod p inline.
+
+    ``pack`` bundles R rows of width w column by column: column j is the
+    int sum_l rows[l][j] 2^(S l), slot S = 2 bitlen(p - 1) + bitlen(w).
+    ``dots`` then makes one ``sum(map(mul))`` for all R rows, the delayed
+    reduction of FFLAS/FFPACK (Dumas, Giorgi and Pernet, ISSAC 2004): for
+    entries in [0, p) each slot sums at most w products below (p - 1)^2,
+    under 2^S, so none carries into the next, and slot l read back mod p
+    is row l's dot exactly.  Entries outside [0, p) are outside the class's
+    domain and give wrong slots.
+    """
 
     def __init__(self, p: int):
         super().__init__(p, 1, None)
         self._inv_table: list[int] | None = None  # built by the first inv below 2^16
+        self._square_bits = 2 * (p - 1).bit_length()  # a slot's share for one product
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -513,6 +536,23 @@ class PrimeField(FieldCtx):
         for c in reversed(coeffs):
             acc = (acc * x + c) % p
         return acc
+
+    def pack(self, rows) -> list[int]:
+        rows = list(rows)
+        slots = itertools.repeat(self._square_bits + len(rows[0]).bit_length())
+        cols = [0] * len(rows[0])
+        for row in reversed(rows):  # row 0 ends in the lowest slot
+            cols = list(map(operator.or_, map(operator.lshift, cols, slots), row))
+        return cols
+
+    def dots(self, u, packed, count: int, start: int = 0) -> list[int]:
+        slot = self._square_bits + len(packed).bit_length()
+        v = sum(map(operator.mul, u, packed[start : start + len(u)]))
+        mask, p, out = (1 << slot) - 1, self.p, []
+        for _ in range(count):
+            out.append((v & mask) % p)
+            v >>= slot
+        return out
 
 
 class TableField(FieldCtx):

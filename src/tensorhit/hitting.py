@@ -257,13 +257,17 @@ class Schedule:
     of column j on every diagonal, built on first read in ``table_shape``:
     for matrices D' at R on n x m, without the rows l >= (n + m) // 2 that
     measure nothing; for TensorB R rows as wide as the widest merged
-    matrix, which only recovery reads.  TensorB's ``levels[i]`` is (target
-    variable sizes, rows, columns) of the matrix that merge level i + 1
-    recovers, its exponents packed in base ``stride`` = n 2^b.  ``layouts``
-    are the cells recovery solves for, built on first read: every cell of
-    n x m for a matrix family; for TensorB level i + 1's packed lattice,
-    the rows (columns) whose base-stride digits lie below the sizes of the
-    even (odd) target variables, the only cells a merged matrix can fill.
+    matrix, which recovery reads.  ``packed_table`` is ``table`` bundled by
+    ``ctx.pack`` for ``ctx.dots``, built on first read by the measurements
+    that take one syndrome pass per diagonal (D', and B, B' and TensorB on
+    matrices); TensorB recovery never reads it.  TensorB's ``levels[i]``
+    is (target variable sizes, rows, columns) of the matrix that merge
+    level i + 1 recovers, its exponents packed in base ``stride`` = n 2^b.
+    ``layouts`` are the cells recovery solves for, built on first read:
+    every cell of n x m for a matrix family; for TensorB level i + 1's
+    packed lattice, the rows (columns) whose base-stride digits lie below
+    the sizes of the even (odd) target variables, the only cells a merged
+    matrix can fill.
     """
 
     ctx: FieldCtx
@@ -279,6 +283,10 @@ class Schedule:
     def table(self) -> tuple[tuple[Fel, ...], ...]:
         count, width = self.table_shape
         return tuple(tuple(self.ctx.powers(gl, width)) for gl in self.ctx.powers(self.g, count))
+
+    @functools.cached_property
+    def packed_table(self) -> list:
+        return self.ctx.pack(self.table)
 
     @functools.cached_property
     def layouts(self) -> tuple[Layout, ...]:

@@ -31,9 +31,11 @@ level packs its polynomials with ``tensor.merge_variables``, recovers the
 merged coefficient matrix on the level's lattice, and writes its cells
 straight into the finer level's tensor.  Every shape rule, generator,
 point, weight, merge level and layout is read from ``hitting``.
-``measure_moments`` measures the rank-1 families (B, B', TensorB) through
-one collapsed polynomial per exponent index.  ``measure`` and ``recover``
-are the one entry point for each family in ``RECOVERY_FAMILIES``.
+``measure_D`` and ``measure_moments`` on matrices (B, B', TensorB at
+d = 2) share one syndrome pass, one multi-row ``ctx.dots`` per diagonal;
+the moment families then evaluate their block polynomials with one
+``dots`` per point.  ``measure`` and ``recover`` are the one entry point
+for each family in ``RECOVERY_FAMILIES``.
 """
 
 import itertools
@@ -54,6 +56,7 @@ from .field import Fel, FieldCtx
 from .hitting import (
     MOMENT_FAMILIES,
     Layout,
+    Schedule,
     check_family,
     diag_columns,
     diag_row_count,
@@ -295,25 +298,39 @@ def low_rank_recovery(
 # ---------------------------------------------------------------------------
 
 
+def _diagonal_syndromes(mat: DenseTensor, s: Schedule, counts) -> list[list[Fel]]:
+    """[<diagonal k of mat, row l of s.table> for l < counts[k]] for each k.
+
+    One gather (a strided slice of the entries) and one ``ctx.dots`` on the
+    schedule's packed table per diagonal serve all of its rows at once.
+    """
+    ctx, table = mat.ctx, s.packed_table
+    n, m = mat.dims
+    entries, step = mat.entries, m - 1 or 1  # down a row and left a column
+    out = []
+    for k, count in enumerate(counts):
+        lo, hi = diag_columns(n, m, k)
+        top = (k - hi) * m + hi  # the cell in column hi
+        vals = entries[top : top + step * (hi - lo) + 1 : step][::-1]  # by column
+        out.append(ctx.dots(vals, table, count, lo))
+    return out
+
+
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     """Syndromes of mat (dense or factored) against the diagonal family at 2r.
 
     Ordered by ascending diagonal, ascending weight exponent inside each
     diagonal; generation depends only on (shape, r, field), never on mat.
+    Each diagonal is gathered once and measured against all of its rows of
+    the weight table in one ``ctx.dots`` (``_diagonal_syndromes``).
     """
     check_recovery("Dprime", mat.dims, r)
     if isinstance(mat, LowRankTensor):
         mat = expand(mat)
-    ctx = mat.ctx
     n, m = mat.dims
-    table = schedule(ctx, "Dprime", (n, m), 2 * r).table
-    rows = mat.rows()
-    out = []
-    for k in range(n + m - 1):
-        j_lo, j_hi = diag_columns(n, m, k)
-        vals = [rows[k - j][j] for j in range(j_lo, j_hi + 1)]
-        out.extend(ctx.dot(vals, row[j_lo:]) for row in table[: diag_row_count(2 * r, n, m, k)])
-    return out
+    s = schedule(mat.ctx, "Dprime", (n, m), 2 * r)
+    counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
+    return [y for ys in _diagonal_syndromes(mat, s, counts) for y in ys]
 
 
 def recover_from_D(
@@ -503,6 +520,8 @@ def tensor_recover(
 def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
     """Coefficients of sum_idx t[idx] prod_a mults[a]^idx_a x^(sum_a idx_a).
 
+    ``measure_moments`` calls it for tensors of order d >= 3 only.
+
     The last axis scales each row into a polynomial; every earlier axis
     then folds each group of n consecutive polynomials into
     sum_i mult^i x^i poly_i, so every axis costs O(entries) ops.
@@ -532,12 +551,16 @@ def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
 def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t against the rank-1 moment family ``family`` at r.
 
-    Member (k, ls) of B, B' and TensorB evaluates one polynomial at alpha_k
-    (``hitting.schedule``), so t is collapsed once per exponent index
-    ls and each member costs one Horner evaluation: O(R * entries) to
-    collapse plus O(|family| * degree) to evaluate, instead of O(entries)
-    per member.  For matrices the collapsed coefficients are the full
-    diagonal-family syndromes, which ``convert_B_to_D`` reads back.
+    Member (k, ls) of B, B' and TensorB evaluates the polynomial of block ls
+    at alpha_k (``hitting.schedule``).  On a matrix every block's
+    multipliers are (1, g^l), so its coefficients are the full
+    diagonal-family syndromes of row l, which ``convert_B_to_D`` reads
+    back: one ``_diagonal_syndromes`` pass, shared with ``measure_D``,
+    yields all blocks.  A tensor of order d >= 3 is collapsed once per
+    block (``_collapse``).  The blocks are then packed once
+    (``ctx.pack``), and each point costs one ``powers`` and one
+    ``ctx.dots`` over the blocks that measure it, instead of one Horner
+    evaluation per member.
     """
     if isinstance(t, LowRankTensor):
         t = expand(t)
@@ -545,11 +568,17 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
         raise ValueError(f"family {family} is not a rank-1 moment family")
     ctx = t.ctx
     s = schedule(ctx, family, t.dims, r)
-    out = []
-    for _, mults, count in s.blocks:
-        coeffs = _collapse(t, mults)
-        out.extend(ctx.horner(coeffs, a) for a in s.alphas[:count])
-    return out
+    counts = [count for _, _, count in s.blocks]
+    if len(t.dims) == 2:
+        by_k = _diagonal_syndromes(t, s, [len(counts)] * (sum(t.dims) - 1))
+        polys = list(zip(*by_k))
+    else:
+        polys = [_collapse(t, mults) for _, mults, _ in s.blocks]
+    packed = ctx.pack(polys)
+    # blocks come in non-increasing count, so those measuring alpha_k are a prefix
+    evals = [ctx.dots(ctx.powers(a, len(polys[0])), packed, sum(c > k for c in counts))
+             for k, a in enumerate(s.alphas)]
+    return [evals[k][l] for l, count in enumerate(counts) for k in range(count)]
 
 
 def measure_syndromes(t, fam) -> list[Fel]:

@@ -155,6 +155,24 @@ def test_a_field_degree_below_one_exits_2(tmp_path, capsys, verb, k):
     assert not out.exists()
 
 
+def test_extend_over_an_extension_field_exits_2(tmp_path, capsys):
+    out = tmp_path / "ms.txt"
+    assert run("gen-hit", "--p", "2", "--k", "2", "--family", "Dprime", "--dims", "3x3",
+               "--r", "1", "--extend", "2", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: --extend requires a prime base field\n"
+    assert not out.exists()
+
+
+def test_encode_of_a_message_with_two_axes_exits_2(tmp_path, capsys):
+    msg = tmp_path / "msg.txt"
+    msg.write_text(formats.write_tensor(DenseTensor(GF13, (2, 2), [1, 2, 3, 4])))
+    out = tmp_path / "cw.txt"
+    assert run("encode", "--p", "13", "--dims", "4x4", "--r", "1",
+               "--message", str(msg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: message file must hold a one-axis tensor\n"
+    assert not out.exists()
+
+
 def _syndrome_file(tmp_path, family, header_dims):
     # a valid 3x3 syndrome file whose header then claims other dims
     ctx = make_prime_field(157)

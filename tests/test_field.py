@@ -294,6 +294,14 @@ def test_enumeration_is_lexicographic_and_skips_zero():
     assert els == sorted(els)  # tuple comparison = constant-term-major lex
 
 
+@pytest.mark.parametrize("p,k", [(13, 1), (3, 2)])
+def test_from_index_rejects_an_index_outside_the_field(p, k):
+    ctx = make_field(p, k)
+    for t in (-1, ctx.size):
+        with pytest.raises(ValueError, match=f"index {t} out of range for"):
+            ctx.from_index(t)
+
+
 def test_ctx_equality_and_hash():
     a = make_extension(make_prime_field(2), 3)
     b = make_extension(make_prime_field(2), 3)
@@ -393,6 +401,43 @@ def test_vector_kernels_match_their_element_folds(name, data):
             ctx.inv(0)
 
 
+PACK_FIELDS = {
+    "GF2": make_prime_field(2),
+    "GF3": make_prime_field(3),
+    "GF65537": make_prime_field(65537),
+    "GF(2^64-59)": make_prime_field(2**64 - 59),
+    "GF(2^8)": make_extension(make_prime_field(2), 8),  # exp/log tables
+    "GF(13^3)": KERNEL_FIELDS["GF(13^3)"],  # convolution arithmetic
+}
+
+
+@given(st.sampled_from(sorted(PACK_FIELDS)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_dots_equal_one_dot_per_row(name, data):
+    ctx = PACK_FIELDS[name]
+    top = ctx.from_index(ctx.size - 1)  # p - 1 in every coefficient
+    el = st.one_of(st.just(top), st.integers(0, ctx.size - 1).map(ctx.from_index))
+    nrows, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 9))
+    rows = [data.draw(st.lists(el, min_size=width, max_size=width)) for _ in range(nrows)]
+    start = data.draw(st.integers(0, width))
+    u = data.draw(st.lists(el, max_size=width - start + 2))  # may run past the rows
+    count = data.draw(st.integers(0, nrows))
+    packed = ctx.pack(rows)
+    assert ctx.dots(u, packed, count, start) == [ctx.dot(u, row[start:]) for row in rows[:count]]
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537, 2**64 - 59])
+def test_packed_dots_are_exact_when_every_entry_and_weight_is_p_minus_1(p):
+    # the largest slot sum: width products of (p - 1)^2, at every width around a
+    # bit-length boundary and at the longest diagonals the benchmark measures
+    ctx = make_prime_field(p)
+    for width in (1, 2, 3, 4, 7, 8, 9, 63, 64, 65, 127, 128, 255, 256):
+        rows = [[p - 1] * width for _ in range(4)]
+        got = ctx.dots([p - 1] * width, ctx.pack(rows), 4)
+        assert got == [width * (p - 1) ** 2 % p] * 4
+        assert got == [ctx.dot([p - 1] * width, row) for row in rows]
+
+
 def test_convolution_pow_makes_no_wasted_multiplications():
     # a directly built context has no tables, so pow runs square-and-multiply
     ctx = FieldCtx(2, 8, make_extension(make_prime_field(2), 8).modulus)
@@ -485,7 +530,8 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "scalar", "dot",
-                                  "axpy", "pivot", "powers", "horner", "fma", "_reduce"])
+                                  "axpy", "pivot", "powers", "horner", "fma", "_reduce",
+                                  "pack", "dots"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
     # a method with a closure cell makes it on every call; each class's own body is checked
     bodies = [vars(cls)[name] for cls in (FieldCtx, PrimeField, TableField) if name in vars(cls)]

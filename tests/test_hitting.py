@@ -358,6 +358,12 @@ def test_combine_simulated_syndromes_layout():
     assert combined == [(1, 2), (0, 1)]
 
 
+def test_combine_simulated_syndromes_rejects_a_count_not_a_multiple_of_the_degree():
+    K = make_extension(make_prime_field(3), 2)
+    with pytest.raises(ShapeMismatch, match="syndrome count is not a multiple of the degree"):
+        combine_simulated_syndromes(K, [1, 2, 0])
+
+
 # -- PIT ------------------------------------------------------------------------
 
 

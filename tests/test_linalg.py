@@ -65,3 +65,15 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
     ctx = FIELDS["GF13"]
     with pytest.raises(ShapeMismatch, match="rhs length does not match row count"):
         linalg.solve(ctx, [[1, 0], [0, 1]], [1, 2, 3])
+
+
+def test_det_rejects_a_non_square_matrix():
+    ctx = FIELDS["GF13"]
+    with pytest.raises(ShapeMismatch, match="determinant needs a square matrix"):
+        linalg.det(ctx, [[1, 2, 3], [4, 5, 6]])
+
+
+def test_solve_rejects_an_underdetermined_consistent_system():
+    ctx = FIELDS["GF13"]
+    with pytest.raises(ShapeMismatch, match="underdetermined system"):
+        linalg.solve(ctx, [[1, 2, 3], [2, 4, 6]], [1, 2])

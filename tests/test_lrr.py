@@ -741,6 +741,25 @@ def test_tensor_family_count_formula():
 
 # -- collapsed measurement of the rank-1 moment families ----------------------------
 
+GF_2_64_MINUS_59 = make_prime_field(2**64 - 59)  # the widest slots of the packed dots
+
+
+def test_measure_moments_rejects_a_family_that_is_not_a_moment_family():
+    t = DenseTensor(GF13, (3, 3), list(range(9)))
+    with pytest.raises(ValueError, match="family Dprime is not a rank-1 moment family"):
+        lrr.measure_moments(t, "Dprime", 2)
+
+
+def test_an_all_p_minus_1_matrix_measures_exactly_over_gf_2_64_minus_59():
+    # every entry and weight at its largest, on diagonals up to 64 long
+    ctx = GF_2_64_MINUS_59
+    for family, n in (("Dprime", 64), ("Bprime", 16), ("TensorB", 8)):
+        t = DenseTensor(ctx, (n, n), [ctx.p - 1] * (n * n))
+        fam = generate_family(ctx, family, (n, n), 4)
+        assert lrr.measure(t, family, 2) == [m.inner(ctx, t) for m in fam.measurements]
+
+
+GF2, GF3 = make_prime_field(2), make_prime_field(3)
 GF16 = make_extension(make_prime_field(2), 4)
 GF65537 = make_prime_field(65537)
 _TENSOR_MAX_N = {2: 4, 3: 3, 4: 2}  # (2dn)^d <= 65536
@@ -749,16 +768,23 @@ _TENSOR_MAX_N = {2: 4, 3: 3, 4: 2}  # (2dn)^d <= 65536
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_collapsed_measurement_equals_member_inner_products(data):
-    ctx = data.draw(st.sampled_from([GF13, GF16, GF65537]), label="field")
-    families = ["B", "Bprime", "Dprime"] + (["TensorB"] if ctx is GF65537 else [])
+    fields = [GF2, GF3, GF13, GF16, GF65537, GF_2_64_MINUS_59]
+    ctx = data.draw(st.sampled_from(fields), label="field")
+    large = ctx in (GF65537, GF_2_64_MINUS_59)
+    families = ["B", "Bprime", "Dprime"] + (["TensorB"] if large else [])
     family = data.draw(st.sampled_from(families), label="family")
     if family == "TensorB":
         d = data.draw(st.integers(2, 4), label="d")
         dims = (data.draw(st.integers(1, _TENSOR_MAX_N[d]), label="n"),) * d
         r = data.draw(st.integers(1, 3), label="r")
     else:
-        n = data.draw(st.integers(1, 4), label="n")
-        dims = (n, data.draw(st.integers(n, 6), label="m"))
+        # g needs order >= m, and B and B' need n + m - 1 distinct nonzero points
+        moment = family != "Dprime"
+        n = data.draw(st.integers(1, min(4, ctx.size // 2 if moment else ctx.size - 1)),
+                      label="n")
+        m = data.draw(st.integers(n, min(6, ctx.size - n if moment else ctx.size - 1)),
+                      label="m")
+        dims = (n, m)
         r = data.draw(st.integers(1, n), label="r")
     size = math.prod(dims)
     idx = data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=size, max_size=size))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorhit import linalg
-from tensorhit.errors import AdviceTooLarge, DuplicatePoints, InconsistentSyndrome
+from tensorhit.errors import AdviceTooLarge, DuplicatePoints, InconsistentSyndrome, ShapeMismatch
 from tensorhit.field import make_prime_field
 from tensorhit.sparse import dual_rs, pronys_method
 
@@ -171,3 +171,17 @@ def test_prony_full_advice_simulates_extra_index():
     x = [5, 6, 1]
     y = v.measure(x)
     assert pronys_method(GF13, 3, 2, {0, 1, 2}, y, list(v.points)) == x
+
+
+def test_prony_rejects_a_syndrome_count_other_than_2s():
+    v = dual_rs(GF13, 5, 2)
+    y = v.measure([3, 0, 0, 7, 0])
+    with pytest.raises(ShapeMismatch, match="expected 4 syndrome values, got 3"):
+        pronys_method(GF13, 5, 2, set(), y[:3], list(v.points))
+
+
+def test_prony_rejects_a_point_count_other_than_n():
+    v = dual_rs(GF13, 5, 2)
+    y = v.measure([3, 0, 0, 7, 0])
+    with pytest.raises(ShapeMismatch, match="one evaluation point per coordinate"):
+        pronys_method(GF13, 5, 2, set(), y, list(v.points)[:4])
