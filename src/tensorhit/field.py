@@ -49,7 +49,7 @@ requested degree, which makes every derived construction byte-reproducible.
 
 Order certification
 -------------------
-``find_element_of_order(ctx, b)`` returns the first enumerated element whose
+``ctx.element_of_order(b)`` returns the first enumerated element whose
 multiplicative order is at least ``b``.  The order is computed exactly from
 the factorization of ``p^k - 1``, factored once per field one cyclotomic
 factor Phi_e(p), e | k, at a time, so certifying costs a few
@@ -675,11 +675,6 @@ def make_field(p: int, k: int) -> FieldCtx:
     """GF(p^k): GF(p) for k = 1, else its canonical extension (k >= 2)."""
     ctx = make_prime_field(p)
     return ctx if k == 1 else make_extension(ctx, k)
-
-
-def find_element_of_order(ctx: FieldCtx, min_order: int) -> Fel:
-    """First canonical element with multiplicative order >= min_order."""
-    return ctx.element_of_order(min_order)
 
 
 def embed_as_matrix(ctx: FieldCtx, a: Fel) -> list[list[int]]:

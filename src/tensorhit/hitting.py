@@ -27,9 +27,9 @@ once per (field, family, shape, R): the one g, the alphas, multipliers and
 block counts of the rank-1 families B, Bprime and TensorB, the one weight
 table (D' at R for the matrix families, the widest merged matrix's for
 TensorB), TensorB's merge levels and the ``Layout`` of cells recovery
-solves for (every cell of a matrix, each TensorB level's packed lattice).
-``dprime_size`` counts D' and ``tensor_size`` counts TensorB without
-building them.
+solves for (every cell of a matrix, each TensorB level's packed lattice),
+and the packed tables that measure the moment families.  ``dprime_size``
+counts D' and ``tensor_size`` counts TensorB without building them.
 ``inner_products`` is the one scan of a family against a tensor: it
 reuses the contractions of the trailing factors its members share.
 
@@ -260,9 +260,15 @@ class Schedule:
     matrix, which recovery reads.  ``packed_table`` is ``table`` bundled by
     ``ctx.pack`` for ``ctx.dots``, built on first read by the measurements
     that take one syndrome pass per diagonal (D', and B, B' and TensorB on
-    matrices); TensorB recovery never reads it.  TensorB's ``levels[i]``
-    is (target variable sizes, rows, columns) of the matrix that merge
-    level i + 1 recovers, its exponents packed in base ``stride`` = n 2^b.
+    matrices); TensorB recovery never reads it.  The moment families'
+    measurement reads two more, each built on first read: ``vandermonde``
+    packs the rows (alphas[k]^i)_i for i <= sum(dims) - d, and for TensorB
+    with d >= 3 ``degree_classes`` is (classes, weights): the cells sorted
+    by degree sum idx, each class a (gather of its entries, offset) pair,
+    and one packed weight row per block over them, prod_a mults[a]^idx_a.
+    TensorB's ``levels[i]`` is (target variable sizes, rows, columns) of
+    the matrix that merge level i + 1 recovers, its exponents packed in
+    base ``stride`` = n 2^b.
     ``layouts`` are the cells recovery solves for, built on first read:
     every cell of n x m for a matrix family; for TensorB level i + 1's
     packed lattice, the rows (columns) whose base-stride digits lie below
@@ -287,6 +293,26 @@ class Schedule:
     @functools.cached_property
     def packed_table(self) -> list:
         return self.ctx.pack(self.table)
+
+    @functools.cached_property
+    def vandermonde(self) -> list:
+        deg = sum(self.dims) - len(self.dims)
+        return self.ctx.pack([self.ctx.powers(a, deg + 1) for a in self.alphas])
+
+    @functools.cached_property
+    def degree_classes(self) -> tuple[tuple[tuple[Callable, int], ...], list]:
+        ctx, d, n = self.ctx, len(self.dims), self.dims[0]
+        degs = packed([n] * d, [1] * d)  # the digit sum of each row-major cell
+        order = sorted(range(len(degs)), key=degs.__getitem__)
+        starts = [0, *itertools.accumulate(degs.count(c) for c in range(degs[-1] + 1))]
+        rows, at = [], _gather(order)
+        for _, mults, _ in self.blocks:
+            w = [ctx.one]
+            for pw in (ctx.powers(mult, n) for mult in mults):  # one mul per cell per axis
+                w = [ctx.mul(x, c) for x in w for c in pw]
+            rows.append(at(w))
+        classes = tuple((_gather(order[lo:hi]), lo) for lo, hi in zip(starts, starts[1:]))
+        return classes, ctx.pack(rows)
 
     @functools.cached_property
     def layouts(self) -> tuple[Layout, ...]:

@@ -33,9 +33,11 @@ straight into the finer level's tensor.  Every shape rule, generator,
 point, weight, merge level and layout is read from ``hitting``.
 ``measure_D`` and ``measure_moments`` on matrices (B, B', TensorB at
 d = 2) share one syndrome pass, one multi-row ``ctx.dots`` per diagonal;
-the moment families then evaluate their block polynomials with one
-``dots`` per point.  ``measure`` and ``recover`` are the one entry point
-for each family in ``RECOVERY_FAMILIES``.
+a TensorB tensor of order d >= 3 takes one ``dots`` per degree class of
+its cells instead.  The moment families then evaluate each block's
+polynomial with one ``dots`` on the schedule's packed Vandermonde rows.
+``measure`` and ``recover`` are the one entry point for each family in
+``RECOVERY_FAMILIES``.
 """
 
 import itertools
@@ -517,50 +519,20 @@ def tensor_recover(
     return DenseTensor(ctx, dims, full.entries)
 
 
-def _collapse(t: DenseTensor, mults: tuple[Fel, ...]) -> list[Fel]:
-    """Coefficients of sum_idx t[idx] prod_a mults[a]^idx_a x^(sum_a idx_a).
-
-    ``measure_moments`` calls it for tensors of order d >= 3 only.
-
-    The last axis scales each row into a polynomial; every earlier axis
-    then folds each group of n consecutive polynomials into
-    sum_i mult^i x^i poly_i, so every axis costs O(entries) ops.
-    """
-    ctx = t.ctx
-    zero = ctx.zero
-    *outer, n = t.dims
-    pw = ctx.powers(mults[-1], n)
-    entries = t.entries
-    polys = [
-        [e if e == zero else ctx.mul(c, e) for c, e in zip(pw, entries[base : base + n])]
-        for base in range(0, len(entries), n)
-    ]
-    for n, mult in zip(reversed(outer), reversed(mults[:-1])):
-        pw = ctx.powers(mult, n)
-        width = len(polys[0]) + n - 1
-        folded = []
-        for base in range(0, len(polys), n):
-            acc = [zero] * width
-            for i, c in enumerate(pw):
-                ctx.axpy(acc, c, polys[base + i], i)
-            folded.append(acc)
-        polys = folded
-    return polys[0]
-
-
 def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t against the rank-1 moment family ``family`` at r.
 
     Member (k, ls) of B, B' and TensorB evaluates the polynomial of block ls
-    at alpha_k (``hitting.schedule``).  On a matrix every block's
-    multipliers are (1, g^l), so its coefficients are the full
-    diagonal-family syndromes of row l, which ``convert_B_to_D`` reads
-    back: one ``_diagonal_syndromes`` pass, shared with ``measure_D``,
-    yields all blocks.  A tensor of order d >= 3 is collapsed once per
-    block (``_collapse``).  The blocks are then packed once
-    (``ctx.pack``), and each point costs one ``powers`` and one
-    ``ctx.dots`` over the blocks that measure it, instead of one Horner
-    evaluation per member.
+    at alpha_k (``hitting.schedule``), so a measurement is two packed passes
+    on tables the schedule builds on first read.  The first yields every
+    block's coefficients, one multi-row ``ctx.dots`` per degree: on a
+    matrix every block's multipliers are (1, g^l), so its coefficients are
+    the full diagonal-family syndromes of row l, which ``convert_B_to_D``
+    reads back (``_diagonal_syndromes``, shared with ``measure_D``); a
+    tensor of order d >= 3 gathers each class of cells of equal degree
+    against ``Schedule.degree_classes``, one weight row per block.  The
+    second evaluates block l at its first count_l points, one ``dots`` on
+    ``Schedule.vandermonde``, already in family order.
     """
     if isinstance(t, LowRankTensor):
         t = expand(t)
@@ -570,15 +542,12 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     s = schedule(ctx, family, t.dims, r)
     counts = [count for _, _, count in s.blocks]
     if len(t.dims) == 2:
-        by_k = _diagonal_syndromes(t, s, [len(counts)] * (sum(t.dims) - 1))
-        polys = list(zip(*by_k))
+        by_deg = _diagonal_syndromes(t, s, [len(counts)] * (sum(t.dims) - 1))
     else:
-        polys = [_collapse(t, mults) for _, mults, _ in s.blocks]
-    packed = ctx.pack(polys)
-    # blocks come in non-increasing count, so those measuring alpha_k are a prefix
-    evals = [ctx.dots(ctx.powers(a, len(polys[0])), packed, sum(c > k for c in counts))
-             for k, a in enumerate(s.alphas)]
-    return [evals[k][l] for l, count in enumerate(counts) for k in range(count)]
+        classes, weights = s.degree_classes
+        by_deg = [ctx.dots(at(t.entries), weights, len(counts), lo) for at, lo in classes]
+    return [y for poly, count in zip(zip(*by_deg), counts)
+            for y in ctx.dots(poly, s.vandermonde, count)]
 
 
 def measure_syndromes(t, fam) -> list[Fel]:
@@ -587,7 +556,7 @@ def measure_syndromes(t, fam) -> list[Fel]:
     t may be dense or factored, over the family's field or its prime
     subfield; a shape other than the family's raises ShapeMismatch.  B, B'
     and TensorB families with factored members, as the ``hitting`` builders
-    make them, take the collapsed ``measure_moments`` path; every other
+    make them, take the packed ``measure_moments`` path; every other
     family (D, D', Naive, simulated, read from a file) is measured member
     by member in one ``hitting.inner_products`` scan.
     """

@@ -14,7 +14,6 @@ from _invariants import InvariantChecker
 import numpy as np
 from tensorhit import linalg
 from tensorhit.field import (
-    find_element_of_order,
     make_extension,
     make_prime_field,
     _is_prime,
@@ -234,7 +233,7 @@ def test_criterion_04_rank_preserver_bound():
         64: make_extension(make_prime_field(2), 6),
     }
     for q, ctx in fields.items():
-        g = find_element_of_order(ctx, 8)
+        g = ctx.element_of_order(8)
         for _ in range(100):
             n = rng.randint(1, 8)
             r = rng.randint(1, n)

@@ -19,7 +19,6 @@ from tensorhit.field import (
     _is_irreducible,
     _is_prime,
     embed_as_matrix,
-    find_element_of_order,
     make_extension,
     make_field,
     make_prime_field,
@@ -107,21 +106,21 @@ def test_gf9_modulus_value():
 
 def test_find_element_of_order_examples():
     # 2^1..2^3 != 1 mod 5, exhaustively
-    assert find_element_of_order(make_prime_field(5), 4) == 2
-    assert find_element_of_order(make_prime_field(7), 6) == 3
-    assert find_element_of_order(make_prime_field(11), 1) == 1
+    assert make_prime_field(5).element_of_order(4) == 2
+    assert make_prime_field(7).element_of_order(6) == 3
+    assert make_prime_field(11).element_of_order(1) == 1
 
 
 def test_find_element_of_order_deterministic():
     ctx = make_prime_field(13)
-    assert find_element_of_order(ctx, 12) == find_element_of_order(ctx, 12)
+    assert ctx.element_of_order(12) == ctx.element_of_order(12)
     fresh = make_prime_field(13)
-    assert find_element_of_order(fresh, 12) == find_element_of_order(ctx, 12)
+    assert fresh.element_of_order(12) == ctx.element_of_order(12)
 
 
 def test_order_unreachable():
     with pytest.raises(OrderUnreachable):
-        find_element_of_order(make_prime_field(5), 5)
+        make_prime_field(5).element_of_order(5)
 
 
 def _brute_order(ctx, a):
@@ -138,7 +137,7 @@ def test_order_certification_paths_agree():
         orders = [_brute_order(ctx, a) for a in ctx.nonzero_elements()]
         for bound in range(ctx.size):
             expected = next(a for a, t in zip(ctx.nonzero_elements(), orders) if t >= bound)
-            assert find_element_of_order(ctx, bound) == expected
+            assert ctx.element_of_order(bound) == expected
             for a, t in zip(ctx.nonzero_elements(), orders):
                 assert ctx.order_at_least(a, bound) == (t >= bound)
         assert not ctx.order_at_least(ctx.zero, 2)

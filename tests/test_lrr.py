@@ -1,5 +1,6 @@
 """Echelon bookkeeping, diagonal recovery, basis conversion, tensor recovery."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -10,7 +11,7 @@ from _invariants import InvariantChecker, LatticeSupportChecker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorhit import formats, linalg, lrr
+from tensorhit import formats, hitting, linalg, lrr
 from tensorhit.errors import (
     FieldTooSmall,
     InconsistentSyndrome,
@@ -388,15 +389,17 @@ def _counted(name):
 
 
 class _CountingField(PrimeField):
-    """GF(65537) counting field operations.
+    """GF(p), by default GF(65537), counting field operations.
 
     An element op counts 1; ``dot`` and ``fma`` count the shorter vector's
     length, ``axpy`` and ``horner`` the source length, ``powers`` its count.
+    ``calls`` counts the calls of ``axpy``, ``horner`` and ``powers`` by name.
     """
 
-    def __init__(self):
-        super().__init__(65537)
+    def __init__(self, p=65537):
+        super().__init__(p)
         self.ops = 0
+        self.calls = collections.Counter()
 
     add, sub, neg, mul, inv, pow, scalar = map(
         _counted, ("add", "sub", "neg", "mul", "inv", "pow", "scalar"))
@@ -411,14 +414,17 @@ class _CountingField(PrimeField):
 
     def axpy(self, dst, c, src, start=0):
         self.ops += len(src)
+        self.calls["axpy"] += 1
         super().axpy(dst, c, src, start)
 
     def horner(self, coeffs, x):
         self.ops += len(coeffs)
+        self.calls["horner"] += 1
         return super().horner(coeffs, x)
 
     def powers(self, x, count):
         self.ops += count
+        self.calls["powers"] += 1
         return super().powers(x, count)
 
 
@@ -739,7 +745,7 @@ def test_tensor_family_count_formula():
     assert len(fam) == 3 * 3 * 4 ** 2
 
 
-# -- collapsed measurement of the rank-1 moment families ----------------------------
+# -- packed measurement of the rank-1 moment families -------------------------------
 
 GF_2_64_MINUS_59 = make_prime_field(2**64 - 59)  # the widest slots of the packed dots
 
@@ -835,6 +841,40 @@ def test_factored_tensors_are_measured_as_their_expansion():
     cube = LowRankTensor(GF65537, (2, 2, 2), (Rank1Tensor(GF65537, ((1, 2), (3, 4), (5, 6))),))
     fam = hitting_set_tensor(GF65537, 3, 2, 2)
     assert tensor_measure(cube, 1) == [m.inner(GF65537, cube) for m in fam.measurements]
+
+
+GF_2_61_MINUS_1 = make_prime_field(2**61 - 1)
+GF8192 = make_extension(make_prime_field(2), 13)  # convolution arithmetic: base pack and dots
+
+
+_WIDE_TENSORS = [(GF_2_61_MINUS_1, d, 2) for d in range(5, 9)] + [(GF_2_61_MINUS_1, 5, 3),
+                                                                  (GF8192, 3, 2)]
+
+
+@pytest.mark.parametrize("ctx, d, n", _WIDE_TENSORS,
+                         ids=[f"{ctx!r}-d{d}-n{n}" for ctx, d, n in _WIDE_TENSORS])
+def test_wide_tensor_measurement_equals_member_inner_products(ctx, d, n):
+    # beyond the hypothesis range (d <= 4): the widest per-cell weight tables
+    rng = random.Random(f"wide {d} {n}")
+    t = DenseTensor(ctx, (n,) * d, [ctx.from_index(rng.randrange(ctx.size)) for _ in range(n**d)])
+    fam = hitting_set_tensor(ctx, d, n, 2)
+    assert tensor_measure(t, 1) == [m.inner(ctx, t) for m in fam.measurements]
+
+
+@pytest.mark.parametrize("p, family, dims", [(65537, "Bprime", (64, 64)),
+                                             (2**31 - 1, "TensorB", (3,) * 4)],
+                         ids=["Bprime-64x64", "TensorB-3^4"])
+def test_a_warm_measurement_reads_its_tables_from_the_schedule(p, family, dims):
+    ctx = _CountingField(p)
+    t = _rand_low_rank(ctx, random.Random(f"warm {family}"), dims, 2)
+    fam = generate_family(ctx, family, dims, 4)
+    hitting._schedule.cache_clear()  # the cold call builds every table with this field
+    cold = measure_syndromes(t, fam)
+    assert ctx.calls["powers"] > 0
+    ctx.calls.clear()
+    warm = measure_syndromes(t, fam)
+    assert ctx.calls == {}
+    assert warm == cold == [m.inner(ctx, t) for m in fam.measurements]
 
 
 # -- interpolation tables: cold, warm, and the moments formula ------------------------

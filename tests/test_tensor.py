@@ -252,3 +252,18 @@ def test_permute_axes_preserves_monomial_count():
         p = permute_axes(t, (2, 0, 1))
         assert nnz(p) == nnz(t)
         assert p[1, 0, 2] == t[0, 2, 1]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DenseTensor(GF5, (2, 3), [0] * 5), r"5 entries for shape \(2, 3\)"),
+    (lambda: DenseTensor.from_rows(GF5, [[1, 2], [3]]), "ragged rows"),
+    (lambda: merge_variables(DenseTensor.zeros(GF5, (2, 2)), 1, 1, 2),
+     "merge needs two distinct valid axes"),
+    (lambda: split_variables(DenseTensor.zeros(GF5, (2, 2)), 2, 2, 2), "axis out of range"),
+    (lambda: LowRankTensor(GF5, (2, 2), (Rank1Tensor(GF5, ((1, 2), (1, 2, 3))),)),
+     "term shape differs from tensor shape"),
+], ids=["dense-entry-count", "ragged-rows", "merge-equal-axes", "split-axis-out-of-range",
+        "low-rank-term-shape"])
+def test_malformed_inputs_raise_shape_mismatch(call, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        call()
