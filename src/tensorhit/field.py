@@ -66,8 +66,10 @@ Besides the element operations, a context offers a few vector kernels:
   clear column c of every other row, touching columns c onward only;
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
 * ``horner(coeffs, x)``: sum of coeffs[i] * x^i;
-* ``pack(rows)`` and ``dots(u, packed, count, start=0)``: rows bundled
-  once, then [dot(u, row[start:]) for row in rows[:count]] in one call.
+* ``pack(rows)`` and ``dots(u, packed, count, at=None)``: rows bundled
+  once, then [dot(u, at(row)) for row in rows[:count]] in one call, at
+  picking the columns read (None: the leading ones); a row may end early
+  and reads as zero past its end, when at is None or a slice.
 
 Each class has one body per element operation and kernel that its
 representation changes, and these bodies are the only code that knows how
@@ -357,13 +359,17 @@ class FieldCtx:
         return acc
 
     def pack(self, rows) -> list:
-        """Equal-length rows, bundled for ``dots``."""
+        """Rows bundled for ``dots``; a row read past its end reads as zero."""
         return list(rows)
 
-    def dots(self, u, packed, count: int, start: int = 0) -> list[Fel]:
-        """[dot(u, row[start:]) for row in rows[:count]], with packed = pack(rows)."""
-        cut = operator.itemgetter(slice(start, start + len(u)))
-        return list(map(self.dot, itertools.repeat(u), map(cut, packed[:count])))
+    def dots(self, u, packed, count: int, at=None) -> list[Fel]:
+        """[dot(u, at(row)) for row in rows[:count]], with packed = pack(rows).
+
+        ``at`` picks the columns each row is read on (a slice or a gather,
+        such as ``hitting.Cells.at_weights``); None reads the leading ones.
+        """
+        rows = packed[:count] if at is None else map(at, packed[:count])
+        return list(map(self.dot, itertools.repeat(u), rows))
 
     # -- enumeration and serialization ---------------------------------------
 
@@ -442,13 +448,16 @@ class FieldCtx:
 class PrimeField(FieldCtx):
     """GF(p) on ints in [0, p), every body reducing mod p inline.
 
-    ``pack`` bundles R rows of width w column by column: column j is the
-    int sum_l rows[l][j] 2^(S l), slot S = 2 bitlen(p - 1) + bitlen(w).
+    ``pack`` bundles R rows, the widest of width w, column by column:
+    column j is the int sum_l rows[l][j] 2^(S l), a row's entries past its
+    end taken as zero, slot S = 2 bitlen(p - 1) + bitlen(w).
     ``dots`` then makes one ``sum(map(mul))`` for all R rows, the delayed
     reduction of FFLAS/FFPACK (Dumas, Giorgi and Pernet, ISSAC 2004): for
     entries in [0, p) each slot sums at most w products below (p - 1)^2,
-    under 2^S, so none carries into the next, and slot l read back mod p
-    is row l's dot exactly.  Entries outside [0, p) are outside the class's
+    under 2^S, whichever columns ``at`` picks, so none carries into the
+    next, and slot l read back mod p is row l's dot exactly.  S is read off
+    the whole table, so ``dots`` takes the table and a column selector,
+    never a slice of it.  Entries outside [0, p) are outside the class's
     domain and give wrong slots.
     """
 
@@ -538,16 +547,25 @@ class PrimeField(FieldCtx):
         return acc
 
     def pack(self, rows) -> list[int]:
-        rows = list(rows)
-        slots = itertools.repeat(self._square_bits + len(rows[0]).bit_length())
-        cols = [0] * len(rows[0])
-        for row in reversed(rows):  # row 0 ends in the lowest slot
-            cols = list(map(operator.or_, map(operator.lshift, cols, slots), row))
-        return cols
+        # join neighbouring groups of rows pairwise, the lower group in the
+        # lower slots, so each entry is shifted log2(R) times, not R times
+        groups = [*map(list, rows)] or [[]]
+        width = max(map(len, groups))
+        for row in groups:
+            row.extend(itertools.repeat(0, width - len(row)))
+        shift = self._square_bits + width.bit_length()
+        while len(groups) > 1:
+            joined = []
+            for lo, hi in zip(groups[::2], groups[1::2]):
+                joined.append(list(map(operator.or_, lo,
+                                       map(operator.lshift, hi, itertools.repeat(shift)))))
+            groups[: 2 * len(joined)] = joined
+            shift *= 2
+        return groups[0]
 
-    def dots(self, u, packed, count: int, start: int = 0) -> list[int]:
+    def dots(self, u, packed, count: int, at=None) -> list[int]:
         slot = self._square_bits + len(packed).bit_length()
-        v = sum(map(operator.mul, u, packed[start : start + len(u)]))
+        v = sum(map(operator.mul, u, packed if at is None else at(packed)))
         mask, p, out = (1 << slot) - 1, self.p, []
         for _ in range(count):
             out.append((v & mask) % p)

@@ -205,6 +205,7 @@ class Layout:
     diagonals: tuple[Cells | None, ...]
 
     @classmethod
+    @functools.lru_cache(maxsize=8)
     def full(cls, n: int, m: int) -> "Layout":
         """Every cell: positions are rows and columns, and each gather is a slice."""
         diagonals = []
@@ -258,14 +259,16 @@ class Schedule:
     for matrices D' at R on n x m, without the rows l >= (n + m) // 2 that
     measure nothing; for TensorB R rows as wide as the widest merged
     matrix, which recovery reads.  ``packed_table`` is ``table`` bundled by
-    ``ctx.pack`` for ``ctx.dots``, built on first read by the measurements
+    ``ctx.pack`` for ``ctx.dots``, built on first read: by the measurements
     that take one syndrome pass per diagonal (D', and B, B' and TensorB on
-    matrices); TensorB recovery never reads it.  The moment families'
+    matrices) and by recovery, which corrects each diagonal's syndromes
+    with one ``dots`` on it.  The moment families'
     measurement reads two more, each built on first read: ``vandermonde``
     packs the rows (alphas[k]^i)_i for i <= sum(dims) - d, and for TensorB
     with d >= 3 ``degree_classes`` is (classes, weights): the cells sorted
-    by degree sum idx, each class a (gather of its entries, offset) pair,
-    and one packed weight row per block over them, prod_a mults[a]^idx_a.
+    by degree sum idx, each class a (gather of its entries, gather of its
+    weight columns) pair, and one packed weight row per block over them,
+    prod_a mults[a]^idx_a.
     TensorB's ``levels[i]`` is (target variable sizes, rows, columns) of
     the matrix that merge level i + 1 recovers, its exponents packed in
     base ``stride`` = n 2^b.
@@ -300,7 +303,7 @@ class Schedule:
         return self.ctx.pack([self.ctx.powers(a, deg + 1) for a in self.alphas])
 
     @functools.cached_property
-    def degree_classes(self) -> tuple[tuple[tuple[Callable, int], ...], list]:
+    def degree_classes(self) -> tuple[tuple[tuple[Callable, Callable], ...], list]:
         ctx, d, n = self.ctx, len(self.dims), self.dims[0]
         degs = packed([n] * d, [1] * d)  # the digit sum of each row-major cell
         order = sorted(range(len(degs)), key=degs.__getitem__)
@@ -311,7 +314,8 @@ class Schedule:
             for pw in (ctx.powers(mult, n) for mult in mults):  # one mul per cell per axis
                 w = [ctx.mul(x, c) for x in w for c in pw]
             rows.append(at(w))
-        classes = tuple((_gather(order[lo:hi]), lo) for lo, hi in zip(starts, starts[1:]))
+        classes = tuple((_gather(order[lo:hi]), _gather(range(lo, hi)))
+                        for lo, hi in zip(starts, starts[1:]))
         return classes, ctx.pack(rows)
 
     @functools.cached_property

@@ -6,10 +6,11 @@ the FieldCtx vector kernels.  Pivoting takes the first nonzero entry
 scanning top to bottom; over a finite field there is nothing better to
 choose, and the fixed rule keeps every derived construction deterministic.
 
-Interpolation reads one cached Newton table per point sequence
-(``_newton_tables``, the last four kept).  Recovery interpolates on
-prefixes of one fixed schedule, and every prefix reads the leading blocks
-of the schedule's table, so its inversions are paid once per schedule.
+Interpolation reads one cached pair of packed Newton tables per point
+sequence (``_newton_tables``, the last four kept) with two ``ctx.dots``.
+Recovery interpolates on prefixes of one fixed schedule, and every prefix
+reads the schedule's tables, so their inversions and their packing are
+paid once per schedule.
 """
 
 import functools
@@ -134,29 +135,30 @@ def poly_interpolate(ctx: FieldCtx, xs: list[Fel], ys: list[Fel]) -> list[Fel]:
     """Coefficients of the degree < len(ys) polynomial taking ys on xs[:len(ys)].
 
     Newton form P = sum_k a_k N_k with N_k = prod_(j<k) (x - xs[j]), read
-    off the tables of ``_newton_tables``: a_k = <dd[k], ys>, and
-    coefficient j of P is <basis[j], a[j:]>.  That is 2 len(ys) vector
-    kernels and no inversion.  Any prefix of xs reads the leading blocks of
-    the same tables, so callers pass their whole schedule.  Raises
-    ShapeMismatch when there are more values than points, and
-    ZeroDivisionError when two points of xs coincide.
+    off the packed tables of ``_newton_tables``: a_k = <dd[k], ys>, and
+    coefficient j of P is <basis[j], a'>, with a' the a_k from k =
+    len(xs) - 1 down, zero for k >= len(ys).  That is two ``ctx.dots`` and
+    no inversion.  Any prefix of xs reads the same tables, so callers pass
+    their whole schedule.  Raises ShapeMismatch when there are more values
+    than points, and ZeroDivisionError when two points of xs coincide.
     """
     if len(ys) > len(xs):
         raise ShapeMismatch("interpolation needs at least as many points as values")
     dd, basis = _newton_tables(ctx, tuple(xs))
-    a = [ctx.dot(row, ys) for row in dd[: len(ys)]]
-    return [ctx.dot(col, a[j:]) for j, col in enumerate(basis[: len(ys)])]
+    a = ctx.dots(ys, dd, len(ys))
+    return ctx.dots([ctx.zero] * (len(xs) - len(ys)) + a[::-1], basis, len(ys))
 
 
 @functools.lru_cache(maxsize=4)
 def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
-    """The two triangular Newton tables of the points xs, as tuples.
+    """The two triangular Newton tables of the points xs, packed by ``ctx.pack``.
 
-    ``dd[k][i] = 1 / prod_(j<=k, j!=i) (xs[i] - xs[j])`` for i <= k, so
-    <dd[k], ys> is the divided difference [ys[0], ..., ys[k]]; and
-    ``basis[j] = (coefficient j of N_k)_(k>=j)``, a column of the Newton
-    polynomials.  Row k and the first k - j + 1 entries of column j depend
-    on xs[:k+1] alone, which is what lets every prefix share them.
+    Row k of ``dd`` is ``dd[k][i] = 1 / prod_(j<=k, j!=i) (xs[i] - xs[j])``
+    for i <= k, so <dd[k], ys> is the divided difference [ys[0], ...,
+    ys[k]]; row j of ``basis`` is coefficient j of N_k for k = len(xs) - 1
+    down to j.  Each row ends at its last entry that can be nonzero, so a
+    dot reads no zero past it.  Row k of dd and the coefficients of N_k
+    depend on xs[:k+1] alone, which is what lets every prefix share them.
     """
     # dd[k][i] = dd[k-1][i] / (xs[i] - xs[k]); a schedule's differences
     # repeat, so each distinct one is inverted once
@@ -172,4 +174,4 @@ def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
         shifted = [ctx.zero] + newton  # N_(k+1) = x N_k - xs[k] N_k
         ctx.axpy(shifted, ctx.neg(x), newton)
         newton = shifted
-    return tuple(dd), tuple(map(tuple, cols))
+    return ctx.pack(dd), ctx.pack([col[::-1] for col in cols])

@@ -14,7 +14,9 @@ are counted against r, so a returned matrix has rank <= r and matches
 every syndrome.  The row operations live in a unit lower-triangular L whose
 off-identity columns stay confined to rows that own leading nonzero
 entries, so the correction of a diagonal is at most r kernel passes, one
-per such column.  An echelon op is applied only where it is read: one
+per such column, and its effect on all of the diagonal's syndromes is one
+multi-row ``ctx.dots`` on the schedule's packed weight table, full and
+lattice layouts alike.  An echelon op is applied only where it is read: one
 entry of P and at most r + 1 entries of L, so O(r) field operations.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
@@ -25,7 +27,8 @@ are handled in column order (slot t of diagonal k is column j_lo + t),
 because measurement weights and evaluation points are indexed by column.
 
 Beyond matrices, the module converts rank-1-family syndromes into diagonal
-syndromes by staircase interpolation, and reverses the variable-merging
+syndromes by staircase interpolation (two ``dots`` per interpolation, on
+the schedule's packed Newton tables), and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family: each
 level packs its polynomials with ``tensor.merge_variables``, recovers the
 merged coefficient matrix on the level's lattice, and writes its cells
@@ -192,6 +195,7 @@ def low_rank_recovery(
     syndromes_by_k,
     hooks: RecoveryHooks | None = None,
     layout: Layout | None = None,
+    packed_table: list | None = None,
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
@@ -199,12 +203,19 @@ def low_rank_recovery(
     with row l of ``table`` (``hitting.schedule``; rows may run past m) over its columns.
     ``layout`` (``hitting.Layout``; None is every cell of n x m) names the
     cells that may be nonzero: L, N and P are stored over its rows and
-    columns, and the returned matrix is N over them.  A diagonal that meets
+    columns, and the returned matrix is N over them.  ``packed_table`` is
+    ``ctx.pack(table)``, which a schedule keeps (``Schedule.packed_table``);
+    None packs table here.  A diagonal with more syndromes than ``table``
+    has rows raises ShapeMismatch.  A diagonal that meets
     no cell must measure zero; any other is solved on its cells, from their
     points ``table[1][j]``.  One with at least as many rows as cells goes to
     ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
     method with the echelon advice set.  An error names its diagonal as
     ``diagonal k:``.
+
+    A diagonal's corrected syndromes are one ``ctx.dots`` on the packed
+    table, read on its columns (``Cells.at_weights``); rows of ``table`` are
+    cut to them only for a short diagonal's solve and for Prony's points.
 
     The correction of a cell (i, j) is sum_c L[i][c] N[c][j] over the
     off-identity columns c of L: row c of N is still zero on the diagonal
@@ -219,6 +230,8 @@ def low_rank_recovery(
     syndromes_by_k = list(syndromes_by_k)
     if len(syndromes_by_k) != n + m - 1:
         raise ShapeMismatch(f"expected {n + m - 1} diagonals, got {len(syndromes_by_k)}")
+    if packed_table is None:
+        packed_table = ctx.pack(table)
     zero, one, minus_one = ctx.zero, ctx.one, ctx.neg(ctx.one)
     size, width = len(layout.rows), len(layout.cols)
     L = [[one if i == j else zero for j in range(size)] for i in range(size)]
@@ -228,6 +241,8 @@ def low_rank_recovery(
     lne: dict[int, int] = {}
 
     for k, synd in enumerate(syndromes_by_k):
+        if len(synd) > len(table):
+            raise ShapeMismatch(f"diagonal {k}: {len(synd)} syndromes, {len(table)} table rows")
         cells = layout.diagonals[k]
         if cells is None:
             if synd.count(zero) != len(synd):
@@ -246,8 +261,8 @@ def low_rank_recovery(
             if j0 in cols:
                 advice.add(cols.index(j0))
 
-        weights = [cells.at_weights(row) for row in table[: len(synd)]]
-        y = [ctx.add(s_val, ctx.dot(a_diag, w)) for w, s_val in zip(weights, synd)]
+        at = cells.at_weights
+        y = list(map(ctx.add, synd, ctx.dots(a_diag, packed_table, len(synd), at)))
 
         if hooks and hooks.before_oracle:
             hooks.before_oracle(
@@ -258,9 +273,9 @@ def low_rank_recovery(
 
         try:
             if len(y) >= len(cols):
-                p_diag = _solve_diagonal(ctx, weights, y)
+                p_diag = _solve_diagonal(ctx, list(map(at, table[: len(y)])), y)
             else:  # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
-                p_diag = pronys_method(ctx, len(cols), r, advice, y, weights[1])
+                p_diag = pronys_method(ctx, len(cols), r, advice, y, at(table[1]))
         except PromiseViolation as e:
             raise type(e)(f"diagonal {k}: {e}") from e
         except TensorhitError as e:
@@ -310,11 +325,10 @@ def _diagonal_syndromes(mat: DenseTensor, s: Schedule, counts) -> list[list[Fel]
     n, m = mat.dims
     entries, step = mat.entries, m - 1 or 1  # down a row and left a column
     out = []
-    for k, count in enumerate(counts):
-        lo, hi = diag_columns(n, m, k)
-        top = (k - hi) * m + hi  # the cell in column hi
-        vals = entries[top : top + step * (hi - lo) + 1 : step][::-1]  # by column
-        out.append(ctx.dots(vals, table, count, lo))
+    for cells, count in zip(Layout.full(n, m).diagonals, counts):
+        top = cells.rows[-1] * m + cells.cols[-1]  # the cell in the last column
+        vals = entries[top : top + step * (len(cells.cols) - 1) + 1 : step][::-1]  # by column
+        out.append(ctx.dots(vals, table, count, cells.at_weights))
     return out
 
 
@@ -356,7 +370,8 @@ def recover_from_D(
     counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
     ends = itertools.accumulate(counts)
     synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
-    return low_rank_recovery(ctx, n, m, r, s.table, synd_by_k, hooks=hooks, layout=s.layouts[0])
+    return low_rank_recovery(ctx, n, m, r, s.table, synd_by_k, hooks=hooks,
+                             layout=s.layouts[0], packed_table=s.packed_table)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +522,7 @@ def tensor_recover(
             univs = [_pack(polys[prefix + (i,)], stride) for i in range(R)]
             try:
                 w = low_rank_recovery(ctx, layout.n, layout.m, r, s.table, zip(*univs),
-                                      layout=layout)
+                                      layout=layout, packed_table=s.packed_table)
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
             new_polys[prefix] = _unpack(w, tgt)
@@ -545,7 +560,7 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
         by_deg = _diagonal_syndromes(t, s, [len(counts)] * (sum(t.dims) - 1))
     else:
         classes, weights = s.degree_classes
-        by_deg = [ctx.dots(at(t.entries), weights, len(counts), lo) for at, lo in classes]
+        by_deg = [ctx.dots(at(t.entries), weights, len(counts), cols) for at, cols in classes]
     return [y for poly, count in zip(zip(*by_deg), counts)
             for y in ctx.dots(poly, s.vandermonde, count)]
 

@@ -1,6 +1,7 @@
 """Field construction, canonical choices, and arithmetic laws."""
 
 import itertools
+import operator
 import random
 import time
 
@@ -417,12 +418,40 @@ def test_packed_dots_equal_one_dot_per_row(name, data):
     top = ctx.from_index(ctx.size - 1)  # p - 1 in every coefficient
     el = st.one_of(st.just(top), st.integers(0, ctx.size - 1).map(ctx.from_index))
     nrows, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 9))
-    rows = [data.draw(st.lists(el, min_size=width, max_size=width)) for _ in range(nrows)]
+    # rows of one width, or rows that may end early, as the Newton tables' do
+    ragged = data.draw(st.booleans())
+    rows = [data.draw(st.lists(el, min_size=0 if ragged else width, max_size=width))
+            for _ in range(nrows)]
+    full = [row + [ctx.zero] * (width - len(row)) for row in rows]
+    # the columns read: the leading ones, a slice, or a gather as a lattice diagonal's
     start = data.draw(st.integers(0, width))
+    ats = [None, operator.itemgetter(slice(start, None))]
+    if width > 1 and not ragged:
+        picked = data.draw(st.lists(st.integers(0, width - 1), min_size=2, unique=True))
+        ats.append(operator.itemgetter(*sorted(picked)))
+    at = data.draw(st.sampled_from(ats))
     u = data.draw(st.lists(el, max_size=width - start + 2))  # may run past the rows
     count = data.draw(st.integers(0, nrows))
     packed = ctx.pack(rows)
-    assert ctx.dots(u, packed, count, start) == [ctx.dot(u, row[start:]) for row in rows[:count]]
+    want = [ctx.dot(u, row if at is None else at(row)) for row in full[:count]]
+    assert ctx.dots(u, packed, count, at) == want
+
+
+@pytest.mark.parametrize("p", [2, 65537, 2**64 - 59])
+def test_pack_puts_row_l_in_slot_l_at_every_row_count(p):
+    # the rows are joined pairwise, so odd counts leave a group unjoined for a round
+    ctx, rng, width = make_prime_field(p), random.Random(p), 5
+    slot = 2 * (p - 1).bit_length() + width.bit_length()
+    for nrows in range(1, 18):
+        rows = [[rng.randrange(p) for _ in range(width)] for _ in range(nrows)]
+        want = [sum(row[j] << slot * l for l, row in enumerate(rows)) for j in range(width)]
+        assert ctx.pack(rows) == want
+        assert ctx.pack(map(tuple, rows)) == want
+        # a row that ends early reads as zero past its end
+        cut = [row[: rng.randrange(width + 1)] if l else row for l, row in enumerate(rows)]
+        want = [sum(row[j] << slot * l for l, row in enumerate(cut) if j < len(row))
+                for j in range(width)]
+        assert ctx.pack(cut) == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 65537, 2**64 - 59])

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from _invariants import InvariantChecker, LatticeSupportChecker
@@ -221,6 +222,18 @@ def test_low_rank_recovery_rejects_a_missing_diagonal():
         lrr.low_rank_recovery(GF13, 3, 3, 2, table, by_k[:-1])
 
 
+@pytest.mark.parametrize("ctx", [GF13, make_extension(make_prime_field(2), 4)], ids=repr)
+def test_low_rank_recovery_rejects_more_syndromes_than_table_rows(ctx):
+    # the packed table of GF(p) reads zero past its last row, a list of rows
+    # reads nothing there: neither may stand in for a syndrome's weights
+    table = schedule(ctx, "Dprime", (3, 3), 4).table
+    assert len(table) == 3
+    by_k = [[ctx.zero] * diag_row_count(4, 3, 3, k) for k in range(5)]
+    by_k[2] = [ctx.zero] * 4
+    with pytest.raises(ShapeMismatch, match="^diagonal 2: 4 syndromes, 3 table rows$"):
+        lrr.low_rank_recovery(ctx, 3, 3, 2, table, by_k)
+
+
 def test_recover_checks_the_syndrome_count_before_any_work_of_that_size():
     # the weights of a 10^6 x 10^6 matrix need an element of order 10^6,
     # which GF(5) lacks; the count is checked first
@@ -392,21 +405,30 @@ class _CountingField(PrimeField):
     """GF(p), by default GF(65537), counting field operations.
 
     An element op counts 1; ``dot`` and ``fma`` count the shorter vector's
-    length, ``axpy`` and ``horner`` the source length, ``powers`` its count.
-    ``calls`` counts the calls of ``axpy``, ``horner`` and ``powers`` by name.
+    length, ``dots`` the rows it reads times len(u) (one ``dot`` per row),
+    ``axpy`` and ``horner`` the source length, ``powers`` its count.
+    ``calls`` counts the calls of ``axpy``, ``horner`` and ``powers`` by name;
+    ``callers`` those of ``dot`` and ``dots`` by (name, calling function).
     """
 
     def __init__(self, p=65537):
         super().__init__(p)
         self.ops = 0
         self.calls = collections.Counter()
+        self.callers = collections.Counter()
 
     add, sub, neg, mul, inv, pow, scalar = map(
         _counted, ("add", "sub", "neg", "mul", "inv", "pow", "scalar"))
 
     def dot(self, u, v):
         self.ops += min(len(u), len(v))
+        self.callers["dot", sys._getframe(1).f_code.co_name] += 1
         return super().dot(u, v)
+
+    def dots(self, u, packed, count, at=None):
+        self.ops += count * len(u)
+        self.callers["dots", sys._getframe(1).f_code.co_name] += 1
+        return super().dots(u, packed, count, at)
 
     def fma(self, dst, u, v):
         self.ops += min(len(u), len(v))
@@ -445,6 +467,28 @@ def test_recovery_op_count_grows_as_r_n2_plus_r3_n():
     by_r = [_recovery_ops(64, r) for r in (1, 2, 4, 8)]
     assert all(b <= 4.5 * a for a, b in zip(by_n, by_n[1:])), by_n
     assert all(b <= 2.5 * a for a, b in zip(by_r, by_r[1:])), by_r
+
+
+def test_a_warm_recovery_corrects_each_diagonal_with_one_packed_dots():
+    ctx, n, r = _CountingField(), 24, 2
+    mat = _rand_low_rank(ctx, random.Random("warm recovery"), (n, n), r)
+    synd = measure_D(mat, r)
+    assert recover_from_D(ctx, n, n, r, synd) == mat  # the cold call builds the tables
+    ctx.callers.clear()
+    assert recover_from_D(ctx, n, n, r, synd) == mat
+    layout = schedule(ctx, "Dprime", (n, n), 2 * r).layouts[0]
+    assert ctx.callers["dots", "low_rank_recovery"] == sum(c is not None for c in layout.diagonals)
+    assert ctx.callers["dot", "low_rank_recovery"] == 0
+
+
+def test_a_caller_table_whose_points_repeat_gives_an_unsolvable_square_system():
+    # row 1 of the table holds the points g^j; here every point is 1, so the
+    # square system of diagonal 1 (2 cells, 2 rows) is singular, and syndromes
+    # 1 and 2 lie off its image
+    table = [[1, 1, 1], [1, 1, 1]]
+    by_k = [[0], [1, 2], [0, 0], [0, 0], [0]]
+    with pytest.raises(InconsistentSyndrome, match="^diagonal 1: unsolvable square system$"):
+        lrr.low_rank_recovery(GF13, 3, 3, 1, table, by_k)
 
 
 # -- conversion -----------------------------------------------------------------
@@ -554,10 +598,11 @@ def _level_calls(d, n, r, seed):
     t = _rand_low_rank(GF_M31, random.Random(seed), (n,) * d, r)
     calls, real = [], lrr.low_rank_recovery
 
-    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None):
+    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None, packed_table=None):
         by_k = [list(v) for v in by_k]
         calls.append((layout, table, by_k))
-        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout)
+        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout,
+                    packed_table=packed_table)
 
     lrr.low_rank_recovery = spy
     try:
@@ -669,11 +714,12 @@ def test_a_level_names_itself_and_the_diagonal_off_its_lattice():
     assert None not in s.layouts[1].diagonals
     real = lrr.low_rank_recovery
 
-    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None):
+    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None, packed_table=None):
         by_k = [list(v) for v in by_k]
         if layout is s.layouts[0]:
             by_k[3] = [table[0][1], table[1][1]]  # cell (2, 1)
-        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout)
+        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout,
+                    packed_table=packed_table)
 
     lrr.low_rank_recovery = spy
     try:
@@ -682,6 +728,21 @@ def test_a_level_names_itself_and_the_diagonal_off_its_lattice():
             tensor_recover(ctx, 3, 2, 1, synd)
     finally:
         lrr.low_rank_recovery = real
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (2, 8), (2, 9), (3, 3), (3, 4), (3, 5), (4, 6),
+                                  (5, 6), (5, 7)])
+def test_packed_corrections_equal_one_dot_per_row_on_every_tensor_layout(d, n):
+    # table widths 7, 8, 9; 3, 4, 5; 126; 246 and 343: on both sides of a power
+    # of two, where the slot width of the packed table changes
+    ctx = make_prime_field(2**61 - 1)
+    s = schedule(ctx, "TensorB", (n,) * d, 4)
+    rng = random.Random(f"corrections {d} {n}")
+    for layout in s.layouts:
+        for cells in filter(None, layout.diagonals):
+            for a in ([ctx.p - 1] * len(cells.cols), [rng.randrange(ctx.p) for _ in cells.cols]):
+                want = [ctx.dot(a, cells.at_weights(row)) for row in s.table]
+                assert ctx.dots(a, s.packed_table, len(s.table), cells.at_weights) == want
 
 
 def test_a_rank_1_tensor_of_shape_2_to_the_8_round_trips_over_gf_2_61_minus_1():
