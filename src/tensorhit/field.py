@@ -31,9 +31,10 @@ a sum of nonzero a and b is ``exp[la + zech[lb - la]]``; a zero operand
 takes a branch of its own.  A negation is ``exp[log[a] + half]`` with
 ``half = log(-1)``, which is 0 for p = 2 and (q - 1)/2 otherwise, and a
 difference adds the negation.  The tables change speed, never a value: a
-TableField equals, and hashes as, the ring on its modulus.  The cap keeps
-the build at a few milliseconds, which every command reading a file pays;
-GF(2^8) is the largest extension the benchmark multiplies in.
+TableField equals, and hashes as, the ring on its modulus, though its
+``pack`` differs, so caches of packed tables key on type(ctx) too.  The
+cap keeps the build at a few milliseconds, which every command reading a
+file pays; GF(2^8) is the largest extension the benchmark multiplies in.
 
 Canonical enumeration
 ---------------------
@@ -68,8 +69,9 @@ Besides the element operations, a context offers a few vector kernels:
 * ``horner(coeffs, x)``: sum of coeffs[i] * x^i;
 * ``pack(rows)`` and ``dots(u, packed, count, at=None)``: rows bundled
   once, then [dot(u, at(row)) for row in rows[:count]] in one call, at
-  picking the columns read (None: the leading ones); a row may end early
-  and reads as zero past its end, when at is None or a slice.
+  picking the columns read (None: the leading ones), for count at most the
+  rows packed; a row may end early and reads as zero past its end, when at
+  is None or a slice.
 
 Each class has one body per element operation and kernel that its
 representation changes, and these bodies are the only code that knows how
@@ -80,22 +82,25 @@ and encoding are written once, over any field, on top of them.  FieldCtx's
 multiplies extension elements goes through ``mul``, except that
 ``embed_as_matrix``, and so ``inv``, multiplies by x as a shift plus the
 reduction table's first row, x^k mod f); its other kernels fold ``add``
-and ``mul``, and its ``dots`` makes one ``dot`` per row.  TableField
-defines the element operations and a ``dot`` that sums table products
-coefficient-wise, and inherits the other kernels with table lookups
-inside.  PrimeField packs the rows of ``dots`` into one int per column.
+and ``mul``, and its ``dots`` makes one ``dot`` per row.  PrimeField packs
+the rows of ``dots`` into one int per column.  TableField packs each row
+as its logs and keeps ``kexp``, each power of g as one int with its k
+coefficients in 64-bit slots, so ``dot`` and each row of ``dots`` are one
+C-level sum of ``kexp[log a + log b]`` read back slot by slot mod p; it
+inherits the other kernels with table lookups inside.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and lazily built helpers (a prime field's inverse table below
-2^16, an extension's GF(p) for ``inv``), which are write-once and
-race-benign.  A TableField's tables are complete when it is built and
-never change.  Contexts may be shared freely across threads and all
-element operations are pure.
+2^16, an extension's GF(p) for ``inv``, a TableField's ``kexp``), which
+are write-once and race-benign.  A TableField's exp, log and Zech tables
+are complete when it is built and never change.  Contexts may be shared
+freely across threads and all element operations are pure.
 """
 
 import itertools
 import math
 import operator
+import struct
 
 from .errors import CompositeCharacteristic, FieldTooSmall, OrderUnreachable
 
@@ -367,6 +372,10 @@ class FieldCtx:
 
         ``at`` picks the columns each row is read on (a slice or a gather,
         such as ``hitting.Cells.at_weights``); None reads the leading ones.
+        count must not exceed the rows packed: past them the classes differ
+        (PrimeField reads zero rows, the others return fewer values), and
+        ``lrr.low_rank_recovery``, the one caller whose count comes from its
+        input, raises ShapeMismatch first.
         """
         rows = packed[:count] if at is None else map(at, packed[:count])
         return list(map(self.dot, itertools.repeat(u), rows))
@@ -574,7 +583,21 @@ class PrimeField(FieldCtx):
 
 
 class TableField(FieldCtx):
-    """GF(p^k) on exp/log/Zech tables of a generator g of the ring's units."""
+    """GF(p^k) on exp/log/Zech tables of a generator g of the ring's units.
+
+    The vector kernels work on logs.  ``pack`` maps each row to its logs,
+    a zero to 2(q - 1), which indexes the zero padding of ``exp``.  ``kexp``
+    is ``exp`` with each element in Kronecker form (D. Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution",
+    J. Symb. Comput. 44, 2009): coefficient i moved into bits 64i onward of
+    one int.  A row's dot is then one C-level ``sum`` of
+    ``kexp[log u[i] + log v[i]]``, and its k 64-bit slots read back mod p.
+    Each term adds at most p - 1 to a slot, and under the table cap k >= 2
+    forces p <= 13, so no slot carries before 2^60 terms: no width check.
+    ``kexp`` is built from the q - 1 distinct powers by the first ``dot``
+    or ``dots``, write-once like a prime field's inverse table, so contexts
+    that only read a file never pay for it.
+    """
 
     def __init__(self, ring: FieldCtx, g: tuple[int, ...]):
         super().__init__(ring.p, ring.k, ring.modulus)
@@ -589,6 +612,8 @@ class TableField(FieldCtx):
         self._log = log
         self._zero_log = 2 * n
         self._half = 0 if p == 2 else n // 2  # log(-1): g^(n/2) = -1 for odd p
+        self._slots = struct.Struct(f"<{self.k}Q")  # an int's k 64-bit slots, lowest first
+        self._kexp: list[int] | None = None  # built by the first dot or dots
 
     def add(self, a: Fel, b: Fel) -> Fel:
         log = self._log
@@ -622,13 +647,33 @@ class TableField(FieldCtx):
             raise ZeroDivisionError("inverse of zero")
         return self.one if e == 0 else a
 
+    def _build_kexp(self) -> list[int]:
+        n = self.size - 1
+        powers = [int.from_bytes(self._slots.pack(*e), "little") for e in self._exp[:n]]
+        self._kexp = kexp = powers + powers + [0] * (2 * n + 1)
+        return kexp
+
+    def _from_slots(self, total: int) -> Fel:
+        """The element whose Kronecker form, each slot unreduced, is total."""
+        slots = self._slots
+        return tuple(map(operator.mod, slots.unpack(total.to_bytes(slots.size, "little")),
+                         itertools.repeat(self.p)))
+
     def dot(self, u, v) -> Fel:
-        zero, exp, log = self.zero, self._exp, self._log
-        prods = [zero]
-        for a, b in zip(u, v):
-            if a != zero and b != zero:
-                prods.append(exp[log[a] + log[b]])
-        return tuple(map(operator.mod, map(sum, zip(*prods)), itertools.repeat(self.p)))
+        kexp, log = self._kexp or self._build_kexp(), self._log.__getitem__
+        return self._from_slots(sum(map(kexp.__getitem__,
+                                        map(operator.add, map(log, u), map(log, v)))))
+
+    def pack(self, rows) -> list[list[int]]:
+        return list(map(list, map(map, itertools.repeat(self._log.__getitem__), rows)))
+
+    def dots(self, u, packed, count: int, at=None) -> list[Fel]:
+        kexp = self._kexp or self._build_kexp()
+        lu = list(map(self._log.__getitem__, u))  # u's logs, taken once for every row
+        out = []
+        for row in packed[:count] if at is None else map(at, packed[:count]):
+            out.append(self._from_slots(sum(map(kexp.__getitem__, map(operator.add, lu, row)))))
+        return out
 
 
 def make_prime_field(p: int) -> PrimeField:

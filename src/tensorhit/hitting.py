@@ -23,13 +23,14 @@ Each family is decided here once, and ``lrr`` and ``rankcode`` read it:
 TensorB takes [n]^d with d >= 2 and R >= 1; Dprime takes any matrix with
 R >= 1 (rows past (n + m) // 2 measure nothing); B, Bprime and D take
 n x m with 1 <= R <= n <= m, the paper's.  ``schedule`` derives the rest
-once per (field, family, shape, R): the one g, the alphas, multipliers and
-block counts of the rank-1 families B, Bprime and TensorB, the one weight
-table (D' at R for the matrix families, the widest merged matrix's for
-TensorB), TensorB's merge levels and the ``Layout`` of cells recovery
-solves for (every cell of a matrix, each TensorB level's packed lattice),
-and the packed tables that measure the moment families.  ``dprime_size``
-counts D' and ``tensor_size`` counts TensorB without building them.
+once per (field class, field, family, shape, R): the one g, the alphas,
+multipliers and block counts of the rank-1 families B, Bprime and TensorB,
+the one weight table (D' at R for the matrix families, the widest merged
+matrix's for TensorB), TensorB's merge levels and the ``Layout`` of cells
+recovery solves for (every cell of a matrix, each TensorB level's packed
+lattice), and the packed tables that measure the moment families.
+``dprime_size`` counts D' and ``tensor_size`` counts TensorB without
+building them.
 ``inner_products`` is the one scan of a family against a tensor: it
 reuses the contractions of the trailing factors its members share.
 
@@ -329,12 +330,14 @@ class Schedule:
 
 def schedule(ctx: FieldCtx, family: str, dims, R: int) -> Schedule:
     """The schedule of family on dims at R, after ``check_family``: g has order
-    >= (2dn)^d for TensorB on [n]^d, else >= m.  Built once per (field,
-    family, shape, R), so equal fields and list or tuple dims share it."""
+    >= (2dn)^d for TensorB on [n]^d, else >= m.  Built once per (field
+    class, field, family, shape, R), so list or tuple dims share it; a
+    TableField and the ring on its modulus are equal but pack differently,
+    so each gets its own."""
     return _schedule(ctx, family, tuple(dims), R)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)  # typed: keyed on type(ctx) too
 def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Schedule:
     check_family(family, dims, R)
     if family == "Naive":

@@ -7,7 +7,8 @@ scanning top to bottom; over a finite field there is nothing better to
 choose, and the fixed rule keeps every derived construction deterministic.
 
 Interpolation reads one cached pair of packed Newton tables per point
-sequence (``_newton_tables``, the last four kept) with two ``ctx.dots``.
+sequence and field class (``_newton_tables``, the last four kept) with two
+``ctx.dots``.
 Recovery interpolates on prefixes of one fixed schedule, and every prefix
 reads the schedule's tables, so their inversions and their packing are
 paid once per schedule.
@@ -149,7 +150,7 @@ def poly_interpolate(ctx: FieldCtx, xs: list[Fel], ys: list[Fel]) -> list[Fel]:
     return ctx.dots([ctx.zero] * (len(xs) - len(ys)) + a[::-1], basis, len(ys))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=4, typed=True)  # typed: a TableField packs unlike its ring
 def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
     """The two triangular Newton tables of the points xs, packed by ``ctx.pack``.
 

@@ -316,7 +316,7 @@ def test_ctx_equality_and_hash():
 def test_make_field_picks_one_class_per_representation(p, k, cls):
     ctx = make_field(p, k)
     assert type(ctx) is cls
-    ring = FieldCtx(p, k, ctx.modulus)  # linalg's Newton-table cache keys on the context
+    ring = FieldCtx(p, k, ctx.modulus)  # equal, so the table caches key on type(ctx) too
     assert ctx == ring and hash(ctx) == hash(ring)
     rng = random.Random(ctx.size)  # each class's inv against Fermat's a^(q - 2)
     for a in [ctx.from_index(rng.randrange(1, ctx.size)) for _ in range(50)]:
@@ -406,17 +406,20 @@ PACK_FIELDS = {
     "GF3": make_prime_field(3),
     "GF65537": make_prime_field(65537),
     "GF(2^64-59)": make_prime_field(2**64 - 59),
-    "GF(2^8)": make_extension(make_prime_field(2), 8),  # exp/log tables
+    "GF(2^8)": make_extension(make_prime_field(2), 8),  # exp/log tables, log-packed rows
+    "GF(3^5)": make_extension(make_prime_field(3), 5),
+    "GF(13^2)": make_extension(make_prime_field(13), 2),
     "GF(13^3)": KERNEL_FIELDS["GF(13^3)"],  # convolution arithmetic
 }
 
 
 @given(st.sampled_from(sorted(PACK_FIELDS)), st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_packed_dots_equal_one_dot_per_row(name, data):
     ctx = PACK_FIELDS[name]
     top = ctx.from_index(ctx.size - 1)  # p - 1 in every coefficient
-    el = st.one_of(st.just(top), st.integers(0, ctx.size - 1).map(ctx.from_index))
+    el = st.one_of(st.just(top), st.just(ctx.zero),
+                   st.integers(0, ctx.size - 1).map(ctx.from_index))
     nrows, width = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 9))
     # rows of one width, or rows that may end early, as the Newton tables' do
     ragged = data.draw(st.booleans())
@@ -464,6 +467,38 @@ def test_packed_dots_are_exact_when_every_entry_and_weight_is_p_minus_1(p):
         got = ctx.dots([p - 1] * width, ctx.pack(rows), 4)
         assert got == [width * (p - 1) ** 2 % p] * 4
         assert got == [ctx.dot([p - 1] * width, row) for row in rows]
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (2, 8), (3, 5), (13, 2)],
+                         ids=["GF(2^4)", "GF(2^8)", "GF(3^5)", "GF(13^2)"])
+def test_table_dots_are_exact_when_every_coefficient_is_p_minus_1(p, k):
+    # vectors of the element whose coefficients are all p - 1, against the
+    # ring's dot; times ones, each term adds p - 1 to every Kronecker slot
+    ctx = make_extension(make_prime_field(p), k)
+    ref = FieldCtx(p, k, ctx.modulus)
+    top = ctx.from_index(ctx.size - 1)
+    assert top == (p - 1,) * k
+    for width in (1, 2, 3, 63, 64, 65, 255, 256, 257, 1023, 1024, 4095, 4096):
+        u = [top] * width
+        for row in ([top] * width, [ctx.one] * width):
+            want = ref.dot(u, row)
+            assert ctx.dot(u, row) == want
+            assert ctx.dots(u, ctx.pack([row] * 3), 3) == [want] * 3
+
+
+@pytest.mark.parametrize("ctx", [make_prime_field(13), make_prime_field(2**64 - 59),
+                                 make_extension(make_prime_field(2), 8),
+                                 make_extension(make_prime_field(13), 3)], ids=repr)
+def test_dots_returns_one_value_per_row_at_every_count_up_to_the_rows_packed(ctx):
+    # count <= rows packed is dots' precondition; within it every class agrees
+    rng = random.Random(ctx.size)
+    for nrows in range(1, 7):
+        rows = [[ctx.from_index(rng.randrange(ctx.size)) for _ in range(rng.randint(0, 5))]
+                for _ in range(nrows)]
+        u = [ctx.from_index(rng.randrange(ctx.size)) for _ in range(5)]
+        packed = ctx.pack(rows)
+        for count in range(nrows + 1):
+            assert ctx.dots(u, packed, count) == [ctx.dot(u, row) for row in rows[:count]]
 
 
 def test_convolution_pow_makes_no_wasted_multiplications():
@@ -547,6 +582,9 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
         ctx.pivot(rows, r, col)
         ref.pivot(want, r, col)
         assert rows == want
+        rows = [vec(rng.randrange(n + 2)) for _ in range(rng.randint(1, 4))]  # may end early
+        count, at = rng.randint(0, len(rows)), rng.choice([None, operator.itemgetter(slice(1, None))])
+        assert ctx.dots(u, ctx.pack(rows), count, at) == ref.dots(u, ref.pack(rows), count, at)
 
     for n in (0, 3):  # empty and all-zero vectors
         zeros = [zero] * n
@@ -559,7 +597,7 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
 
 @pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "scalar", "dot",
                                   "axpy", "pivot", "powers", "horner", "fma", "_reduce",
-                                  "pack", "dots"])
+                                  "pack", "dots", "_from_slots"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
     # a method with a closure cell makes it on every call; each class's own body is checked
     bodies = [vars(cls)[name] for cls in (FieldCtx, PrimeField, TableField) if name in vars(cls)]

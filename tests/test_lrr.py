@@ -22,7 +22,7 @@ from tensorhit.errors import (
     ShapeMismatch,
     TensorhitError,
 )
-from tensorhit.field import PrimeField, make_extension, make_prime_field
+from tensorhit.field import FieldCtx, PrimeField, make_extension, make_prime_field
 from tensorhit.hitting import (
     MOMENT_FAMILIES,
     combine_simulated_syndromes,
@@ -982,6 +982,33 @@ def test_cold_and_warm_tables_recover_as_the_moments_formula(ctx, monkeypatch):
     warm = [call() for call in calls]
     monkeypatch.setattr(linalg, "poly_interpolate", _moments_interpolate)
     assert cold == warm == [call() for call in calls]
+
+
+@pytest.mark.parametrize("table_first", [False, True], ids=["ring-then-table", "table-then-ring"])
+def test_a_table_field_and_its_ring_each_read_their_own_packed_tables(table_first):
+    # equal and hashing alike, the two pack differently (logs, tuples), so the
+    # schedule and Newton-table caches must not hand one's tables to the other
+    table = make_extension(make_prime_field(2), 4)
+    ring = FieldCtx(2, 4, table.modulus)
+    assert table == ring and hash(table) == hash(ring)
+    rng = random.Random(4)
+    entries = _rand_low_rank(table, rng, (4, 5), 1).entries
+    xs, ys = table.first_elements(6), [table.from_index(rng.randrange(16)) for _ in range(5)]
+
+    def run(ctx):
+        mat = DenseTensor(ctx, (4, 5), entries)
+        d_synd = measure_D(mat, 1)
+        b_synd = lrr.measure_moments(mat, "Bprime", 2)
+        return (linalg.poly_interpolate(ctx, xs, ys), d_synd,
+                recover_from_D(ctx, 4, 5, 1, d_synd).entries, b_synd,
+                convert_B_to_D(ctx, 4, 5, 2, b_synd))
+
+    hitting._schedule.cache_clear()
+    linalg._newton_tables.cache_clear()
+    first, second = [run(ctx) for ctx in ((table, ring) if table_first else (ring, table))]
+    assert first == second
+    _, d_synd, recovered, _, converted = first
+    assert recovered == entries and converted == d_synd
 
 
 # -- one parameter domain per family ---------------------------------------------------
