@@ -63,6 +63,8 @@ Besides the element operations, a context offers a few vector kernels:
 * ``dot(u, v)``: sum of u[i] * v[i];
 * ``axpy(dst, c, src, start=0)``: dst[start + j] += c * src[j], in place;
 * ``fma(dst, u, v)``: dst[i] += u[i] * v[i], in place;
+* ``sum_products(us, vs)``: [sum_c us[c][t] * vs[c][t] for each t], one
+  vector per pair c, all of one length;
 * ``pivot(rows, r, c)``: scale row r so its column-c entry is one, then
   clear column c of every other row, touching columns c onward only;
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
@@ -82,12 +84,16 @@ and encoding are written once, over any field, on top of them.  FieldCtx's
 multiplies extension elements goes through ``mul``, except that
 ``embed_as_matrix``, and so ``inv``, multiplies by x as a shift plus the
 reduction table's first row, x^k mod f); its other kernels fold ``add``
-and ``mul``, and its ``dots`` makes one ``dot`` per row.  PrimeField packs
-the rows of ``dots`` into one int per column.  TableField packs each row
+and ``mul``, its ``sum_products`` is one ``fma`` per pair, and its
+``dots`` makes one ``dot`` per row.  PrimeField packs the rows of
+``dots`` into one int per column, and its ``sum_products`` sums each
+cell's products unreduced and reduces once.  TableField packs each row
 as its logs and keeps ``kexp``, each power of g as one int with its k
 coefficients in 64-bit slots, so ``dot`` and each row of ``dots`` are one
-C-level sum of ``kexp[log a + log b]`` read back slot by slot mod p; it
-inherits the other kernels with table lookups inside.
+C-level sum of ``kexp[log a + log b]`` read back slot by slot mod p; its
+``sum_products`` forms each pair's products as ``exp[log u + log v]`` and
+adds the pairs by Zech logarithms.  It inherits the other kernels with
+table lookups inside.
 
 Everything here is immutable after construction apart from memoized order
 discoveries and lazily built helpers (a prime field's inverse table below
@@ -328,6 +334,16 @@ class FieldCtx:
         """
         dst[: min(len(u), len(v))] = map(self.add, dst, map(self.mul, u, v))
 
+    def sum_products(self, us, vs) -> list[Fel]:
+        """[sum_c us[c][t] * vs[c][t] for each t], over at least one pair.
+
+        The vectors of every pair share one length, the result's.
+        """
+        acc = [self.zero] * len(us[0])
+        for u, v in zip(us, vs):
+            self.fma(acc, u, v)
+        return acc
+
     def axpy(self, dst: list, c: Fel, src, start: int = 0) -> None:
         """dst[start + j] += c * src[j] for every j, in place."""
         zero, one = self.zero, self.one
@@ -513,10 +529,12 @@ class PrimeField(FieldCtx):
     def dot(self, u, v) -> int:
         return sum(map(operator.mul, u, v)) % self.p
 
-    def fma(self, dst: list, u, v) -> None:
-        # p rides along in the zip, so the comprehension closes over nothing
-        ps = itertools.repeat(self.p)
-        dst[: min(len(u), len(v))] = [(d + a * b) % p for d, a, b, p in zip(dst, u, v, ps)]
+    def sum_products(self, us, vs) -> list[int]:
+        # each cell's products summed unreduced, then one reduction per cell
+        acc = map(operator.mul, us[0], vs[0])
+        for u, v in zip(us[1:], vs[1:]):
+            acc = map(operator.add, acc, map(operator.mul, u, v))
+        return list(map(operator.mod, acc, itertools.repeat(self.p)))
 
     def axpy(self, dst: list, c: int, src, start: int = 0) -> None:
         if c:
@@ -663,6 +681,14 @@ class TableField(FieldCtx):
         kexp, log = self._kexp or self._build_kexp(), self._log.__getitem__
         return self._from_slots(sum(map(kexp.__getitem__,
                                         map(operator.add, map(log, u), map(log, v)))))
+
+    def sum_products(self, us, vs) -> list[Fel]:
+        exp, log = self._exp.__getitem__, self._log.__getitem__
+        acc = None
+        for u, v in zip(us, vs):
+            terms = list(map(exp, map(operator.add, map(log, u), map(log, v))))
+            acc = terms if acc is None else list(map(self.add, acc, terms))
+        return acc
 
     def pack(self, rows) -> list[list[int]]:
         return list(map(list, map(map, itertools.repeat(self._log.__getitem__), rows)))

@@ -11,13 +11,13 @@ its first rows (a Vandermonde system) and every further row is checked;
 a longer diagonal goes to Prony's method on dual Reed-Solomon rows with
 the echelon advice set.  After each diagonal the leading nonzero entries
 are counted against r, so a returned matrix has rank <= r and matches
-every syndrome.  The row operations live in a unit lower-triangular L whose
-off-identity columns stay confined to rows that own leading nonzero
-entries, so the correction of a diagonal is at most r kernel passes, one
-per such column, and its effect on all of the diagonal's syndromes is one
-multi-row ``ctx.dots`` on the schedule's packed weight table, full and
-lattice layouts alike.  An echelon op is applied only where it is read: one
-entry of P and at most r + 1 entries of L, so O(r) field operations.
+every syndrome.  The row operations live in a unit lower-triangular L,
+kept as its <= r off-identity columns, and of the reduced matrix P the
+loop keeps only the current diagonal and the pivots of the leading
+entries.  A diagonal's correction is one ``ctx.sum_products`` and its
+effect on the syndromes one multi-row ``ctx.dots`` on the schedule's
+packed weight table, full and lattice layouts alike; an echelon op costs
+O(r) field operations.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
 nonzero column; lne(M^(<k)) collects those falling strictly below the
@@ -43,6 +43,8 @@ polynomial with one ``dots`` on the schedule's packed Vandermonde rows.
 ``RECOVERY_FAMILIES``.
 """
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     InconsistentSyndrome,
-    NotEchelon,
     OracleFailure,
     PromiseViolation,
     RankPromiseViolated,
@@ -81,78 +82,74 @@ from .tensor import (
 from .sparse import pronys_method
 
 
-def lne_scan(m: DenseTensor, k: int | None = None) -> set[tuple[int, int]]:
-    """Leading nonzero entries; restricted to the (<k)-diagonals if k given."""
-    ctx = m.ctx
-    n, mm = m.dims
-    out = set()
-    for i, row in enumerate(m.rows()):
-        for j, v in enumerate(row):
-            if v != ctx.zero:
-                if k is None or i + j < k:
-                    out.add((i, j))
-                break
-    return out
-
-
-def _check_lt_k_echelon(p: DenseTensor, k: int) -> bool:
-    rows, n, zero = p.rows(), p.dims[0], p.ctx.zero
-    return all(
-        rows[i2][j] == zero
-        for i, j in lne_scan(p, k)
-        for i2 in range(i + 1, min(n, k - j))
-    )
-
-
 RowOp = tuple[int, int, Fel]  # (target_row, source_row, coefficient)
 
 
-def make_upper_echelon(p: DenseTensor, n: int, m: int, k: int) -> list[RowOp]:
-    """Row operations turning a (<k)-upper-echelon matrix into (<=k) form.
+def _echelon_ops(ctx, p_diag, pivot, lne: dict[int, int], diag_rows, diag_cols) -> list[RowOp]:
+    """The ops target += coefficient * source clearing, under each lne (i, j),
+    the cell of column j on the current diagonal of P.
 
-    Returns the elementary operations (target += coeff * source) in
-    application order; at most one per leading nonzero entry, each with
-    source in lne_R(P^(<k)).  Applying them leaves the (<k)-diagonals
-    untouched and zeroes the k-diagonal in every lne column.
+    The diagonal's cells are (diag_rows[t], diag_cols[t]) and its entries
+    p_diag[t]; pivot[i] is P[i][j].  Each op's target cell is zeroed in p_diag.
     """
-    if not _check_lt_k_echelon(p, k):
-        raise NotEchelon(f"matrix is not (<{k})-upper-echelon")
-    cols = range(max(0, k - n + 1), min(m, k + 1))
-    rows = range(k - cols.start, k - cols.stop, -1)
-    return _echelon_ops(p.ctx, p.rows(), dict(lne_scan(p, k)), rows, cols)
-
-
-def _echelon_ops(ctx, rows, lne: dict[int, int], diag_rows, diag_cols) -> list[RowOp]:
-    """The ops clearing, under each lne (i, j), the cell of column j on a
-    diagonal whose cells are (diag_rows[t], diag_cols[t])."""
     ops = []
     for i in sorted(lne):
         j = lne[i]
         if j not in diag_cols:
             continue
-        tgt = diag_rows[diag_cols.index(j)]
-        v = rows[tgt][j]
+        t = diag_cols.index(j)
+        v = p_diag[t]
         if v == ctx.zero:
             continue
-        ops.append((tgt, i, ctx.neg(ctx.mul(v, ctx.inv(rows[i][j])))))
+        ops.append((diag_rows[t], i, ctx.neg(ctx.mul(v, ctx.inv(pivot[i])))))
+        p_diag[t] = ctx.zero
     return ops
 
 
 @dataclass(frozen=True)
 class EchelonState:
-    """Live view of the recovery loop's state, passed to hooks (read-only).
+    """View of the recovery loop's state, passed to hooks (read-only).
 
-    L, N and P are stored over the layout's rows and columns: entry [a][b]
-    is cell (layout.rows[a], layout.cols[b]), and lne maps row positions to
-    column positions.
+    Matrices are stored over the layout's rows and columns: entry [a][b] is
+    cell (layout.rows[a], layout.cols[b]), and lne maps row positions to
+    column positions.  The loop keeps N and the off-identity columns of the
+    unit lower-triangular L (``l_cols``, column position -> entries); ``L``
+    and ``P`` are built from them on first read.  L is the identity with
+    those columns, and P = L N on the diagonals <= ``solved`` and zero
+    beyond: the reduced matrix on the diagonals solved so far.  Read them
+    during the hook call, since the loop goes on to change N and l_cols.
     """
 
     ctx: FieldCtx
     layout: Layout
-    L: list
     N: list
-    P: list
     lne: dict
+    l_cols: dict
+    solved: int
+
+    @functools.cached_property
+    def L(self) -> list:
+        zero, size = self.ctx.zero, len(self.N)
+        unit = [zero] * size
+        cols = [self.l_cols.get(c) or unit[:c] + [self.ctx.one] + unit[c + 1 :]
+                for c in range(size)]
+        return list(map(list, zip(*cols)))
+
+    @functools.cached_property
+    def P(self) -> list:
+        ctx, zero, cols = self.ctx, self.ctx.zero, self.layout.cols
+        out = []
+        for a, (i, lrow) in enumerate(zip(self.layout.rows, self.L)):
+            cut = bisect.bisect_right(cols, self.solved - i)  # the cells on solved diagonals
+            terms = [c for c in self.l_cols if c != a and lrow[c] != zero]
+            if terms:
+                terms.append(a)
+                prow = ctx.sum_products([[lrow[c]] * cut for c in terms],
+                                        [self.N[c][:cut] for c in terms])
+            else:
+                prow = self.N[a][:cut]
+            out.append(prow + [zero] * (len(cols) - cut))
+        return out
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ class RecoveryHooks:
     computed and before a diagonal that meets the layout is solved, with the
     advice as column positions; after_iteration(k, state) fires at the end
     of that diagonal's loop body, with state.lne still describing the (<k)
-    region.
+    region.  The loop builds an ``EchelonState`` only for a hook it calls.
     """
 
     before_oracle: object = None
@@ -202,8 +199,8 @@ def low_rank_recovery(
     syndromes_by_k[k][l] is the inner product of diagonal k (of n + m - 1)
     with row l of ``table`` (``hitting.schedule``; rows may run past m) over its columns.
     ``layout`` (``hitting.Layout``; None is every cell of n x m) names the
-    cells that may be nonzero: L, N and P are stored over its rows and
-    columns, and the returned matrix is N over them.  ``packed_table`` is
+    cells that may be nonzero: N and the columns of L are stored over its
+    rows and columns, and the returned matrix is N over them.  ``packed_table`` is
     ``ctx.pack(table)``, which a schedule keeps (``Schedule.packed_table``);
     None packs table here.  A diagonal with more syndromes than ``table``
     has rows raises ShapeMismatch.  A diagonal that meets
@@ -217,14 +214,18 @@ def low_rank_recovery(
     table, read on its columns (``Cells.at_weights``); rows of ``table`` are
     cut to them only for a short diagonal's solve and for Prony's points.
 
-    The correction of a cell (i, j) is sum_c L[i][c] N[c][j] over the
-    off-identity columns c of L: row c of N is still zero on the diagonal
-    and beyond, so the unit entry L[c][c] adds nothing.  An echelon op
-    (tgt, src, c) writes one entry of P, (tgt, lne column of src): row src
-    is zero left of that column, and the later diagonals it would change
-    are overwritten by the oracle before they are read.  Row src of L is
-    zero outside the off-identity columns and src, so the op updates at
-    most r + 1 entries of L, in its rows and the correction's columns.
+    The loop keeps only what it reads.  L is its <= r off-identity columns
+    ``l_cols``, and the correction of a cell (i, j) is sum_c L[i][c] N[c][j]
+    over them, one ``ctx.sum_products`` per diagonal: row c of N is still
+    zero on the diagonal and beyond, so the unit entry L[c][c] adds nothing.
+    Of the reduced matrix P it keeps the current diagonal ``p_diag`` and
+    the pivot P[i][lne[i]] of each leading entry.  An echelon op (tgt, src,
+    c) on diagonal k changes row tgt of P only on diagonals >= k, since row
+    src is zero left of its pivot, so no later op changes a pivot, and on
+    diagonal k it zeroes one entry of ``p_diag``.  Row src of L is zero
+    outside the off-identity columns and src, so the op updates at most
+    r + 1 entries of L, and a new off-identity column starts as the unit
+    vector e_src.  Hooks get an ``EchelonState`` built from this state.
     """
     layout = layout or Layout.full(n, m)
     syndromes_by_k = list(syndromes_by_k)
@@ -232,13 +233,12 @@ def low_rank_recovery(
         raise ShapeMismatch(f"expected {n + m - 1} diagonals, got {len(syndromes_by_k)}")
     if packed_table is None:
         packed_table = ctx.pack(table)
-    zero, one, minus_one = ctx.zero, ctx.one, ctx.neg(ctx.one)
+    zero, one = ctx.zero, ctx.one
     size, width = len(layout.rows), len(layout.cols)
-    L = [[one if i == j else zero for j in range(size)] for i in range(size)]
     l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries
     N = [[zero] * width for _ in range(size)]
-    P = [[zero] * width for _ in range(size)]
     lne: dict[int, int] = {}
+    pivot: dict[int, Fel] = {}  # row i -> P[i][lne[i]]
 
     for k, synd in enumerate(syndromes_by_k):
         if len(synd) > len(table):
@@ -250,9 +250,11 @@ def low_rank_recovery(
             continue
         rows, cols = cells.rows, cells.cols
 
-        a_diag = [zero] * len(cols)  # correction ((L - I) N) on this diagonal
-        for c, col in l_cols.items():
-            ctx.fma(a_diag, cells.at_rows(col), cells.at_cols(N[c]))
+        if l_cols:  # the correction ((L - I) N) on this diagonal
+            a_diag = ctx.sum_products(list(map(cells.at_rows, l_cols.values())),
+                                      [cells.at_cols(N[c]) for c in l_cols])
+        else:
+            a_diag = [zero] * len(cols)
 
         advice = set()
         for i0, j0 in lne.items():
@@ -267,7 +269,7 @@ def low_rank_recovery(
         if hooks and hooks.before_oracle:
             hooks.before_oracle(
                 k,
-                EchelonState(ctx, layout, L, N, P, lne),
+                EchelonState(ctx, layout, N, lne, l_cols, k - 1),
                 {cols[t] for t in advice},
             )
 
@@ -281,27 +283,26 @@ def low_rank_recovery(
         except TensorhitError as e:
             raise OracleFailure(f"diagonal {k}: {e}") from e
 
-        n_diag = list(p_diag)  # N = P - correction
-        ctx.axpy(n_diag, minus_one, a_diag)
-        for i, j, p_val, n_val in zip(rows, cols, p_diag, n_diag):
-            P[i][j] = p_val
-            N[i][j] = n_val
+        n_diag = list(map(ctx.sub, p_diag, a_diag))  # N = P - correction
+        for i, j, v in zip(rows, cols, n_diag):
+            N[i][j] = v
 
-        for tgt, src, coef in _echelon_ops(ctx, P, lne, rows, cols):
-            P[tgt][lne[src]] = zero
+        for tgt, src, coef in _echelon_ops(ctx, p_diag, pivot, lne, rows, cols):
             if src not in l_cols:
-                l_cols[src] = [row[src] for row in L]
-            for c, col in l_cols.items():
-                v = L[src][c]
+                l_cols[src] = [zero] * size
+                l_cols[src][src] = one
+            for col in l_cols.values():
+                v = col[src]
                 if v != zero:
-                    L[tgt][c] = col[tgt] = ctx.add(col[tgt], ctx.mul(coef, v))
+                    col[tgt] = ctx.add(col[tgt], ctx.mul(coef, v))
 
         if hooks and hooks.after_iteration:
-            hooks.after_iteration(k, EchelonState(ctx, layout, L, N, P, lne))
+            hooks.after_iteration(k, EchelonState(ctx, layout, N, lne, l_cols, k))
 
-        for i, j in zip(rows, cols):
-            if i not in lne and P[i][j] != zero:
+        for i, j, v in zip(rows, cols, p_diag):
+            if v != zero and i not in lne:
                 lne[i] = j
+                pivot[i] = v
         if len(lne) > r:
             raise RankPromiseViolated(
                 f"{len(lne)} leading entries below diagonal {k + 1}; rank promise was {r}"

@@ -440,6 +440,28 @@ def test_packed_dots_equal_one_dot_per_row(name, data):
     assert ctx.dots(u, packed, count, at) == want
 
 
+SUM_PRODUCTS_FIELDS = {name: PACK_FIELDS[name]
+                       for name in ("GF65537", "GF(2^64-59)", "GF(2^8)", "GF(3^5)")}
+SUM_PRODUCTS_FIELDS["GF(2^13)"] = make_extension(make_prime_field(2), 13)  # convolution
+
+
+@given(st.sampled_from(sorted(SUM_PRODUCTS_FIELDS)), st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_sum_products_equals_the_fma_chain(name, data):
+    ctx = SUM_PRODUCTS_FIELDS[name]
+    top = ctx.from_index(ctx.size - 1)  # p - 1 in every coefficient
+    el = st.one_of(st.just(top), st.just(ctx.zero),
+                   st.integers(0, ctx.size - 1).map(ctx.from_index))
+    pairs, length = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 9))
+    vec = st.lists(el, min_size=length, max_size=length)
+    us = [data.draw(vec) for _ in range(pairs)]
+    vs = [data.draw(vec) for _ in range(pairs)]
+    acc = [ctx.zero] * length
+    for u, v in zip(us, vs):
+        ctx.fma(acc, u, v)
+    assert ctx.sum_products(us, vs) == acc
+
+
 @pytest.mark.parametrize("p", [2, 65537, 2**64 - 59])
 def test_pack_puts_row_l_in_slot_l_at_every_row_count(p):
     # the rows are joined pairwise, so odd counts leave a group unjoined for a round
@@ -597,7 +619,7 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
 
 @pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "scalar", "dot",
                                   "axpy", "pivot", "powers", "horner", "fma", "_reduce",
-                                  "pack", "dots", "_from_slots"])
+                                  "pack", "dots", "_from_slots", "sum_products"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
     # a method with a closure cell makes it on every call; each class's own body is checked
     bodies = [vars(cls)[name] for cls in (FieldCtx, PrimeField, TableField) if name in vars(cls)]

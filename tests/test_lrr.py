@@ -17,6 +17,7 @@ from tensorhit.errors import (
     FieldTooSmall,
     InconsistentSyndrome,
     NotEchelon,
+    OracleFailure,
     PromiseViolation,
     RankPromiseViolated,
     ShapeMismatch,
@@ -37,8 +38,6 @@ from tensorhit.hitting import (
 from tensorhit.lrr import (
     RecoveryHooks,
     convert_B_to_D,
-    lne_scan,
-    make_upper_echelon,
     measure_D,
     measure_syndromes,
     recover_from_D,
@@ -73,6 +72,36 @@ def _rand_low_rank(ctx, rng, dims, r, exact=False):
             out.entries = [ctx.add(a, b) for a, b in zip(out.entries, term)]
         if not exact or len(dims) != 2 or matrix_rank(out) == r:
             return out
+
+
+def lne_scan(m, k=None):
+    """Leading nonzero entries; restricted to the (<k)-diagonals if k given."""
+    out = set()
+    for i, row in enumerate(m.rows()):
+        for j, v in enumerate(row):
+            if v != m.ctx.zero:
+                if k is None or i + j < k:
+                    out.add((i, j))
+                break
+    return out
+
+
+def make_upper_echelon(p, n, m, k):
+    """Row operations turning a (<k)-upper-echelon matrix into (<=k) form.
+
+    Returns the elementary operations (target += coeff * source) in
+    application order; at most one per leading nonzero entry (i, j) of the
+    (<k)-diagonals, clearing the cell of column j on the k-diagonal.
+    """
+    ctx, rows = p.ctx, p.rows()
+    lne = sorted(lne_scan(p, k))
+    if any(rows[i2][j] != ctx.zero for i, j in lne for i2 in range(i + 1, min(n, k - j))):
+        raise NotEchelon(f"matrix is not (<{k})-upper-echelon")
+    ops = []
+    for i, j in lne:
+        if k - j < n and rows[k - j][j] != ctx.zero:
+            ops.append((k - j, i, ctx.neg(ctx.mul(rows[k - j][j], ctx.inv(rows[i][j])))))
+    return ops
 
 
 def apply_row_ops(ctx, rows, ops):
@@ -405,7 +434,8 @@ class _CountingField(PrimeField):
     """GF(p), by default GF(65537), counting field operations.
 
     An element op counts 1; ``dot`` and ``fma`` count the shorter vector's
-    length, ``dots`` the rows it reads times len(u) (one ``dot`` per row),
+    length, ``sum_products`` that of each pair (one ``fma`` per pair),
+    ``dots`` the rows it reads times len(u) (one ``dot`` per row),
     ``axpy`` and ``horner`` the source length, ``powers`` its count.
     ``calls`` counts the calls of ``axpy``, ``horner`` and ``powers`` by name;
     ``callers`` those of ``dot`` and ``dots`` by (name, calling function).
@@ -433,6 +463,10 @@ class _CountingField(PrimeField):
     def fma(self, dst, u, v):
         self.ops += min(len(u), len(v))
         super().fma(dst, u, v)
+
+    def sum_products(self, us, vs):
+        self.ops += sum(min(len(u), len(v)) for u, v in zip(us, vs))
+        return super().sum_products(us, vs)
 
     def axpy(self, dst, c, src, start=0):
         self.ops += len(src)
@@ -479,6 +513,37 @@ def test_a_warm_recovery_corrects_each_diagonal_with_one_packed_dots():
     layout = schedule(ctx, "Dprime", (n, n), 2 * r).layouts[0]
     assert ctx.callers["dots", "low_rank_recovery"] == sum(c is not None for c in layout.diagonals)
     assert ctx.callers["dot", "low_rank_recovery"] == 0
+
+
+def test_recovery_without_hooks_builds_no_echelon_state(monkeypatch):
+    built = []
+
+    class Spy(lrr.EchelonState):
+        def __init__(self, *args):
+            built.append(args[-1])  # the diagonals solved
+            super().__init__(*args)
+
+    monkeypatch.setattr(lrr, "EchelonState", Spy)
+    mat = _rand_low_rank(GF13, random.Random("no hooks"), (6, 6), 2)
+    synd = measure_D(mat, 2)
+    assert recover_from_D(GF13, 6, 6, 2, synd) == mat
+    assert built == []
+    hooks = RecoveryHooks(after_iteration=lambda k, state: state.P)
+    assert recover_from_D(GF13, 6, 6, 2, synd, hooks=hooks) == mat
+    assert built == list(range(11))
+
+
+def test_a_diagonal_short_of_its_prony_rows_raises_oracle_failure():
+    # diagonal 5 of 6 x 6 has six cells, more than its 2r = 2 rows, so it
+    # goes to Prony's method, which rejects a single syndrome value
+    mat = _rand_low_rank(GF13, random.Random("one syndrome short"), (6, 6), 1, exact=True)
+    counts = [diag_row_count(2, 6, 6, k) for k in range(11)]
+    synd = iter(measure_D(mat, 1))
+    by_k = [[next(synd) for _ in range(count)] for count in counts]
+    by_k[5] = by_k[5][:1]
+    table = schedule(GF13, "Dprime", (6, 6), 2).table
+    with pytest.raises(OracleFailure, match="^diagonal 5: expected 2 syndrome values, got 1$"):
+        lrr.low_rank_recovery(GF13, 6, 6, 1, table, by_k)
 
 
 def test_a_caller_table_whose_points_repeat_gives_an_unsolvable_square_system():
