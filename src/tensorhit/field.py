@@ -545,8 +545,7 @@ class PrimeField(FieldCtx):
 
     def pivot(self, rows: list[list], r: int, c: int) -> None:
         # inline loops: an axpy call per row costs more than the row itself
-        # on the small systems linalg reduces, such as the square Vandermonde
-        # systems of lrr._solve_diagonal
+        # on small systems, such as the k x k ones of FieldCtx.inv
         prow = rows[r]
         inv = self.inv(prow[c])
         p, cols = self.p, range(c, len(prow))

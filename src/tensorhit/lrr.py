@@ -7,17 +7,20 @@ the only cells its matrix can fill.  Row-reducing the already-recovered prefix
 keeps it in (<k)-upper-echelon form, which forces the next diagonal of the
 reduced matrix to be sparse outside a small set of predictable columns.
 A diagonal with at least as many syndrome rows as entries is solved from
-its first rows (a Vandermonde system) and every further row is checked;
-a longer diagonal goes to Prony's method on dual Reed-Solomon rows with
-the echelon advice set.  After each diagonal the leading nonzero entries
+its first rows and every further row is checked; a longer diagonal goes
+to Prony's method on dual Reed-Solomon rows with the echelon advice set.
+Row 0 of the weight table is all ones and row l is row 1 to the power l,
+so both end in one O(len^2) transposed-Vandermonde solve
+(``sparse.vandermonde_solve``) and return the diagonal's support with its
+values.  After each diagonal the leading nonzero entries
 are counted against r, so a returned matrix has rank <= r and matches
 every syndrome.  The row operations live in a unit lower-triangular L,
-kept as its <= r off-identity columns, and of the reduced matrix P the
-loop keeps only the current diagonal and the pivots of the leading
-entries.  A diagonal's correction is one ``ctx.sum_products`` and its
-effect on the syndromes one multi-row ``ctx.dots`` on the schedule's
-packed weight table, full and lattice layouts alike; an echelon op costs
-O(r) field operations.
+kept as its <= r off-identity columns negated, and of the reduced matrix
+P the loop keeps only the current diagonal on its support and the pivots
+of the leading entries.  A diagonal's negated correction is one
+``ctx.sum_products`` and its effect on the syndromes one multi-row
+``ctx.dots`` on the schedule's packed weight table, full and lattice
+layouts alike; everything else on a diagonal costs O(r) field operations.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
 nonzero column; lne(M^(<k)) collects those falling strictly below the
@@ -79,25 +82,23 @@ from .tensor import (
     expand,
     merge_variables,
 )
-from .sparse import pronys_method
+from .sparse import prony_support, vandermonde_solve
 
 
 RowOp = tuple[int, int, Fel]  # (target_row, source_row, coefficient)
 
 
-def _echelon_ops(ctx, p_diag, pivot, lne: dict[int, int], diag_rows, diag_cols) -> list[RowOp]:
+def _echelon_ops(ctx, p_diag: dict, pivot, under: list[tuple[int, int]], diag_rows) -> list[RowOp]:
     """The ops target += coefficient * source clearing, under each lne (i, j),
     the cell of column j on the current diagonal of P.
 
-    The diagonal's cells are (diag_rows[t], diag_cols[t]) and its entries
-    p_diag[t]; pivot[i] is P[i][j].  Each op's target cell is zeroed in p_diag.
+    ``under`` pairs each such row i with the slot t of column j on the
+    diagonal, whose row is diag_rows[t]; p_diag maps the slots of the
+    support, which holds every such t, to P's entries, and pivot[i] is
+    P[i][j].  Each op's target cell is zeroed in p_diag.
     """
     ops = []
-    for i in sorted(lne):
-        j = lne[i]
-        if j not in diag_cols:
-            continue
-        t = diag_cols.index(j)
+    for i, t in sorted(under):
         v = p_diag[t]
         if v == ctx.zero:
             continue
@@ -113,9 +114,9 @@ class EchelonState:
     Matrices are stored over the layout's rows and columns: entry [a][b] is
     cell (layout.rows[a], layout.cols[b]), and lne maps row positions to
     column positions.  The loop keeps N and the off-identity columns of the
-    unit lower-triangular L (``l_cols``, column position -> entries); ``L``
-    and ``P`` are built from them on first read.  L is the identity with
-    those columns, and P = L N on the diagonals <= ``solved`` and zero
+    unit lower-triangular L, negated (``l_cols``, column position -> entries);
+    ``L`` and ``P`` are built from them on first read.  L is the identity
+    with those columns negated back, and P = L N on the diagonals <= ``solved`` and zero
     beyond: the reduced matrix on the diagonals solved so far.  Read them
     during the hook call, since the loop goes on to change N and l_cols.
     """
@@ -129,10 +130,10 @@ class EchelonState:
 
     @functools.cached_property
     def L(self) -> list:
-        zero, size = self.ctx.zero, len(self.N)
-        unit = [zero] * size
-        cols = [self.l_cols.get(c) or unit[:c] + [self.ctx.one] + unit[c + 1 :]
-                for c in range(size)]
+        ctx, size = self.ctx, len(self.N)
+        unit = [ctx.zero] * size
+        cols = [list(map(ctx.neg, self.l_cols[c])) if c in self.l_cols
+                else unit[:c] + [ctx.one] + unit[c + 1 :] for c in range(size)]
         return list(map(list, zip(*cols)))
 
     @functools.cached_property
@@ -170,13 +171,14 @@ class RecoveryHooks:
 def _solve_diagonal(ctx, weights, ys) -> list[Fel]:
     """A diagonal's entries x from ys[l] = <x, weights[l]>.
 
-    Solves the square Vandermonde system of the first rows, one per entry,
-    and checks every further row against the solution.
+    Row 0 of weights is all ones and row l is row 1 to the power l, so the
+    first rows, one per entry, are a transposed Vandermonde system on the
+    points weights[1], which ``sparse.vandermonde_solve`` solves; every
+    further row is checked against the solution.
     """
     length = len(weights[0])
-    x = linalg.solve(ctx, weights[:length], ys[:length])
-    if x is None:
-        raise InconsistentSyndrome("unsolvable square system")
+    points = weights[1] if length > 1 else weights[0]  # one entry needs no point
+    x = vandermonde_solve(ctx, linalg.poly_from_roots(ctx, points), points, ys)
     for row, target in zip(weights[length:], ys[length:]):
         if ctx.dot(x, row) != target:
             raise InconsistentSyndrome("redundant row mismatch")
@@ -203,29 +205,34 @@ def low_rank_recovery(
     rows and columns, and the returned matrix is N over them.  ``packed_table`` is
     ``ctx.pack(table)``, which a schedule keeps (``Schedule.packed_table``);
     None packs table here.  A diagonal with more syndromes than ``table``
-    has rows raises ShapeMismatch.  A diagonal that meets
-    no cell must measure zero; any other is solved on its cells, from their
-    points ``table[1][j]``.  One with at least as many rows as cells goes to
+    has rows raises ShapeMismatch.  Row 0 of ``table`` must be all ones and
+    row l row 1 to the power l.  A diagonal that meets no cell must measure
+    zero; any other is solved on its cells, from their points
+    ``table[1][j]``.  One with at least as many rows as cells goes to
     ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
-    method with the echelon advice set.  An error names its diagonal as
-    ``diagonal k:``.
+    method with the echelon advice set.  Both return the diagonal's support
+    (a short diagonal's cells; Prony's advice and locator roots) with the
+    values there.  An error names its diagonal as ``diagonal k:``.
 
     A diagonal's corrected syndromes are one ``ctx.dots`` on the packed
     table, read on its columns (``Cells.at_weights``); rows of ``table`` are
     cut to them only for a short diagonal's solve and for Prony's points.
 
     The loop keeps only what it reads.  L is its <= r off-identity columns
-    ``l_cols``, and the correction of a cell (i, j) is sum_c L[i][c] N[c][j]
-    over them, one ``ctx.sum_products`` per diagonal: row c of N is still
-    zero on the diagonal and beyond, so the unit entry L[c][c] adds nothing.
-    Of the reduced matrix P it keeps the current diagonal ``p_diag`` and
-    the pivot P[i][lne[i]] of each leading entry.  An echelon op (tgt, src,
-    c) on diagonal k changes row tgt of P only on diagonals >= k, since row
-    src is zero left of its pivot, so no later op changes a pivot, and on
-    diagonal k it zeroes one entry of ``p_diag``.  Row src of L is zero
-    outside the off-identity columns and src, so the op updates at most
-    r + 1 entries of L, and a new off-identity column starts as the unit
-    vector e_src.  Hooks get an ``EchelonState`` built from this state.
+    ``l_cols``, negated, and b = -(L - I) N on the diagonal is one
+    ``ctx.sum_products`` of them with N: row c of N is still zero on the
+    diagonal and beyond, so the entry -L[c][c] adds nothing.  The corrected
+    syndromes are the syndromes minus the dots of b.  P's diagonal is zero
+    off the support, so N = P + b is b patched there, and only there can a
+    new leading entry lie.  Of P the loop keeps the current diagonal
+    ``p_diag`` on the support and the pivot P[i][lne[i]] of each leading
+    entry.  An echelon op (tgt, src, c) on diagonal k changes row tgt of P
+    only on diagonals >= k, since row src is zero left of its pivot, so no
+    later op changes a pivot, and on diagonal k it zeroes one entry of
+    ``p_diag``.  Row src of L is zero outside the off-identity columns and
+    src, so the op updates at most r + 1 entries of L; being linear, it
+    updates the negated columns alike, and a new one starts as -e_src.
+    Hooks get an ``EchelonState`` built from this state.
     """
     layout = layout or Layout.full(n, m)
     syndromes_by_k = list(syndromes_by_k)
@@ -233,9 +240,9 @@ def low_rank_recovery(
         raise ShapeMismatch(f"expected {n + m - 1} diagonals, got {len(syndromes_by_k)}")
     if packed_table is None:
         packed_table = ctx.pack(table)
-    zero, one = ctx.zero, ctx.one
+    zero, minus_one = ctx.zero, ctx.neg(ctx.one)
     size, width = len(layout.rows), len(layout.cols)
-    l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries
+    l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries, negated
     N = [[zero] * width for _ in range(size)]
     lne: dict[int, int] = {}
     pivot: dict[int, Fel] = {}  # row i -> P[i][lne[i]]
@@ -250,21 +257,23 @@ def low_rank_recovery(
             continue
         rows, cols = cells.rows, cells.cols
 
-        if l_cols:  # the correction ((L - I) N) on this diagonal
-            a_diag = ctx.sum_products(list(map(cells.at_rows, l_cols.values())),
-                                      [cells.at_cols(N[c]) for c in l_cols])
+        if l_cols:  # minus the correction ((L - I) N) on this diagonal
+            b = ctx.sum_products(list(map(cells.at_rows, l_cols.values())),
+                                 [cells.at_cols(N[c]) for c in l_cols])
         else:
-            a_diag = [zero] * len(cols)
+            b = [zero] * len(cols)
 
-        advice = set()
+        advice, under = set(), []  # under: (i, slot of lne[i]) for the lne columns here
         for i0, j0 in lne.items():
             if i0 in rows:
                 advice.add(rows.index(i0))
             if j0 in cols:
-                advice.add(cols.index(j0))
+                t = cols.index(j0)
+                advice.add(t)
+                under.append((i0, t))
 
         at = cells.at_weights
-        y = list(map(ctx.add, synd, ctx.dots(a_diag, packed_table, len(synd), at)))
+        y = list(map(ctx.sub, synd, ctx.dots(b, packed_table, len(synd), at)))
 
         if hooks and hooks.before_oracle:
             hooks.before_oracle(
@@ -275,22 +284,25 @@ def low_rank_recovery(
 
         try:
             if len(y) >= len(cols):
-                p_diag = _solve_diagonal(ctx, list(map(at, table[: len(y)])), y)
+                support = range(len(cols))
+                values = _solve_diagonal(ctx, list(map(at, table[: len(y)])), y)
             else:  # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
-                p_diag = pronys_method(ctx, len(cols), r, advice, y, at(table[1]))
+                support, values = prony_support(ctx, len(cols), r, advice, y, at(table[1]))
         except PromiseViolation as e:
             raise type(e)(f"diagonal {k}: {e}") from e
         except TensorhitError as e:
             raise OracleFailure(f"diagonal {k}: {e}") from e
 
-        n_diag = list(map(ctx.sub, p_diag, a_diag))  # N = P - correction
-        for i, j, v in zip(rows, cols, n_diag):
+        p_diag = dict(zip(support, values))  # P's diagonal is zero off the support
+        for t, v in p_diag.items():  # N = P + b
+            b[t] = ctx.add(b[t], v)
+        for i, j, v in zip(rows, cols, b):
             N[i][j] = v
 
-        for tgt, src, coef in _echelon_ops(ctx, p_diag, pivot, lne, rows, cols):
+        for tgt, src, coef in _echelon_ops(ctx, p_diag, pivot, under, rows):
             if src not in l_cols:
                 l_cols[src] = [zero] * size
-                l_cols[src][src] = one
+                l_cols[src][src] = minus_one
             for col in l_cols.values():
                 v = col[src]
                 if v != zero:
@@ -299,10 +311,10 @@ def low_rank_recovery(
         if hooks and hooks.after_iteration:
             hooks.after_iteration(k, EchelonState(ctx, layout, N, lne, l_cols, k))
 
-        for i, j, v in zip(rows, cols, p_diag):
-            if v != zero and i not in lne:
-                lne[i] = j
-                pivot[i] = v
+        for t, v in sorted(p_diag.items()):
+            if v != zero and rows[t] not in lne:
+                lne[rows[t]] = cols[t]
+                pivot[rows[t]] = v
         if len(lne) > r:
             raise RankPromiseViolated(
                 f"{len(lne)} leading entries below diagonal {k + 1}; rank promise was {r}"

@@ -22,6 +22,11 @@ Lakshman, ISSAC 1988, for this step of Ben-Or and Tiwari's sparse
 interpolation).  The syndrome obeys M's recurrence at every index, so no
 final check is needed: a syndrome no vector within the promise explains
 breaks the locator's length or its roots.
+
+``prony_support`` returns that support and the values on it, which
+``pronys_method`` spreads into a dense vector.  The last step,
+``vandermonde_solve``, is O(len^2) for any distinct points and their
+master polynomial; recovery solves its short diagonals with it too.
 """
 
 from dataclasses import dataclass
@@ -89,6 +94,20 @@ def pronys_method(
     wrong vector: y obeys the recurrence of the master polynomial at every
     index, so the support and values found explain all of y.
     """
+    x = [ctx.zero] * n
+    for i, v in zip(*prony_support(ctx, n, s, advice, y, points)):
+        x[i] = v
+    return x
+
+
+def prony_support(ctx: FieldCtx, n: int, s: int, advice: set[int], y: list[Fel],
+                  points: list[Fel]) -> tuple[list[int], list[Fel]]:
+    """The support ``pronys_method`` finds and x's values on it.
+
+    The support is the error locator's roots, then the enlarged advice set
+    ascending, without a simulated index; x is zero off it, and an advice
+    position may hold a zero value.  Raises as ``pronys_method`` does.
+    """
     if len(y) != 2 * s:
         raise ShapeMismatch(f"expected {2 * s} syndrome values, got {len(y)}")
     if len(points) != n:
@@ -99,12 +118,11 @@ def pronys_method(
     if advice and (min(advice) < 0 or max(advice) >= n):
         raise AdviceTooLarge("advice positions must index the vector")
 
-    points = list(points)
     if len(advice) % 2:
         # enlarge by the smallest absent index; if none, simulate index n
         free = next((i for i in range(n) if i not in advice), None)
         if free is None:
-            points.append(_fresh_point(ctx, points))
+            points = [*points, _fresh_point(ctx, points)]
             advice.add(n)
         else:
             advice.add(free)
@@ -116,36 +134,49 @@ def pronys_method(
     s_idx = sorted(advice)
     gamma = linalg.poly_from_roots(ctx, [points[i] for i in s_idx])
     conn = _berlekamp_massey(ctx, [ctx.dot(gamma, y[i:]) for i in range(2 * (s - t))], s - t)
-    locator = conn[::-1]  # z^L C(1/z), with L = len(conn) - 1
-    roots = []
-    if len(conn) > 1:  # skip the scan when no surprise is left, as on most recovery diagonals
+    support, master = s_idx, gamma  # the master polynomial M = Gamma * locator
+    if len(conn) > 1:  # surprises left; none on most recovery diagonals
+        locator = conn[::-1]  # z^L C(1/z), with L = len(conn) - 1
         roots = [
             i for i in range(len(points))
             if i not in advice and ctx.horner(locator, points[i]) == zero
         ]
-    if len(roots) != len(conn) - 1:
-        raise InconsistentSyndrome(
-            "locator roots do not all lie among the evaluation points"
-        )
+        if len(roots) != len(conn) - 1:
+            raise InconsistentSyndrome(
+                "locator roots do not all lie among the evaluation points"
+            )
+        support = roots + s_idx  # a simulated index n stays last
+        master = [zero] * (len(support) + 1)
+        for u, c in enumerate(locator):
+            ctx.axpy(master, c, gamma, u)
 
-    # x_j = <q_j, y> / M'(g_j); <q_j, y> is h evaluated at g_j, where
-    # h_e = sum_u M_(u+1+e) y_u
-    support = s_idx + roots
-    master = [zero] * (len(support) + 1)
-    for u, c in enumerate(locator):
-        ctx.axpy(master, c, gamma, u)
-    h = [ctx.dot(master[e + 1 :], y) for e in range(len(support))]
+    values = vandermonde_solve(ctx, master, map(points.__getitem__, support), y)
+    if support and support[-1] == n:
+        support.pop()
+        if values.pop() != zero:  # the simulated coordinate is zero by construction
+            raise InconsistentSyndrome("virtual coordinate got a nonzero value")
+    return support, values
+
+
+def vandermonde_solve(ctx: FieldCtx, master: list[Fel], points, y: list[Fel]) -> list[Fel]:
+    """x with sum_j x_j points[j]^l = y[l] for l < len(points), in O(len^2).
+
+    master is M = prod_j (z - points[j]), constant term first, and points
+    may be any iterable of M's roots, in the order of x.  The system
+    is a transposed Vandermonde one: q_j = M / (z - p_j) vanishes at every
+    point but p_j, so x_j = <q_j, y> / M'(p_j), and <q_j, y> is h(p_j) with
+    h_e = sum_u M_(u+1+e) y_u.  When two points coincide M' vanishes there
+    and the square system is singular: InconsistentSyndrome is raised.
+    """
+    h = [ctx.dot(master[e + 1 :], y) for e in range(len(master) - 1)]
     deriv = [ctx.mul(ctx.scalar(e), master[e]) for e in range(1, len(master))]
-
-    x = [zero] * n
-    for i in support:
-        v = ctx.mul(ctx.horner(h, points[i]), ctx.inv(ctx.horner(deriv, points[i])))
-        if i >= n:
-            if v != zero:  # the simulated coordinate is zero by construction
-                raise InconsistentSyndrome("virtual coordinate got a nonzero value")
-            continue
-        x[i] = v
-    return x
+    out = []
+    for p in points:
+        d = ctx.horner(deriv, p)
+        if d == ctx.zero:
+            raise InconsistentSyndrome("unsolvable square system")
+        out.append(ctx.mul(ctx.horner(h, p), ctx.inv(d)))
+    return out
 
 
 def _berlekamp_massey(ctx: FieldCtx, f: list[Fel], bound: int) -> list[Fel]:

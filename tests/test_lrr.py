@@ -426,6 +426,7 @@ def test_recovery_invariants_hold_over_extension_fields(ctx):
 def _counted(name):
     def op(self, *args):
         self.ops += 1
+        self.callers[name, sys._getframe(1).f_code.co_name] += 1
         return getattr(PrimeField, name)(self, *args)
     return op
 
@@ -438,7 +439,8 @@ class _CountingField(PrimeField):
     ``dots`` the rows it reads times len(u) (one ``dot`` per row),
     ``axpy`` and ``horner`` the source length, ``powers`` its count.
     ``calls`` counts the calls of ``axpy``, ``horner`` and ``powers`` by name;
-    ``callers`` those of ``dot`` and ``dots`` by (name, calling function).
+    ``callers`` those of ``dot``, ``dots`` and the element ops by (name,
+    calling function).
     """
 
     def __init__(self, p=65537):
@@ -515,6 +517,27 @@ def test_a_warm_recovery_corrects_each_diagonal_with_one_packed_dots():
     assert ctx.callers["dot", "low_rank_recovery"] == 0
 
 
+def _loop_element_ops_per_diagonal(n, r):
+    """add/sub/neg/mul calls low_rank_recovery itself makes per diagonal in a
+    warm D' recovery of an n x n matrix (every diagonal meets the layout)."""
+    ctx = _CountingField()
+    mat = _rand_low_rank(ctx, random.Random(f"loop ops {n} {r}"), (n, n), r)
+    synd = measure_D(mat, r)
+    assert recover_from_D(ctx, n, n, r, synd) == mat  # the cold call builds the tables
+    ctx.callers.clear()
+    assert recover_from_D(ctx, n, n, r, synd) == mat
+    ops = sum(ctx.callers[op, "low_rank_recovery"] for op in ("add", "sub", "neg", "mul"))
+    return ops / (2 * n - 1)
+
+
+def test_the_recovery_loop_makes_o_r_element_ops_per_diagonal():
+    # outside its kernels the loop touches only the <= 2r syndromes, the
+    # oracle's <= 2r support cells and L's <= r columns per echelon op;
+    # one op per cell, as N = P - correction was, would double this
+    small, large = _loop_element_ops_per_diagonal(24, 2), _loop_element_ops_per_diagonal(48, 2)
+    assert large <= 1.1 * small, (small, large)
+
+
 def test_recovery_without_hooks_builds_no_echelon_state(monkeypatch):
     built = []
 
@@ -554,6 +577,23 @@ def test_a_caller_table_whose_points_repeat_gives_an_unsolvable_square_system():
     by_k = [[0], [1, 2], [0, 0], [0, 0], [0]]
     with pytest.raises(InconsistentSyndrome, match="^diagonal 1: unsolvable square system$"):
         lrr.low_rank_recovery(GF13, 3, 3, 1, table, by_k)
+
+
+def test_a_consistent_square_system_on_repeated_points_is_unsolvable_too():
+    # syndromes 1 and 1 lie in the image of the singular system, which then
+    # has many solutions; the square-system solve needs distinct points
+    table = [[1, 1, 1], [1, 1, 1]]
+    by_k = [[0], [1, 1], [0, 0], [0, 0], [0]]
+    with pytest.raises(InconsistentSyndrome, match="^diagonal 1: unsolvable square system$"):
+        lrr.low_rank_recovery(GF13, 3, 3, 1, table, by_k)
+
+
+@pytest.mark.parametrize("family", ["Dprime", "Bprime"])
+def test_recovery_solves_no_system_by_elimination(family, monkeypatch):
+    mat = _rand_low_rank(GF13, random.Random(f"no elimination {family}"), (6, 6), 2)
+    synd = lrr.measure(mat, family, 2)
+    monkeypatch.setattr(linalg, "solve", None)
+    assert lrr.recover(GF13, family, (6, 6), 2, synd) == mat
 
 
 # -- conversion -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from tensorhit import linalg
 from tensorhit.errors import AdviceTooLarge, DuplicatePoints, InconsistentSyndrome, ShapeMismatch
-from tensorhit.field import make_prime_field
-from tensorhit.sparse import dual_rs, pronys_method
+from tensorhit.errors import TensorhitError
+from tensorhit.field import make_extension, make_prime_field
+from tensorhit.sparse import dual_rs, prony_support, pronys_method, vandermonde_solve
 
 GF7 = make_prime_field(7)
 GF13 = make_prime_field(13)
@@ -185,3 +187,59 @@ def test_prony_rejects_a_point_count_other_than_n():
     y = v.measure([3, 0, 0, 7, 0])
     with pytest.raises(ShapeMismatch, match="one evaluation point per coordinate"):
         pronys_method(GF13, 5, 2, set(), y, list(v.points)[:4])
+
+
+SOLVE_FIELDS = {
+    "GF65537": make_prime_field(65537),
+    "GF(2^64-59)": make_prime_field(2**64 - 59),
+    "GF(2^8)": make_extension(make_prime_field(2), 8),
+    "GF(3^5)": make_extension(make_prime_field(3), 5),
+    "GF(2^13)": make_extension(make_prime_field(2), 13),  # above the table cap: convolution
+}
+
+
+@given(st.sampled_from(sorted(SOLVE_FIELDS)), st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_the_transposed_vandermonde_solve_equals_elimination(name, data):
+    ctx = SOLVE_FIELDS[name]
+    elements = st.integers(0, ctx.size - 1).map(ctx.from_index)
+    points = data.draw(st.lists(elements, min_size=1, max_size=8, unique=True))
+    rows = [[ctx.pow(p, l) for p in points]
+            for l in range(len(points) + data.draw(st.integers(0, 3)))]
+    master = linalg.poly_from_roots(ctx, points)
+    # any right-hand side: the square system alone decides x
+    y = data.draw(st.lists(elements, min_size=len(rows), max_size=len(rows)))
+    expected = linalg.solve(ctx, rows[: len(points)], y[: len(points)])
+    assert vandermonde_solve(ctx, master, points, y) == expected
+    # a consistent one: the redundant rows agree with the same x
+    x = data.draw(st.lists(elements, min_size=len(points), max_size=len(points)))
+    y = [ctx.dot(row, x) for row in rows]
+    assert vandermonde_solve(ctx, master, iter(points), y) == linalg.solve(ctx, rows, y) == x
+
+
+@given(st.data())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_prony_support_covers_every_nonzero_of_the_dense_output(data):
+    n, s = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+    v = dual_rs(GF13, n, s)
+    advice = set(data.draw(st.lists(st.integers(0, n - 1), max_size=min(n, 2 * s), unique=True)))
+    if data.draw(st.booleans()):  # a vector within the promise
+        budget = s - (len(advice) + 1) // 2
+        x = [0] * n
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=budget, unique=True)) + list(advice):
+            x[i] = data.draw(st.integers(0, 12))
+        y = v.measure(x)
+    else:  # any syndrome
+        y = data.draw(st.lists(st.integers(0, 12), min_size=2 * s, max_size=2 * s))
+    args = (GF13, n, s, advice, y, list(v.points))
+    try:
+        dense = pronys_method(*args)
+    except TensorhitError as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            prony_support(*args)
+        return
+    support, values = prony_support(*args)
+    assert len(set(support)) == len(support) == len(values)
+    assert advice <= set(support)
+    assert {i for i, val in enumerate(dense) if val} <= set(support)
+    assert [dense[i] for i in support] == values
