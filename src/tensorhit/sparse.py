@@ -159,7 +159,7 @@ def prony_support(ctx: FieldCtx, n: int, s: int, advice: set[int], y: list[Fel],
 
 
 def vandermonde_solve(ctx: FieldCtx, master: list[Fel], points, y: list[Fel]) -> list[Fel]:
-    """x with sum_j x_j points[j]^l = y[l] for l < len(points), in O(len^2).
+    """x with sum_j x_j points[j]^l = y[l] for l < deg M, in O(deg(M)^2).
 
     master is M = prod_j (z - points[j]), constant term first, and points
     may be any iterable of M's roots, in the order of x.  The system
