@@ -18,7 +18,6 @@ from .errors import (
     PromiseViolation,
     RankPromiseViolated,
     ShapeMismatch,
-    StrideTooSmall,
     TensorhitError,
     TooLarge,
 )
@@ -80,11 +79,9 @@ from .tensor import (
     expand,
     inner_product,
     matrix_rank,
-    merge_variables,
     nnz,
     permute_axes,
     set_diagonal,
-    split_variables,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

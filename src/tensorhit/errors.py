@@ -39,10 +39,6 @@ class DiagonalOutOfRange(TensorhitError):
     """k-diagonal index outside [0, n+m-2]."""
 
 
-class StrideTooSmall(TensorhitError):
-    """Variable-merge stride smaller than the low variable's degree bound."""
-
-
 class NotRank1(TensorhitError):
     """Operation requires rank-1 (factored) measurements."""
 

@@ -174,7 +174,7 @@ def check_family(family: str, dims: tuple[int, ...], R: int) -> None:
 
 
 class Cells(NamedTuple):
-    """The cells of one diagonal of a ``Layout``, in column order.
+    """The cells of a ``Layout`` on its k-diagonal, in column order.
 
     ``rows`` and ``cols`` are their positions in the layout (rows descend);
     ``at_rows``, ``at_cols`` and ``at_weights`` gather, in one call, the
@@ -182,6 +182,7 @@ class Cells(NamedTuple):
     position and by column of the matrix (a weight-table row).
     """
 
+    k: int
     rows: Sequence[int]
     cols: Sequence[int]
     at_rows: Callable
@@ -195,15 +196,16 @@ class Layout:
 
     ``rows`` and ``cols`` (ascending) are the rows and columns that may hold
     a nonzero entry; recovery stores its matrices over them, so position a
-    stands for row rows[a].  ``diagonals[k]`` is the ``Cells`` of the
-    k-diagonal, or None when no cell lies on it.
+    stands for row rows[a].  ``diagonals`` holds the ``Cells`` of each
+    diagonal that a cell lies on, in ascending k; recovery solves those and
+    no other.
     """
 
     n: int
     m: int
     rows: Sequence[int]
     cols: Sequence[int]
-    diagonals: tuple[Cells | None, ...]
+    diagonals: tuple[Cells, ...]
 
     @classmethod
     @functools.lru_cache(maxsize=8)
@@ -213,7 +215,7 @@ class Layout:
         for k in range(n + m - 1):
             lo, hi = diag_columns(n, m, k)
             rows, cols = range(k - lo, k - hi - 1, -1), range(lo, hi + 1)
-            diagonals.append(Cells(rows, cols, _gather(rows), _gather(cols), _gather(cols)))
+            diagonals.append(Cells(k, rows, cols, _gather(rows), _gather(cols), _gather(cols)))
         return cls(n, m, range(n), range(m), tuple(diagonals))
 
     @classmethod
@@ -223,10 +225,10 @@ class Layout:
         for b, j in enumerate(cols):
             for a, i in enumerate(rows):
                 by_k.setdefault(i + j, []).append((a, b, j))
-        diagonals = [None] * (rows[-1] + cols[-1] + 1)
-        for k, cells in by_k.items():
-            a, b, j = zip(*cells)
-            diagonals[k] = Cells(a, b, _gather(a), _gather(b), _gather(j))
+        diagonals = []
+        for k in sorted(by_k):
+            a, b, j = zip(*by_k[k])
+            diagonals.append(Cells(k, a, b, _gather(a), _gather(b), _gather(j)))
         return cls(rows[-1] + 1, cols[-1] + 1, tuple(rows), tuple(cols), tuple(diagonals))
 
 
@@ -277,7 +279,8 @@ class Schedule:
     every cell of n x m for a matrix family; for TensorB level i + 1's
     packed lattice, the rows (columns) whose base-stride digits lie below
     the sizes of the even (odd) target variables, the only cells a merged
-    matrix can fill.
+    matrix can fill; its ``diagonals`` are those the lattice meets, the
+    cells of the level above (``lrr.tensor_recover``).
     """
 
     ctx: FieldCtx

@@ -33,9 +33,9 @@ Beyond matrices, the module converts rank-1-family syndromes into diagonal
 syndromes by staircase interpolation (two ``dots`` per interpolation, on
 the schedule's packed Newton tables), and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family: each
-level packs its polynomials with ``tensor.merge_variables``, recovers the
-merged coefficient matrix on the level's lattice, and writes its cells
-straight into the finer level's tensor.  Every shape rule, generator,
+level recovers the merged coefficient matrix on the level's lattice from
+one coefficient per diagonal it meets, and writes its cells straight into
+the finer level's coefficients.  Every shape rule, generator,
 point, weight, merge level and layout is read from ``hitting``.
 ``measure_D`` and ``measure_moments`` on matrices (B, B', TensorB at
 d = 2) share one syndrome pass, one multi-row ``ctx.dots`` per diagonal;
@@ -76,12 +76,7 @@ from .hitting import (
     schedule,
     tensor_size,
 )
-from .tensor import (
-    DenseTensor,
-    LowRankTensor,
-    expand,
-    merge_variables,
-)
+from .tensor import DenseTensor, LowRankTensor, expand
 from .sparse import prony_support, vandermonde_solve
 
 
@@ -158,7 +153,7 @@ class RecoveryHooks:
     """Optional instrumentation points for the recovery loop.
 
     before_oracle(k, state, advice_cols) fires after the correction is
-    computed and before a diagonal that meets the layout is solved, with the
+    computed and before each diagonal k of the layout is solved, with the
     advice as column positions; after_iteration(k, state) fires at the end
     of that diagonal's loop body, with state.lne still describing the (<k)
     region.  The loop builds an ``EchelonState`` only for a hook it calls.
@@ -198,21 +193,23 @@ def low_rank_recovery(
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
-    syndromes_by_k[k][l] is the inner product of diagonal k (of n + m - 1)
-    with row l of ``table`` (``hitting.schedule``; rows may run past m) over its columns.
     ``layout`` (``hitting.Layout``; None is every cell of n x m) names the
     cells that may be nonzero: N and the columns of L are stored over its
-    rows and columns, and the returned matrix is N over them.  ``packed_table`` is
-    ``ctx.pack(table)``, which a schedule keeps (``Schedule.packed_table``);
-    None packs table here.  A diagonal with more syndromes than ``table``
-    has rows raises ShapeMismatch.  Row 0 of ``table`` must be all ones and
-    row l row 1 to the power l.  A diagonal that meets no cell must measure
-    zero; any other is solved on its cells, from their points
-    ``table[1][j]``.  One with at least as many rows as cells goes to
-    ``_solve_diagonal``; a longer one must have 2r rows and goes to Prony's
-    method with the echelon advice set.  Both return the diagonal's support
-    (a short diagonal's cells; Prony's advice and locator roots) with the
-    values there.  An error names its diagonal as ``diagonal k:``.
+    rows and columns, and the returned matrix is N over them.
+    syndromes_by_k holds one vector per entry of ``layout.diagonals``, in
+    that order; any other count raises ShapeMismatch.  Entry l of the
+    vector of diagonal k is its inner product with row l of ``table``
+    (``hitting.schedule``; rows may run past m) over its columns.
+    ``packed_table`` is ``ctx.pack(table)``, which a schedule keeps
+    (``Schedule.packed_table``); None packs table here.  A diagonal with
+    more syndromes than ``table`` has rows raises ShapeMismatch.  Row 0 of
+    ``table`` must be all ones and row l row 1 to the power l.  Each
+    diagonal is solved on its cells, from their points ``table[1][j]``.
+    One with at least as many rows as cells goes to ``_solve_diagonal``; a
+    longer one must have 2r rows and goes to Prony's method with the
+    echelon advice set.  Both return the diagonal's support (a short
+    diagonal's cells; Prony's advice and locator roots) with the values
+    there.  An error names its diagonal as ``diagonal k:``.
 
     A diagonal's corrected syndromes are one ``ctx.dots`` on the packed
     table, read on its columns (``Cells.at_weights``); rows of ``table`` are
@@ -236,8 +233,9 @@ def low_rank_recovery(
     """
     layout = layout or Layout.full(n, m)
     syndromes_by_k = list(syndromes_by_k)
-    if len(syndromes_by_k) != n + m - 1:
-        raise ShapeMismatch(f"expected {n + m - 1} diagonals, got {len(syndromes_by_k)}")
+    expected = len(layout.diagonals)
+    if len(syndromes_by_k) != expected:
+        raise ShapeMismatch(f"expected {expected} diagonals, got {len(syndromes_by_k)}")
     if packed_table is None:
         packed_table = ctx.pack(table)
     zero, minus_one = ctx.zero, ctx.neg(ctx.one)
@@ -247,15 +245,10 @@ def low_rank_recovery(
     lne: dict[int, int] = {}
     pivot: dict[int, Fel] = {}  # row i -> P[i][lne[i]]
 
-    for k, synd in enumerate(syndromes_by_k):
+    for cells, synd in zip(layout.diagonals, syndromes_by_k):
+        k, rows, cols = cells.k, cells.rows, cells.cols
         if len(synd) > len(table):
             raise ShapeMismatch(f"diagonal {k}: {len(synd)} syndromes, {len(table)} table rows")
-        cells = layout.diagonals[k]
-        if cells is None:
-            if synd.count(zero) != len(synd):
-                raise InconsistentSyndrome(f"diagonal {k}: nonzero syndrome off the layout")
-            continue
-        rows, cols = cells.rows, cells.cols
 
         if l_cols:  # minus the correction ((L - I) N) on this diagonal
             b = ctx.sum_products(list(map(cells.at_rows, l_cols.values())),
@@ -465,28 +458,20 @@ def tensor_measure(t: DenseTensor, r: int) -> list[Fel]:
     return measure_moments(t, "TensorB", 2 * r)
 
 
-def _pack(t: DenseTensor, stride: int) -> list[Fel]:
-    """Coefficients of t's polynomial under x_a -> x^(stride^a): one axis."""
-    for a in range(len(t.dims) - 2, -1, -1):
-        t = merge_variables(t, a, a + 1, stride)
-    return t.entries
-
-
-def _unpack(w: DenseTensor, tgt: tuple[int, ...]) -> DenseTensor:
-    """The finer level's tensor, of variable sizes ``tgt``, from w over the level's lattice.
+def _unpack(w: DenseTensor, tgt: tuple[int, ...], steps: list[int]) -> list[Fel]:
+    """The entries of the finer tensor, of variable sizes ``tgt``, from w over
+    the level's lattice, variable a at step steps[a] of the flat list.
 
     Lattice row a holds the digits of the even variables 0, 2, ... and
     column b those of the odd ones, digit 0 fastest (``hitting.packed``), so
-    w's cells are exactly the finer tensor's entries, each written straight
-    to its row-major place.
+    w's cells are exactly the finer tensor's entries.
     """
-    steps = [math.prod(tgt[a + 1 :]) for a in range(len(tgt))]
-    entries = [w.ctx.zero] * (steps[0] * tgt[0])
+    entries = [w.ctx.zero] * math.prod(tgt)
     cols = packed(tgt[1::2], steps[1::2])
     for a, row in zip(packed(tgt[0::2], steps[0::2]), w.rows()):
         for b, x in zip(cols, row):
             entries[a + b] = x
-    return DenseTensor(w.ctx, tgt, entries)
+    return entries
 
 
 def tensor_recover(
@@ -496,14 +481,20 @@ def tensor_recover(
 
     Interpolates one univariate polynomial per exponent-index tuple, then
     walks the merging recursion backwards: the R polynomials that share an
-    index prefix, packed into one variable, hold the full diagonal-family
+    index prefix, packed into one variable, hold the diagonal-family
     syndromes of a merged coefficient matrix of rank <= r.  Only the cells
     of the level's packed lattice (``Schedule.layouts``) can be nonzero, so
-    each matrix is recovered over them from all R rows of every diagonal,
-    and the diagonals that meet none must measure zero.  Its cells are then
-    written into the finer level's tensor, one more variable pair per
-    level.  Every cell of the lattice is an entry of that tensor, so no
-    recovered entry can fall outside it and nothing is left to reject there.
+    each matrix is recovered over them from all R rows of the diagonals
+    they meet, and its cells are written into the finer level's
+    coefficients, one more variable pair per level.  A polynomial is a
+    plain list of its coefficients on those diagonals, ascending.  In base
+    stride = n 2^b a diagonal adds its row's and column's digits without
+    carries, so that order is the level above's cells with digit 0 fastest:
+    the order in which the cells are written between levels (the top
+    level's single variable is in it already).  Level 1 writes them
+    row-major, which is the tensor.  Every cell of the lattice is an entry
+    of the finer tensor, so no recovered entry can fall outside it and
+    nothing is left to reject there.
     """
     dims = (n,) * d
     check_recovery("TensorB", dims, r)
@@ -514,9 +505,9 @@ def tensor_recover(
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
     s = schedule(ctx, "TensorB", dims, R)
-    alphas, stride = s.alphas, s.stride
+    alphas = s.alphas
 
-    polys: dict[tuple[int, ...], DenseTensor] = {}
+    polys: dict[tuple[int, ...], list[Fel]] = {}
     for i, (ls, _, count) in enumerate(s.blocks):
         evals = syndromes[i * count : (i + 1) * count]
         cs = linalg.poly_interpolate(ctx, alphas, evals[: deg + 1])
@@ -525,26 +516,26 @@ def tensor_recover(
                 raise InconsistentSyndrome(
                     "redundant evaluation disagrees with interpolant"
                 )
-        polys[ls] = DenseTensor(ctx, (deg + 1,), cs)
+        polys[ls] = cs
 
     for level in range(len(s.levels), 0, -1):
         tgt = s.levels[level - 1][0]
         layout = s.layouts[level - 1]
+        steps = [math.prod(tgt[a + 1 :] if level == 1 else tgt[:a]) for a in range(len(tgt))]
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
-            univs = [_pack(polys[prefix + (i,)], stride) for i in range(R)]
+            univs = [polys[prefix + (i,)] for i in range(R)]
             try:
                 w = low_rank_recovery(ctx, layout.n, layout.m, r, s.table, zip(*univs),
                                       layout=layout, packed_table=s.packed_table)
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
-            new_polys[prefix] = _unpack(w, tgt)
+            new_polys[prefix] = _unpack(w, tgt, steps)
         polys = new_polys
 
-    full = polys[()]
     # dummy axes (all of length one) sit at the end; dropping them keeps
     # the row-major order intact
-    return DenseTensor(ctx, dims, full.entries)
+    return DenseTensor(ctx, dims, polys[()])
 
 
 def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:

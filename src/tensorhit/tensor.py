@@ -4,9 +4,7 @@ A DenseTensor stores a row-major flat list of field elements for an
 arbitrary shape; matrices are the d = 2 case and index as (row, column)
 from zero.  Rank1Tensor / LowRankTensor hold the factored certificate
 forms.  The module also provides the polynomial views of a tensor
-(eval_fT / eval_fhat), k-diagonal access, exact rank, and the
-exponent-packing maps (merge_variables / split_variables) that reshape a
-multivariate coefficient array into fewer variables and back.
+(eval_fT / eval_fhat), k-diagonal access, exact rank and axis permutation.
 
 Operations are pure and values are treated as immutable; the only sanctioned
 mutation is set_diagonal on a matrix the caller owns.
@@ -18,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import DiagonalOutOfRange, ShapeMismatch, StrideTooSmall
+from .errors import DiagonalOutOfRange, ShapeMismatch
 from .field import Fel, FieldCtx
 
 
@@ -286,60 +284,6 @@ def permute_axes(t: DenseTensor, perm: tuple[int, ...]) -> DenseTensor:
         tuple(t.dims[p] for p in perm),
         ((tuple(idx[p] for p in perm), e) for idx, e in _nonzeros(t)),
     )
-
-
-def merge_variables(t: DenseTensor, axis1: int, axis2: int, stride: int) -> DenseTensor:
-    """Substitute variable axis2 by variable axis1 raised to stride.
-
-    Exponent map (e1, e2) -> e1 + stride * e2, which is collision-free when
-    stride >= dims[axis1]; the merged axis replaces axis1 and axis2 vanishes.
-    """
-    d = len(t.dims)
-    if axis1 == axis2 or not (0 <= axis1 < d and 0 <= axis2 < d):
-        raise ShapeMismatch("merge needs two distinct valid axes")
-    n1, n2 = t.dims[axis1], t.dims[axis2]
-    if stride < n1:
-        raise StrideTooSmall(f"stride {stride} < axis length {n1}")
-
-    def merged(idx):
-        out = list(idx)
-        out[axis1] += stride * idx[axis2]
-        del out[axis2]
-        return out
-
-    new_dims = list(t.dims)
-    new_dims[axis1] = (n1 - 1) + stride * (n2 - 1) + 1
-    del new_dims[axis2]
-    return _placed(t.ctx, tuple(new_dims), ((merged(idx), e) for idx, e in _nonzeros(t)))
-
-
-def split_variables(
-    t: DenseTensor, axis: int, stride: int, low_len: int
-) -> DenseTensor:
-    """Inverse of merge_variables: Euclidean division of the axis exponent.
-
-    The axis splits into a low axis of length low_len (the remainder mod
-    stride) and a high axis (the quotient), inserted right after it.  A
-    nonzero coefficient whose remainder is >= low_len cannot come from a
-    merge and raises ShapeMismatch.
-    """
-    if not 0 <= axis < len(t.dims):
-        raise ShapeMismatch("axis out of range")
-    if stride < low_len:
-        raise StrideTooSmall(f"stride {stride} < low axis length {low_len}")
-
-    def split(idx):
-        high, low = divmod(idx[axis], stride)
-        if low >= low_len:
-            raise ShapeMismatch(
-                f"coefficient at exponent {idx[axis]} cannot split into "
-                f"digits below {low_len}"
-            )
-        return idx[:axis] + (low, high) + idx[axis + 1 :]
-
-    high_len = (t.dims[axis] - 1) // stride + 1
-    new_dims = t.dims[:axis] + (low_len, high_len) + t.dims[axis + 1 :]
-    return _placed(t.ctx, new_dims, ((split(idx), e) for idx, e in _nonzeros(t)))
 
 
 def nnz(t: DenseTensor) -> int:

@@ -513,7 +513,7 @@ def test_a_warm_recovery_corrects_each_diagonal_with_one_packed_dots():
     ctx.callers.clear()
     assert recover_from_D(ctx, n, n, r, synd) == mat
     layout = schedule(ctx, "Dprime", (n, n), 2 * r).layouts[0]
-    assert ctx.callers["dots", "low_rank_recovery"] == sum(c is not None for c in layout.diagonals)
+    assert ctx.callers["dots", "low_rank_recovery"] == len(layout.diagonals)
     assert ctx.callers["dot", "low_rank_recovery"] == 0
 
 
@@ -698,8 +698,9 @@ GF_M31 = make_prime_field(2**31 - 1)
 
 
 def _level_calls(d, n, r, seed):
-    """(layout, table, syndromes by diagonal) of each level that recovering a
-    random rank <= r tensor of shape [n]^d solves, in the order it solves them."""
+    """(layout, table, syndromes of each layout diagonal) of each level that
+    recovering a random rank <= r tensor of shape [n]^d solves, in the order
+    it solves them."""
     t = _rand_low_rank(GF_M31, random.Random(seed), (n,) * d, r)
     calls, real = [], lrr.low_rank_recovery
 
@@ -721,9 +722,16 @@ def _on_lattice(ctx, layout, r, table, by_k):
     return lrr.low_rank_recovery(ctx, layout.n, layout.m, r, table, by_k, layout=layout)
 
 
-def _on_every_cell(ctx, layout, r, table, by_k, hooks=None):
+def _on_every_cell(ctx, layout, r, table, by_pos, hooks=None, off=None):
     """The level recovered on every cell, as a padded matrix, then cut to the
-    lattice; an entry off the lattice is a violation."""
+    lattice; an entry off the lattice is a violation.  by_pos holds the
+    syndromes of each layout diagonal; every other diagonal k measures zero,
+    or off[k] if given."""
+    by_k = [[ctx.zero] * len(table) for _ in range(layout.n + layout.m - 1)]
+    for cells, synd in zip(layout.diagonals, by_pos):
+        by_k[cells.k] = synd
+    for k, synd in (off or {}).items():
+        by_k[k] = synd
     rows = lrr.low_rank_recovery(ctx, layout.n, layout.m, r, table, by_k, hooks=hooks).rows()
     on = [[rows[i][j] for j in layout.cols] for i in layout.rows]
     nonzero = sum(v != ctx.zero for row in rows for v in row)
@@ -733,14 +741,17 @@ def _on_every_cell(ctx, layout, r, table, by_k, hooks=None):
 
 
 def _level_syndromes(ctx, layout, table, rows):
-    """Syndromes by diagonal of the matrix holding rows (over the layout) on its cells."""
-    by_k = [[ctx.zero] * len(table) for _ in layout.diagonals]
+    """Syndromes of each layout diagonal of the matrix holding rows (over the
+    layout) on its cells."""
+    pos = {cells.k: p for p, cells in enumerate(layout.diagonals)}
+    by_pos = [[ctx.zero] * len(table) for _ in layout.diagonals]
     for a, i in enumerate(layout.rows):
         for b, j in enumerate(layout.cols):
             if rows[a][b] != ctx.zero:
+                synd = by_pos[pos[i + j]]
                 for l, w in enumerate(table):
-                    by_k[i + j][l] = ctx.add(by_k[i + j][l], ctx.mul(rows[a][b], w[j]))
-    return by_k
+                    synd[l] = ctx.add(synd[l], ctx.mul(rows[a][b], w[j]))
+    return by_pos
 
 
 @pytest.mark.parametrize("d, n, r", LATTICE_SHAPES)
@@ -776,13 +787,13 @@ def test_corrupted_level_syndromes_raise_on_the_lattice_and_on_every_cell(d, n, 
     for layout, table, by_k in _level_calls(d, n, r, f"corrupt levels {d} {n} {r}"):
         # a bump on a diagonal with fewer cells than rows is inconsistent;
         # one on a longer diagonal may or may not be, alike on both
-        short = [k for k, c in enumerate(layout.diagonals) if c and len(c.cols) < R]
-        long = [k for k, c in enumerate(layout.diagonals) if c and len(c.cols) >= R]
-        for ks, must_raise in ((short, True), (long, False)):
-            for k in rng.sample(ks, min(3, len(ks))):
+        short = [p for p, c in enumerate(layout.diagonals) if len(c.cols) < R]
+        long = [p for p, c in enumerate(layout.diagonals) if len(c.cols) >= R]
+        for ps, must_raise in ((short, True), (long, False)):
+            for p in rng.sample(ps, min(3, len(ps))):
                 bad = [list(v) for v in by_k]
                 l = rng.randrange(R)
-                bad[k][l] = ctx.add(bad[k][l], ctx.from_index(rng.randrange(1, ctx.size)))
+                bad[p][l] = ctx.add(bad[p][l], ctx.from_index(rng.randrange(1, ctx.size)))
                 got = _outcome(_on_lattice, ctx, layout, r, table, bad)
                 padded = _outcome(_on_every_cell, ctx, layout, r, table, bad)
                 if must_raise or isinstance(got, type):
@@ -792,18 +803,17 @@ def test_corrupted_level_syndromes_raise_on_the_lattice_and_on_every_cell(d, n, 
                     assert got == padded
         # one cell off the lattice: syndromes nonzero on one diagonal that
         # meets no lattice cell, zero everywhere else (the top level fills
-        # every cell of its matrix)
-        k = next((k for k, c in enumerate(layout.diagonals) if c is None), None)
+        # every cell of its matrix); the lattice recovery takes no vector
+        # for such a diagonal
+        met = {c.k for c in layout.diagonals}
+        k = next((k for k in range(layout.n + layout.m - 1) if k not in met), None)
         if k is None:
             continue
         off_lattice += 1
         j = min(k, layout.m - 1)
-        bad = [[ctx.zero] * R for _ in by_k]
-        bad[k] = [ctx.mul(5, w[j]) for w in table]
-        with pytest.raises(InconsistentSyndrome, match=f"diagonal {k}: nonzero syndrome off"):
-            _on_lattice(ctx, layout, r, table, bad)
+        zeros = [[ctx.zero] * R for _ in by_k]
         with pytest.raises(InconsistentSyndrome, match="off the lattice"):
-            _on_every_cell(ctx, layout, r, table, bad)
+            _on_every_cell(ctx, layout, r, table, zeros, off={k: [ctx.mul(5, w[j]) for w in table]})
     assert off_lattice
 
 
@@ -813,23 +823,25 @@ def test_a_level_names_itself_and_the_diagonal_off_its_lattice():
     synd = tensor_measure(t, 1)
     s = schedule(ctx, "TensorB", (2, 2, 2), 2)
     # level 1 (4 variables of sizes 2, 2, 2, 1; stride 8) is solved last:
-    # rows 0, 1, 8, 9 and columns 0, 1, so diagonals 3 to 7 meet no cell
+    # rows 0, 1, 8, 9 and columns 0, 1, so diagonals 3 to 7 meet no cell and
+    # recovery is handed none of them
     assert s.layouts[0].rows == (0, 1, 8, 9) and s.layouts[0].cols == (0, 1)
-    assert [k for k, c in enumerate(s.layouts[0].diagonals) if c is None] == [3, 4, 5, 6, 7]
-    assert None not in s.layouts[1].diagonals
+    assert [c.k for c in s.layouts[0].diagonals] == [0, 1, 2, 8, 9, 10]
+    top = s.layouts[1]
+    assert [c.k for c in top.diagonals] == list(range(top.n + top.m - 1))
     real = lrr.low_rank_recovery
 
     def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None, packed_table=None):
         by_k = [list(v) for v in by_k]
         if layout is s.layouts[0]:
-            by_k[3] = [table[0][1], table[1][1]]  # cell (2, 1)
+            by_k[-1][1] = ctx.one  # the redundant row of diagonal 10's one cell (9, 1)
         return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout,
                     packed_table=packed_table)
 
     lrr.low_rank_recovery = spy
     try:
         with pytest.raises(InconsistentSyndrome,
-                           match="level 1: diagonal 3: nonzero syndrome off the layout"):
+                           match="level 1: diagonal 10: redundant row mismatch"):
             tensor_recover(ctx, 3, 2, 1, synd)
     finally:
         lrr.low_rank_recovery = real
@@ -844,7 +856,7 @@ def test_packed_corrections_equal_one_dot_per_row_on_every_tensor_layout(d, n):
     s = schedule(ctx, "TensorB", (n,) * d, 4)
     rng = random.Random(f"corrections {d} {n}")
     for layout in s.layouts:
-        for cells in filter(None, layout.diagonals):
+        for cells in layout.diagonals:
             for a in ([ctx.p - 1] * len(cells.cols), [rng.randrange(ctx.p) for _ in cells.cols]):
                 want = [ctx.dot(a, cells.at_weights(row)) for row in s.table]
                 assert ctx.dots(a, s.packed_table, len(s.table), cells.at_weights) == want
@@ -860,6 +872,34 @@ def test_a_rank_1_tensor_of_shape_2_to_the_8_round_trips_over_gf_2_61_minus_1():
     synd = tensor_measure(t, 1)
     assert len(synd) == 128
     assert tensor_recover(ctx, 8, 2, 1, synd).entries == t.entries
+
+
+def test_level_1_of_a_3_to_the_8_tensor_is_handed_only_the_625_diagonals_its_lattice_meets(
+        monkeypatch):
+    # level 1 merges 8 variables of size 3 in base 24: its 81 x 81 lattice
+    # meets 5^4 of the 57,701 diagonals of its padded matrix
+    ctx = make_prime_field(2**61 - 1)
+    t = _rand_low_rank(ctx, random.Random(38), (3,) * 8, 1)
+    s = schedule(ctx, "TensorB", (3,) * 8, 2)
+    layout = s.layouts[0]
+    assert (len(layout.rows), len(layout.cols), layout.n + layout.m - 1) == (81, 81, 57_701)
+    handed, real = [], lrr.low_rank_recovery
+
+    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None, packed_table=None):
+        by_k = [list(v) for v in by_k]
+        handed.append((layout, by_k))
+        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout,
+                    packed_table=packed_table)
+
+    monkeypatch.setattr(lrr, "low_rank_recovery", spy)
+    assert tensor_recover(ctx, 8, 3, 1, tensor_measure(t, 1)).entries == t.entries
+    [by_k] = [by_k for got, by_k in handed if got is layout]
+    assert len(by_k) == len(layout.diagonals) == 625
+    padded = [[ctx.zero] * len(s.table) for _ in range(57_701)]
+    for cells, synd in zip(layout.diagonals, by_k):
+        padded[cells.k] = synd
+    with pytest.raises(ShapeMismatch, match="expected 625 diagonals, got 57701"):
+        real(ctx, layout.n, layout.m, 1, s.table, padded, layout=layout)
 
 
 GF7919 = make_prime_field(7919)  # order >= (2dn)^d for d, n <= 3

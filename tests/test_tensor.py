@@ -1,4 +1,4 @@
-"""Tensor containers, polynomial views, diagonals, and exponent reshaping."""
+"""Tensor containers, polynomial views, diagonals, and axis permutation."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorhit.errors import DiagonalOutOfRange, ShapeMismatch, StrideTooSmall
+from tensorhit.errors import DiagonalOutOfRange, ShapeMismatch
 from tensorhit.field import make_prime_field
 from tensorhit.tensor import (
     DenseTensor,
@@ -20,11 +20,9 @@ from tensorhit.tensor import (
     expand,
     inner_product,
     matrix_rank,
-    merge_variables,
     nnz,
     permute_axes,
     set_diagonal,
-    split_variables,
 )
 
 GF5 = make_prime_field(5)
@@ -188,47 +186,6 @@ def test_diagonal_concatenation_is_permutation_of_entries(n, m, data):
     assert sorted(concat) == sorted(entries)
 
 
-def test_merge_variables_examples():
-    # constant polynomial is unchanged
-    c = DenseTensor(GF7, (1, 1), [4])
-    merged = merge_variables(c, 0, 1, 2)
-    assert merged.entries == [4]
-    # f = x + y with n = 2, m = 2 becomes x + x^2
-    f = DenseTensor(GF7, (2, 2), [0, 1, 1, 0])
-    g = merge_variables(f, 0, 1, 2)
-    assert g.dims == (4,) and g.entries == [0, 1, 1, 0]
-    back = split_variables(g, 0, 2, 2)
-    assert back.dims == (2, 2) and back.entries == f.entries
-
-
-def test_merge_stride_too_small():
-    f = DenseTensor(GF7, (3, 2), [0] * 6)
-    with pytest.raises(StrideTooSmall):
-        merge_variables(f, 0, 1, 2)
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_merge_split_roundtrip_random(data):
-    n1 = data.draw(st.integers(1, 4))
-    n2 = data.draw(st.integers(1, 4))
-    stride = data.draw(st.integers(n1, n1 + 3))
-    entries = data.draw(st.lists(st.integers(0, 6), min_size=n1 * n2, max_size=n1 * n2))
-    f = DenseTensor(GF7, (n1, n2), entries)
-    g = merge_variables(f, 0, 1, stride)
-    assert nnz(g) == nnz(f)  # distinct monomials stay distinct
-    back = split_variables(g, 0, stride, n1)
-    assert back.dims[0] == n1
-    # high axis may come back shorter when the top coefficients vanish
-    for i in range(n1):
-        for j in range(n2):
-            v = f[i, j]
-            if j < back.dims[1]:
-                assert back[i, j] == v
-            else:
-                assert v == 0
-
-
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_permute_axes_moves_each_entry_and_inverts(data):
@@ -257,13 +214,30 @@ def test_permute_axes_preserves_monomial_count():
 @pytest.mark.parametrize("call, message", [
     (lambda: DenseTensor(GF5, (2, 3), [0] * 5), r"5 entries for shape \(2, 3\)"),
     (lambda: DenseTensor.from_rows(GF5, [[1, 2], [3]]), "ragged rows"),
-    (lambda: merge_variables(DenseTensor.zeros(GF5, (2, 2)), 1, 1, 2),
-     "merge needs two distinct valid axes"),
-    (lambda: split_variables(DenseTensor.zeros(GF5, (2, 2)), 2, 2, 2), "axis out of range"),
     (lambda: LowRankTensor(GF5, (2, 2), (Rank1Tensor(GF5, ((1, 2), (1, 2, 3))),)),
      "term shape differs from tensor shape"),
-], ids=["dense-entry-count", "ragged-rows", "merge-equal-axes", "split-axis-out-of-range",
-        "low-rank-term-shape"])
+    (lambda: DenseTensor.zeros(GF5, (2, 3))[0,], r"index \(0,\) for shape \(2, 3\)"),
+    (lambda: DenseTensor.zeros(GF5, (2, 3))[2, 0], r"index \(2, 0\) out of bounds for \(2, 3\)"),
+    (lambda: DenseTensor.zeros(GF5, (2, 2, 2)).rows(), r"rows\(\) requires a matrix"),
+    (lambda: inner_product(DenseTensor.zeros(GF5, (2,)), DenseTensor.zeros(GF7, (2,))),
+     "inner product requires a common field"),
+    (lambda: inner_product(DenseTensor.zeros(GF5, (2, 2)), DenseTensor.zeros(GF5, (4,))),
+     r"shape \(2, 2\) vs \(4,\)"),
+    (lambda: eval_fT(DenseTensor.zeros(GF5, (2, 3)), [(1, 1)]), "one vector per axis required"),
+    (lambda: eval_fT(DenseTensor.zeros(GF5, (2, 3)), [(1, 1), (1, 1)]),
+     "vector length does not match axis"),
+    (lambda: eval_fhat(DenseTensor.zeros(GF5, (2, 3)), [1]), "one scalar per axis required"),
+    (lambda: diagonal(DenseTensor.zeros(GF5, (2, 2, 2)), 0), "diagonal requires a matrix"),
+    (lambda: set_diagonal(DenseTensor.zeros(GF5, (2, 2, 2)), 0, [1]),
+     "set_diagonal requires a matrix"),
+    (lambda: set_diagonal(DenseTensor.zeros(GF5, (2, 3)), 1, [1]), "diagonal 1 has 2 slots"),
+    (lambda: permute_axes(DenseTensor.zeros(GF5, (2, 3)), (0, 0)),
+     r"\(0, 0\) is not a permutation of the axes"),
+], ids=["dense-entry-count", "ragged-rows", "low-rank-term-shape", "index-length",
+        "index-out-of-bounds", "rows-of-a-non-matrix", "inner-product-fields",
+        "inner-product-shapes", "eval-ft-vector-count", "eval-ft-vector-length",
+        "eval-fhat-scalar-count", "diagonal-of-a-non-matrix", "set-diagonal-of-a-non-matrix",
+        "set-diagonal-length", "permute-axes-non-permutation"])
 def test_malformed_inputs_raise_shape_mismatch(call, message):
     with pytest.raises(ShapeMismatch, match=message):
         call()
