@@ -387,7 +387,7 @@ class FieldCtx:
         """[dot(u, at(row)) for row in rows[:count]], with packed = pack(rows).
 
         ``at`` picks the columns each row is read on (a slice or a gather,
-        such as ``hitting.Cells.at_weights``); None reads the leading ones.
+        such as ``hitting.Cells.at_cols``); None reads the leading ones.
         count must not exceed the rows packed: past them the classes differ
         (PrimeField reads zero rows, the others return fewer values), and
         ``lrr.low_rank_recovery``, the one caller whose count comes from its

@@ -25,10 +25,10 @@ R >= 1 (rows past (n + m) // 2 measure nothing); B, Bprime and D take
 n x m with 1 <= R <= n <= m, the paper's.  ``schedule`` derives the rest
 once per (field class, field, family, shape, R): the one g, the alphas,
 multipliers and block counts of the rank-1 families B, Bprime and TensorB,
-the one weight table (D' at R for the matrix families, the widest merged
-matrix's for TensorB), TensorB's merge levels and the ``Layout`` of cells
-recovery solves for (every cell of a matrix, each TensorB level's packed
-lattice), and the packed tables that measure the moment families.
+TensorB's merge levels, the ``Layout`` of cells recovery solves for (every
+cell of a matrix, each TensorB level's packed lattice) with one weight
+table per layout, as wide as its columns, and the packed tables that
+measure the moment families.
 ``dprime_size`` counts D' and ``tensor_size`` counts TensorB without
 building them.
 ``inner_products`` is the one scan of a family against a tensor: it
@@ -177,9 +177,8 @@ class Cells(NamedTuple):
     """The cells of a ``Layout`` on its k-diagonal, in column order.
 
     ``rows`` and ``cols`` are their positions in the layout (rows descend);
-    ``at_rows``, ``at_cols`` and ``at_weights`` gather, in one call, the
-    entries at those cells of a vector indexed by row position, by column
-    position and by column of the matrix (a weight-table row).
+    ``at_rows`` and ``at_cols`` gather, in one call, the entries at those
+    cells of a vector indexed by row and by column position (a weight row).
     """
 
     k: int
@@ -187,7 +186,6 @@ class Cells(NamedTuple):
     cols: Sequence[int]
     at_rows: Callable
     at_cols: Callable
-    at_weights: Callable
 
 
 @dataclass(frozen=True)
@@ -215,20 +213,20 @@ class Layout:
         for k in range(n + m - 1):
             lo, hi = diag_columns(n, m, k)
             rows, cols = range(k - lo, k - hi - 1, -1), range(lo, hi + 1)
-            diagonals.append(Cells(k, rows, cols, _gather(rows), _gather(cols), _gather(cols)))
+            diagonals.append(Cells(k, rows, cols, _gather(rows), _gather(cols)))
         return cls(n, m, range(n), range(m), tuple(diagonals))
 
     @classmethod
     def lattice(cls, rows: Sequence[int], cols: Sequence[int]) -> "Layout":
         """The cells rows x cols of a (rows[-1] + 1) x (cols[-1] + 1) matrix."""
-        by_k: dict[int, list[tuple[int, int, int]]] = {}
+        by_k: dict[int, list[tuple[int, int]]] = {}
         for b, j in enumerate(cols):
             for a, i in enumerate(rows):
-                by_k.setdefault(i + j, []).append((a, b, j))
+                by_k.setdefault(i + j, []).append((a, b))
         diagonals = []
         for k in sorted(by_k):
-            a, b, j = zip(*by_k[k])
-            diagonals.append(Cells(k, a, b, _gather(a), _gather(b), _gather(j)))
+            a, b = zip(*by_k[k])
+            diagonals.append(Cells(k, a, b, _gather(a), _gather(b)))
         return cls(rows[-1] + 1, cols[-1] + 1, tuple(rows), tuple(cols), tuple(diagonals))
 
 
@@ -257,49 +255,47 @@ class Schedule:
     (B, Bprime, TensorB) lists, in family order, the members (k, ls) for
     k < count, whose axis-a factor is the moment vector of mults[a] *
     alphas[k]: member (k, ls) evaluates sum_idx T[idx] prod_a mults[a]^idx_a
-    x^(sum idx) at alphas[k].  Row l of ``table`` is (g^(l j))_j, the weight
-    of column j on every diagonal, built on first read in ``table_shape``:
-    for matrices D' at R on n x m, without the rows l >= (n + m) // 2 that
-    measure nothing; for TensorB R rows as wide as the widest merged
-    matrix, which recovery reads.  ``packed_table`` is ``table`` bundled by
-    ``ctx.pack`` for ``ctx.dots``, built on first read: by the measurements
-    that take one syndrome pass per diagonal (D', and B, B' and TensorB on
-    matrices) and by recovery, which corrects each diagonal's syndromes
-    with one ``dots`` on it.  The moment families'
-    measurement reads two more, each built on first read: ``vandermonde``
-    packs the rows (alphas[k]^i)_i for i <= sum(dims) - d, and for TensorB
-    with d >= 3 ``degree_classes`` is (classes, weights): the cells sorted
-    by degree sum idx, each class a (gather of its entries, gather of its
+    x^(sum idx) at alphas[k].  TensorB's ``levels[i]`` holds the target
+    variable sizes of merge level i + 1, packed in base ``stride`` = n 2^b.
+    ``layouts`` are the cells recovery solves for: every cell of n x m for
+    a matrix family; for TensorB level i + 1's packed lattice, the rows
+    (columns) whose base-stride digits lie below the sizes of the even
+    (odd) target variables, the only cells a merged matrix can fill; its
+    ``diagonals`` are those the lattice meets, the cells of the level above
+    (``lrr.tensor_recover``).  ``tables[i]``, the weight table of
+    ``layouts[i]``, has ``table_rows`` rows indexed by column position:
+    entry (l, b) is g^(l cols[b]), the weight of column cols[b] on every
+    diagonal.  A matrix's columns are range(m) and its rows D' at R,
+    without the rows l >= (n + m) // 2 that measure nothing; TensorB has R
+    rows.  ``packed_tables[i]`` is ``tables[i]`` bundled by ``ctx.pack``
+    for ``ctx.dots``, read by recovery and by the measurements that take
+    one syndrome pass per diagonal (D', and B, B' and TensorB on matrices).
+    The moment families' measurement reads two more: ``vandermonde`` packs
+    the rows (alphas[k]^i)_i for i <= sum(dims) - d, and for TensorB with
+    d >= 3 ``degree_classes`` is (classes, weights): the cells sorted by
+    degree sum idx, each class a (gather of its entries, gather of its
     weight columns) pair, and one packed weight row per block over them,
-    prod_a mults[a]^idx_a.
-    TensorB's ``levels[i]`` is (target variable sizes, rows, columns) of
-    the matrix that merge level i + 1 recovers, its exponents packed in
-    base ``stride`` = n 2^b.
-    ``layouts`` are the cells recovery solves for, built on first read:
-    every cell of n x m for a matrix family; for TensorB level i + 1's
-    packed lattice, the rows (columns) whose base-stride digits lie below
-    the sizes of the even (odd) target variables, the only cells a merged
-    matrix can fill; its ``diagonals`` are those the lattice meets, the
-    cells of the level above (``lrr.tensor_recover``).
+    prod_a mults[a]^idx_a.  Every table and layout is built on first read.
     """
 
     ctx: FieldCtx
     dims: tuple[int, ...]
     g: Fel
-    table_shape: tuple[int, int]
+    table_rows: int
     alphas: tuple[Fel, ...]
     blocks: tuple[tuple[tuple[int, ...], tuple[Fel, ...], int], ...]
     stride: int
-    levels: tuple[tuple[tuple[int, ...], int, int], ...]
+    levels: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
-    def table(self) -> tuple[tuple[Fel, ...], ...]:
-        count, width = self.table_shape
-        return tuple(tuple(self.ctx.powers(gl, width)) for gl in self.ctx.powers(self.g, count))
+    def tables(self) -> tuple[tuple[tuple[Fel, ...], ...], ...]:
+        rows = self.ctx.powers(self.g, self.table_rows)
+        return tuple(tuple(_powers_at(self.ctx, gl, layout.cols) for gl in rows)
+                     for layout in self.layouts)
 
     @functools.cached_property
-    def packed_table(self) -> list:
-        return self.ctx.pack(self.table)
+    def packed_tables(self) -> tuple[list, ...]:
+        return tuple(map(self.ctx.pack, self.tables))
 
     @functools.cached_property
     def vandermonde(self) -> list:
@@ -326,9 +322,18 @@ class Schedule:
     def layouts(self) -> tuple[Layout, ...]:
         if not self.levels:
             return (Layout.full(*self.dims),)
-        steps = [self.stride**j for j in range(len(self.levels[0][0]) // 2)]
+        steps = [self.stride**j for j in range(len(self.levels[0]) // 2)]
         return tuple(Layout.lattice(packed(tgt[0::2], steps), packed(tgt[1::2], steps))
-                     for tgt, _, _ in self.levels)
+                     for tgt in self.levels)
+
+
+def _powers_at(ctx: FieldCtx, x: Fel, cols: Sequence[int]) -> tuple[Fel, ...]:
+    """(x^j for j in cols), cols ascending from 0: one mul per column past the
+    first, by x or, past a gap, by a pow of it."""
+    out = [ctx.one]
+    for i, j in zip(cols, cols[1:]):
+        out.append(ctx.mul(x if j - i == 1 else ctx.pow(x, j - i), out[-1]))
+    return tuple(out)
 
 
 def schedule(ctx: FieldCtx, family: str, dims, R: int) -> Schedule:
@@ -345,7 +350,7 @@ def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Sche
     check_family(family, dims, R)
     if family == "Naive":
         raise ValueError("family Naive has no schedule")
-    alphas, blocks, stride, levels = [], [], 0, []
+    alphas, blocks, stride, levels, count = [], [], 0, [], R
     if family == "TensorB":
         d, n = len(dims), dims[0]
         b = (d - 1).bit_length()
@@ -356,21 +361,18 @@ def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Sche
         stride = n << b
         sizes = [n] * d + [1] * ((1 << b) - d)
         for _ in range(b):  # merge variables 2j (rows) and 2j + 1 (columns) into j
-            rows = 1 + sum((t - 1) * stride**j for j, t in enumerate(sizes[::2]))
-            cols = 1 + sum((t - 1) * stride**j for j, t in enumerate(sizes[1::2]))
-            levels.append((tuple(sizes), rows, cols))
+            levels.append(tuple(sizes))
             sizes = [u + v - 1 for u, v in zip(sizes[::2], sizes[1::2])]
-        count, width = R, max(cols for _, _, cols in levels)
     else:
         n, m = dims
         g = ctx.element_of_order(m)
-        count, width = min(R, (n + m) // 2), m
+        count = min(R, (n + m) // 2)
         if family in MOMENT_FAMILIES:
             alphas = ctx.first_elements(n + m - 1)
             shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
             blocks = [((l,), (ctx.one, ctx.pow(g, l)), (n + m - 1) - shrink * l)
                       for l in range(R)]
-    return Schedule(ctx, dims, g, (count, width), tuple(alphas), tuple(blocks), stride,
+    return Schedule(ctx, dims, g, count, tuple(alphas), tuple(blocks), stride,
                     tuple(levels))
 
 
@@ -427,7 +429,7 @@ def tensor_size(d: int, n: int, R: int) -> int:
 def _diagonal_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
-    table = schedule(ctx, family, dims, r).table
+    table = schedule(ctx, family, dims, r).tables[0]  # by column: the layout is every cell
     n, m = dims  # only after the schedule has checked the shape
     meas = []
     for k in range(n + m - 1):

@@ -19,15 +19,15 @@ kept as its <= r off-identity columns negated, and of the reduced matrix
 P the loop keeps only the current diagonal on its support and the pivots
 of the leading entries.  A diagonal's negated correction is one
 ``ctx.sum_products`` and its effect on the syndromes one multi-row
-``ctx.dots`` on the schedule's packed weight table, full and lattice
+``ctx.dots`` on the layout's packed weight table, full and lattice
 layouts alike; everything else on a diagonal costs O(r) field operations.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
 nonzero column; lne(M^(<k)) collects those falling strictly below the
 k-diagonal.  M is (<k)-upper-echelon when, for each such (i, j), the
 entries (i', j) with i < i' < k - j vanish.  Within this module diagonals
-are handled in column order (slot t of diagonal k is column j_lo + t),
-because measurement weights and evaluation points are indexed by column.
+are handled in column order, because measurement weights and evaluation
+points are indexed by column position in the layout.
 
 Beyond matrices, the module converts rank-1-family syndromes into diagonal
 syndromes by staircase interpolation (two ``dots`` per interpolation, on
@@ -197,49 +197,48 @@ def low_rank_recovery(
     cells that may be nonzero: N and the columns of L are stored over its
     rows and columns, and the returned matrix is N over them.
     syndromes_by_k holds one vector per entry of ``layout.diagonals``, in
-    that order; any other count raises ShapeMismatch.  Entry l of the
-    vector of diagonal k is its inner product with row l of ``table``
-    (``hitting.schedule``; rows may run past m) over its columns.
-    ``packed_table`` is ``ctx.pack(table)``, which a schedule keeps
-    (``Schedule.packed_table``); None packs table here.  A diagonal with
-    more syndromes than ``table`` has rows raises ShapeMismatch.  Row 0 of
-    ``table`` must be all ones and row l row 1 to the power l.  Each
-    diagonal is solved on its cells, from their points ``table[1][j]``.
-    One with at least as many rows as cells goes to ``_solve_diagonal``; a
-    longer one must have 2r rows and goes to Prony's method with the
-    echelon advice set.  Both return the diagonal's support (a short
-    diagonal's cells; Prony's advice and locator roots) with the values
-    there.  An error names its diagonal as ``diagonal k:``.
-
-    A diagonal's corrected syndromes are one ``ctx.dots`` on the packed
-    table, read on its columns (``Cells.at_weights``); rows of ``table`` are
-    cut to them only for a short diagonal's solve and for Prony's points.
+    that order.  ``table`` is the layout's weight table
+    (``hitting.Schedule.tables``): row 0 all ones, row l row 1 to the power
+    l, one entry per layout column.  Entry l of diagonal k's vector is its
+    inner product with row l on the diagonal's column positions
+    (``Cells.at_cols``).  ``packed_table`` is ``ctx.pack(table)``
+    (``Schedule.packed_tables``); None packs table here.  Another vector
+    count, another table width, or a diagonal with more syndromes than
+    ``table`` has rows raises ShapeMismatch.  Each diagonal is solved on
+    its cells, from their points in row 1.  One with at least as many rows
+    as cells goes to ``_solve_diagonal``; a longer one must have 2r rows
+    and goes to Prony's method with the echelon advice set.  Both return
+    the diagonal's support (a short diagonal's cells; Prony's advice and
+    locator roots) with the values there.  An error names its diagonal as
+    ``diagonal k:``.
 
     The loop keeps only what it reads.  L is its <= r off-identity columns
     ``l_cols``, negated, and b = -(L - I) N on the diagonal is one
     ``ctx.sum_products`` of them with N: row c of N is still zero on the
     diagonal and beyond, so the entry -L[c][c] adds nothing.  The corrected
-    syndromes are the syndromes minus the dots of b.  P's diagonal is zero
-    off the support, so N = P + b is b patched there, and only there can a
-    new leading entry lie.  Of P the loop keeps the current diagonal
-    ``p_diag`` on the support and the pivot P[i][lne[i]] of each leading
-    entry.  An echelon op (tgt, src, c) on diagonal k changes row tgt of P
-    only on diagonals >= k, since row src is zero left of its pivot, so no
-    later op changes a pivot, and on diagonal k it zeroes one entry of
-    ``p_diag``.  Row src of L is zero outside the off-identity columns and
-    src, so the op updates at most r + 1 entries of L; being linear, it
-    updates the negated columns alike, and a new one starts as -e_src.
-    Hooks get an ``EchelonState`` built from this state.
+    syndromes are the syndromes minus one ``ctx.dots`` of b on the packed
+    table.  P's diagonal is zero off the support, so N = P + b is b patched
+    there, and only there can a new leading entry lie.  Of P the loop keeps
+    the current diagonal ``p_diag`` on the support and the pivot
+    P[i][lne[i]] of each leading entry.  An echelon op (tgt, src, c) on
+    diagonal k changes row tgt of P only on diagonals >= k, since row src is
+    zero left of its pivot, so no later op changes a pivot, and on diagonal
+    k it zeroes one entry of ``p_diag``.  Row src of L is zero outside the
+    off-identity columns and src, so the op updates at most r + 1 entries of
+    L; being linear, it updates the negated columns alike, and a new one
+    starts as -e_src.  Hooks get an ``EchelonState`` built from this state.
     """
     layout = layout or Layout.full(n, m)
     syndromes_by_k = list(syndromes_by_k)
     expected = len(layout.diagonals)
     if len(syndromes_by_k) != expected:
         raise ShapeMismatch(f"expected {expected} diagonals, got {len(syndromes_by_k)}")
+    size, width = len(layout.rows), len(layout.cols)
+    if {len(row) for row in table} != {width}:
+        raise ShapeMismatch(f"table rows must be {width} wide, one entry per layout column")
     if packed_table is None:
         packed_table = ctx.pack(table)
     zero, minus_one = ctx.zero, ctx.neg(ctx.one)
-    size, width = len(layout.rows), len(layout.cols)
     l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries, negated
     N = [[zero] * width for _ in range(size)]
     lne: dict[int, int] = {}
@@ -265,7 +264,7 @@ def low_rank_recovery(
                 advice.add(t)
                 under.append((i0, t))
 
-        at = cells.at_weights
+        at = cells.at_cols
         y = list(map(ctx.sub, synd, ctx.dots(b, packed_table, len(synd), at)))
 
         if hooks and hooks.before_oracle:
@@ -322,19 +321,19 @@ def low_rank_recovery(
 
 
 def _diagonal_syndromes(mat: DenseTensor, s: Schedule, counts) -> list[list[Fel]]:
-    """[<diagonal k of mat, row l of s.table> for l < counts[k]] for each k.
+    """[<diagonal k of mat, row l of s.tables[0]> for l < counts[k]] for each k.
 
     One gather (a strided slice of the entries) and one ``ctx.dots`` on the
     schedule's packed table per diagonal serve all of its rows at once.
     """
-    ctx, table = mat.ctx, s.packed_table
+    ctx, table = mat.ctx, s.packed_tables[0]
     n, m = mat.dims
     entries, step = mat.entries, m - 1 or 1  # down a row and left a column
     out = []
     for cells, count in zip(Layout.full(n, m).diagonals, counts):
         top = cells.rows[-1] * m + cells.cols[-1]  # the cell in the last column
         vals = entries[top : top + step * (len(cells.cols) - 1) + 1 : step][::-1]  # by column
-        out.append(ctx.dots(vals, table, count, cells.at_weights))
+        out.append(ctx.dots(vals, table, count, cells.at_cols))
     return out
 
 
@@ -376,8 +375,8 @@ def recover_from_D(
     counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
     ends = itertools.accumulate(counts)
     synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
-    return low_rank_recovery(ctx, n, m, r, s.table, synd_by_k, hooks=hooks,
-                             layout=s.layouts[0], packed_table=s.packed_table)
+    return low_rank_recovery(ctx, n, m, r, s.tables[0], synd_by_k, hooks=hooks,
+                             layout=s.layouts[0], packed_table=s.packed_tables[0])
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def convert_B_to_D(
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
     s = schedule(ctx, "Bprime", (n, m), R)
-    alphas, table = s.alphas, s.table
+    alphas, table = s.alphas, s.tables[0]  # every column, so position j is column j
     width = len(alphas)
     inv_alphas = [ctx.inv(a) for a in alphas]
     down = [ctx.one] * width  # a^-l at block l, for each point a
@@ -481,20 +480,17 @@ def tensor_recover(
 
     Interpolates one univariate polynomial per exponent-index tuple, then
     walks the merging recursion backwards: the R polynomials that share an
-    index prefix, packed into one variable, hold the diagonal-family
-    syndromes of a merged coefficient matrix of rank <= r.  Only the cells
-    of the level's packed lattice (``Schedule.layouts``) can be nonzero, so
-    each matrix is recovered over them from all R rows of the diagonals
-    they meet, and its cells are written into the finer level's
-    coefficients, one more variable pair per level.  A polynomial is a
-    plain list of its coefficients on those diagonals, ascending.  In base
-    stride = n 2^b a diagonal adds its row's and column's digits without
-    carries, so that order is the level above's cells with digit 0 fastest:
-    the order in which the cells are written between levels (the top
+    index prefix hold the diagonal-family syndromes of a merged coefficient
+    matrix of rank <= r.  Only the cells of the level's packed lattice
+    (``Schedule.layouts``) can be nonzero, so each matrix is recovered over
+    them from the diagonals they meet, and its cells are written into the
+    finer level's coefficients.  A polynomial is a plain list of its
+    coefficients on those diagonals, ascending: in base stride = n 2^b a
+    diagonal adds its row's and column's digits without carries, so that
+    order is the level above's cells written digit 0 fastest (the top
     level's single variable is in it already).  Level 1 writes them
-    row-major, which is the tensor.  Every cell of the lattice is an entry
-    of the finer tensor, so no recovered entry can fall outside it and
-    nothing is left to reject there.
+    row-major, which is the tensor.  Every lattice cell is an entry of the
+    finer tensor, so no recovered entry can fall outside it.
     """
     dims = (n,) * d
     check_recovery("TensorB", dims, r)
@@ -519,15 +515,15 @@ def tensor_recover(
         polys[ls] = cs
 
     for level in range(len(s.levels), 0, -1):
-        tgt = s.levels[level - 1][0]
-        layout = s.layouts[level - 1]
+        tgt, layout = s.levels[level - 1], s.layouts[level - 1]
+        table, packed_table = s.tables[level - 1], s.packed_tables[level - 1]
         steps = [math.prod(tgt[a + 1 :] if level == 1 else tgt[:a]) for a in range(len(tgt))]
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
             univs = [polys[prefix + (i,)] for i in range(R)]
             try:
-                w = low_rank_recovery(ctx, layout.n, layout.m, r, s.table, zip(*univs),
-                                      layout=layout, packed_table=s.packed_table)
+                w = low_rank_recovery(ctx, layout.n, layout.m, r, table, zip(*univs),
+                                      layout=layout, packed_table=packed_table)
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
             new_polys[prefix] = _unpack(w, tgt, steps)

@@ -19,6 +19,7 @@ from tensorhit.errors import (
 from tensorhit.field import embed_as_matrix, make_extension, make_prime_field
 from tensorhit.hitting import (
     L,
+    Layout,
     combine_simulated_syndromes,
     diag_row_count,
     dprime_size,
@@ -562,16 +563,42 @@ def test_a_failed_schedule_raises_on_every_call():
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_each_tensor_level_reads_a_prefix_of_the_schedule_table(d):
+def test_each_tensor_level_weighs_its_lattice_columns_by_position(d):
     ctx, n, R = make_prime_field(2**31 - 1), 3, 2
     s = schedule(ctx, "TensorB", (n,) * d, R)
     b = (d - 1).bit_length()
     assert ctx.order_at_least(s.g, (2 * d * n) ** d) and s.stride == n << b
-    assert len(s.levels) == b and s.levels[0][0] == (n,) * d + (1,) * ((1 << b) - d)
-    assert len(s.table) == R and len(s.table[0]) == max(cols for _, _, cols in s.levels)
-    for _, _, cols in s.levels:
-        for l, row in enumerate(s.table):
-            assert list(row[:cols]) == ctx.powers(ctx.pow(s.g, l), cols)
+    assert len(s.levels) == b and s.levels[0] == (n,) * d + (1,) * ((1 << b) - d)
+    assert len(s.tables) == len(s.packed_tables) == len(s.layouts) == b
+    for layout, table in zip(s.layouts, s.tables):
+        assert len(table) == R
+        for l, row in enumerate(table):
+            assert list(row) == [ctx.pow(s.g, l * j) for j in layout.cols]
+
+
+@pytest.mark.parametrize("n, widths", [(3, [81, 25, 9]), (4, [256, 49, 13])])
+def test_the_tables_of_an_order_8_tensor_are_as_wide_as_its_lattices(n, widths):
+    # the padded matrix of level 1 is 28,851 columns wide at n = 3 and
+    # 101,476 at n = 4; its lattice has n^4 columns
+    ctx = make_prime_field(2**61 - 1)
+    s = schedule(ctx, "TensorB", (n,) * 8, 2)
+    assert s.layouts[0].m == {3: 28_851, 4: 101_476}[n]
+    assert [len(layout.cols) for layout in s.layouts] == widths
+    assert [{len(row) for row in table} for table in s.tables] == [{w} for w in widths]
+    for layout, table in zip(s.layouts, s.tables):
+        assert list(table[1]) == [ctx.pow(s.g, j) for j in layout.cols]
+
+
+@pytest.mark.parametrize("ctx", [make_prime_field(65537), make_extension(make_prime_field(2), 8),
+                                 make_extension(make_prime_field(13), 3)], ids=repr)
+def test_a_matrix_family_has_one_table_of_every_column(ctx):
+    for family, dims, R in (("Dprime", (5, 9), 4), ("Dprime", (4, 4), 9), ("B", (3, 7), 2),
+                            ("Bprime", (6, 6), 3)):
+        s = schedule(ctx, family, dims, R)
+        rows = min(R, sum(dims) // 2)
+        assert s.layouts == (Layout.full(*dims),)
+        assert s.tables == (tuple(tuple(ctx.powers(gl, dims[1]))
+                                  for gl in ctx.powers(s.g, rows)),)
 
 
 def test_random_rank1_measurements_baseline():

@@ -239,7 +239,7 @@ def test_recover_syndrome_count_mismatch():
 def test_low_rank_recovery_rejects_a_missing_diagonal():
     # a dropped last diagonal used to come back as zeros: entry (2, 2) read 0, not 9
     mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
-    table = schedule(GF13, "Dprime", (3, 3), 4).table
+    table = schedule(GF13, "Dprime", (3, 3), 4).tables[0]
     synd = measure_D(mat, 2)
     by_k, off = [], 0
     for k in range(5):
@@ -255,12 +255,37 @@ def test_low_rank_recovery_rejects_a_missing_diagonal():
 def test_low_rank_recovery_rejects_more_syndromes_than_table_rows(ctx):
     # the packed table of GF(p) reads zero past its last row, a list of rows
     # reads nothing there: neither may stand in for a syndrome's weights
-    table = schedule(ctx, "Dprime", (3, 3), 4).table
+    table = schedule(ctx, "Dprime", (3, 3), 4).tables[0]
     assert len(table) == 3
     by_k = [[ctx.zero] * diag_row_count(4, 3, 3, k) for k in range(5)]
     by_k[2] = [ctx.zero] * 4
     with pytest.raises(ShapeMismatch, match="^diagonal 2: 4 syndromes, 3 table rows$"):
         lrr.low_rank_recovery(ctx, 3, 3, 2, table, by_k)
+
+
+def test_low_rank_recovery_rejects_a_table_not_as_wide_as_its_layout():
+    # without the check, dots reads a short row on the columns it has, so the
+    # last column drops out of a correction and the syndromes are blamed
+    # (InconsistentSyndrome); a wider table is read on its leading columns,
+    # which on a lattice (handed the padded matrix's table) are the wrong ones
+    mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
+    table = schedule(GF13, "Dprime", (3, 3), 4).tables[0]
+    synd = iter(measure_D(mat, 2))
+    by_k = [[next(synd) for _ in range(diag_row_count(4, 3, 3, k))] for k in range(5)]
+    assert lrr.low_rank_recovery(GF13, 3, 3, 2, table, by_k) == mat
+    for bad in ([row[:2] for row in table], [table[0][:2], *table[1:]],
+                [[*row, GF13.one] for row in table]):
+        with pytest.raises(ShapeMismatch, match="^table rows must be 3 wide"):
+            lrr.low_rank_recovery(GF13, 3, 3, 2, bad, by_k)
+    ctx = make_prime_field(_prime_at_least((2 * 4 * 2) ** 4))
+    s = schedule(ctx, "TensorB", (2, 2, 2, 2), 2)
+    layout = s.layouts[0]  # rows and columns 0, 1, 8, 9 of a 10 x 10 matrix
+    assert layout.cols == (0, 1, 8, 9) and layout.m == 10
+    padded = [ctx.powers(gl, 10) for gl in ctx.powers(s.g, 2)]
+    zeros = [[ctx.zero] * 2 for _ in layout.diagonals]
+    assert lrr.low_rank_recovery(ctx, 10, 10, 1, s.tables[0], zeros, layout=layout).is_zero()
+    with pytest.raises(ShapeMismatch, match="^table rows must be 4 wide"):
+        lrr.low_rank_recovery(ctx, 10, 10, 1, padded, zeros, layout=layout)
 
 
 def test_recover_checks_the_syndrome_count_before_any_work_of_that_size():
@@ -564,7 +589,7 @@ def test_a_diagonal_short_of_its_prony_rows_raises_oracle_failure():
     synd = iter(measure_D(mat, 1))
     by_k = [[next(synd) for _ in range(count)] for count in counts]
     by_k[5] = by_k[5][:1]
-    table = schedule(GF13, "Dprime", (6, 6), 2).table
+    table = schedule(GF13, "Dprime", (6, 6), 2).tables[0]
     with pytest.raises(OracleFailure, match="^diagonal 5: expected 2 syndrome values, got 1$"):
         lrr.low_rank_recovery(GF13, 6, 6, 1, table, by_k)
 
@@ -722,11 +747,13 @@ def _on_lattice(ctx, layout, r, table, by_k):
     return lrr.low_rank_recovery(ctx, layout.n, layout.m, r, table, by_k, layout=layout)
 
 
-def _on_every_cell(ctx, layout, r, table, by_pos, hooks=None, off=None):
+def _on_every_cell(ctx, layout, r, g, by_pos, hooks=None, off=None):
     """The level recovered on every cell, as a padded matrix, then cut to the
-    lattice; an entry off the lattice is a violation.  by_pos holds the
-    syndromes of each layout diagonal; every other diagonal k measures zero,
-    or off[k] if given."""
+    lattice; an entry off the lattice is a violation.  g is the level's
+    generator, whose powers weigh every column of the padded matrix.  by_pos
+    holds the syndromes of each layout diagonal; every other diagonal k
+    measures zero, or off[k] if given."""
+    table = [ctx.powers(gl, layout.m) for gl in ctx.powers(g, 2 * r)]
     by_k = [[ctx.zero] * len(table) for _ in range(layout.n + layout.m - 1)]
     for cells, synd in zip(layout.diagonals, by_pos):
         by_k[cells.k] = synd
@@ -742,7 +769,7 @@ def _on_every_cell(ctx, layout, r, table, by_pos, hooks=None, off=None):
 
 def _level_syndromes(ctx, layout, table, rows):
     """Syndromes of each layout diagonal of the matrix holding rows (over the
-    layout) on its cells."""
+    layout) on its cells; table is the layout's, indexed by column position."""
     pos = {cells.k: p for p, cells in enumerate(layout.diagonals)}
     by_pos = [[ctx.zero] * len(table) for _ in layout.diagonals]
     for a, i in enumerate(layout.rows):
@@ -750,13 +777,14 @@ def _level_syndromes(ctx, layout, table, rows):
             if rows[a][b] != ctx.zero:
                 synd = by_pos[pos[i + j]]
                 for l, w in enumerate(table):
-                    synd[l] = ctx.add(synd[l], ctx.mul(rows[a][b], w[j]))
+                    synd[l] = ctx.add(synd[l], ctx.mul(rows[a][b], w[b]))
     return by_pos
 
 
 @pytest.mark.parametrize("d, n, r", LATTICE_SHAPES)
 def test_a_level_recovers_the_same_matrix_on_its_lattice_and_on_every_cell(d, n, r):
     ctx = GF_M31
+    g = schedule(ctx, "TensorB", (n,) * d, 2 * r).g
     calls = _level_calls(d, n, r, f"levels {d} {n} {r}")
     assert len(calls) == sum((2 * r) ** i for i in range((d - 1).bit_length()))
     rng = random.Random(f"lattice {d} {n} {r}")
@@ -766,7 +794,7 @@ def test_a_level_recovers_the_same_matrix_on_its_lattice_and_on_every_cell(d, n,
         m = _rand_low_rank(ctx, rng, (len(layout.rows), len(layout.cols)), r)
         for synd in (by_k, _level_syndromes(ctx, layout, table, m.rows())):
             checker = LatticeSupportChecker(ctx, layout)
-            padded = _on_every_cell(ctx, layout, r, table, synd, checker.hooks())
+            padded = _on_every_cell(ctx, layout, r, g, synd, checker.hooks())
             assert checker.iterations == layout.n + layout.m - 1
             assert _on_lattice(ctx, layout, r, table, synd) == padded
         assert padded == m
@@ -782,6 +810,7 @@ def _outcome(solve, *args):
 @pytest.mark.parametrize("d, n, r", LATTICE_SHAPES)
 def test_corrupted_level_syndromes_raise_on_the_lattice_and_on_every_cell(d, n, r):
     ctx, R = GF_M31, 2 * r
+    g = schedule(ctx, "TensorB", (n,) * d, R).g
     rng = random.Random(f"corrupt {d} {n} {r}")
     off_lattice = 0
     for layout, table, by_k in _level_calls(d, n, r, f"corrupt levels {d} {n} {r}"):
@@ -795,7 +824,7 @@ def test_corrupted_level_syndromes_raise_on_the_lattice_and_on_every_cell(d, n, 
                 l = rng.randrange(R)
                 bad[p][l] = ctx.add(bad[p][l], ctx.from_index(rng.randrange(1, ctx.size)))
                 got = _outcome(_on_lattice, ctx, layout, r, table, bad)
-                padded = _outcome(_on_every_cell, ctx, layout, r, table, bad)
+                padded = _outcome(_on_every_cell, ctx, layout, r, g, bad)
                 if must_raise or isinstance(got, type):
                     assert issubclass(got, PromiseViolation)
                     assert issubclass(padded, PromiseViolation)
@@ -812,8 +841,9 @@ def test_corrupted_level_syndromes_raise_on_the_lattice_and_on_every_cell(d, n, 
         off_lattice += 1
         j = min(k, layout.m - 1)
         zeros = [[ctx.zero] * R for _ in by_k]
+        weights = ctx.powers(ctx.pow(g, j), R)  # column j of the padded matrix's table
         with pytest.raises(InconsistentSyndrome, match="off the lattice"):
-            _on_every_cell(ctx, layout, r, table, zeros, off={k: [ctx.mul(5, w[j]) for w in table]})
+            _on_every_cell(ctx, layout, r, g, zeros, off={k: [ctx.mul(5, w) for w in weights]})
     assert off_lattice
 
 
@@ -847,19 +877,21 @@ def test_a_level_names_itself_and_the_diagonal_off_its_lattice():
         lrr.low_rank_recovery = real
 
 
-@pytest.mark.parametrize("d, n", [(2, 7), (2, 8), (2, 9), (3, 3), (3, 4), (3, 5), (4, 6),
-                                  (5, 6), (5, 7)])
+@pytest.mark.parametrize("d, n", [(2, 7), (2, 8), (2, 9), (3, 3), (3, 4), (3, 5), (3, 15),
+                                  (3, 16), (4, 6), (5, 6), (5, 7)])
 def test_packed_corrections_equal_one_dot_per_row_on_every_tensor_layout(d, n):
-    # table widths 7, 8, 9; 3, 4, 5; 126; 246 and 343: on both sides of a power
-    # of two, where the slot width of the packed table changes
+    # every layout of [n]^2 and [n]^3 is n columns wide, so the table widths
+    # 3, 4, 5; 7, 8, 9 and 15, 16 lie on both sides of 4, 8 and 16, where the
+    # slot width of the packed table changes; d = 4 and 5 add lattices of
+    # other levels, 36, 11 (and 6 at d = 5) columns wide at n = 6 and 49, 13, 7 at n = 7
     ctx = make_prime_field(2**61 - 1)
     s = schedule(ctx, "TensorB", (n,) * d, 4)
     rng = random.Random(f"corrections {d} {n}")
-    for layout in s.layouts:
+    for layout, table, packed_table in zip(s.layouts, s.tables, s.packed_tables):
         for cells in layout.diagonals:
             for a in ([ctx.p - 1] * len(cells.cols), [rng.randrange(ctx.p) for _ in cells.cols]):
-                want = [ctx.dot(a, cells.at_weights(row)) for row in s.table]
-                assert ctx.dots(a, s.packed_table, len(s.table), cells.at_weights) == want
+                want = [ctx.dot(a, cells.at_cols(row)) for row in table]
+                assert ctx.dots(a, packed_table, len(table), cells.at_cols) == want
 
 
 def test_a_rank_1_tensor_of_shape_2_to_the_8_round_trips_over_gf_2_61_minus_1():
@@ -895,11 +927,11 @@ def test_level_1_of_a_3_to_the_8_tensor_is_handed_only_the_625_diagonals_its_lat
     assert tensor_recover(ctx, 8, 3, 1, tensor_measure(t, 1)).entries == t.entries
     [by_k] = [by_k for got, by_k in handed if got is layout]
     assert len(by_k) == len(layout.diagonals) == 625
-    padded = [[ctx.zero] * len(s.table) for _ in range(57_701)]
+    padded = [[ctx.zero] * len(s.tables[0]) for _ in range(57_701)]
     for cells, synd in zip(layout.diagonals, by_k):
         padded[cells.k] = synd
     with pytest.raises(ShapeMismatch, match="expected 625 diagonals, got 57701"):
-        real(ctx, layout.n, layout.m, 1, s.table, padded, layout=layout)
+        real(ctx, layout.n, layout.m, 1, s.tables[0], padded, layout=layout)
 
 
 GF7919 = make_prime_field(7919)  # order >= (2dn)^d for d, n <= 3
