@@ -32,8 +32,9 @@ from a fixed seed, then runs every command in process through
   work of that size), ``encode`` and ``decode`` with ``--r 0``, and
   ``gen-hit --k 0``;
 * ``Dprime`` outside B's domain over GF(13): ``gen-hit`` on 6x3 at r = 4
-  and on 5x5 at r = 6, and ``decode`` of a zero and a rank-3 word in the
-  4x4 code at r = 3, whose dimension is 0.
+  and on 5x5 at r = 6, ``decode`` of a zero and a rank-3 word in the 4x4
+  code at r = 3, whose dimension is 0, and ``measure`` then ``recover``
+  (and one altered copy) on 6x3, 3x6, 1x5 and 1x1 at r = 1 and 2.
 
 The fields are GF(13), GF(2^4), GF(3^2), GF(2^8), GF(1733), GF(65537),
 GF(2^31 - 1) and GF(2^9), above the exp/log table cap.  Each command
@@ -286,7 +287,8 @@ def validation(run):
 
 
 def dprime_domain(run):
-    """D' outside B's domain: n > m, R > n, and a code with 2r > n (of dimension 0)."""
+    """D' outside B's domain: n > m, R > n, a code with 2r > n (of dimension 0), and
+    round trips on tall, wide, single-row and 1x1 matrices."""
     for shape, r in (("6x3", 4), ("5x5", 6)):
         run.run(f"gen-hit 13^1 Dprime {shape} r={r}",
                 ["gen-hit", "--p", "13", "--family", "Dprime", "--dims", shape, "--r", str(r),
@@ -300,6 +302,9 @@ def dprime_domain(run):
                 ["decode", "--p", "13", "--family", "Dprime", "--dims", "4x4", "--r", "3",
                  "--word", "@rx.txt", "--out", "@dec.txt", "--error-out", "@err.txt"],
                 ["dec.txt", "err.txt"])
+    recovery(run, rng, ctx, "13^1 domain",
+             shapes=[("Dprime", dims) for dims in ((6, 3), (3, 6), (1, 5), (1, 1))],
+             rs=(1, 2), alterations=1)
 
 
 def main():

@@ -176,9 +176,10 @@ def check_family(family: str, dims: tuple[int, ...], R: int) -> None:
 class Cells(NamedTuple):
     """The cells of a ``Layout`` on its k-diagonal, in column order.
 
-    ``rows`` and ``cols`` are their positions in the layout (rows descend);
-    ``at_rows`` and ``at_cols`` gather, in one call, the entries at those
-    cells of a vector indexed by row and by column position (a weight row).
+    ``rows`` and ``cols`` are their positions in the layout (rows descend),
+    ranges on a one-digit layout; ``at_rows`` and ``at_cols`` gather, in one
+    call, the entries at those cells of a vector indexed by row and by
+    column position (a weight row): a slice on a range.
     """
 
     k: int
@@ -196,7 +197,7 @@ class Layout:
     a nonzero entry; recovery stores its matrices over them, so position a
     stands for row rows[a].  ``diagonals`` holds the ``Cells`` of each
     diagonal that a cell lies on, in ascending k; recovery solves those and
-    no other.
+    no other.  ``Layout.of`` builds every layout.
     """
 
     n: int
@@ -206,28 +207,37 @@ class Layout:
     diagonals: tuple[Cells, ...]
 
     @classmethod
-    @functools.lru_cache(maxsize=8)
-    def full(cls, n: int, m: int) -> "Layout":
-        """Every cell: positions are rows and columns, and each gather is a slice."""
-        diagonals = []
-        for k in range(n + m - 1):
-            lo, hi = diag_columns(n, m, k)
-            rows, cols = range(k - lo, k - hi - 1, -1), range(lo, hi + 1)
-            diagonals.append(Cells(k, rows, cols, _gather(rows), _gather(cols)))
-        return cls(n, m, range(n), range(m), tuple(diagonals))
+    def of(cls, us: Sequence[int], vs: Sequence[int], stride: int) -> "Layout":
+        """The cells whose base-``stride`` digit t lies below us[t] in the row
+        and below vs[t] in the column, positions counted digit 0 fastest; a
+        plain n x m matrix is the one digit (n,), (m,).
 
-    @classmethod
-    def lattice(cls, rows: Sequence[int], cols: Sequence[int]) -> "Layout":
-        """The cells rows x cols of a (rows[-1] + 1) x (cols[-1] + 1) matrix."""
-        by_k: dict[int, list[tuple[int, int]]] = {}
-        for b, j in enumerate(cols):
-            for a, i in enumerate(rows):
-                by_k.setdefault(i + j, []).append((a, b))
-        diagonals = []
-        for k in sorted(by_k):
-            a, b = zip(*by_k[k])
-            diagonals.append(Cells(k, a, b, _gather(a), _gather(b)))
-        return cls(rows[-1] + 1, cols[-1] + 1, tuple(rows), tuple(cols), tuple(diagonals))
+        Each digit pair is a cell of a us[t] x vs[t] matrix, and stride >=
+        us[t] + vs[t] - 1, so digits add without carries: diagonal k's cells
+        are the products of one diagonal per digit, and enumerating those
+        digit 0 fastest is ascending k.  Folded from digit 0, so a one-digit
+        layout keeps ranges, and its gathers are slices.
+        """
+        rows, cols = range(us[0]), range(vs[0])
+        diags = list(_digit_diagonals(us[0], vs[0]))
+        step = 1
+        for u, v in zip(us[1:], vs[1:]):
+            step *= stride
+            size, width = len(rows), len(cols)
+            diags = [(k + kt * step, tuple([a + at * size for at in ra for a in a0]),
+                      tuple([b + bt * width for bt in ca for b in b0]))
+                     for kt, ra, ca in _digit_diagonals(u, v) for k, a0, b0 in diags]
+            rows = tuple([x + a * step for a in range(u) for x in rows])
+            cols = tuple([x + b * step for b in range(v) for x in cols])
+        return cls(rows[-1] + 1, cols[-1] + 1, rows, cols,
+                   tuple(Cells(k, a, b, _gather(a), _gather(b)) for k, a, b in diags))
+
+
+def _digit_diagonals(u: int, v: int):
+    """(k, rows, cols) of each k-diagonal of a u x v matrix, as ranges by column."""
+    for k in range(u + v - 1):
+        lo, hi = diag_bounds(u, v, k)
+        yield k, range(hi, lo - 1, -1), range(k - hi, k - lo + 1)
 
 
 def _gather(idx: Sequence[int]) -> Callable:
@@ -257,10 +267,11 @@ class Schedule:
     alphas[k]: member (k, ls) evaluates sum_idx T[idx] prod_a mults[a]^idx_a
     x^(sum idx) at alphas[k].  TensorB's ``levels[i]`` holds the target
     variable sizes of merge level i + 1, packed in base ``stride`` = n 2^b.
-    ``layouts`` are the cells recovery solves for: every cell of n x m for
-    a matrix family; for TensorB level i + 1's packed lattice, the rows
-    (columns) whose base-stride digits lie below the sizes of the even
-    (odd) target variables, the only cells a merged matrix can fill; its
+    ``layouts`` are the cells recovery solves for, each built by
+    ``Layout.of``: every cell of n x m, the one digit (n,), (m,), for a
+    matrix family; for TensorB level i + 1 the packed lattice whose row
+    (column) digits in base stride lie below the sizes of the even (odd)
+    target variables, the only cells a merged matrix can fill; its
     ``diagonals`` are those the lattice meets, the cells of the level above
     (``lrr.tensor_recover``).  ``tables[i]``, the weight table of
     ``layouts[i]``, has ``table_rows`` rows indexed by column position:
@@ -321,10 +332,8 @@ class Schedule:
     @functools.cached_property
     def layouts(self) -> tuple[Layout, ...]:
         if not self.levels:
-            return (Layout.full(*self.dims),)
-        steps = [self.stride**j for j in range(len(self.levels[0]) // 2)]
-        return tuple(Layout.lattice(packed(tgt[0::2], steps), packed(tgt[1::2], steps))
-                     for tgt in self.levels)
+            return (Layout.of(self.dims[:1], self.dims[1:], sum(self.dims) - 1),)
+        return tuple(Layout.of(tgt[0::2], tgt[1::2], self.stride) for tgt in self.levels)
 
 
 def _powers_at(ctx: FieldCtx, x: Fel, cols: Sequence[int]) -> tuple[Fel, ...]:
@@ -409,12 +418,6 @@ def diag_row_count(r: int, n: int, m: int, k: int) -> int:
     return min(r, k + 1, (n + m) - (k + 1))
 
 
-def diag_columns(n: int, m: int, k: int) -> tuple[int, int]:
-    """Column range [lo, hi] of the k-diagonal of an n x m matrix."""
-    lo, hi = diag_bounds(n, m, k)
-    return k - hi, k - lo
-
-
 def dprime_size(n: int, m: int, R: int) -> int:
     """Members of D' at R on n x m: row l measures the n+m-1-2l diagonals l..n+m-2-l."""
     rows = max(0, min(R, (n + m) // 2))
@@ -429,14 +432,14 @@ def tensor_size(d: int, n: int, R: int) -> int:
 def _diagonal_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
-    table = schedule(ctx, family, dims, r).tables[0]  # by column: the layout is every cell
+    s = schedule(ctx, family, dims, r)
     n, m = dims  # only after the schedule has checked the shape
     meas = []
-    for k in range(n + m - 1):
-        lo, hi = diag_columns(n, m, k)
+    for cells in s.layouts[0].diagonals:  # every cell, so every diagonal
+        k = cells.k
         count = r if family == "D" else diag_row_count(r, n, m, k)
-        for l, row in enumerate(table[:count]):
-            weights = tuple(reversed(row[lo : hi + 1]))  # by row: columns descend
+        for l, row in enumerate(s.tables[0][:count]):
+            weights = tuple(reversed(cells.at_cols(row)))  # by row: columns descend
             meas.append(Measurement(k=k, ls=(l,), diag=(k, weights)))
     return MeasurementSet(ctx, (n, m), family, r, tuple(meas))
 

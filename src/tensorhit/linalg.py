@@ -1,8 +1,8 @@
 """Dense exact linear algebra over a FieldCtx.
 
-Row-reduction, solving, nullspaces, determinants and interpolation, all on
-plain lists of field elements and written once for every field on top of
-the FieldCtx vector kernels.  Pivoting takes the first nonzero entry
+Row-reduction, solving, nullspaces and interpolation, all on plain lists
+of field elements and written once for every field on top of the FieldCtx
+vector kernels.  Pivoting takes the first nonzero entry
 scanning top to bottom; over a finite field there is nothing better to
 choose, and the fixed rule keeps every derived construction deterministic.
 
@@ -58,25 +58,6 @@ def _reduce(ctx: FieldCtx, rows: Matrix) -> list[int]:
 
 def rank(ctx: FieldCtx, rows: Matrix) -> int:
     return len(rref(ctx, rows)[1])
-
-
-def det(ctx: FieldCtx, rows: Matrix) -> Fel:
-    """Determinant by elimination: the product of the pivots, negated per row swap."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeMismatch("determinant needs a square matrix")
-    a = [list(r) for r in rows]
-    result = ctx.one
-    for c in range(n):
-        i = next((i for i in range(c, n) if a[i][c] != ctx.zero), None)
-        if i is None:
-            return ctx.zero
-        if i != c:
-            a[c], a[i] = a[i], a[c]
-            result = ctx.neg(result)
-        result = ctx.mul(result, a[c][c])
-        ctx.pivot(a, c, c)
-    return result
 
 
 def solve(ctx: FieldCtx, rows: Matrix, rhs: list[Fel]) -> list[Fel] | None:

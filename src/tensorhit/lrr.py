@@ -3,9 +3,10 @@
 The engine reconstructs a rank <= r matrix one k-diagonal at a time from
 non-adaptive inner products, over the cells of a ``hitting.Layout``: every
 cell of a plain matrix, or the packed lattice of a TensorB merge level,
-the only cells its matrix can fill.  Row-reducing the already-recovered prefix
-keeps it in (<k)-upper-echelon form, which forces the next diagonal of the
-reduced matrix to be sparse outside a small set of predictable columns.
+the only cells its matrix can fill; the layout alone says which cells lie
+on each diagonal.  Row-reducing the already-recovered prefix keeps it in
+(<k)-upper-echelon form, which forces the next diagonal of the reduced
+matrix to be sparse outside a small set of predictable columns.
 A diagonal with at least as many syndrome rows as entries is solved from
 its first rows and every further row is checked; a longer diagonal goes
 to Prony's method on dual Reed-Solomon rows with the echelon advice set.
@@ -19,8 +20,9 @@ kept as its <= r off-identity columns negated, and of the reduced matrix
 P the loop keeps only the current diagonal on its support and the pivots
 of the leading entries.  A diagonal's negated correction is one
 ``ctx.sum_products`` and its effect on the syndromes one multi-row
-``ctx.dots`` on the layout's packed weight table, full and lattice
-layouts alike; everything else on a diagonal costs O(r) field operations.
+``ctx.dots`` on the layout's packed weight table, read through the
+diagonal's column gather; everything else on a diagonal costs O(r) field
+operations.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
 nonzero column; lne(M^(<k)) collects those falling strictly below the
@@ -67,7 +69,6 @@ from .hitting import (
     Layout,
     Schedule,
     check_family,
-    diag_columns,
     diag_row_count,
     dprime_size,
     family_tensor,
@@ -182,27 +183,24 @@ def _solve_diagonal(ctx, weights, ys) -> list[Fel]:
 
 def low_rank_recovery(
     ctx: FieldCtx,
-    n: int,
-    m: int,
     r: int,
+    layout: Layout,
     table: list[list[Fel]],
+    packed_table: list,
     syndromes_by_k,
     hooks: RecoveryHooks | None = None,
-    layout: Layout | None = None,
-    packed_table: list | None = None,
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
-    ``layout`` (``hitting.Layout``; None is every cell of n x m) names the
-    cells that may be nonzero: N and the columns of L are stored over its
-    rows and columns, and the returned matrix is N over them.
-    syndromes_by_k holds one vector per entry of ``layout.diagonals``, in
-    that order.  ``table`` is the layout's weight table
-    (``hitting.Schedule.tables``): row 0 all ones, row l row 1 to the power
-    l, one entry per layout column.  Entry l of diagonal k's vector is its
-    inner product with row l on the diagonal's column positions
-    (``Cells.at_cols``).  ``packed_table`` is ``ctx.pack(table)``
-    (``Schedule.packed_tables``); None packs table here.  Another vector
+    ``layout`` (``hitting.Layout``) names the cells that may be nonzero: N
+    and the columns of L are stored over its rows and columns, and the
+    returned matrix is N over them.  syndromes_by_k holds one vector per
+    entry of ``layout.diagonals``, in that order.  ``table`` is the
+    layout's weight table (``hitting.Schedule.tables``): row 0 all ones,
+    row l row 1 to the power l, one entry per layout column.  Entry l of
+    diagonal k's vector is its inner product with row l on the diagonal's
+    column positions (``Cells.at_cols``).  ``packed_table`` is
+    ``ctx.pack(table)`` (``Schedule.packed_tables``).  Another vector
     count, another table width, or a diagonal with more syndromes than
     ``table`` has rows raises ShapeMismatch.  Each diagonal is solved on
     its cells, from their points in row 1.  One with at least as many rows
@@ -228,7 +226,6 @@ def low_rank_recovery(
     L; being linear, it updates the negated columns alike, and a new one
     starts as -e_src.  Hooks get an ``EchelonState`` built from this state.
     """
-    layout = layout or Layout.full(n, m)
     syndromes_by_k = list(syndromes_by_k)
     expected = len(layout.diagonals)
     if len(syndromes_by_k) != expected:
@@ -236,8 +233,6 @@ def low_rank_recovery(
     size, width = len(layout.rows), len(layout.cols)
     if {len(row) for row in table} != {width}:
         raise ShapeMismatch(f"table rows must be {width} wide, one entry per layout column")
-    if packed_table is None:
-        packed_table = ctx.pack(table)
     zero, minus_one = ctx.zero, ctx.neg(ctx.one)
     l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries, negated
     N = [[zero] * width for _ in range(size)]
@@ -327,10 +322,10 @@ def _diagonal_syndromes(mat: DenseTensor, s: Schedule, counts) -> list[list[Fel]
     schedule's packed table per diagonal serve all of its rows at once.
     """
     ctx, table = mat.ctx, s.packed_tables[0]
-    n, m = mat.dims
+    m = mat.dims[1]
     entries, step = mat.entries, m - 1 or 1  # down a row and left a column
     out = []
-    for cells, count in zip(Layout.full(n, m).diagonals, counts):
+    for cells, count in zip(s.layouts[0].diagonals, counts):
         top = cells.rows[-1] * m + cells.cols[-1]  # the cell in the last column
         vals = entries[top : top + step * (len(cells.cols) - 1) + 1 : step][::-1]  # by column
         out.append(ctx.dots(vals, table, count, cells.at_cols))
@@ -375,8 +370,8 @@ def recover_from_D(
     counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
     ends = itertools.accumulate(counts)
     synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
-    return low_rank_recovery(ctx, n, m, r, s.tables[0], synd_by_k, hooks=hooks,
-                             layout=s.layouts[0], packed_table=s.packed_tables[0])
+    return low_rank_recovery(ctx, r, s.layouts[0], s.tables[0], s.packed_tables[0], synd_by_k,
+                             hooks=hooks)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +402,8 @@ def convert_B_to_D(
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
     s = schedule(ctx, "Bprime", (n, m), R)
-    alphas, table = s.alphas, s.tables[0]  # every column, so position j is column j
+    alphas, table = s.alphas, s.tables[0]
+    diagonals = s.layouts[0].diagonals  # every cell: diagonal k is diagonals[k]
     width = len(alphas)
     inv_alphas = [ctx.inv(a) for a in alphas]
     down = [ctx.one] * width  # a^-l at block l, for each point a
@@ -417,9 +413,9 @@ def convert_B_to_D(
     diag_vals: dict[int, list[Fel]] = {}
 
     def fringe_value(l: int, kp: int) -> Fel:
-        # sum_j c_j g^(l j) over the columns j_lo.. of diagonal kp
-        j_lo, _ = diag_columns(n, m, kp)
-        return ctx.mul(table[l][j_lo], ctx.horner(diag_vals[kp], table[l][1]))
+        # sum_j c_j g^(l j) over the columns j of diagonal kp, from its first
+        first = diagonals[kp].cols[0]
+        return ctx.mul(table[l][first], ctx.horner(diag_vals[kp], table[l][1]))
 
     off = 0
     for l, (_, _, cnt) in enumerate(s.blocks):
@@ -430,8 +426,7 @@ def convert_B_to_D(
             continue
         # diagonals l - 1 and width - l have l entries, all measured by now
         for kp in (l - 1, width - l):
-            j_lo, j_hi = diag_columns(n, m, kp)
-            weights = [row[j_lo : j_hi + 1] for row in table[:l]]
+            weights = list(map(diagonals[kp].at_cols, table[:l]))
             diag_vals[kp] = _solve_diagonal(ctx, weights, [c[kp] for c in coeff])
         lows = [fringe_value(l, kp) for kp in range(l)]
         highs = [fringe_value(l, kp) for kp in range(width - l, width)]
@@ -522,8 +517,7 @@ def tensor_recover(
         for prefix in itertools.product(range(R), repeat=level - 1):
             univs = [polys[prefix + (i,)] for i in range(R)]
             try:
-                w = low_rank_recovery(ctx, layout.n, layout.m, r, table, zip(*univs),
-                                      layout=layout, packed_table=packed_table)
+                w = low_rank_recovery(ctx, r, layout, table, packed_table, zip(*univs))
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
             new_polys[prefix] = _unpack(w, tgt, steps)

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorhit import linalg
@@ -34,6 +34,7 @@ from tensorhit.hitting import (
     hitting_set_tensor,
     inner_products,
     naive_set,
+    packed,
     pit_test,
     rank_preserver,
     schedule,
@@ -596,9 +597,62 @@ def test_a_matrix_family_has_one_table_of_every_column(ctx):
                             ("Bprime", (6, 6), 3)):
         s = schedule(ctx, family, dims, R)
         rows = min(R, sum(dims) // 2)
-        assert s.layouts == (Layout.full(*dims),)
+        assert len(s.layouts) == 1
+        assert _cells(s.layouts[0]) == _walk(range(dims[0]), range(dims[1]))
         assert s.tables == (tuple(tuple(ctx.powers(gl, dims[1]))
                                   for gl in ctx.powers(s.g, rows)),)
+
+
+def _walk(rows, cols):
+    """The reference for ``Layout.of``: the cells rows x cols of a
+    (rows[-1] + 1) x (cols[-1] + 1) matrix, one at a time, grouped by
+    diagonal: (n, m, rows, cols, [(k, row positions, column positions)]),
+    ascending k, each diagonal's cells by column."""
+    by_k = {}
+    for b, j in enumerate(cols):
+        for a, i in enumerate(rows):
+            by_k.setdefault(i + j, []).append((a, b))
+    return (rows[-1] + 1, cols[-1] + 1, tuple(rows), tuple(cols),
+            [(k, *map(tuple, zip(*by_k[k]))) for k in sorted(by_k)])
+
+
+def _cells(layout):
+    """A layout in the form ``_walk`` returns."""
+    return (layout.n, layout.m, tuple(layout.rows), tuple(layout.cols),
+            [(c.k, tuple(c.rows), tuple(c.cols)) for c in layout.diagonals])
+
+
+@given(digits=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=3),
+       extra=st.integers(0, 3))
+@example(digits=[(6, 3)], extra=0)
+@example(digits=[(3, 6)], extra=0)
+@example(digits=[(1, 1)], extra=0)
+@example(digits=[(1, 5)], extra=0)
+@example(digits=[(1, 1), (3, 2), (1, 1)], extra=0)  # size-1 dummy digits
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_layout_built_digit_by_digit_has_the_cells_of_a_walk_over_every_cell(digits, extra):
+    us, vs = zip(*digits)  # digit t is a cell of a us[t] x vs[t] matrix
+    stride = max(u + v - 1 for u, v in digits) + extra
+    steps = [stride**t for t in range(len(digits))]
+    layout = Layout.of(us, vs, stride)
+    assert _cells(layout) == _walk(packed(us, steps), packed(vs, steps))
+    vec = list(range(100, 100 + max(len(layout.rows), len(layout.cols))))
+    for cells in layout.diagonals:
+        assert list(cells.at_rows(vec)) == [vec[a] for a in cells.rows]
+        assert list(cells.at_cols(vec)) == [vec[b] for b in cells.cols]
+
+
+@pytest.mark.parametrize("n, m", [(5, 9), (9, 5), (1, 1), (1, 7), (128, 128)])
+def test_a_matrix_layout_keeps_range_cells_and_slice_gathers(n, m):
+    # the recovery loop's advice step runs `in` and `index` on each
+    # diagonal's rows and columns: O(1) on a range
+    layout = Layout.of((n,), (m,), n + m - 1)
+    assert (layout.n, layout.m, layout.rows, layout.cols) == (n, m, range(n), range(m))
+    assert len(layout.diagonals) == n + m - 1
+    for cells in layout.diagonals:
+        assert isinstance(cells.rows, range) and isinstance(cells.cols, range)
+        assert isinstance(cells.at_rows(list(range(n))), list)
+        assert isinstance(cells.at_cols(list(range(m))), list)
 
 
 def test_random_rank1_measurements_baseline():

@@ -239,28 +239,30 @@ def test_recover_syndrome_count_mismatch():
 def test_low_rank_recovery_rejects_a_missing_diagonal():
     # a dropped last diagonal used to come back as zeros: entry (2, 2) read 0, not 9
     mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
-    table = schedule(GF13, "Dprime", (3, 3), 4).tables[0]
+    s = schedule(GF13, "Dprime", (3, 3), 4)
+    layout, table, packed_table = s.layouts[0], s.tables[0], s.packed_tables[0]
     synd = measure_D(mat, 2)
     by_k, off = [], 0
     for k in range(5):
         count = diag_row_count(4, 3, 3, k)
         by_k.append(synd[off : off + count])
         off += count
-    assert lrr.low_rank_recovery(GF13, 3, 3, 2, table, by_k).entries == mat.entries
+    assert lrr.low_rank_recovery(GF13, 2, layout, table, packed_table, by_k).entries == mat.entries
     with pytest.raises(ShapeMismatch, match="expected 5 diagonals, got 4"):
-        lrr.low_rank_recovery(GF13, 3, 3, 2, table, by_k[:-1])
+        lrr.low_rank_recovery(GF13, 2, layout, table, packed_table, by_k[:-1])
 
 
 @pytest.mark.parametrize("ctx", [GF13, make_extension(make_prime_field(2), 4)], ids=repr)
 def test_low_rank_recovery_rejects_more_syndromes_than_table_rows(ctx):
     # the packed table of GF(p) reads zero past its last row, a list of rows
     # reads nothing there: neither may stand in for a syndrome's weights
-    table = schedule(ctx, "Dprime", (3, 3), 4).tables[0]
+    s = schedule(ctx, "Dprime", (3, 3), 4)
+    table = s.tables[0]
     assert len(table) == 3
     by_k = [[ctx.zero] * diag_row_count(4, 3, 3, k) for k in range(5)]
     by_k[2] = [ctx.zero] * 4
     with pytest.raises(ShapeMismatch, match="^diagonal 2: 4 syndromes, 3 table rows$"):
-        lrr.low_rank_recovery(ctx, 3, 3, 2, table, by_k)
+        lrr.low_rank_recovery(ctx, 2, s.layouts[0], table, s.packed_tables[0], by_k)
 
 
 def test_low_rank_recovery_rejects_a_table_not_as_wide_as_its_layout():
@@ -269,23 +271,24 @@ def test_low_rank_recovery_rejects_a_table_not_as_wide_as_its_layout():
     # (InconsistentSyndrome); a wider table is read on its leading columns,
     # which on a lattice (handed the padded matrix's table) are the wrong ones
     mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
-    table = schedule(GF13, "Dprime", (3, 3), 4).tables[0]
+    s = schedule(GF13, "Dprime", (3, 3), 4)
+    layout, table = s.layouts[0], s.tables[0]
     synd = iter(measure_D(mat, 2))
     by_k = [[next(synd) for _ in range(diag_row_count(4, 3, 3, k))] for k in range(5)]
-    assert lrr.low_rank_recovery(GF13, 3, 3, 2, table, by_k) == mat
+    assert lrr.low_rank_recovery(GF13, 2, layout, table, s.packed_tables[0], by_k) == mat
     for bad in ([row[:2] for row in table], [table[0][:2], *table[1:]],
                 [[*row, GF13.one] for row in table]):
         with pytest.raises(ShapeMismatch, match="^table rows must be 3 wide"):
-            lrr.low_rank_recovery(GF13, 3, 3, 2, bad, by_k)
+            lrr.low_rank_recovery(GF13, 2, layout, bad, GF13.pack(bad), by_k)
     ctx = make_prime_field(_prime_at_least((2 * 4 * 2) ** 4))
     s = schedule(ctx, "TensorB", (2, 2, 2, 2), 2)
     layout = s.layouts[0]  # rows and columns 0, 1, 8, 9 of a 10 x 10 matrix
     assert layout.cols == (0, 1, 8, 9) and layout.m == 10
     padded = [ctx.powers(gl, 10) for gl in ctx.powers(s.g, 2)]
     zeros = [[ctx.zero] * 2 for _ in layout.diagonals]
-    assert lrr.low_rank_recovery(ctx, 10, 10, 1, s.tables[0], zeros, layout=layout).is_zero()
+    assert lrr.low_rank_recovery(ctx, 1, layout, s.tables[0], s.packed_tables[0], zeros).is_zero()
     with pytest.raises(ShapeMismatch, match="^table rows must be 4 wide"):
-        lrr.low_rank_recovery(ctx, 10, 10, 1, padded, zeros, layout=layout)
+        lrr.low_rank_recovery(ctx, 1, layout, padded, ctx.pack(padded), zeros)
 
 
 def test_recover_checks_the_syndrome_count_before_any_work_of_that_size():
@@ -589,9 +592,9 @@ def test_a_diagonal_short_of_its_prony_rows_raises_oracle_failure():
     synd = iter(measure_D(mat, 1))
     by_k = [[next(synd) for _ in range(count)] for count in counts]
     by_k[5] = by_k[5][:1]
-    table = schedule(GF13, "Dprime", (6, 6), 2).tables[0]
+    s = schedule(GF13, "Dprime", (6, 6), 2)
     with pytest.raises(OracleFailure, match="^diagonal 5: expected 2 syndrome values, got 1$"):
-        lrr.low_rank_recovery(GF13, 6, 6, 1, table, by_k)
+        lrr.low_rank_recovery(GF13, 1, s.layouts[0], s.tables[0], s.packed_tables[0], by_k)
 
 
 def test_a_caller_table_whose_points_repeat_gives_an_unsolvable_square_system():
@@ -600,8 +603,9 @@ def test_a_caller_table_whose_points_repeat_gives_an_unsolvable_square_system():
     # 1 and 2 lie off its image
     table = [[1, 1, 1], [1, 1, 1]]
     by_k = [[0], [1, 2], [0, 0], [0, 0], [0]]
+    layout = hitting.Layout.of((3,), (3,), 5)
     with pytest.raises(InconsistentSyndrome, match="^diagonal 1: unsolvable square system$"):
-        lrr.low_rank_recovery(GF13, 3, 3, 1, table, by_k)
+        lrr.low_rank_recovery(GF13, 1, layout, table, GF13.pack(table), by_k)
 
 
 def test_a_consistent_square_system_on_repeated_points_is_unsolvable_too():
@@ -609,8 +613,9 @@ def test_a_consistent_square_system_on_repeated_points_is_unsolvable_too():
     # has many solutions; the square-system solve needs distinct points
     table = [[1, 1, 1], [1, 1, 1]]
     by_k = [[0], [1, 1], [0, 0], [0, 0], [0]]
+    layout = hitting.Layout.of((3,), (3,), 5)
     with pytest.raises(InconsistentSyndrome, match="^diagonal 1: unsolvable square system$"):
-        lrr.low_rank_recovery(GF13, 3, 3, 1, table, by_k)
+        lrr.low_rank_recovery(GF13, 1, layout, table, GF13.pack(table), by_k)
 
 
 @pytest.mark.parametrize("family", ["Dprime", "Bprime"])
@@ -729,11 +734,10 @@ def _level_calls(d, n, r, seed):
     t = _rand_low_rank(GF_M31, random.Random(seed), (n,) * d, r)
     calls, real = [], lrr.low_rank_recovery
 
-    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None, packed_table=None):
+    def spy(ctx, r, layout, table, packed_table, by_k, hooks=None):
         by_k = [list(v) for v in by_k]
         calls.append((layout, table, by_k))
-        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout,
-                    packed_table=packed_table)
+        return real(ctx, r, layout, table, packed_table, by_k, hooks=hooks)
 
     lrr.low_rank_recovery = spy
     try:
@@ -744,7 +748,7 @@ def _level_calls(d, n, r, seed):
 
 
 def _on_lattice(ctx, layout, r, table, by_k):
-    return lrr.low_rank_recovery(ctx, layout.n, layout.m, r, table, by_k, layout=layout)
+    return lrr.low_rank_recovery(ctx, r, layout, table, ctx.pack(table), by_k)
 
 
 def _on_every_cell(ctx, layout, r, g, by_pos, hooks=None, off=None):
@@ -759,7 +763,9 @@ def _on_every_cell(ctx, layout, r, g, by_pos, hooks=None, off=None):
         by_k[cells.k] = synd
     for k, synd in (off or {}).items():
         by_k[k] = synd
-    rows = lrr.low_rank_recovery(ctx, layout.n, layout.m, r, table, by_k, hooks=hooks).rows()
+    every_cell = hitting.Layout.of((layout.n,), (layout.m,), layout.n + layout.m - 1)
+    rows = lrr.low_rank_recovery(ctx, r, every_cell, table, ctx.pack(table), by_k,
+                                 hooks=hooks).rows()
     on = [[rows[i][j] for j in layout.cols] for i in layout.rows]
     nonzero = sum(v != ctx.zero for row in rows for v in row)
     if nonzero != sum(v != ctx.zero for row in on for v in row):
@@ -861,12 +867,11 @@ def test_a_level_names_itself_and_the_diagonal_off_its_lattice():
     assert [c.k for c in top.diagonals] == list(range(top.n + top.m - 1))
     real = lrr.low_rank_recovery
 
-    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None, packed_table=None):
+    def spy(ctx, r, layout, table, packed_table, by_k, hooks=None):
         by_k = [list(v) for v in by_k]
         if layout is s.layouts[0]:
             by_k[-1][1] = ctx.one  # the redundant row of diagonal 10's one cell (9, 1)
-        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout,
-                    packed_table=packed_table)
+        return real(ctx, r, layout, table, packed_table, by_k, hooks=hooks)
 
     lrr.low_rank_recovery = spy
     try:
@@ -917,11 +922,10 @@ def test_level_1_of_a_3_to_the_8_tensor_is_handed_only_the_625_diagonals_its_lat
     assert (len(layout.rows), len(layout.cols), layout.n + layout.m - 1) == (81, 81, 57_701)
     handed, real = [], lrr.low_rank_recovery
 
-    def spy(ctx, rows, cols, r, table, by_k, hooks=None, layout=None, packed_table=None):
+    def spy(ctx, r, layout, table, packed_table, by_k, hooks=None):
         by_k = [list(v) for v in by_k]
         handed.append((layout, by_k))
-        return real(ctx, rows, cols, r, table, by_k, hooks=hooks, layout=layout,
-                    packed_table=packed_table)
+        return real(ctx, r, layout, table, packed_table, by_k, hooks=hooks)
 
     monkeypatch.setattr(lrr, "low_rank_recovery", spy)
     assert tensor_recover(ctx, 8, 3, 1, tensor_measure(t, 1)).entries == t.entries
@@ -931,7 +935,7 @@ def test_level_1_of_a_3_to_the_8_tensor_is_handed_only_the_625_diagonals_its_lat
     for cells, synd in zip(layout.diagonals, by_k):
         padded[cells.k] = synd
     with pytest.raises(ShapeMismatch, match="expected 625 diagonals, got 57701"):
-        real(ctx, layout.n, layout.m, 1, s.tables[0], padded, layout=layout)
+        real(ctx, 1, layout, s.tables[0], s.packed_tables[0], padded)
 
 
 GF7919 = make_prime_field(7919)  # order >= (2dn)^d for d, n <= 3

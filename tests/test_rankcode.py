@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from tensorhit import rankcode
 from tensorhit.errors import DecodeFailure, LengthMismatch, ShapeMismatch, TooLarge
 from tensorhit.field import make_prime_field
 from tensorhit.lrr import measure_syndromes
@@ -172,6 +173,45 @@ def test_decode_flags_oversized_error():
         ]
         assert combined == recv.entries
     assert tried > 50
+
+
+def _plus(a, b):
+    return DenseTensor(a.ctx, a.dims, [a.ctx.add(x, y) for x, y in zip(a.entries, b.entries)])
+
+
+def _decode_with_recovered_error(monkeypatch, code, received, recovered):
+    """decode(code, received) with recovery replaced by one returning ``recovered``."""
+    def fake(ctx, family, dims, r, synd):
+        assert synd == syndrome(code, received)
+        return recovered
+
+    monkeypatch.setattr(rankcode.lrr, "recover", fake)
+    return decode(code, received)
+
+
+def test_decode_rejects_a_recovered_error_that_leaves_a_nonzero_syndrome(monkeypatch):
+    # a rank-1 error other than the true one: received minus it is no codeword
+    code = build_code(GF13, (4, 4), 1, "Dprime")
+    err = DenseTensor(GF13, (4, 4), [0] * 15 + [5])
+    received = _plus(encode(code, [1, 2, 3, 4]), err)
+    wrong = DenseTensor(GF13, (4, 4), [7] + [0] * 15)
+    assert matrix_rank(wrong) == code.r
+    with pytest.raises(DecodeFailure, match="^decoded word has a nonzero syndrome$"):
+        _decode_with_recovered_error(monkeypatch, code, received, wrong)
+
+
+def test_decode_rejects_a_recovered_error_above_the_radius(monkeypatch):
+    # the true error plus a nonzero codeword: the syndrome still vanishes, but
+    # a codeword has rank >= 2r + 1, so the sum has rank > r
+    code = build_code(GF13, (4, 4), 1, "Dprime")
+    err = DenseTensor(GF13, (4, 4), [0] * 15 + [5])
+    received = _plus(encode(code, [1, 2, 3, 4]), err)
+    codeword = encode(code, [1, 0, 0, 0])
+    assert not codeword.is_zero() and all(v == 0 for v in syndrome(code, codeword))
+    too_big = _plus(err, codeword)
+    assert error_rank_bound(too_big) > code.r
+    with pytest.raises(DecodeFailure, match="^recovered error exceeds the correction radius$"):
+        _decode_with_recovered_error(monkeypatch, code, received, too_big)
 
 
 def test_min_distance_dim1_instance():
