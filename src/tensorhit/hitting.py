@@ -25,10 +25,11 @@ R >= 1 (rows past (n + m) // 2 measure nothing); B, Bprime and D take
 n x m with 1 <= R <= n <= m, the paper's.  ``schedule`` derives the rest
 once per (field class, field, family, shape, R): the one g, the alphas,
 multipliers and block counts of the rank-1 families B, Bprime and TensorB,
-TensorB's merge levels, the ``Layout`` of cells recovery solves for (every
-cell of a matrix, each TensorB level's packed lattice) with one weight
-table per layout, as wide as its columns, and the packed tables that
-measure the moment families.
+the merge levels (a matrix is the one level), the ``Layout`` of cells each
+level solves for (every cell of a matrix, each TensorB level's packed
+lattice) with where those cells sit in the level's flat list, one weight
+table per layout, as wide as its columns, and the packed Vandermonde and
+Newton tables of the moment families.
 ``dprime_size`` counts D' and ``tensor_size`` counts TensorB without
 building them.
 ``inner_products`` is the one scan of a family against a tensor: it
@@ -46,6 +47,7 @@ position a; the padding positions d..2^b-1 are dummies of degree zero.
 
 import functools
 import itertools
+import math
 import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -249,10 +251,11 @@ def _gather(idx: Sequence[int]) -> Callable:
     return operator.itemgetter(*idx)
 
 
-def packed(sizes: Sequence[int], steps: Sequence[int]) -> list[int]:
-    """Every sum_j a_j steps[j] with 0 <= a_j < sizes[j], digit 0 fastest."""
-    out = [0]
-    for size, step in zip(sizes, steps):
+def packed(sizes: Sequence[int], steps: Sequence[int]) -> Sequence[int]:
+    """Every sum_j a_j steps[j] with 0 <= a_j < sizes[j], digit 0 fastest: a
+    range for one digit (steps[0] >= 1)."""
+    out = range(0, sizes[0] * steps[0], steps[0])
+    for size, step in zip(sizes[1:], steps[1:]):
         out = [x + a * step for a in range(size) for x in out]
     return out
 
@@ -265,28 +268,28 @@ class Schedule:
     (B, Bprime, TensorB) lists, in family order, the members (k, ls) for
     k < count, whose axis-a factor is the moment vector of mults[a] *
     alphas[k]: member (k, ls) evaluates sum_idx T[idx] prod_a mults[a]^idx_a
-    x^(sum idx) at alphas[k].  TensorB's ``levels[i]`` holds the target
-    variable sizes of merge level i + 1, packed in base ``stride`` = n 2^b.
-    ``layouts`` are the cells recovery solves for, each built by
-    ``Layout.of``: every cell of n x m, the one digit (n,), (m,), for a
-    matrix family; for TensorB level i + 1 the packed lattice whose row
-    (column) digits in base stride lie below the sizes of the even (odd)
-    target variables, the only cells a merged matrix can fill; its
-    ``diagonals`` are those the lattice meets, the cells of the level above
-    (``lrr.tensor_recover``).  ``tables[i]``, the weight table of
-    ``layouts[i]``, has ``table_rows`` rows indexed by column position:
-    entry (l, b) is g^(l cols[b]), the weight of column cols[b] on every
-    diagonal.  A matrix's columns are range(m) and its rows D' at R,
-    without the rows l >= (n + m) // 2 that measure nothing; TensorB has R
-    rows.  ``packed_tables[i]`` is ``tables[i]`` bundled by ``ctx.pack``
-    for ``ctx.dots``, read by recovery and by the measurements that take
-    one syndrome pass per diagonal (D', and B, B' and TensorB on matrices).
-    The moment families' measurement reads two more: ``vandermonde`` packs
-    the rows (alphas[k]^i)_i for i <= sum(dims) - d, and for TensorB with
-    d >= 3 ``degree_classes`` is (classes, weights): the cells sorted by
-    degree sum idx, each class a (gather of its entries, gather of its
-    weight columns) pair, and one packed weight row per block over them,
-    prod_a mults[a]^idx_a.  Every table and layout is built on first read.
+    x^(sum idx) at alphas[k].  Merge level i + 1 merges the variables of
+    sizes ``levels[i]`` in pairs, 2j (rows) and 2j + 1 (columns) into j,
+    packed in base ``stride``: a matrix is one level, its shape (n, m), with
+    stride n + m - 1; TensorB's first level is the padded [n]^d, with stride
+    n 2^b.  ``layouts[i]`` (``Layout.of``) holds the cells level i + 1
+    solves for: every cell of a matrix; for TensorB the packed lattice whose
+    row (column) digits lie below the sizes of the even (odd) variables, the
+    only cells a merged matrix can fill, and whose ``diagonals`` are the
+    cells of the level above.  ``places[i]`` = (row_at, col_at) puts cell
+    (a, b) at row_at[a] + col_at[b] of the level's flat list: the tensor,
+    row-major, at level 1; above it a coefficient list, one per diagonal of
+    the level below, which is digit 0 fastest.  ``gathers[i]`` read each
+    diagonal's entries from it by column, a strided slice on a one-digit
+    layout.  ``tables[i]``, the weight table of ``layouts[i]``, has
+    ``table_rows`` rows indexed by column position: entry (l, b) is
+    g^(l cols[b]).  A matrix's rows are D' at R, without the rows l >=
+    (n + m) // 2 that measure nothing; TensorB has R rows.
+    ``packed_tables[i]`` is ``tables[i]`` bundled by ``ctx.pack`` for
+    ``ctx.dots``.  The moment families read two more: ``vandermonde`` packs
+    the rows (alphas[k]^i)_i for i <= sum(dims) - d, and ``newton`` is
+    ``linalg.newton_tables`` of the alphas, which every interpolation on a
+    prefix of them reads.  Every table and layout is built on first read.
     """
 
     ctx: FieldCtx
@@ -314,26 +317,35 @@ class Schedule:
         return self.ctx.pack([self.ctx.powers(a, deg + 1) for a in self.alphas])
 
     @functools.cached_property
-    def degree_classes(self) -> tuple[tuple[tuple[Callable, Callable], ...], list]:
-        ctx, d, n = self.ctx, len(self.dims), self.dims[0]
-        degs = packed([n] * d, [1] * d)  # the digit sum of each row-major cell
-        order = sorted(range(len(degs)), key=degs.__getitem__)
-        starts = [0, *itertools.accumulate(degs.count(c) for c in range(degs[-1] + 1))]
-        rows, at = [], _gather(order)
-        for _, mults, _ in self.blocks:
-            w = [ctx.one]
-            for pw in (ctx.powers(mult, n) for mult in mults):  # one mul per cell per axis
-                w = [ctx.mul(x, c) for x in w for c in pw]
-            rows.append(at(w))
-        classes = tuple((_gather(order[lo:hi]), _gather(range(lo, hi)))
-                        for lo, hi in zip(starts, starts[1:]))
-        return classes, ctx.pack(rows)
+    def newton(self) -> tuple:
+        return linalg.newton_tables(self.ctx, self.alphas)
 
     @functools.cached_property
     def layouts(self) -> tuple[Layout, ...]:
-        if not self.levels:
-            return (Layout.of(self.dims[:1], self.dims[1:], sum(self.dims) - 1),)
         return tuple(Layout.of(tgt[0::2], tgt[1::2], self.stride) for tgt in self.levels)
+
+    @functools.cached_property
+    def places(self) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
+        out = []
+        for i, tgt in enumerate(self.levels):
+            steps = [math.prod(tgt[a + 1 :] if i == 0 else tgt[:a]) for a in range(len(tgt))]
+            out.append((packed(tgt[0::2], steps[0::2]), packed(tgt[1::2], steps[1::2])))
+        return tuple(out)
+
+    @functools.cached_property
+    def gathers(self) -> tuple[tuple[Callable, ...], ...]:
+        return tuple(tuple(_gather(_diagonal_places(*places, cells)) for cells in layout.diagonals)
+                     for layout, places in zip(self.layouts, self.places))
+
+
+def _diagonal_places(row_at: Sequence[int], col_at: Sequence[int], cells: Cells) -> Sequence[int]:
+    """row_at[a] + col_at[b] for each cell (a, b) of ``cells``, by column: a range
+    when all four are ranges, which a one-digit layout's are."""
+    if all(isinstance(x, range) for x in (row_at, col_at, cells.rows, cells.cols)):
+        start = row_at[cells.rows[0]] + col_at[cells.cols[0]]
+        step = row_at.step * cells.rows.step + col_at.step * cells.cols.step or 1
+        return range(start, start + step * len(cells.cols), step)
+    return [row_at[a] + col_at[b] for a, b in zip(cells.rows, cells.cols)]
 
 
 def _powers_at(ctx: FieldCtx, x: Fel, cols: Sequence[int]) -> tuple[Fel, ...]:
@@ -359,7 +371,7 @@ def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Sche
     check_family(family, dims, R)
     if family == "Naive":
         raise ValueError("family Naive has no schedule")
-    alphas, blocks, stride, levels, count = [], [], 0, [], R
+    alphas, blocks, levels, count = [], [], [], R
     if family == "TensorB":
         d, n = len(dims), dims[0]
         b = (d - 1).bit_length()
@@ -374,6 +386,7 @@ def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Sche
             sizes = [u + v - 1 for u, v in zip(sizes[::2], sizes[1::2])]
     else:
         n, m = dims
+        stride, levels = n + m - 1, [dims]  # the one level: the matrix's own cells
         g = ctx.element_of_order(m)
         count = min(R, (n + m) // 2)
         if family in MOMENT_FAMILIES:

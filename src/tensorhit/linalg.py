@@ -6,12 +6,10 @@ vector kernels.  Pivoting takes the first nonzero entry
 scanning top to bottom; over a finite field there is nothing better to
 choose, and the fixed rule keeps every derived construction deterministic.
 
-Interpolation reads one cached pair of packed Newton tables per point
-sequence and field class (``_newton_tables``, the last four kept) with two
-``ctx.dots``.
-Recovery interpolates on prefixes of one fixed schedule, and every prefix
-reads the schedule's tables, so their inversions and their packing are
-paid once per schedule.
+Interpolation reads a pair of packed Newton tables with two ``ctx.dots``.
+``newton_tables`` builds them and caches nothing: ``hitting.Schedule``
+holds one pair per schedule, which every prefix of its points reads, so
+their inversions and their packing are paid once per schedule.
 """
 
 import functools
@@ -113,27 +111,27 @@ def poly_from_roots(ctx: FieldCtx, xs: list[Fel]) -> list[Fel]:
     return out
 
 
-def poly_interpolate(ctx: FieldCtx, xs: list[Fel], ys: list[Fel]) -> list[Fel]:
-    """Coefficients of the degree < len(ys) polynomial taking ys on xs[:len(ys)].
+def poly_interpolate(ctx: FieldCtx, tables, ys: list[Fel]) -> list[Fel]:
+    """Coefficients of the degree < len(ys) polynomial taking ys on the first
+    len(ys) points of tables = ``newton_tables(ctx, xs)``.
 
-    Newton form P = sum_k a_k N_k with N_k = prod_(j<k) (x - xs[j]), read
-    off the packed tables of ``_newton_tables``: a_k = <dd[k], ys>, and
-    coefficient j of P is <basis[j], a'>, with a' the a_k from k =
-    len(xs) - 1 down, zero for k >= len(ys).  That is two ``ctx.dots`` and
-    no inversion.  Any prefix of xs reads the same tables, so callers pass
-    their whole schedule.  Raises ShapeMismatch when there are more values
-    than points, and ZeroDivisionError when two points of xs coincide.
+    Newton form P = sum_k a_k N_k with N_k = prod_(j<k) (x - xs[j]): a_k =
+    <dd[k], ys>, and coefficient j of P is <basis[j], a'>, with a' the a_k
+    from k = len(xs) - 1 down, zero for k >= len(ys).  That is two
+    ``ctx.dots`` and no inversion.  Any prefix of xs reads the same tables,
+    so callers pass their whole schedule's.  Raises ShapeMismatch when
+    there are more values than points.
     """
+    xs, dd, basis = tables
     if len(ys) > len(xs):
         raise ShapeMismatch("interpolation needs at least as many points as values")
-    dd, basis = _newton_tables(ctx, tuple(xs))
     a = ctx.dots(ys, dd, len(ys))
     return ctx.dots([ctx.zero] * (len(xs) - len(ys)) + a[::-1], basis, len(ys))
 
 
-@functools.lru_cache(maxsize=4, typed=True)  # typed: a TableField packs unlike its ring
-def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
-    """The two triangular Newton tables of the points xs, packed by ``ctx.pack``.
+def newton_tables(ctx: FieldCtx, xs) -> tuple:
+    """(xs, dd, basis): the two triangular Newton tables of the points xs,
+    packed by ``ctx.pack``.
 
     Row k of ``dd`` is ``dd[k][i] = 1 / prod_(j<=k, j!=i) (xs[i] - xs[j])``
     for i <= k, so <dd[k], ys> is the divided difference [ys[0], ...,
@@ -141,7 +139,9 @@ def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
     down to j.  Each row ends at its last entry that can be nonzero, so a
     dot reads no zero past it.  Row k of dd and the coefficients of N_k
     depend on xs[:k+1] alone, which is what lets every prefix share them.
+    Raises ZeroDivisionError when two points coincide.
     """
+    xs = tuple(xs)
     # dd[k][i] = dd[k-1][i] / (xs[i] - xs[k]); a schedule's differences
     # repeat, so each distinct one is inverted once
     inv = functools.lru_cache(maxsize=None)(ctx.inv)
@@ -156,4 +156,4 @@ def _newton_tables(ctx: FieldCtx, xs: tuple[Fel, ...]):
         shifted = [ctx.zero] + newton  # N_(k+1) = x N_k - xs[k] N_k
         ctx.axpy(shifted, ctx.neg(x), newton)
         newton = shifted
-    return ctx.pack(dd), ctx.pack([col[::-1] for col in cols])
+    return xs, ctx.pack(dd), ctx.pack([col[::-1] for col in cols])

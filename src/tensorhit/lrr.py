@@ -37,13 +37,12 @@ the schedule's packed Newton tables), and reverses the variable-merging
 reduction to recover order-d tensors measured with the tensor family: each
 level recovers the merged coefficient matrix on the level's lattice from
 one coefficient per diagonal it meets, and writes its cells straight into
-the finer level's coefficients.  Every shape rule, generator,
-point, weight, merge level and layout is read from ``hitting``.
-``measure_D`` and ``measure_moments`` on matrices (B, B', TensorB at
-d = 2) share one syndrome pass, one multi-row ``ctx.dots`` per diagonal;
-a TensorB tensor of order d >= 3 takes one ``dots`` per degree class of
-its cells instead.  The moment families then evaluate each block's
-polynomial with one ``dots`` on the schedule's packed Vandermonde rows.
+the finer level's coefficients.  Measurement runs the same levels
+upward: D', B, B' and TensorB share one syndrome pass, one multi-row
+``ctx.dots`` per diagonal, and a matrix is the one level.  Every shape
+rule, generator, point, weight, merge level and layout is read from
+``hitting``.  The moment families then evaluate each block's polynomial
+with one ``dots`` on the schedule's packed Vandermonde rows.
 ``measure`` and ``recover`` are the one entry point for each family in
 ``RECOVERY_FAMILIES``.
 """
@@ -51,7 +50,6 @@ polynomial with one ``dots`` on the schedule's packed Vandermonde rows.
 import bisect
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -73,7 +71,6 @@ from .hitting import (
     dprime_size,
     family_tensor,
     inner_products,
-    packed,
     schedule,
     tensor_size,
 )
@@ -315,21 +312,13 @@ def low_rank_recovery(
 # ---------------------------------------------------------------------------
 
 
-def _diagonal_syndromes(mat: DenseTensor, s: Schedule, counts) -> list[list[Fel]]:
-    """[<diagonal k of mat, row l of s.tables[0]> for l < counts[k]] for each k.
-
-    One gather (a strided slice of the entries) and one ``ctx.dots`` on the
-    schedule's packed table per diagonal serve all of its rows at once.
-    """
-    ctx, table = mat.ctx, s.packed_tables[0]
-    m = mat.dims[1]
-    entries, step = mat.entries, m - 1 or 1  # down a row and left a column
-    out = []
-    for cells, count in zip(s.layouts[0].diagonals, counts):
-        top = cells.rows[-1] * m + cells.cols[-1]  # the cell in the last column
-        vals = entries[top : top + step * (len(cells.cols) - 1) + 1 : step][::-1]  # by column
-        out.append(ctx.dots(vals, table, count, cells.at_cols))
-    return out
+def _diagonal_syndromes(s: Schedule, i: int, entries, counts) -> list[list[Fel]]:
+    """[<diagonal k, row l of s.tables[i]> for l < counts[k]] for each diagonal k
+    of s.layouts[i], read from the level's flat list ``entries``: one gather
+    (``Schedule.gathers``) and one ``ctx.dots`` per diagonal."""
+    table = s.packed_tables[i]
+    return [s.ctx.dots(at(entries), table, count, cells.at_cols)
+            for cells, at, count in zip(s.layouts[i].diagonals, s.gathers[i], counts)]
 
 
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
@@ -346,7 +335,7 @@ def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     n, m = mat.dims
     s = schedule(mat.ctx, "Dprime", (n, m), 2 * r)
     counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
-    return [y for ys in _diagonal_syndromes(mat, s, counts) for y in ys]
+    return [y for ys in _diagonal_syndromes(s, 0, mat.entries, counts) for y in ys]
 
 
 def recover_from_D(
@@ -402,7 +391,7 @@ def convert_B_to_D(
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
     s = schedule(ctx, "Bprime", (n, m), R)
-    alphas, table = s.alphas, s.tables[0]
+    alphas, newton, table = s.alphas, s.newton, s.tables[0]
     diagonals = s.layouts[0].diagonals  # every cell: diagonal k is diagonals[k]
     width = len(alphas)
     inv_alphas = [ctx.inv(a) for a in alphas]
@@ -422,7 +411,7 @@ def convert_B_to_D(
         block = syndromes[off : off + cnt]
         off += cnt
         if l == 0:
-            coeff.append(linalg.poly_interpolate(ctx, alphas, block))
+            coeff.append(linalg.poly_interpolate(ctx, newton, block))
             continue
         # diagonals l - 1 and width - l have l entries, all measured by now
         for kp in (l - 1, width - l):
@@ -437,7 +426,7 @@ def convert_B_to_D(
             # e minus the fringe terms sum_kp c_kp a^kp, divided by a^l
             fringe = ctx.add(ctx.horner(lows, a), ctx.mul(a_up, ctx.horner(highs, a)))
             h_vals.append(ctx.mul(ctx.sub(e, fringe), a_down))
-        h = linalg.poly_interpolate(ctx, alphas, h_vals)
+        h = linalg.poly_interpolate(ctx, newton, h_vals)
         coeff.append(lows + h + highs)
     return [coeff[l][k] for k in range(width) for l in range(diag_row_count(R, n, m, k))]
 
@@ -452,18 +441,13 @@ def tensor_measure(t: DenseTensor, r: int) -> list[Fel]:
     return measure_moments(t, "TensorB", 2 * r)
 
 
-def _unpack(w: DenseTensor, tgt: tuple[int, ...], steps: list[int]) -> list[Fel]:
-    """The entries of the finer tensor, of variable sizes ``tgt``, from w over
-    the level's lattice, variable a at step steps[a] of the flat list.
-
-    Lattice row a holds the digits of the even variables 0, 2, ... and
-    column b those of the odd ones, digit 0 fastest (``hitting.packed``), so
-    w's cells are exactly the finer tensor's entries.
-    """
-    entries = [w.ctx.zero] * math.prod(tgt)
-    cols = packed(tgt[1::2], steps[1::2])
-    for a, row in zip(packed(tgt[0::2], steps[0::2]), w.rows()):
-        for b, x in zip(cols, row):
+def _unpack(w: DenseTensor, row_at, col_at) -> list[Fel]:
+    """The level's flat list from w, the matrix over its lattice: cell (a, b)
+    is entry row_at[a] + col_at[b] (``Schedule.places``), and every entry is
+    one cell."""
+    entries = [w.ctx.zero] * (row_at[-1] + col_at[-1] + 1)
+    for a, row in zip(row_at, w.rows()):
+        for b, x in zip(col_at, row):
             entries[a + b] = x
     return entries
 
@@ -479,7 +463,8 @@ def tensor_recover(
     matrix of rank <= r.  Only the cells of the level's packed lattice
     (``Schedule.layouts``) can be nonzero, so each matrix is recovered over
     them from the diagonals they meet, and its cells are written into the
-    finer level's coefficients.  A polynomial is a plain list of its
+    finer level's coefficients at ``Schedule.places``, where
+    ``measure_moments`` reads them.  A polynomial is a plain list of its
     coefficients on those diagonals, ascending: in base stride = n 2^b a
     diagonal adds its row's and column's digits without carries, so that
     order is the level above's cells written digit 0 fastest (the top
@@ -501,7 +486,7 @@ def tensor_recover(
     polys: dict[tuple[int, ...], list[Fel]] = {}
     for i, (ls, _, count) in enumerate(s.blocks):
         evals = syndromes[i * count : (i + 1) * count]
-        cs = linalg.poly_interpolate(ctx, alphas, evals[: deg + 1])
+        cs = linalg.poly_interpolate(ctx, s.newton, evals[: deg + 1])
         for a, e in zip(alphas[deg + 1 :], evals[deg + 1 :]):
             if ctx.horner(cs, a) != e:
                 raise InconsistentSyndrome(
@@ -510,9 +495,8 @@ def tensor_recover(
         polys[ls] = cs
 
     for level in range(len(s.levels), 0, -1):
-        tgt, layout = s.levels[level - 1], s.layouts[level - 1]
+        layout, places = s.layouts[level - 1], s.places[level - 1]
         table, packed_table = s.tables[level - 1], s.packed_tables[level - 1]
-        steps = [math.prod(tgt[a + 1 :] if level == 1 else tgt[:a]) for a in range(len(tgt))]
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
             univs = [polys[prefix + (i,)] for i in range(R)]
@@ -520,7 +504,7 @@ def tensor_recover(
                 w = low_rank_recovery(ctx, r, layout, table, packed_table, zip(*univs))
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
-            new_polys[prefix] = _unpack(w, tgt, steps)
+            new_polys[prefix] = _unpack(w, *places)
         polys = new_polys
 
     # dummy axes (all of length one) sit at the end; dropping them keeps
@@ -532,31 +516,26 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t against the rank-1 moment family ``family`` at r.
 
     Member (k, ls) of B, B' and TensorB evaluates the polynomial of block ls
-    at alpha_k (``hitting.schedule``), so a measurement is two packed passes
-    on tables the schedule builds on first read.  The first yields every
-    block's coefficients, one multi-row ``ctx.dots`` per degree: on a
-    matrix every block's multipliers are (1, g^l), so its coefficients are
-    the full diagonal-family syndromes of row l, which ``convert_B_to_D``
-    reads back (``_diagonal_syndromes``, shared with ``measure_D``); a
-    tensor of order d >= 3 gathers each class of cells of equal degree
-    against ``Schedule.degree_classes``, one weight row per block.  The
-    second evaluates block l at its first count_l points, one ``dots`` on
-    ``Schedule.vandermonde``, already in family order.
+    at alpha_k (``hitting.schedule``).  Its coefficients come from running
+    ``tensor_recover``'s levels upward: level i takes the flat list of each
+    prefix ls[:i - 1] (at level 1 the entries of t) through the one
+    syndrome pass, R rows per diagonal, and row l is the flat list of
+    prefix ls[:i - 1] + (l,).  On a matrix, the one level, block l's
+    coefficients are the diagonal-family syndromes of row l, which
+    ``convert_B_to_D`` reads back.  Block ls is then evaluated at its first
+    count points, one ``dots`` on ``Schedule.vandermonde``.
     """
     if isinstance(t, LowRankTensor):
         t = expand(t)
     if family not in MOMENT_FAMILIES:
         raise ValueError(f"family {family} is not a rank-1 moment family")
-    ctx = t.ctx
-    s = schedule(ctx, family, t.dims, r)
-    counts = [count for _, _, count in s.blocks]
-    if len(t.dims) == 2:
-        by_deg = _diagonal_syndromes(t, s, [len(counts)] * (sum(t.dims) - 1))
-    else:
-        classes, weights = s.degree_classes
-        by_deg = [ctx.dots(at(t.entries), weights, len(counts), cols) for at, cols in classes]
-    return [y for poly, count in zip(zip(*by_deg), counts)
-            for y in ctx.dots(poly, s.vandermonde, count)]
+    s = schedule(t.ctx, family, t.dims, r)
+    rows = itertools.repeat(s.table_rows)
+    polys = {(): t.entries}
+    for i in range(len(s.levels)):
+        polys = {prefix + (l,): poly for prefix, entries in polys.items()
+                 for l, poly in enumerate(zip(*_diagonal_syndromes(s, i, entries, rows)))}
+    return [y for ls, _, count in s.blocks for y in t.ctx.dots(polys[ls], s.vandermonde, count)]
 
 
 def measure_syndromes(t, fam) -> list[Fel]:

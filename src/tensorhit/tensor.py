@@ -144,12 +144,17 @@ def _expand_outer(ctx: FieldCtx, factors) -> DenseTensor:
 
 
 def expand(t: LowRankTensor) -> DenseTensor:
-    """Entrywise sum of the outer products; empty term list gives zero."""
-    out = DenseTensor.zeros(t.ctx, t.dims)
-    for term in t.terms:
-        d = term.expand()
-        out.entries = [t.ctx.add(a, b) for a, b in zip(out.entries, d.entries)]
-    return out
+    """Entrywise sum of the outer products, in one ``ctx.sum_products`` of each
+    term's outer product over every axis but the last, each entry repeated
+    along the last axis, with its last factor tiled; no term gives zero."""
+    ctx, width = t.ctx, t.dims[-1]
+    if not t.terms:
+        return DenseTensor.zeros(ctx, t.dims)
+    heads = [_expand_outer(ctx, term.factors[:-1]).entries for term in t.terms]
+    us = [list(itertools.chain.from_iterable(map(itertools.repeat, head, itertools.repeat(width))))
+          for head in heads]
+    vs = [list(term.factors[-1]) * len(head) for term, head in zip(t.terms, heads)]
+    return DenseTensor(ctx, t.dims, ctx.sum_products(us, vs))
 
 
 def _contract_last_axis(ctx, entries, vec):

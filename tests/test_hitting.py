@@ -475,7 +475,7 @@ def test_pit_lifts_prime_tensor_into_extension_family():
 def test_bivariate_reduction_oracle():
     # every nonzero rank<=r matrix has a nonzero f-hat(x, g^l x) for some l < r,
     # determined by interpolating from n+m-1 evaluations
-    from tensorhit.linalg import poly_interpolate
+    from tensorhit.linalg import newton_tables, poly_interpolate
 
     ctx = make_prime_field(13)
     n = m = 2
@@ -492,7 +492,7 @@ def test_bivariate_reduction_oracle():
         for l in range(r):
             gl = ctx.pow(g, l)
             evals = [eval_fhat(mat, [a, ctx.mul(gl, a)]) for a in alphas]
-            coeffs = poly_interpolate(ctx, alphas, evals)
+            coeffs = poly_interpolate(ctx, newton_tables(ctx, alphas), evals)
             if any(c != 0 for c in coeffs):
                 found = True
                 break
@@ -653,6 +653,36 @@ def test_a_matrix_layout_keeps_range_cells_and_slice_gathers(n, m):
         assert isinstance(cells.rows, range) and isinstance(cells.cols, range)
         assert isinstance(cells.at_rows(list(range(n))), list)
         assert isinstance(cells.at_cols(list(range(m))), list)
+
+
+_GATHER_CASES = [("Dprime", (5, 9)), ("Dprime", (9, 5)), ("Dprime", (1, 7)), ("Dprime", (7, 1)),
+                 ("Bprime", (6, 6)), ("TensorB", (4, 4)), ("TensorB", (3,) * 4),
+                 ("TensorB", (2,) * 5)]
+
+
+@pytest.mark.parametrize("family, dims", _GATHER_CASES,
+                         ids=[f"{f}-{'x'.join(map(str, dims))}" for f, dims in _GATHER_CASES])
+def test_a_one_digit_layout_gathers_its_entries_by_slices(family, dims):
+    # one place decides where cell (a, b) of each level sits in the level's
+    # flat list: the tensor row-major at level 1, digit 0 fastest above it;
+    # every entry is one cell, and each diagonal's gather reads its cells by
+    # column, a slice when the layout has one digit (a matrix, a top level)
+    ctx = make_prime_field(2**61 - 1)
+    s = schedule(ctx, family, dims, 2)
+    top = s.levels[-1]
+    assert s.places[-1] == ((range(top[0]), range(0, top[0] * top[1], top[0])) if len(s.levels) > 1
+                            else (range(0, dims[0] * dims[1], dims[1]), range(dims[1])))
+    for i, (layout, (row_at, col_at)) in enumerate(zip(s.layouts, s.places)):
+        size = len(row_at) * len(col_at)
+        assert sorted(a + b for a in row_at for b in col_at) == list(range(size))
+        flat = list(range(1000, 1000 + size))
+        one_digit = isinstance(layout.rows, range)
+        assert one_digit == (i == len(s.levels) - 1)
+        for cells, at in zip(layout.diagonals, s.gathers[i]):
+            got = at(flat)
+            want = [flat[row_at[a] + col_at[b]] for a, b in zip(cells.rows, cells.cols)]
+            assert list(got) == want
+            assert isinstance(got, list) or not one_digit
 
 
 def test_random_rank1_measurements_baseline():

@@ -1096,11 +1096,43 @@ _WIDE_TENSORS = [(GF_2_61_MINUS_1, d, 2) for d in range(5, 9)] + [(GF_2_61_MINUS
 @pytest.mark.parametrize("ctx, d, n", _WIDE_TENSORS,
                          ids=[f"{ctx!r}-d{d}-n{n}" for ctx, d, n in _WIDE_TENSORS])
 def test_wide_tensor_measurement_equals_member_inner_products(ctx, d, n):
-    # beyond the hypothesis range (d <= 4): the widest per-cell weight tables
+    # beyond the hypothesis ranges: up to eight variables through three merge levels
     rng = random.Random(f"wide {d} {n}")
     t = DenseTensor(ctx, (n,) * d, [ctx.from_index(rng.randrange(ctx.size)) for _ in range(n**d)])
     fam = hitting_set_tensor(ctx, d, n, 2)
     assert tensor_measure(t, 1) == [m.inner(ctx, t) for m in fam.measurements]
+
+
+GF256 = make_extension(make_prime_field(2), 8)  # TableField kernels
+GF2197 = make_extension(make_prime_field(13), 3)  # convolution arithmetic
+_UPWARD_CASES = [(ctx, d, n) for ctx in (GF_2_61_MINUS_1, GF65537, GF256, GF2197)
+                 for d in range(2, 6) for n in range(1, 5) if (2 * d * n) ** d <= ctx.size - 1]
+
+
+@given(case=st.sampled_from(_UPWARD_CASES), R=st.integers(1, 4), seed=st.integers(0, 2**32),
+       factored=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_merge_levels_run_upward_measure_as_a_member_by_member_scan(case, R, seed, factored):
+    ctx, d, n = case
+    rng = random.Random(seed)
+    dims = (n,) * d
+    if factored:  # a rank <= 2 LowRankTensor, expanded by ``expand`` in the measurement only
+        terms = [[[ctx.from_index(rng.randrange(1, ctx.size)) for _ in range(n)] for _ in dims]
+                 for _ in range(rng.randrange(3))]
+        t = LowRankTensor.from_factor_lists(ctx, dims, terms)
+        dense = DenseTensor.zeros(ctx, dims)
+        for term in terms:
+            for i, idx in enumerate(itertools.product(range(n), repeat=d)):
+                x = ctx.one
+                for v, j in zip(term, idx):
+                    x = ctx.mul(x, v[j])
+                dense.entries[i] = ctx.add(dense.entries[i], x)
+        assert expand(t) == dense
+    else:
+        t = dense = DenseTensor(ctx, dims, [ctx.from_index(rng.randrange(ctx.size))
+                                            for _ in range(n**d)])
+    fam = hitting_set_tensor(ctx, d, n, R)
+    assert lrr.measure_moments(t, "TensorB", R) == list(hitting.inner_products(dense, fam))
 
 
 @pytest.mark.parametrize("p, family, dims", [(65537, "Bprime", (64, 64)),
@@ -1122,15 +1154,16 @@ def test_a_warm_measurement_reads_its_tables_from_the_schedule(p, family, dims):
 # -- interpolation tables: cold, warm, and the moments formula ------------------------
 
 
-def _moments_interpolate(ctx, xs, ys):
-    """Lagrange interpolation over the master polynomial of the first len(ys) points.
+def _moments_interpolate(ctx, tables, ys):
+    """Lagrange interpolation over the master polynomial of the first len(ys)
+    points of tables, whose Newton tables it does not read.
 
     The formula recovery interpolated with before the cached Newton tables:
     P = sum_i c_i M(x) / (x - xs[i]), c_i = ys[i] / M'(xs[i]), so
     coefficient j of P is sum_u M[j+1+u] s_u over the moments
     s_u = sum_i c_i xs[i]^u.
     """
-    xs = xs[: len(ys)]
+    xs = tables[0][: len(ys)]
     n = len(xs)
     master = linalg.poly_from_roots(ctx, xs)
     deriv = [ctx.mul(ctx.scalar(t), master[t]) for t in range(1, n + 1)]
@@ -1158,7 +1191,7 @@ def test_cold_and_warm_tables_recover_as_the_moments_formula(ctx, monkeypatch):
             calls.append(lambda d=d, n=n, synd=synd: tensor_recover(ctx, d, n, 1, synd).entries)
     cold = []
     for call in calls:
-        linalg._newton_tables.cache_clear()
+        hitting._schedule.cache_clear()  # with it the schedule's Newton tables
         cold.append(call())
     warm = [call() for call in calls]
     monkeypatch.setattr(linalg, "poly_interpolate", _moments_interpolate)
@@ -1168,7 +1201,7 @@ def test_cold_and_warm_tables_recover_as_the_moments_formula(ctx, monkeypatch):
 @pytest.mark.parametrize("table_first", [False, True], ids=["ring-then-table", "table-then-ring"])
 def test_a_table_field_and_its_ring_each_read_their_own_packed_tables(table_first):
     # equal and hashing alike, the two pack differently (logs, tuples), so the
-    # schedule and Newton-table caches must not hand one's tables to the other
+    # schedule cache, Newton tables included, must not hand one's tables to the other
     table = make_extension(make_prime_field(2), 4)
     ring = FieldCtx(2, 4, table.modulus)
     assert table == ring and hash(table) == hash(ring)
@@ -1180,12 +1213,11 @@ def test_a_table_field_and_its_ring_each_read_their_own_packed_tables(table_firs
         mat = DenseTensor(ctx, (4, 5), entries)
         d_synd = measure_D(mat, 1)
         b_synd = lrr.measure_moments(mat, "Bprime", 2)
-        return (linalg.poly_interpolate(ctx, xs, ys), d_synd,
+        return (linalg.poly_interpolate(ctx, linalg.newton_tables(ctx, xs), ys), d_synd,
                 recover_from_D(ctx, 4, 5, 1, d_synd).entries, b_synd,
                 convert_B_to_D(ctx, 4, 5, 2, b_synd))
 
     hitting._schedule.cache_clear()
-    linalg._newton_tables.cache_clear()
     first, second = [run(ctx) for ctx in ((table, ring) if table_first else (ring, table))]
     assert first == second
     _, d_synd, recovered, _, converted = first
