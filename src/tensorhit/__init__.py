@@ -10,7 +10,6 @@ from .errors import (
     InconsistentSyndrome,
     LengthMismatch,
     NoNullspace,
-    NotEchelon,
     NotRank1,
     OracleFailure,
     OrderTooSmall,
@@ -77,10 +76,7 @@ from .tensor import (
     eval_fT,
     eval_fhat,
     expand,
-    inner_product,
     matrix_rank,
-    nnz,
-    permute_axes,
     set_diagonal,
 )
 

@@ -55,10 +55,6 @@ class AdviceTooLarge(TensorhitError):
     """Advice set exceeds twice the sparsity budget."""
 
 
-class NotEchelon(TensorhitError):
-    """Matrix is not in the upper-echelon form a routine requires."""
-
-
 class LengthMismatch(TensorhitError):
     """Message length does not match the code dimension."""
 

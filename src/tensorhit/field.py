@@ -1,106 +1,51 @@
 """Exact arithmetic in prime fields GF(p) and extensions GF(p^k).
 
-Element representation
-----------------------
-GF(p) elements are plain ints in ``[0, p)``.  GF(p^k) elements with k >= 2
-are length-k tuples of ints: the coefficients of the residue polynomial in
-the power basis ``1, x, ..., x^(k-1)``, constant term first.  Extension
-elements stay tuples because files, the benchmark's planted inputs and its
-checks read and write them in that form.  All arithmetic goes through the
-context owning the element, whose class :func:`make_prime_field` and
-:func:`make_extension` pick once:
+GF(p) elements are ints in [0, p).  GF(p^k) elements, k >= 2, are
+length-k tuples: the coefficients of the residue polynomial in the basis
+1, x, ..., x^(k-1), constant term first; files and the benchmark read and
+write them in that form.  All arithmetic goes through the context that
+owns an element, whose class ``make_prime_field`` and ``make_extension``
+pick once:
 
-* :class:`PrimeField`, for GF(p), reduces ints mod p inline;
-* :class:`TableField`, for an extension with q = p^k <= 2^8 elements, looks
-  products, sums and inverses up in discrete-log tables (Lidl and
-  Niederreiter, *Finite Fields*, ch. 9);
-* :class:`FieldCtx`, the base of both, is the ring GF(p)[x]/f of a monic f:
-  it adds coefficient-wise, multiplies by coefficient convolution reduced
-  mod f and inverts a by solving M_a x = 1 over GF(p), with M_a its
-  multiplication matrix (``embed_as_matrix``).  Larger extensions (GF(2^16),
-  GF(13^3), extensions of large primes) and the rings of the irreducibility
-  test, which have no logarithm, run on it.
+* ``PrimeField``, GF(p);
+* ``TableField``, an extension of at most 2^8 elements, on discrete-log
+  tables (Lidl and Niederreiter, *Finite Fields*, ch. 9) and Zech
+  logarithms (K. Huber, "Some comments on Zech's logarithms", IEEE Trans.
+  IT 36(4), 1990);
+* ``FieldCtx``, the base of both: the ring GF(p)[x]/f of a monic f, in
+  convolution arithmetic reduced mod f.  Larger extensions and the rings of
+  the irreducibility test run on it.
 
-With g = ``element_of_order(q - 1)``, a TableField's ``exp`` lists g^0, ...,
-g^(q-2) twice over and then zeros, and ``log`` maps each tuple to its
-exponent, zero to 2(q - 1), which indexes the zero padding.  A product is
-``exp[log[a] + log[b]]`` with no branch, and ``inv`` and ``pow`` are index
-arithmetic.  Sums use Zech logarithms (K. Huber, "Some comments on Zech's
-logarithms", IEEE Trans. IT 36(4), 1990): with ``zech[i] = log(1 + g^i)``,
-a sum of nonzero a and b is ``exp[la + zech[lb - la]]``; a zero operand
-takes a branch of its own.  A negation is ``exp[log[a] + half]`` with
-``half = log(-1)``, which is 0 for p = 2 and (q - 1)/2 otherwise, and a
-difference adds the negation.  The tables change speed, never a value: a
-TableField equals, and hashes as, the ring on its modulus, though its
-``pack`` differs, so caches of packed tables key on type(ctx) too.  The
-cap keeps the build at a few milliseconds, which every command reading a
-file pays; GF(2^8) is the largest extension the benchmark multiplies in.
+The classes differ in speed, never in a value: a TableField equals, and
+hashes as, the ring on its modulus, though its ``pack`` differs, so caches
+of packed tables key on type(ctx) too.
 
-Canonical enumeration
----------------------
-Several constructions need "the first few field elements" and reproducible
-builds need one fixed order.  We enumerate the nonzero elements by their
-coefficient tuples in lexicographic order, comparing from the constant term
-upward (so over GF(p) the enumeration is simply 1, 2, 3, ...).  The zero
-element is skipped.  The same order drives modulus selection: an extension
-is built on the first candidate x^k + (element t of GF(p^k)) that passes
-Rabin's test, run with this module's arithmetic in the ring GF(p)[x]/f.
-That is the lexicographically least monic irreducible polynomial of the
-requested degree, which makes every derived construction byte-reproducible.
+Canonical enumeration: the nonzero elements in lexicographic order of
+their coefficient tuples, constant term most significant (over GF(p): 1,
+2, 3, ...).  An extension is built on the first candidate x^k + (element t)
+that passes Rabin's test, the lexicographically least monic irreducible of
+degree k, so every derived construction is byte-reproducible.
+``element_of_order(b)`` returns the first enumerated element of
+multiplicative order >= b, computed exactly from the factorization of
+p^k - 1, one cyclotomic factor Phi_e(p), e | k, at a time.
 
-Order certification
--------------------
-``ctx.element_of_order(b)`` returns the first enumerated element whose
-multiplicative order is at least ``b``.  The order is computed exactly from
-the factorization of ``p^k - 1``, factored once per field one cyclotomic
-factor Phi_e(p), e | k, at a time, so certifying costs a few
-exponentiations per candidate whatever the bound.
-
-Vector kernels
---------------
-Besides the element operations, a context offers a few vector kernels:
+Vector kernels, each with one body per class whose representation changes
+it; linear algebra, Prony's method, recovery, measurement and encoding are
+written once on top of them:
 
 * ``dot(u, v)``: sum of u[i] * v[i];
 * ``axpy(dst, c, src, start=0)``: dst[start + j] += c * src[j], in place;
-* ``fma(dst, u, v)``: dst[i] += u[i] * v[i], in place;
-* ``sum_products(us, vs)``: [sum_c us[c][t] * vs[c][t] for each t], one
-  vector per pair c, all of one length;
-* ``pivot(rows, r, c)``: scale row r so its column-c entry is one, then
-  clear column c of every other row, touching columns c onward only;
+* ``sum_products(us, vs)``: [sum_c us[c][t] * vs[c][t] for each t];
+* ``pivot(rows, r, c)``: scale row r to a one in column c, then clear
+  column c of every other row;
 * ``powers(x, count)``: [1, x, ..., x^(count-1)];
 * ``horner(coeffs, x)``: sum of coeffs[i] * x^i;
 * ``pack(rows)`` and ``dots(u, packed, count, at=None)``: rows bundled
-  once, then [dot(u, at(row)) for row in rows[:count]] in one call, at
-  picking the columns read (None: the leading ones), for count at most the
-  rows packed; a row may end early and reads as zero past its end, when at
-  is None or a slice.
+  once, then [dot(u, at(row)) for row in rows[:count]] in one call.
 
-Each class has one body per element operation and kernel that its
-representation changes, and these bodies are the only code that knows how
-elements are stored: linear algebra, Prony's method, recovery, measurement
-and encoding are written once, over any field, on top of them.  FieldCtx's
-``dot`` sums unreduced coefficient convolutions and reduces once through
-``_reduce``, the one reduction mod the modulus (everything else that
-multiplies extension elements goes through ``mul``, except that
-``embed_as_matrix``, and so ``inv``, multiplies by x as a shift plus the
-reduction table's first row, x^k mod f); its other kernels fold ``add``
-and ``mul``, its ``sum_products`` is one ``fma`` per pair, and its
-``dots`` makes one ``dot`` per row.  PrimeField packs the rows of
-``dots`` into one int per column, and its ``sum_products`` sums each
-cell's products unreduced and reduces once.  TableField packs each row
-as its logs and keeps ``kexp``, each power of g as one int with its k
-coefficients in 64-bit slots, so ``dot`` and each row of ``dots`` are one
-C-level sum of ``kexp[log a + log b]`` read back slot by slot mod p; its
-``sum_products`` forms each pair's products as ``exp[log u + log v]`` and
-adds the pairs by Zech logarithms.  It inherits the other kernels with
-table lookups inside.
-
-Everything here is immutable after construction apart from memoized order
-discoveries and lazily built helpers (a prime field's inverse table below
-2^16, an extension's GF(p) for ``inv``, a TableField's ``kexp``), which
-are write-once and race-benign.  A TableField's exp, log and Zech tables
-are complete when it is built and never change.  Contexts may be shared
-freely across threads and all element operations are pure.
+Contexts are immutable apart from write-once memos (order discoveries, a
+prime field's inverse table, an extension's GF(p), a TableField's
+``kexp``), so they may be shared across threads.
 """
 
 import itertools
@@ -203,9 +148,6 @@ class FieldCtx:
     subclass where one applies; the irreducibility test builds the ring on a
     candidate modulus f, where every operation but ``inv`` is valid.
     """
-
-    _exp: list[tuple[int, ...]] | None = None  # set by TableField only
-    _log: dict[tuple[int, ...], int] | None = None
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -327,13 +269,6 @@ class FieldCtx:
                             conv[j] += ai * bj
         return self._reduce(conv)
 
-    def fma(self, dst: list, u, v) -> None:
-        """dst[i] += u[i] * v[i] over the shorter of u and v, in place.
-
-        dst must be at least as long as that.
-        """
-        dst[: min(len(u), len(v))] = map(self.add, dst, map(self.mul, u, v))
-
     def sum_products(self, us, vs) -> list[Fel]:
         """[sum_c us[c][t] * vs[c][t] for each t], over at least one pair.
 
@@ -341,7 +276,7 @@ class FieldCtx:
         """
         acc = [self.zero] * len(us[0])
         for u, v in zip(us, vs):
-            self.fma(acc, u, v)
+            acc = list(map(self.add, acc, map(self.mul, u, v)))
         return acc
 
     def axpy(self, dst: list, c: Fel, src, start: int = 0) -> None:
@@ -387,11 +322,9 @@ class FieldCtx:
         """[dot(u, at(row)) for row in rows[:count]], with packed = pack(rows).
 
         ``at`` picks the columns each row is read on (a slice or a gather,
-        such as ``hitting.Cells.at_cols``); None reads the leading ones.
-        count must not exceed the rows packed: past them the classes differ
-        (PrimeField reads zero rows, the others return fewer values), and
-        ``lrr.low_rank_recovery``, the one caller whose count comes from its
-        input, raises ShapeMismatch first.
+        such as ``hitting.Cells.at_cols``); None reads the leading ones.  A
+        row ends early only when at is None or a slice.  count must not
+        exceed the rows packed; past them the classes differ.
         """
         rows = packed[:count] if at is None else map(at, packed[:count])
         return list(map(self.dot, itertools.repeat(u), rows))
@@ -473,17 +406,14 @@ class FieldCtx:
 class PrimeField(FieldCtx):
     """GF(p) on ints in [0, p), every body reducing mod p inline.
 
-    ``pack`` bundles R rows, the widest of width w, column by column:
-    column j is the int sum_l rows[l][j] 2^(S l), a row's entries past its
-    end taken as zero, slot S = 2 bitlen(p - 1) + bitlen(w).
-    ``dots`` then makes one ``sum(map(mul))`` for all R rows, the delayed
-    reduction of FFLAS/FFPACK (Dumas, Giorgi and Pernet, ISSAC 2004): for
-    entries in [0, p) each slot sums at most w products below (p - 1)^2,
-    under 2^S, whichever columns ``at`` picks, so none carries into the
-    next, and slot l read back mod p is row l's dot exactly.  S is read off
-    the whole table, so ``dots`` takes the table and a column selector,
-    never a slice of it.  Entries outside [0, p) are outside the class's
-    domain and give wrong slots.
+    ``pack`` bundles R rows of width at most w column by column: column j
+    is the int sum_l rows[l][j] 2^(S l), slot S = 2 bitlen(p - 1) +
+    bitlen(w).  ``dots`` is then one ``sum(map(mul))`` for all R rows, the
+    delayed reduction of FFLAS/FFPACK (Dumas, Giorgi and Pernet, ISSAC
+    2004): a slot sums at most w products below (p - 1)^2, so none carries
+    into the next.  S is read off the whole table, so ``dots`` takes the
+    table and a column selector, never a slice of it.  Entries outside
+    [0, p) give wrong slots.
     """
 
     def __init__(self, p: int):
@@ -602,18 +532,15 @@ class PrimeField(FieldCtx):
 class TableField(FieldCtx):
     """GF(p^k) on exp/log/Zech tables of a generator g of the ring's units.
 
-    The vector kernels work on logs.  ``pack`` maps each row to its logs,
-    a zero to 2(q - 1), which indexes the zero padding of ``exp``.  ``kexp``
-    is ``exp`` with each element in Kronecker form (D. Harvey, "Faster
-    polynomial multiplication via multipoint Kronecker substitution",
-    J. Symb. Comput. 44, 2009): coefficient i moved into bits 64i onward of
-    one int.  A row's dot is then one C-level ``sum`` of
-    ``kexp[log u[i] + log v[i]]``, and its k 64-bit slots read back mod p.
-    Each term adds at most p - 1 to a slot, and under the table cap k >= 2
-    forces p <= 13, so no slot carries before 2^60 terms: no width check.
-    ``kexp`` is built from the q - 1 distinct powers by the first ``dot``
-    or ``dots``, write-once like a prime field's inverse table, so contexts
-    that only read a file never pay for it.
+    ``exp`` lists g^0, ..., g^(q-2) twice, then zeros, and ``log`` maps zero
+    to 2(q - 1), which indexes that padding, so a product is
+    ``exp[log a + log b]`` with no branch.  ``pack`` maps rows to logs.
+    ``kexp`` is ``exp`` in Kronecker form (D. Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symb. Comput.
+    44, 2009), coefficient i in bits 64i onward of one int, so a dot is one
+    C-level ``sum`` read back slot by slot mod p; under the table cap p <=
+    13, so no slot carries before 2^60 terms.  The first ``dot`` or
+    ``dots`` builds ``kexp``.
     """
 
     def __init__(self, ring: FieldCtx, g: tuple[int, ...]):
@@ -766,13 +693,9 @@ def make_field(p: int, k: int) -> FieldCtx:
 
 
 def embed_as_matrix(ctx: FieldCtx, a: Fel) -> list[list[int]]:
-    """Matrix of x -> a*x over the base field, in the power basis.
-
-    Column c holds the coefficients of ``a * x^c``, x times column c - 1:
-    that column shifted up one degree, its x^k coefficient folded back in
-    through x^k mod f (the first row of the reduction table).  The map is an
-    algebra homomorphism: it turns field addition and multiplication into
-    matrix addition and multiplication.
+    """Matrix of x -> a*x over the base field, in the power basis: column c
+    holds the coefficients of ``a * x^c``.  The map is an algebra
+    homomorphism into the k x k matrices over GF(p).
     """
     if ctx.k == 1:
         return [[a]]

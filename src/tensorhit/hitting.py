@@ -11,7 +11,7 @@ reproducible):
                l < min(r, k+1, (n+m)-(k+1)); same order.
 * ``Bprime``   the subfamily of B with k <= (n+m-2)-2l; l-major, k-minor.
 * ``TensorB``  rank-1 tensors whose axis-a factor is the moment vector of
-               g^L(a) * a_k, where L is the exponent schedule below; ordered
+               g^L(a) * a_k, with L the exponent schedule ``L``; ordered
                by the exponent index tuple (lexicographic, last coordinate
                fastest), then k < dn.
 * ``Naive``    one indicator per position, row-major.
@@ -19,30 +19,9 @@ reproducible):
                over an extension; source-major, projection index minor.
 
 Each family is decided here once, and ``lrr`` and ``rankcode`` read it:
-``check_family`` is the one parameter domain.  Naive takes any shape;
-TensorB takes [n]^d with d >= 2 and R >= 1; Dprime takes any matrix with
-R >= 1 (rows past (n + m) // 2 measure nothing); B, Bprime and D take
-n x m with 1 <= R <= n <= m, the paper's.  ``schedule`` derives the rest
-once per (field class, field, family, shape, R): the one g, the alphas,
-multipliers and block counts of the rank-1 families B, Bprime and TensorB,
-the merge levels (a matrix is the one level), the ``Layout`` of cells each
-level solves for (every cell of a matrix, each TensorB level's packed
-lattice) with where those cells sit in the level's flat list, one weight
-table per layout, as wide as its columns, and the packed Vandermonde and
-Newton tables of the moment families.
-``dprime_size`` counts D' and ``tensor_size`` counts TensorB without
-building them.
-``inner_products`` is the one scan of a family against a tensor: it
-reuses the contractions of the trailing factors its members share.
-
-The alphas are the first canonical nonzero field elements, so they are
-distinct and nonzero; nonzero matters because downstream interpolation
-divides by powers of evaluation points.
-
-The exponent schedule ``L(n, b, k, ls)`` assigns padded variable position k
-(0-based, k < 2^len(ls)) the exponent sum over the set bits of k of
-ls[j-1] * (n 2^b)^(k >> j).  Real tensor axis a (0-based) occupies padded
-position a; the padding positions d..2^b-1 are dummies of degree zero.
+``check_family`` is its parameter domain and ``schedule`` everything
+derived from (field, family, shape, R).  The alphas are the first
+canonical nonzero field elements, so distinct and nonzero.
 """
 
 import functools
@@ -66,9 +45,9 @@ from .tensor import (
     LowRankTensor,
     _contract_last_axis,
     _expand_outer,
-    _inner_dense_factors,
     diag_bounds,
     diagonal,
+    eval_fT,
     expand,
     set_diagonal,
 )
@@ -106,7 +85,7 @@ class Measurement:
             k, weights = self.diag
             return ctx.dot(diagonal(t, k), weights)
         if self.factors is not None:
-            return _inner_dense_factors(ctx, t, self.factors)
+            return eval_fT(t, self.factors)
         return ctx.dot(t.entries, self.entries)
 
 
@@ -155,9 +134,14 @@ MOMENT_FAMILIES = ("B", "Bprime", "TensorB")
 
 
 def check_family(family: str, dims: tuple[int, ...], R: int) -> None:
-    """Raise unless family is defined on dims at R (module docstring): an R below
-    one raises ValueError before any shape is read, then a shape outside the
-    family (or an empty axis) ShapeMismatch and an R outside the shape ValueError."""
+    """Raise unless family is defined on dims at R.
+
+    Naive takes any shape; TensorB [n]^d with d >= 2; Dprime any matrix (rows
+    past (n + m) // 2 measure nothing); B, Bprime and D n x m with R <= n <=
+    m, the paper's.  An R below one raises ValueError before any shape is
+    read, then a shape outside the family (or an empty axis) ShapeMismatch
+    and an R outside the shape ValueError.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if family == "Naive":
@@ -178,10 +162,9 @@ def check_family(family: str, dims: tuple[int, ...], R: int) -> None:
 class Cells(NamedTuple):
     """The cells of a ``Layout`` on its k-diagonal, in column order.
 
-    ``rows`` and ``cols`` are their positions in the layout (rows descend),
-    ranges on a one-digit layout; ``at_rows`` and ``at_cols`` gather, in one
-    call, the entries at those cells of a vector indexed by row and by
-    column position (a weight row): a slice on a range.
+    ``rows`` and ``cols`` are their positions in the layout (rows descend);
+    ``at_rows`` and ``at_cols`` gather the entries at those cells of a
+    vector indexed by row and by column position.
     """
 
     k: int
@@ -196,10 +179,8 @@ class Layout:
     """The cells of an n x m matrix that recovery solves for.
 
     ``rows`` and ``cols`` (ascending) are the rows and columns that may hold
-    a nonzero entry; recovery stores its matrices over them, so position a
-    stands for row rows[a].  ``diagonals`` holds the ``Cells`` of each
-    diagonal that a cell lies on, in ascending k; recovery solves those and
-    no other.  ``Layout.of`` builds every layout.
+    a nonzero entry, so position a stands for row rows[a].  ``diagonals``
+    holds the ``Cells`` of each diagonal a cell lies on, in ascending k.
     """
 
     n: int
@@ -212,12 +193,8 @@ class Layout:
     def of(cls, us: Sequence[int], vs: Sequence[int], stride: int) -> "Layout":
         """The cells whose base-``stride`` digit t lies below us[t] in the row
         and below vs[t] in the column, positions counted digit 0 fastest; a
-        plain n x m matrix is the one digit (n,), (m,).
-
-        Each digit pair is a cell of a us[t] x vs[t] matrix, and stride >=
-        us[t] + vs[t] - 1, so digits add without carries: diagonal k's cells
-        are the products of one diagonal per digit, and enumerating those
-        digit 0 fastest is ascending k.  Folded from digit 0, so a one-digit
+        plain n x m matrix is the one digit (n,), (m,).  Needs stride >=
+        us[t] + vs[t] - 1, so that digits add without carries.  A one-digit
         layout keeps ranges, and its gathers are slices.
         """
         rows, cols = range(us[0]), range(vs[0])
@@ -265,31 +242,19 @@ class Schedule:
     """Everything a family derives from (field, family, shape, R), built once.
 
     ``g`` is the generator.  Block ``(ls, mults, count)`` of a moment family
-    (B, Bprime, TensorB) lists, in family order, the members (k, ls) for
-    k < count, whose axis-a factor is the moment vector of mults[a] *
-    alphas[k]: member (k, ls) evaluates sum_idx T[idx] prod_a mults[a]^idx_a
-    x^(sum idx) at alphas[k].  Merge level i + 1 merges the variables of
-    sizes ``levels[i]`` in pairs, 2j (rows) and 2j + 1 (columns) into j,
-    packed in base ``stride``: a matrix is one level, its shape (n, m), with
-    stride n + m - 1; TensorB's first level is the padded [n]^d, with stride
-    n 2^b.  ``layouts[i]`` (``Layout.of``) holds the cells level i + 1
-    solves for: every cell of a matrix; for TensorB the packed lattice whose
-    row (column) digits lie below the sizes of the even (odd) variables, the
-    only cells a merged matrix can fill, and whose ``diagonals`` are the
-    cells of the level above.  ``places[i]`` = (row_at, col_at) puts cell
-    (a, b) at row_at[a] + col_at[b] of the level's flat list: the tensor,
-    row-major, at level 1; above it a coefficient list, one per diagonal of
-    the level below, which is digit 0 fastest.  ``gathers[i]`` read each
-    diagonal's entries from it by column, a strided slice on a one-digit
-    layout.  ``tables[i]``, the weight table of ``layouts[i]``, has
-    ``table_rows`` rows indexed by column position: entry (l, b) is
-    g^(l cols[b]).  A matrix's rows are D' at R, without the rows l >=
-    (n + m) // 2 that measure nothing; TensorB has R rows.
-    ``packed_tables[i]`` is ``tables[i]`` bundled by ``ctx.pack`` for
-    ``ctx.dots``.  The moment families read two more: ``vandermonde`` packs
-    the rows (alphas[k]^i)_i for i <= sum(dims) - d, and ``newton`` is
-    ``linalg.newton_tables`` of the alphas, which every interpolation on a
-    prefix of them reads.  Every table and layout is built on first read.
+    lists the members (k, ls), k < count, in family order: member (k, ls)
+    evaluates sum_idx T[idx] prod_a mults[a]^idx_a x^(sum idx) at alphas[k].
+    Merge level i + 1 merges the variables of sizes ``levels[i]`` in pairs,
+    2j (rows) and 2j + 1 (columns) into j, in base ``stride``; a matrix is
+    the one level.  ``layouts[i]`` holds the cells level i + 1 solves for,
+    ``places[i]`` = (row_at, col_at) puts cell (a, b) at row_at[a] +
+    col_at[b] of the level's flat list (the tensor, row-major, at level 1),
+    and ``gathers[i]`` read each diagonal's entries from that list.
+    ``tables[i]`` has ``table_rows`` rows, entry (l, b) g^(l cols[b]), and
+    ``packed_tables[i]`` is it packed.  ``vandermonde`` packs the rows
+    (alphas[k]^i)_i, i <= sum(dims) - d, and ``newton`` is
+    ``linalg.newton_tables`` of the alphas.  Tables and layouts are built on
+    first read.
     """
 
     ctx: FieldCtx
@@ -359,10 +324,8 @@ def _powers_at(ctx: FieldCtx, x: Fel, cols: Sequence[int]) -> tuple[Fel, ...]:
 
 def schedule(ctx: FieldCtx, family: str, dims, R: int) -> Schedule:
     """The schedule of family on dims at R, after ``check_family``: g has order
-    >= (2dn)^d for TensorB on [n]^d, else >= m.  Built once per (field
-    class, field, family, shape, R), so list or tuple dims share it; a
-    TableField and the ring on its modulus are equal but pack differently,
-    so each gets its own."""
+    >= (2dn)^d for TensorB on [n]^d, else >= m.  Cached per (field class,
+    field, family, shape, R)."""
     return _schedule(ctx, family, tuple(dims), R)
 
 
@@ -468,12 +431,9 @@ def hitting_set_D_prime(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet
 
 
 def L(n: int, b: int, k: int, indices: tuple[int, ...]) -> int:
-    """Exponent schedule of the variable-merging reduction.
-
-    Sums indices[j-1] * (n 2^b)^(k >> j) over the set bits j-1 of the padded
-    variable position k.  Values grow like (n 2^b)^(2^(d-1)); exact integers
-    throughout.
-    """
+    """Exponent schedule of the variable-merging reduction: the sum of
+    indices[j-1] * (n 2^b)^(k >> j) over the set bits j-1 of the padded
+    variable position k (axis a is position a; positions d.. are dummies)."""
     d = len(indices)
     if not 0 <= k < (1 << d):
         raise ValueError(f"position {k} out of range for {d} index slots")
@@ -623,10 +583,8 @@ def _in_field(t, ctx: FieldCtx) -> DenseTensor:
 def inner_products(t, h: MeasurementSet):
     """Yield <t, m> for each member m of h, in family order, as it is read.
 
-    t is taken to h's field (``family_tensor``).  A factored member
-    contracts t from its last axis inward, and each partial contraction is
-    kept for this scan, keyed by the trailing factors it used: members that
-    share them (k per source and axis-1 row of a proper simulation) reuse it.
+    t is taken to h's field (``family_tensor``).  Factored members that
+    share trailing factors reuse their partial contraction.
     """
     t = family_tensor(t, h)
     ctx, memo = h.ctx, {(): t.entries}
@@ -643,8 +601,7 @@ def inner_products(t, h: MeasurementSet):
 
 
 def first_witness(t, h: MeasurementSet) -> int | None:
-    """Index of the first measurement with nonzero inner product, else None:
-    one ``inner_products`` scan, reusing trailing-factor contractions, stopped there."""
+    """Index of the first measurement with nonzero inner product, else None."""
     zero = h.ctx.zero
     return next((i for i, v in enumerate(inner_products(t, h)) if v != zero), None)
 

@@ -1,15 +1,7 @@
-"""Dense exact linear algebra over a FieldCtx.
+"""Dense exact linear algebra over a FieldCtx, on plain lists of elements.
 
-Row-reduction, solving, nullspaces and interpolation, all on plain lists
-of field elements and written once for every field on top of the FieldCtx
-vector kernels.  Pivoting takes the first nonzero entry
-scanning top to bottom; over a finite field there is nothing better to
-choose, and the fixed rule keeps every derived construction deterministic.
-
-Interpolation reads a pair of packed Newton tables with two ``ctx.dots``.
-``newton_tables`` builds them and caches nothing: ``hitting.Schedule``
-holds one pair per schedule, which every prefix of its points reads, so
-their inversions and their packing are paid once per schedule.
+Pivoting takes the first nonzero entry scanning top to bottom, which keeps
+every derived construction deterministic.
 """
 
 import functools
@@ -28,12 +20,7 @@ def rref(ctx: FieldCtx, rows: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def _reduce(ctx: FieldCtx, rows: Matrix) -> list[int]:
-    """Bring rows to reduced row-echelon form in place; returns the pivot columns.
-
-    Rows left of the current pivot column are all zero (pivot columns were
-    eliminated, skipped columns never held a nonzero below the frontier),
-    so each pivot step updates from its column onward.
-    """
+    """Bring rows to reduced row-echelon form in place; returns the pivot columns."""
     if not rows:
         return []
     zero, nrows = ctx.zero, len(rows)
@@ -113,14 +100,9 @@ def poly_from_roots(ctx: FieldCtx, xs: list[Fel]) -> list[Fel]:
 
 def poly_interpolate(ctx: FieldCtx, tables, ys: list[Fel]) -> list[Fel]:
     """Coefficients of the degree < len(ys) polynomial taking ys on the first
-    len(ys) points of tables = ``newton_tables(ctx, xs)``.
-
-    Newton form P = sum_k a_k N_k with N_k = prod_(j<k) (x - xs[j]): a_k =
-    <dd[k], ys>, and coefficient j of P is <basis[j], a'>, with a' the a_k
-    from k = len(xs) - 1 down, zero for k >= len(ys).  That is two
-    ``ctx.dots`` and no inversion.  Any prefix of xs reads the same tables,
-    so callers pass their whole schedule's.  Raises ShapeMismatch when
-    there are more values than points.
+    len(ys) points of tables = ``newton_tables(ctx, xs)``, in Newton form
+    P = sum_k <dd[k], ys> N_k.  Raises ShapeMismatch when there are more
+    values than points.
     """
     xs, dd, basis = tables
     if len(ys) > len(xs):
@@ -131,15 +113,12 @@ def poly_interpolate(ctx: FieldCtx, tables, ys: list[Fel]) -> list[Fel]:
 
 def newton_tables(ctx: FieldCtx, xs) -> tuple:
     """(xs, dd, basis): the two triangular Newton tables of the points xs,
-    packed by ``ctx.pack``.
+    packed by ``ctx.pack``, which serve every prefix of xs.
 
-    Row k of ``dd`` is ``dd[k][i] = 1 / prod_(j<=k, j!=i) (xs[i] - xs[j])``
-    for i <= k, so <dd[k], ys> is the divided difference [ys[0], ...,
-    ys[k]]; row j of ``basis`` is coefficient j of N_k for k = len(xs) - 1
-    down to j.  Each row ends at its last entry that can be nonzero, so a
-    dot reads no zero past it.  Row k of dd and the coefficients of N_k
-    depend on xs[:k+1] alone, which is what lets every prefix share them.
-    Raises ZeroDivisionError when two points coincide.
+    ``dd[k][i] = 1 / prod_(j<=k, j!=i) (xs[i] - xs[j])``, so <dd[k], ys> is
+    the divided difference [ys[0], ..., ys[k]]; row j of ``basis`` is
+    coefficient j of N_k = prod_(j<k) (x - xs[j]) for k = len(xs) - 1 down
+    to j.  Raises ZeroDivisionError when two points coincide.
     """
     xs = tuple(xs)
     # dd[k][i] = dd[k-1][i] / (xs[i] - xs[k]); a schedule's differences

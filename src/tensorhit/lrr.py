@@ -1,50 +1,22 @@
-"""Low-rank recovery from diagonal measurements.
+"""Low-rank recovery from diagonal measurements, and the families built on it.
 
-The engine reconstructs a rank <= r matrix one k-diagonal at a time from
-non-adaptive inner products, over the cells of a ``hitting.Layout``: every
-cell of a plain matrix, or the packed lattice of a TensorB merge level,
-the only cells its matrix can fill; the layout alone says which cells lie
-on each diagonal.  Row-reducing the already-recovered prefix keeps it in
-(<k)-upper-echelon form, which forces the next diagonal of the reduced
-matrix to be sparse outside a small set of predictable columns.
-A diagonal with at least as many syndrome rows as entries is solved from
-its first rows and every further row is checked; a longer diagonal goes
-to Prony's method on dual Reed-Solomon rows with the echelon advice set.
-Row 0 of the weight table is all ones and row l is row 1 to the power l,
-so both end in one O(len^2) transposed-Vandermonde solve
-(``sparse.vandermonde_solve``) and return the diagonal's support with its
-values.  After each diagonal the leading nonzero entries
-are counted against r, so a returned matrix has rank <= r and matches
-every syndrome.  The row operations live in a unit lower-triangular L,
-kept as its <= r off-identity columns negated, and of the reduced matrix
-P the loop keeps only the current diagonal on its support and the pivots
-of the leading entries.  A diagonal's negated correction is one
-``ctx.sum_products`` and its effect on the syndromes one multi-row
-``ctx.dots`` on the layout's packed weight table, read through the
-diagonal's column gather; everything else on a diagonal costs O(r) field
-operations.
+``low_rank_recovery`` reconstructs a rank <= r matrix one k-diagonal at a
+time over the cells of a ``hitting.Layout``.  Row-reducing the recovered
+prefix keeps it (<k)-upper-echelon, which makes the next diagonal of the
+reduced matrix sparse outside a small advice set: a short diagonal is
+solved outright, a long one by Prony's method with that advice.
 
 Echelon conventions.  A leading nonzero entry (lne) of a row is its first
 nonzero column; lne(M^(<k)) collects those falling strictly below the
 k-diagonal.  M is (<k)-upper-echelon when, for each such (i, j), the
-entries (i', j) with i < i' < k - j vanish.  Within this module diagonals
-are handled in column order, because measurement weights and evaluation
-points are indexed by column position in the layout.
+entries (i', j) with i < i' < k - j vanish.  Diagonals are handled in
+column order, since weights and points are indexed by column position.
 
-Beyond matrices, the module converts rank-1-family syndromes into diagonal
-syndromes by staircase interpolation (two ``dots`` per interpolation, on
-the schedule's packed Newton tables), and reverses the variable-merging
-reduction to recover order-d tensors measured with the tensor family: each
-level recovers the merged coefficient matrix on the level's lattice from
-one coefficient per diagonal it meets, and writes its cells straight into
-the finer level's coefficients.  Measurement runs the same levels
-upward: D', B, B' and TensorB share one syndrome pass, one multi-row
-``ctx.dots`` per diagonal, and a matrix is the one level.  Every shape
-rule, generator, point, weight, merge level and layout is read from
-``hitting``.  The moment families then evaluate each block's polynomial
-with one ``dots`` on the schedule's packed Vandermonde rows.
-``measure`` and ``recover`` are the one entry point for each family in
-``RECOVERY_FAMILIES``.
+The rank-1 families B' and TensorB are read back to diagonal syndromes by
+interpolation; TensorB then reverses the paper's variable-merging
+reduction level by level.  Every shape rule, point, weight, level and
+layout comes from ``hitting``.  ``measure`` and ``recover`` are the entry
+points for each family in ``RECOVERY_FAMILIES``.
 """
 
 import bisect
@@ -104,14 +76,12 @@ def _echelon_ops(ctx, p_diag: dict, pivot, under: list[tuple[int, int]], diag_ro
 class EchelonState:
     """View of the recovery loop's state, passed to hooks (read-only).
 
-    Matrices are stored over the layout's rows and columns: entry [a][b] is
-    cell (layout.rows[a], layout.cols[b]), and lne maps row positions to
-    column positions.  The loop keeps N and the off-identity columns of the
-    unit lower-triangular L, negated (``l_cols``, column position -> entries);
-    ``L`` and ``P`` are built from them on first read.  L is the identity
-    with those columns negated back, and P = L N on the diagonals <= ``solved`` and zero
-    beyond: the reduced matrix on the diagonals solved so far.  Read them
-    during the hook call, since the loop goes on to change N and l_cols.
+    Matrices are over the layout's rows and columns: entry [a][b] is cell
+    (layout.rows[a], layout.cols[b]), and lne maps row positions to column
+    positions.  ``l_cols`` maps each off-identity column of the unit
+    lower-triangular L to its entries, negated.  ``L`` and ``P`` are built
+    on first read: P = L N on the diagonals <= ``solved``, zero beyond.
+    Read them during the hook call; the loop goes on to change N and l_cols.
     """
 
     ctx: FieldCtx
@@ -162,13 +132,9 @@ class RecoveryHooks:
 
 
 def _solve_diagonal(ctx, weights, ys) -> list[Fel]:
-    """A diagonal's entries x from ys[l] = <x, weights[l]>.
-
-    Row 0 of weights is all ones and row l is row 1 to the power l, so the
-    first rows, one per entry, are a transposed Vandermonde system on the
-    points weights[1], which ``sparse.vandermonde_solve`` solves; every
-    further row is checked against the solution.
-    """
+    """A diagonal's entries x from ys[l] = <x, weights[l]>, with row 0 of
+    weights all ones and row l row 1 to the power l; a row past the first
+    len(x) that x does not satisfy raises InconsistentSyndrome."""
     length = len(weights[0])
     points = weights[1] if length > 1 else weights[0]  # one entry needs no point
     x = vandermonde_solve(ctx, linalg.poly_from_roots(ctx, points), points, ys)
@@ -189,39 +155,23 @@ def low_rank_recovery(
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
-    ``layout`` (``hitting.Layout``) names the cells that may be nonzero: N
-    and the columns of L are stored over its rows and columns, and the
-    returned matrix is N over them.  syndromes_by_k holds one vector per
-    entry of ``layout.diagonals``, in that order.  ``table`` is the
-    layout's weight table (``hitting.Schedule.tables``): row 0 all ones,
-    row l row 1 to the power l, one entry per layout column.  Entry l of
-    diagonal k's vector is its inner product with row l on the diagonal's
-    column positions (``Cells.at_cols``).  ``packed_table`` is
-    ``ctx.pack(table)`` (``Schedule.packed_tables``).  Another vector
-    count, another table width, or a diagonal with more syndromes than
-    ``table`` has rows raises ShapeMismatch.  Each diagonal is solved on
-    its cells, from their points in row 1.  One with at least as many rows
-    as cells goes to ``_solve_diagonal``; a longer one must have 2r rows
-    and goes to Prony's method with the echelon advice set.  Both return
-    the diagonal's support (a short diagonal's cells; Prony's advice and
-    locator roots) with the values there.  An error names its diagonal as
-    ``diagonal k:``.
+    ``layout`` (``hitting.Layout``) names the cells that may be nonzero, and
+    the returned matrix is over its rows and columns.  syndromes_by_k holds
+    one vector per entry of ``layout.diagonals``, in that order; entry l of
+    diagonal k's vector is its inner product with row l of ``table`` on the
+    diagonal's column positions (``Cells.at_cols``).  ``table`` is the
+    layout's weight table (``hitting.Schedule.tables``: row 0 all ones, row
+    l row 1 to the power l, one entry per layout column) and
+    ``packed_table`` is ``ctx.pack(table)``.  A diagonal with at least as
+    many syndromes as cells is solved outright; a longer one must have 2r.
+    Another vector count, another table width, or more syndromes than
+    ``table`` has rows raises ShapeMismatch.  Syndromes no rank <= r matrix
+    explains raise a PromiseViolation naming the diagonal where it showed.
 
-    The loop keeps only what it reads.  L is its <= r off-identity columns
-    ``l_cols``, negated, and b = -(L - I) N on the diagonal is one
-    ``ctx.sum_products`` of them with N: row c of N is still zero on the
-    diagonal and beyond, so the entry -L[c][c] adds nothing.  The corrected
-    syndromes are the syndromes minus one ``ctx.dots`` of b on the packed
-    table.  P's diagonal is zero off the support, so N = P + b is b patched
-    there, and only there can a new leading entry lie.  Of P the loop keeps
-    the current diagonal ``p_diag`` on the support and the pivot
-    P[i][lne[i]] of each leading entry.  An echelon op (tgt, src, c) on
-    diagonal k changes row tgt of P only on diagonals >= k, since row src is
-    zero left of its pivot, so no later op changes a pivot, and on diagonal
-    k it zeroes one entry of ``p_diag``.  Row src of L is zero outside the
-    off-identity columns and src, so the op updates at most r + 1 entries of
-    L; being linear, it updates the negated columns alike, and a new one
-    starts as -e_src.  Hooks get an ``EchelonState`` built from this state.
+    The loop keeps L, the unit lower-triangular row operations, as its <= r
+    off-identity columns negated, and of the reduced matrix P = L N only
+    the current diagonal on its support and the pivots of the leading
+    entries; hooks get an ``EchelonState`` built from them.
     """
     syndromes_by_k = list(syndromes_by_k)
     expected = len(layout.diagonals)
@@ -314,21 +264,15 @@ def low_rank_recovery(
 
 def _diagonal_syndromes(s: Schedule, i: int, entries, counts) -> list[list[Fel]]:
     """[<diagonal k, row l of s.tables[i]> for l < counts[k]] for each diagonal k
-    of s.layouts[i], read from the level's flat list ``entries``: one gather
-    (``Schedule.gathers``) and one ``ctx.dots`` per diagonal."""
+    of s.layouts[i], read from the level's flat list ``entries``."""
     table = s.packed_tables[i]
     return [s.ctx.dots(at(entries), table, count, cells.at_cols)
             for cells, at, count in zip(s.layouts[i].diagonals, s.gathers[i], counts)]
 
 
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
-    """Syndromes of mat (dense or factored) against the diagonal family at 2r.
-
-    Ordered by ascending diagonal, ascending weight exponent inside each
-    diagonal; generation depends only on (shape, r, field), never on mat.
-    Each diagonal is gathered once and measured against all of its rows of
-    the weight table in one ``ctx.dots`` (``_diagonal_syndromes``).
-    """
+    """Syndromes of mat (dense or factored) against the D' family at 2r,
+    in family order: ascending diagonal, then ascending weight exponent."""
     check_recovery("Dprime", mat.dims, r)
     if isinstance(mat, LowRankTensor):
         mat = expand(mat)
@@ -346,11 +290,7 @@ def recover_from_D(
     syndromes: list[Fel],
     hooks: RecoveryHooks | None = None,
 ) -> DenseTensor:
-    """Exact recovery from measure_D output.
-
-    Diagonals shorter than the 2r measurement budget are solved outright;
-    the rest go through Prony's method with the echelon advice set.
-    """
+    """The rank <= r n x m matrix whose measure_D output is syndromes."""
     check_recovery("Dprime", (n, m), r)
     expected = dprime_size(n, m, 2 * r)
     if len(syndromes) != expected:
@@ -371,20 +311,13 @@ def recover_from_D(
 def convert_B_to_D(
     ctx: FieldCtx, n: int, m: int, R: int, syndromes: list[Fel]
 ) -> list[Fel]:
-    """Convert staircase rank-1-family syndromes into diagonal syndromes.
+    """The D' syndromes at R of the matrix whose B' syndromes at R are given.
 
-    Input: inner products against the independent rank-1 family with
-    parameter R (exponent-major, evaluation-point-minor).  Output: the
-    diagonal-family syndromes with the same parameter R, diagonal-major.
-
-    Block l of the input evaluates a polynomial whose extreme coefficients
-    are already determined by blocks < l; subtracting those fringes and
-    dividing by the evaluation point's l-th power leaves a polynomial short
-    enough to interpolate from the block's (n+m-1) - 2l evaluations.
-
-    This inverts exactly the map ``measure_moments`` computes: block l
-    holds the evaluations at the alphas of p_l(x) = sum_(i,j) M[i,j] g^(lj)
-    x^(i+j), whose coefficient k is the D syndrome (k, l).
+    Block l of B' evaluates p_l(x) = sum_(i,j) M[i,j] g^(lj) x^(i+j), whose
+    coefficient k is D' syndrome (k, l).  Its l lowest and l highest
+    coefficients follow from blocks < l; subtracting them and dividing by
+    x^l leaves a polynomial short enough to interpolate from the block's
+    (n+m-1) - 2l evaluations.
     """
     # |B'| = |D'|, counted before the schedule's O(n + m) points
     expected = dprime_size(n, m, R)
@@ -443,8 +376,7 @@ def tensor_measure(t: DenseTensor, r: int) -> list[Fel]:
 
 def _unpack(w: DenseTensor, row_at, col_at) -> list[Fel]:
     """The level's flat list from w, the matrix over its lattice: cell (a, b)
-    is entry row_at[a] + col_at[b] (``Schedule.places``), and every entry is
-    one cell."""
+    is entry row_at[a] + col_at[b] (``Schedule.places``)."""
     entries = [w.ctx.zero] * (row_at[-1] + col_at[-1] + 1)
     for a, row in zip(row_at, w.rows()):
         for b, x in zip(col_at, row):
@@ -455,22 +387,13 @@ def _unpack(w: DenseTensor, row_at, col_at) -> list[Fel]:
 def tensor_recover(
     ctx: FieldCtx, d: int, n: int, r: int, syndromes: list[Fel]
 ) -> DenseTensor:
-    """Exact recovery of a rank <= r tensor from tensor_measure output.
+    """The rank <= r tensor of shape [n]^d whose tensor_measure output is syndromes.
 
-    Interpolates one univariate polynomial per exponent-index tuple, then
-    walks the merging recursion backwards: the R polynomials that share an
-    index prefix hold the diagonal-family syndromes of a merged coefficient
-    matrix of rank <= r.  Only the cells of the level's packed lattice
-    (``Schedule.layouts``) can be nonzero, so each matrix is recovered over
-    them from the diagonals they meet, and its cells are written into the
-    finer level's coefficients at ``Schedule.places``, where
-    ``measure_moments`` reads them.  A polynomial is a plain list of its
-    coefficients on those diagonals, ascending: in base stride = n 2^b a
-    diagonal adds its row's and column's digits without carries, so that
-    order is the level above's cells written digit 0 fastest (the top
-    level's single variable is in it already).  Level 1 writes them
-    row-major, which is the tensor.  Every lattice cell is an entry of the
-    finer tensor, so no recovered entry can fall outside it.
+    Interpolates one polynomial per exponent-index tuple, then reverses the
+    variable-merging reduction: the R polynomials sharing an index prefix
+    hold the D' syndromes of a merged matrix of rank <= r, recovered on its
+    level's lattice (``Schedule.layouts``) and written into the finer
+    level's coefficients at ``Schedule.places``.  An error names its level.
     """
     dims = (n,) * d
     check_recovery("TensorB", dims, r)
@@ -481,17 +404,13 @@ def tensor_recover(
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
     s = schedule(ctx, "TensorB", dims, R)
-    alphas = s.alphas
 
     polys: dict[tuple[int, ...], list[Fel]] = {}
     for i, (ls, _, count) in enumerate(s.blocks):
         evals = syndromes[i * count : (i + 1) * count]
         cs = linalg.poly_interpolate(ctx, s.newton, evals[: deg + 1])
-        for a, e in zip(alphas[deg + 1 :], evals[deg + 1 :]):
-            if ctx.horner(cs, a) != e:
-                raise InconsistentSyndrome(
-                    "redundant evaluation disagrees with interpolant"
-                )
+        if ctx.dots(cs, s.vandermonde, count) != evals:  # cs meets the first deg + 1
+            raise InconsistentSyndrome("redundant evaluation disagrees with interpolant")
         polys[ls] = cs
 
     for level in range(len(s.levels), 0, -1):
@@ -516,14 +435,10 @@ def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t against the rank-1 moment family ``family`` at r.
 
     Member (k, ls) of B, B' and TensorB evaluates the polynomial of block ls
-    at alpha_k (``hitting.schedule``).  Its coefficients come from running
-    ``tensor_recover``'s levels upward: level i takes the flat list of each
-    prefix ls[:i - 1] (at level 1 the entries of t) through the one
-    syndrome pass, R rows per diagonal, and row l is the flat list of
-    prefix ls[:i - 1] + (l,).  On a matrix, the one level, block l's
-    coefficients are the diagonal-family syndromes of row l, which
-    ``convert_B_to_D`` reads back.  Block ls is then evaluated at its first
-    count points, one ``dots`` on ``Schedule.vandermonde``.
+    at alpha_k (``hitting.schedule``).  Its coefficients come from
+    ``tensor_recover``'s levels run upward: at level i, row l of the D'
+    syndromes of prefix ls[:i - 1] is the flat list of prefix ls[:i - 1] +
+    (l,), and at level 1 the flat list is t's entries.
     """
     if isinstance(t, LowRankTensor):
         t = expand(t)
@@ -542,11 +457,7 @@ def measure_syndromes(t, fam) -> list[Fel]:
     """Inner products against a measurement family, in family order.
 
     t may be dense or factored, over the family's field or its prime
-    subfield; a shape other than the family's raises ShapeMismatch.  B, B'
-    and TensorB families with factored members, as the ``hitting`` builders
-    make them, take the packed ``measure_moments`` path; every other
-    family (D, D', Naive, simulated, read from a file) is measured member
-    by member in one ``hitting.inner_products`` scan.
+    subfield; a shape other than the family's raises ShapeMismatch.
     """
     t = family_tensor(t, fam)
     if fam.family in MOMENT_FAMILIES and all(

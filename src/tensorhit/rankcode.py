@@ -23,7 +23,7 @@ from .errors import (
 )
 from .field import FieldCtx
 from .hitting import MeasurementSet, generate_family
-from .tensor import DenseTensor, matrix_rank, permute_axes
+from .tensor import DenseTensor, matrix_rank
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,18 @@ def syndrome(code: RankMetricCode, word: DenseTensor) -> list:
 
 
 def error_rank_bound(t: DenseTensor) -> int:
-    """Exact rank for matrices; max flattening rank (a lower bound) for d > 2."""
+    """Exact rank for matrices; for d > 2 the largest rank of an unfolding, a
+    lower bound on tensor rank.  Row i of the mode-a unfolding holds the
+    entries with index i on axis a, in row-major order of the other axes."""
     if len(t.dims) == 2:
         return matrix_rank(t)
-    best = 0
-    d, total = len(t.dims), math.prod(t.dims)
+    best, entries = 0, t.entries
     for axis, n_ax in enumerate(t.dims):
-        # axis first, the others in order: row i is the slice at index i
-        entries = permute_axes(t, (axis, *(a for a in range(d) if a != axis))).entries
-        best = max(best, matrix_rank(DenseTensor(t.ctx, (n_ax, total // n_ax), entries)))
+        inner = math.prod(t.dims[axis + 1 :])
+        starts = range(0, len(entries), n_ax * inner)  # one per outer index
+        rows = [[e for o in starts for e in entries[o + i * inner : o + (i + 1) * inner]]
+                for i in range(n_ax)]
+        best = max(best, linalg.rank(t.ctx, rows))
     return best
 
 
@@ -90,12 +93,10 @@ def decode(
 ) -> tuple[DenseTensor, DenseTensor]:
     """Split a received word into (codeword, error) for error rank <= r.
 
-    The syndrome depends on the error alone; recovery reconstructs it, and
-    the result is re-verified (zero residual syndrome, error within the
-    radius) so an out-of-promise input raises DecodeFailure rather than
-    returning an unflagged wrong word.  For d > 2 the radius check uses the
-    largest flattening rank, which is only a lower bound on tensor rank, so
-    an error of tensor rank above r may still pass it.
+    The error is recovered from the syndrome and re-verified (zero residual
+    syndrome, ``error_rank_bound`` within r), so an input outside the
+    promise raises DecodeFailure.  For d > 2 that bound is only a lower
+    bound on tensor rank, so an error of tensor rank above r may pass.
     """
     ctx = code.ctx
     if received.dims != code.dims or received.ctx != ctx:
@@ -120,9 +121,9 @@ def decode(
 def min_distance_brute(code: RankMetricCode, cap: int = 200_000):
     """Minimum rank over all nonzero codewords, by full enumeration.
 
-    Returns math.inf for the zero-dimensional code.  For d > 2 the reported
-    value uses flattening rank and is therefore a lower bound on the true
-    rank distance.  Enumerating more than ``cap`` codewords raises TooLarge.
+    Returns math.inf for the zero-dimensional code.  For d > 2 it is
+    ``error_rank_bound``'s, a lower bound on the rank distance.  More than
+    ``cap`` codewords raises TooLarge.
     """
     ctx = code.ctx
     dim = code.dimension

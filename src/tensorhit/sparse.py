@@ -3,30 +3,15 @@
 The measurement matrix is V[i, j] = g_j^i over distinct points g_j, with 2s
 rows.  Any 2s of its columns are independent, so an s-sparse vector is the
 unique preimage of its syndrome; with an advice set S of suspected support
-positions the budget improves to |supp(x) \\ S| <= s - |S|/2, each advice
-position costing half an error.
+positions the budget improves to |supp(x) \\ S| <= s - |S|/2.
 
-pronys_method recovers such a vector from its syndrome alone, as an
-errors-and-erasures Reed-Solomon decoder does.  The erasure polynomial
-Gamma = prod_{i in S} (z - g_i) (Forney, "On decoding BCH codes", IEEE
-Trans. IT 1965) filters the advice points out of the syndrome, leaving a
-sum of at most s - |S|/2 exponentials at the surprise points.
-Berlekamp-Massey (Massey, "Shift-register synthesis and BCH decoding",
-IEEE Trans. IT 1969) finds the shortest linear recurrence of the filtered
-sequence; its reversal is the error locator, whose roots among the other
-points are the surprises.  The values then solve a transposed
-Vandermonde system over the master polynomial M = Gamma * locator, whose
-roots are the support points: q_j = M / (z - g_j) vanishes at every
-support point but g_j, so x_j = <q_j, y> / M'(g_j) (Kaltofen and
+Decoding is that of errors-and-erasures Reed-Solomon: the erasure
+polynomial of S (Forney, "On decoding BCH codes", IEEE Trans. IT 1965)
+filters the advice out, Berlekamp-Massey (Massey, "Shift-register
+synthesis and BCH decoding", IEEE Trans. IT 1969) finds the error locator,
+and the values solve a transposed Vandermonde system (Kaltofen and
 Lakshman, ISSAC 1988, for this step of Ben-Or and Tiwari's sparse
-interpolation).  The syndrome obeys M's recurrence at every index, so no
-final check is needed: a syndrome no vector within the promise explains
-breaks the locator's length or its roots.
-
-``prony_support`` returns that support and the values on it, which
-``pronys_method`` spreads into a dense vector.  The last step,
-``vandermonde_solve``, is O(len^2) for any distinct points and their
-master polynomial; recovery solves its short diagonals with it too.
+interpolation).
 """
 
 from dataclasses import dataclass
@@ -162,11 +147,9 @@ def vandermonde_solve(ctx: FieldCtx, master: list[Fel], points, y: list[Fel]) ->
     """x with sum_j x_j points[j]^l = y[l] for l < deg M, in O(deg(M)^2).
 
     master is M = prod_j (z - points[j]), constant term first, and points
-    may be any iterable of M's roots, in the order of x.  The system
-    is a transposed Vandermonde one: q_j = M / (z - p_j) vanishes at every
-    point but p_j, so x_j = <q_j, y> / M'(p_j), and <q_j, y> is h(p_j) with
-    h_e = sum_u M_(u+1+e) y_u.  When two points coincide M' vanishes there
-    and the square system is singular: InconsistentSyndrome is raised.
+    may be any iterable of M's roots, in the order of x; then x_j =
+    <M / (z - p_j), y> / M'(p_j).  Two coinciding points make the system
+    singular and raise InconsistentSyndrome.
     """
     h = [ctx.dot(master[e + 1 :], y) for e in range(len(master) - 1)]
     deriv = [ctx.mul(ctx.scalar(e), master[e]) for e in range(1, len(master))]

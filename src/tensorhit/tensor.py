@@ -1,18 +1,13 @@
-"""Dense and factored tensors over a FieldCtx.
+"""Dense and factored tensors over a FieldCtx, and their polynomial views.
 
-A DenseTensor stores a row-major flat list of field elements for an
-arbitrary shape; matrices are the d = 2 case and index as (row, column)
-from zero.  Rank1Tensor / LowRankTensor hold the factored certificate
-forms.  The module also provides the polynomial views of a tensor
-(eval_fT / eval_fhat), k-diagonal access, exact rank and axis permutation.
-
-Operations are pure and values are treated as immutable; the only sanctioned
-mutation is set_diagonal on a matrix the caller owns.
+A DenseTensor is a row-major flat list of field elements; a matrix is the
+d = 2 case, indexed (row, column) from zero.  Rank1Tensor and LowRankTensor
+are the factored forms.  Values are treated as immutable, except that
+set_diagonal writes into a matrix the caller owns.
 """
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -144,9 +139,7 @@ def _expand_outer(ctx: FieldCtx, factors) -> DenseTensor:
 
 
 def expand(t: LowRankTensor) -> DenseTensor:
-    """Entrywise sum of the outer products, in one ``ctx.sum_products`` of each
-    term's outer product over every axis but the last, each entry repeated
-    along the last axis, with its last factor tiled; no term gives zero."""
+    """The dense sum of t's terms (zero for none), in one ``ctx.sum_products``."""
     ctx, width = t.ctx, t.dims[-1]
     if not t.terms:
         return DenseTensor.zeros(ctx, t.dims)
@@ -166,55 +159,23 @@ def _contract_last_axis(ctx, entries, vec):
     ]
 
 
-def _inner_dense_factors(ctx, dense: DenseTensor, factors) -> Fel:
-    entries = dense.entries
-    for v in reversed(factors):
-        entries = _contract_last_axis(ctx, entries, v)
+def eval_fT(t: DenseTensor, vectors: list[tuple[Fel, ...]]) -> Fel:
+    """f_T(a_1, ..., a_d) = <T, a_1 x ... x a_d>, the paper's multilinear form of t.
+
+    Raises ShapeMismatch unless there is one vector per axis, as long as it.
+    """
+    if len(vectors) != len(t.dims):
+        raise ShapeMismatch("one vector per axis required")
+    if tuple(map(len, vectors)) != t.dims:
+        raise ShapeMismatch("vector length does not match axis")
+    entries = t.entries
+    for v in reversed(vectors):
+        entries = _contract_last_axis(t.ctx, entries, v)
     return entries[0]
 
 
-def inner_product(t1, t2) -> Fel:
-    """<T1, T2>: sum of entrywise products; factored shortcut when possible.
-
-    A LowRankTensor operand is expanded first.
-    """
-    ctx = t1.ctx
-    if ctx != t2.ctx:
-        raise ShapeMismatch("inner product requires a common field")
-    if t1.dims != t2.dims:
-        raise ShapeMismatch(f"shape {t1.dims} vs {t2.dims}")
-    if isinstance(t1, LowRankTensor):
-        t1 = expand(t1)
-    if isinstance(t2, LowRankTensor):
-        t2 = expand(t2)
-    if isinstance(t1, Rank1Tensor) and isinstance(t2, Rank1Tensor):
-        out = ctx.one
-        for u, v in zip(t1.factors, t2.factors):
-            out = ctx.mul(out, ctx.dot(u, v))
-        return out
-    if isinstance(t1, Rank1Tensor):
-        return _inner_dense_factors(ctx, t2, t1.factors)
-    if isinstance(t2, Rank1Tensor):
-        return _inner_dense_factors(ctx, t1, t2.factors)
-    return ctx.dot(t1.entries, t2.entries)
-
-
-def eval_fT(t: DenseTensor, vectors: list[tuple[Fel, ...]]) -> Fel:
-    """The multilinear form of t at the given vectors: <T, a_1 x ... x a_d>."""
-    if len(vectors) != len(t.dims):
-        raise ShapeMismatch("one vector per axis required")
-    for v, n in zip(vectors, t.dims):
-        if len(v) != n:
-            raise ShapeMismatch("vector length does not match axis")
-    return _inner_dense_factors(t.ctx, t, vectors)
-
-
 def eval_fhat(t: DenseTensor, xs: list[Fel]) -> Fel:
-    """The polynomial of t at scalars xs: eval_fT at moment vectors (1, x, x^2, ...).
-
-    Folds one axis at a time with Horner's rule, so no moment vector is
-    materialized.
-    """
+    """f-hat_T(xs): eval_fT at the moment vectors (1, x, x^2, ...) of xs."""
     ctx = t.ctx
     if len(xs) != len(t.dims):
         raise ShapeMismatch("one scalar per axis required")
@@ -261,37 +222,3 @@ def set_diagonal(m: DenseTensor, k: int, values: list[Fel]) -> None:
         raise ShapeMismatch(f"diagonal {k} has {hi - lo + 1} slots")
     for t, i in enumerate(range(lo, hi + 1)):
         m.entries[i * mm + (k - i)] = values[t]
-
-
-def _nonzeros(t: DenseTensor):
-    """(index, entry) of each nonzero entry of t, in row-major order."""
-    zero = t.ctx.zero
-    for idx, e in zip(itertools.product(*map(range, t.dims)), t.entries):
-        if e != zero:
-            yield idx, e
-
-
-def _placed(ctx: FieldCtx, dims: tuple[int, ...], items) -> DenseTensor:
-    """The tensor of shape dims holding e at idx for each (idx, e) of items."""
-    out = DenseTensor.zeros(ctx, dims)
-    strides = [math.prod(dims[a + 1 :]) for a in range(len(dims))]
-    for idx, e in items:
-        out.entries[sum(map(operator.mul, idx, strides))] = e
-    return out
-
-
-def permute_axes(t: DenseTensor, perm: tuple[int, ...]) -> DenseTensor:
-    """Axis permutation: output axis a is input axis perm[a]."""
-    if sorted(perm) != list(range(len(t.dims))):
-        raise ShapeMismatch(f"{perm} is not a permutation of the axes")
-    return _placed(
-        t.ctx,
-        tuple(t.dims[p] for p in perm),
-        ((tuple(idx[p] for p in perm), e) for idx, e in _nonzeros(t)),
-    )
-
-
-def nnz(t: DenseTensor) -> int:
-    """Number of nonzero coefficients (monomials of the polynomial view)."""
-    z = t.ctx.zero
-    return sum(1 for e in t.entries if e != z)

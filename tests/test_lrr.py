@@ -16,7 +16,6 @@ from tensorhit import formats, hitting, linalg, lrr
 from tensorhit.errors import (
     FieldTooSmall,
     InconsistentSyndrome,
-    NotEchelon,
     OracleFailure,
     PromiseViolation,
     RankPromiseViolated,
@@ -96,7 +95,7 @@ def make_upper_echelon(p, n, m, k):
     ctx, rows = p.ctx, p.rows()
     lne = sorted(lne_scan(p, k))
     if any(rows[i2][j] != ctx.zero for i, j in lne for i2 in range(i + 1, min(n, k - j))):
-        raise NotEchelon(f"matrix is not (<{k})-upper-echelon")
+        raise AssertionError(f"matrix is not (<{k})-upper-echelon")
     ops = []
     for i, j in lne:
         if k - j < n and rows[k - j][j] != ctx.zero:
@@ -151,7 +150,7 @@ def test_make_upper_echelon_k0_and_zero():
 
 def test_make_upper_echelon_rejects_non_echelon():
     p = DenseTensor(GF13, (2, 2), [1, 1, 1, 0])
-    with pytest.raises(NotEchelon):
+    with pytest.raises(AssertionError, match=r"not \(<2\)-upper-echelon"):
         make_upper_echelon(p, 2, 2, 2)
 
 
@@ -462,8 +461,8 @@ def _counted(name):
 class _CountingField(PrimeField):
     """GF(p), by default GF(65537), counting field operations.
 
-    An element op counts 1; ``dot`` and ``fma`` count the shorter vector's
-    length, ``sum_products`` that of each pair (one ``fma`` per pair),
+    An element op counts 1; ``dot`` counts the shorter vector's length,
+    ``sum_products`` that of each pair,
     ``dots`` the rows it reads times len(u) (one ``dot`` per row),
     ``axpy`` and ``horner`` the source length, ``powers`` its count.
     ``calls`` counts the calls of ``axpy``, ``horner`` and ``powers`` by name;
@@ -489,10 +488,6 @@ class _CountingField(PrimeField):
         self.ops += count * len(u)
         self.callers["dots", sys._getframe(1).f_code.co_name] += 1
         return super().dots(u, packed, count, at)
-
-    def fma(self, dst, u, v):
-        self.ops += min(len(u), len(v))
-        super().fma(dst, u, v)
 
     def sum_products(self, us, vs):
         self.ops += sum(min(len(u), len(v)) for u, v in zip(us, vs))
@@ -973,6 +968,23 @@ def test_tensor_redundant_evaluations_are_checked():
         bad[pos] = ctx.add(bad[pos], 1)
         with pytest.raises(InconsistentSyndrome):
             tensor_recover(ctx, 2, 2, 1, bad)
+
+
+@pytest.mark.parametrize("ctx, d, n", [(make_prime_field(1733), 3, 2),
+                                       (make_extension(make_prime_field(2), 8), 2, 3)],
+                         ids=["GF(1733)-2^3", "GF(2^8)-3^2"])
+def test_altering_any_one_tensor_evaluation_raises_inconsistent_syndrome(ctx, d, n):
+    # a block holds dn evaluations of a polynomial of degree d(n - 1); one changed
+    # value moves the interpolant, or is a redundant one, and they then disagree
+    t = _rand_low_rank(ctx, random.Random(f"redundant {d} {n}"), (n,) * d, 1)
+    synd = tensor_measure(t, 1)
+    assert tensor_recover(ctx, d, n, 1, synd) == t
+    for pos in range(len(synd)):
+        bad = list(synd)
+        bad[pos] = ctx.add(bad[pos], ctx.one)
+        with pytest.raises(InconsistentSyndrome,
+                           match="^redundant evaluation disagrees with interpolant$"):
+            tensor_recover(ctx, d, n, 1, bad)
 
 
 def test_tensor_syndrome_count_mismatch():

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tensorhit import rankcode
 from tensorhit.errors import DecodeFailure, LengthMismatch, ShapeMismatch, TooLarge
@@ -212,6 +214,34 @@ def test_decode_rejects_a_recovered_error_above_the_radius(monkeypatch):
     assert error_rank_bound(too_big) > code.r
     with pytest.raises(DecodeFailure, match="^recovered error exceeds the correction radius$"):
         _decode_with_recovered_error(monkeypatch, code, received, too_big)
+
+
+@st.composite
+def _sparse_tensors(draw):
+    """(dims, cells): a few nonzero cells, so the unfoldings' ranks differ by axis."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=3, max_size=4)))
+    cell = st.tuples(*(st.integers(0, n - 1) for n in dims))
+    return dims, draw(st.lists(st.tuples(cell, st.integers(1, 6)), max_size=6))
+
+
+@given(_sparse_tensors())
+# the largest unfolding rank on one axis alone: the first, the last, a middle one
+@example(((3, 2, 2), [((0, 0, 0), 1), ((1, 0, 1), 2), ((2, 1, 0), 3)]))
+@example(((2, 2, 3), [((0, 0, 0), 1), ((1, 0, 1), 2), ((0, 1, 2), 3)]))
+@example(((2, 2, 3, 2), [((0, 0, 0, 0), 1), ((1, 0, 1, 0), 2), ((0, 1, 2, 0), 3)]))
+@settings(max_examples=100, deadline=None)
+def test_error_rank_bound_is_the_largest_unfolding_rank(tensor):
+    dims, cells = tensor
+    t = DenseTensor.zeros(GF7, dims)
+    for idx, v in cells:
+        t[idx] = v
+    ranks = []
+    for a, n in enumerate(dims):  # row i: the entries with index i on axis a
+        others = [range(m) for b, m in enumerate(dims) if b != a]
+        rows = [[t[(*rest[:a], i, *rest[a:])] for rest in itertools.product(*others)]
+                for i in range(n)]
+        ranks.append(matrix_rank(DenseTensor.from_rows(GF7, rows)))
+    assert error_rank_bound(t) == max(ranks)
 
 
 def test_min_distance_dim1_instance():

@@ -1,7 +1,6 @@
-"""Tensor containers, polynomial views, diagonals, and axis permutation."""
+"""Tensor containers, polynomial views and diagonals."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from tensorhit.errors import DiagonalOutOfRange, ShapeMismatch
 from tensorhit.field import make_prime_field
+from tensorhit.hitting import Measurement
 from tensorhit.tensor import (
     DenseTensor,
     LowRankTensor,
@@ -18,10 +18,7 @@ from tensorhit.tensor import (
     eval_fT,
     eval_fhat,
     expand,
-    inner_product,
     matrix_rank,
-    nnz,
-    permute_axes,
     set_diagonal,
 )
 
@@ -38,48 +35,42 @@ def _rand_dense(ctx, rng, dims):
     )
 
 
-def test_inner_product_zero_and_identity():
-    z = DenseTensor.zeros(GF5, (2, 2))
-    t = DenseTensor(GF5, (2, 2), [1, 2, 3, 4])
-    assert inner_product(z, t) == 0
-    eye = DenseTensor(GF5, (2, 2), [1, 0, 0, 1])
-    assert inner_product(eye, eye) == 2
-
-
 def test_inner_product_rank1_factored_shortcut():
-    u, v = (1, 2), (3, 1)
-    a, b = (1, 1), (1, 4)
-    t1 = Rank1Tensor(GF7, (u, v))
-    t2 = Rank1Tensor(GF7, (a, b))
-    # oracle: expand both sides densely
-    dense = inner_product(t1.expand(), t2.expand())
-    assert inner_product(t1, t2) == dense == 0
+    # <T, a_1 x a_2> through eval_fT, against both sides expanded
+    t1 = Rank1Tensor(GF7, ((1, 2), (3, 1)))
+    t2 = Rank1Tensor(GF7, ((1, 1), (1, 4)))
+    dense = GF7.dot(t1.expand().entries, t2.expand().entries)
+    assert eval_fT(t1.expand(), t2.factors) == dense == 0
 
 
 def test_rank1_shortcut_exhaustive_small():
     ctx = make_prime_field(3)
     vecs = [v for v in itertools.product(range(3), repeat=2) if any(v)]
     for u1, v1, u2, v2 in itertools.product(vecs, repeat=4):
-        a = Rank1Tensor(ctx, (u1, v1))
+        a = Rank1Tensor(ctx, (u1, v1)).expand()
         b = Rank1Tensor(ctx, (u2, v2))
-        assert inner_product(a, b) == inner_product(a.expand(), b.expand())
+        assert eval_fT(a, b.factors) == ctx.dot(a.entries, b.expand().entries)
 
 
 def test_inner_product_expands_low_rank_operands():
+    # a factored or dense member's inner product with a factored or dense tensor
     lr = LowRankTensor.from_factor_lists(
         GF7, (2, 3), [[(1, 2), (3, 0, 1)], [(4, 4), (1, 5, 6)]]
     )
     other = LowRankTensor.from_factor_lists(GF7, (2, 3), [[(2, 1), (1, 1, 1)]])
     dense = _rand_dense(GF7, random.Random(7), (2, 3))
     r1 = Rank1Tensor(GF7, ((3, 5), (0, 2, 1)))
-    full = [(lr, expand(lr)), (other, expand(other)), (dense, dense), (r1, r1.expand())]
-    for (a, fa), (b, fb) in itertools.product(full, repeat=2):
-        assert inner_product(a, b) == GF7.dot(fa.entries, fb.entries)
+    full = [(lr, expand(lr)), (other, expand(other)), (dense, dense), (r1.expand(), r1.expand())]
+    members = [(Measurement(k=0, ls=(), factors=r1.factors), r1.expand()),
+               (Measurement(k=0, ls=(), entries=tuple(dense.entries)), dense)]
+    for (a, fa), (m, fm) in itertools.product(full, members):
+        assert m.inner(GF7, a) == GF7.dot(fa.entries, fm.entries)
 
 
 def test_inner_product_shape_mismatch():
+    member = Measurement(k=0, ls=(), factors=((1, 1), (1, 1)))
     with pytest.raises(ShapeMismatch):
-        inner_product(DenseTensor.zeros(GF5, (2, 2)), DenseTensor.zeros(GF5, (2, 3)))
+        member.inner(GF5, DenseTensor.zeros(GF5, (2, 3)))
 
 
 def test_eval_fT_examples():
@@ -97,8 +88,7 @@ def test_eval_fT_matches_outer_product_oracle():
         outer = [GF11.one]
         for v in vecs:
             outer = [GF11.mul(e, c) for e in outer for c in v]
-        oracle = inner_product(t, DenseTensor(GF11, (3, 3, 3), outer))
-        assert eval_fT(t, vecs) == oracle
+        assert eval_fT(t, vecs) == GF11.dot(t.entries, outer)
 
 
 def test_eval_fhat_examples():
@@ -186,31 +176,6 @@ def test_diagonal_concatenation_is_permutation_of_entries(n, m, data):
     assert sorted(concat) == sorted(entries)
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_permute_axes_moves_each_entry_and_inverts(data):
-    d = data.draw(st.integers(1, 4))
-    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)))
-    size = math.prod(dims)
-    entries = data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
-    t = DenseTensor(GF7, dims, entries)
-    perm = tuple(data.draw(st.permutations(range(d))))
-    p = permute_axes(t, perm)
-    assert p.dims == tuple(dims[a] for a in perm)
-    for idx in itertools.product(*map(range, dims)):
-        assert p[tuple(idx[a] for a in perm)] == t[idx]
-    assert permute_axes(p, tuple(perm.index(a) for a in range(d))) == t
-
-
-def test_permute_axes_preserves_monomial_count():
-    rng = random.Random(6)
-    for _ in range(50):
-        t = _rand_dense(GF7, rng, (2, 3, 4))
-        p = permute_axes(t, (2, 0, 1))
-        assert nnz(p) == nnz(t)
-        assert p[1, 0, 2] == t[0, 2, 1]
-
-
 @pytest.mark.parametrize("call, message", [
     (lambda: DenseTensor(GF5, (2, 3), [0] * 5), r"5 entries for shape \(2, 3\)"),
     (lambda: DenseTensor.from_rows(GF5, [[1, 2], [3]]), "ragged rows"),
@@ -219,10 +184,10 @@ def test_permute_axes_preserves_monomial_count():
     (lambda: DenseTensor.zeros(GF5, (2, 3))[0,], r"index \(0,\) for shape \(2, 3\)"),
     (lambda: DenseTensor.zeros(GF5, (2, 3))[2, 0], r"index \(2, 0\) out of bounds for \(2, 3\)"),
     (lambda: DenseTensor.zeros(GF5, (2, 2, 2)).rows(), r"rows\(\) requires a matrix"),
-    (lambda: inner_product(DenseTensor.zeros(GF5, (2,)), DenseTensor.zeros(GF7, (2,))),
-     "inner product requires a common field"),
-    (lambda: inner_product(DenseTensor.zeros(GF5, (2, 2)), DenseTensor.zeros(GF5, (4,))),
-     r"shape \(2, 2\) vs \(4,\)"),
+    (lambda: Measurement(k=0, ls=(), factors=((1, 1),)).inner(GF5, DenseTensor.zeros(GF7, (2,))),
+     "tensor field does not embed in the family field"),
+    (lambda: Measurement(k=0, ls=(), factors=((1, 1), (1, 1))).inner(
+        GF5, DenseTensor.zeros(GF5, (4,))), "one vector per axis required"),
     (lambda: eval_fT(DenseTensor.zeros(GF5, (2, 3)), [(1, 1)]), "one vector per axis required"),
     (lambda: eval_fT(DenseTensor.zeros(GF5, (2, 3)), [(1, 1), (1, 1)]),
      "vector length does not match axis"),
@@ -231,13 +196,11 @@ def test_permute_axes_preserves_monomial_count():
     (lambda: set_diagonal(DenseTensor.zeros(GF5, (2, 2, 2)), 0, [1]),
      "set_diagonal requires a matrix"),
     (lambda: set_diagonal(DenseTensor.zeros(GF5, (2, 3)), 1, [1]), "diagonal 1 has 2 slots"),
-    (lambda: permute_axes(DenseTensor.zeros(GF5, (2, 3)), (0, 0)),
-     r"\(0, 0\) is not a permutation of the axes"),
 ], ids=["dense-entry-count", "ragged-rows", "low-rank-term-shape", "index-length",
         "index-out-of-bounds", "rows-of-a-non-matrix", "inner-product-fields",
         "inner-product-shapes", "eval-ft-vector-count", "eval-ft-vector-length",
         "eval-fhat-scalar-count", "diagonal-of-a-non-matrix", "set-diagonal-of-a-non-matrix",
-        "set-diagonal-length", "permute-axes-non-permutation"])
+        "set-diagonal-length"])
 def test_malformed_inputs_raise_shape_mismatch(call, message):
     with pytest.raises(ShapeMismatch, match=message):
         call()
