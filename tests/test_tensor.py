@@ -1,6 +1,7 @@
 """Tensor containers, polynomial views and diagonals."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tensorhit.errors import DiagonalOutOfRange, ShapeMismatch
 from tensorhit.field import make_prime_field
 from tensorhit.hitting import Measurement
+from tensorhit.rankcode import error_rank_bound
 from tensorhit.tensor import (
     DenseTensor,
     LowRankTensor,
@@ -28,8 +30,6 @@ GF11 = make_prime_field(11)
 
 
 def _rand_dense(ctx, rng, dims):
-    import math
-
     return DenseTensor(
         ctx, dims, [rng.randrange(ctx.size) for _ in range(math.prod(dims))]
     )
@@ -174,6 +174,45 @@ def test_diagonal_concatenation_is_permutation_of_entries(n, m, data):
     for k in range(n + m - 1):
         concat.extend(diagonal(t, k))
     assert sorted(concat) == sorted(entries)
+
+
+def _permuted(t, perm):
+    """t with axis perm[j] moved to position j, built entry by entry."""
+    p = DenseTensor.zeros(t.ctx, tuple(t.dims[a] for a in perm))
+    for idx in itertools.product(*map(range, t.dims)):
+        p[tuple(idx[a] for a in perm)] = t[idx]
+    return p
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_permute_axes_moves_each_entry_and_inverts(data):
+    # f_T and the unfolding ranks follow each entry to its new axis position
+    d = data.draw(st.integers(1, 4))
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)))
+    size = math.prod(dims)
+    entries = data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    t = DenseTensor(GF7, dims, entries)
+    perm = tuple(data.draw(st.permutations(range(d))))
+    p = _permuted(t, perm)
+    vectors = [tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+               for n in dims]
+    assert eval_fT(p, [vectors[a] for a in perm]) == eval_fT(t, vectors)
+    assert error_rank_bound(p) == error_rank_bound(t)
+    assert _permuted(p, tuple(perm.index(a) for a in range(d))) == t
+
+
+def test_permute_axes_preserves_monomial_count():
+    # f-hat of the permuted tensor at the permuted points is f-hat of t: the
+    # same monomials, each with its exponents moved to the new axes
+    rng = random.Random(6)
+    for _ in range(50):
+        t = _rand_dense(GF7, rng, (2, 3, 4))
+        p = _permuted(t, (2, 0, 1))
+        assert sum(v != 0 for v in p.entries) == sum(v != 0 for v in t.entries)
+        assert p[1, 0, 2] == t[0, 2, 1]
+        xs = [rng.randrange(7) for _ in range(3)]
+        assert eval_fhat(p, [xs[2], xs[0], xs[1]]) == eval_fhat(t, xs)
 
 
 @pytest.mark.parametrize("call, message", [
