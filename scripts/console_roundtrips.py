@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Measure and recover fixed low-rank tensors through the command line, in fresh processes.
 
-    python3 scripts/console_roundtrips.py [CASE ...]
+    python3 scripts/console_roundtrips.py
 
-For each case (all of them when none is named) the script writes a
-``lowrank`` file and the ``tensor`` file of its dense expansion into a
-temporary directory.  Then, for each family of the case, it runs
+For each case the script writes a ``lowrank`` file and the ``tensor``
+file of its dense expansion into a temporary directory.  Then, for each family of the case, it runs
 ``python -m tensorhit.cli measure`` on the low-rank file and ``recover``
 on the syndromes, each in a new process under a 60 s timeout, and compares
 the recovered file with the expansion byte for byte.  It imports tensorhit,
@@ -103,16 +102,11 @@ def run_case(name, tmp) -> bool:
     return ok
 
 
-def main(argv) -> int:
-    names = argv or list(CASES)
-    unknown = [n for n in names if n not in CASES]
-    if unknown:
-        print(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(CASES)}", file=sys.stderr)
-        return 2
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        results = [run_case(name, tmp) for name in names]
+        results = [run_case(name, tmp) for name in CASES]
     return 0 if all(results) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -409,7 +409,7 @@ def tensor_recover(
     for i, (ls, _, count) in enumerate(s.blocks):
         evals = syndromes[i * count : (i + 1) * count]
         cs = linalg.poly_interpolate(ctx, s.newton, evals[: deg + 1])
-        if ctx.dots(cs, s.vandermonde, count) != evals:  # cs meets the first deg + 1
+        if ctx.dots(cs, s.vandermonde, count) != list(evals):  # cs meets the first deg + 1
             raise InconsistentSyndrome("redundant evaluation disagrees with interpolant")
         polys[ls] = cs
 

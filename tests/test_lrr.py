@@ -975,10 +975,13 @@ def test_tensor_redundant_evaluations_are_checked():
                          ids=["GF(1733)-2^3", "GF(2^8)-3^2"])
 def test_altering_any_one_tensor_evaluation_raises_inconsistent_syndrome(ctx, d, n):
     # a block holds dn evaluations of a polynomial of degree d(n - 1); one changed
-    # value moves the interpolant, or is a redundant one, and they then disagree
+    # value moves the interpolant, or is a redundant one, and they then disagree;
+    # syndromes given as a tuple pass the same check
     t = _rand_low_rank(ctx, random.Random(f"redundant {d} {n}"), (n,) * d, 1)
     synd = tensor_measure(t, 1)
     assert tensor_recover(ctx, d, n, 1, synd) == t
+    assert tensor_recover(ctx, d, n, 1, tuple(synd)) == t
+    assert lrr.recover(ctx, "TensorB", (n,) * d, 1, tuple(synd)) == t
     for pos in range(len(synd)):
         bad = list(synd)
         bad[pos] = ctx.add(bad[pos], ctx.one)
