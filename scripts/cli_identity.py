@@ -18,7 +18,10 @@ from a fixed seed, then runs every command in process through
 * ``pit`` of a zero tensor and of tensors of rank 1 to 3 with every
   family, at r = 1 and 2; and the same over GF(2) and GF(3) with
   ``--extend 3`` and improper or proper simulation (the families proper
-  simulation rejects print their error);
+  simulation rejects print their error); and, at the largest cell of the
+  benchmark's hitting-set grid, a zero and a rank-3 16x16 GF(2) matrix
+  against ``Bprime`` and ``Dprime`` at r = 3 with ``--extend 5`` and
+  either simulation;
 * ``encode`` of a random message, and ``decode`` of the codeword plus no
   error, a rank-r and a rank r + 1 error;
 * back-to-back ``recover`` of ``Bprime`` and ``TensorB`` syndrome files of
@@ -200,6 +203,20 @@ def pit(run, rng, ctx, tag, sims=("",)):
                                  *flags])
 
 
+def pit_grid(run):
+    """pit of 16x16 GF(2) matrices against B' and D' at r = 3 over GF(2^5), both simulations."""
+    ctx, rng = field(2, 1), random.Random("pit grid")
+    tensors = {"zero": formats.write_tensor(tensor.DenseTensor.zeros(ctx, (16, 16))),
+               "rank=3": low_rank(ctx, rng, (16, 16), 3)}
+    for name, text in tensors.items():
+        src = run.write("pit.txt", text)
+        for family in ("Bprime", "Dprime"):
+            for sim in ("improper", "proper"):
+                run.run(f"pit 2^1 16x16 {name} {family} r=3 extend=5 sim={sim}",
+                        ["pit", "--tensor", src, "--family", family, "--r", "3",
+                         "--extend", "5", "--simulate", sim])
+
+
 def codes(run, rng, ctx, tag, p, k):
     flags = ["--p", str(p), "--k", str(k)]
     for family, dims in (("Dprime", (5, 5)), ("Bprime", (4, 6)), ("TensorB", (2, 2, 2)),
@@ -326,6 +343,7 @@ def main():
         for p in PIT_SIM_PRIMES:
             pit(run, random.Random(f"pit {p}"), field(p, 1), f"{p}^1",
                 sims=("improper", "proper"))
+        pit_grid(run)
         validation(run)
         dprime_domain(run)
     return 1 if run.failed else 0

@@ -503,25 +503,30 @@ class PrimeField(FieldCtx):
         return acc
 
     def pack(self, rows) -> list[int]:
-        # join neighbouring groups of rows pairwise, the lower group in the
-        # lower slots, so each entry is shifted log2(R) times, not R times
-        groups = [*map(list, rows)] or [[]]
-        width = max(map(len, groups))
-        for row in groups:
-            row.extend(itertools.repeat(0, width - len(row)))
-        shift = self._square_bits + width.bit_length()
-        while len(groups) > 1:
-            joined = []
-            for lo, hi in zip(groups[::2], groups[1::2]):
-                joined.append(list(map(operator.or_, lo,
-                                       map(operator.lshift, hi, itertools.repeat(shift)))))
-            groups[: 2 * len(joined)] = joined
+        # join rows 2j and 2j + 1 (the lower in the lower slots) until one is left: log2(R)
+        # shifts per entry, and, with R padded to a power of two, one map over all columns
+        rows = list(rows) or [()]
+        rows += [()] * ((1 << (len(rows) - 1).bit_length()) - len(rows))
+        cols = list(itertools.zip_longest(*rows, fillvalue=0))
+        flat = list(itertools.chain.from_iterable(cols))
+        shift = self._square_bits + len(cols).bit_length()
+        while len(flat) > len(cols):
+            flat = list(map(operator.or_, flat[0::2],
+                            map(operator.lshift, flat[1::2], itertools.repeat(shift))))
             shift *= 2
-        return groups[0]
+        return flat
 
     def dots(self, u, packed, count: int, at=None) -> list[int]:
         slot = self._square_bits + len(packed).bit_length()
-        v = sum(map(operator.mul, u, packed if at is None else at(packed)))
+        return self._unpack(sum(map(operator.mul, u, packed if at is None else at(packed))),
+                           slot, count)
+
+    def _unpack(self, v: int, slot: int, count: int) -> list[int]:
+        # halves past 64 slots: O(R log R) slot widths, not R shifts of all of v
+        if count > 64:
+            half = count >> 1
+            return (self._unpack(v & ((1 << half * slot) - 1), slot, half)
+                    + self._unpack(v >> half * slot, slot, count - half))
         mask, p, out = (1 << slot) - 1, self.p, []
         for _ in range(count):
             out.append((v & mask) % p)

@@ -43,7 +43,6 @@ from .field import Fel, FieldCtx, embed_as_matrix, make_prime_field
 from .tensor import (
     DenseTensor,
     LowRankTensor,
-    _contract_last_axis,
     _expand_outer,
     diag_bounds,
     diagonal,
@@ -53,13 +52,13 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Measurement:
+class Measurement(NamedTuple):
     """One inner-product functional, in whichever representation is natural.
 
     Exactly one of ``factors`` (rank-1 outer product), ``diag`` (k-diagonal
     support with weights ordered by increasing row), or ``entries`` (dense,
-    row-major) is set.
+    row-major) is set.  A named tuple: it equals the tuple of its fields,
+    and ``_replace`` makes a copy with some of them changed.
     """
 
     k: int
@@ -485,22 +484,17 @@ def simulate_improper(h: MeasurementSet) -> MeasurementSet:
     if k == 1:
         return h
     base = make_prime_field(h.ctx.p)
+    phis = [(l,) for l in range(k)]
     meas = []
     for src in h.measurements:
         if src.diag is not None:
             dk, weights = src.diag
-            for l in range(k):
-                proj = tuple(w[l] for w in weights)
-                meas.append(
-                    Measurement(k=src.k, ls=src.ls, phi=(l,), diag=(dk, proj))
-                )
+            meas += [Measurement(src.k, src.ls, phi, diag=(dk, proj))
+                     for phi, proj in zip(phis, zip(*weights))]
         else:
-            dense = src.to_dense(h.ctx, h.dims)
-            for l in range(k):
-                proj = tuple(e[l] for e in dense.entries)
-                meas.append(
-                    Measurement(k=src.k, ls=src.ls, phi=(l,), entries=proj)
-                )
+            entries = src.to_dense(h.ctx, h.dims).entries
+            meas += [Measurement(src.k, src.ls, phi, entries=proj)
+                     for phi, proj in zip(phis, zip(*entries))]
     return MeasurementSet(base, h.dims, "SimImproper", h.r, tuple(meas))
 
 
@@ -521,14 +515,16 @@ def simulate_proper(h: MeasurementSet) -> MeasurementSet:
     d = len(h.dims)
     coords = {c for src in h.measurements for factor in src.factors for c in factor}
     flat = {c: sum(embed_as_matrix(h.ctx, c), []) for c in coords}  # row-major matrices
+    phis = list(itertools.product(range(k), repeat=d))
+    pins = [phi + (0,) for phi in phis]  # axis a of member phi reads entry (phi[a], phi[a + 1])
+    picks = [operator.itemgetter(*[pin[a] * k + pin[a + 1] for pin in pins]) for a in range(d)]
     meas = []
     for src in h.measurements:
-        # sel[a][u*k + v]: entry (u, v) of every coordinate of factor a
-        sel = [tuple(zip(*[flat[c] for c in factor])) for factor in src.factors]
-        for ls in itertools.product(range(k), repeat=d):
-            pins = ls + (0,)
-            factors = tuple(sel[a][pins[a] * k + pins[a + 1]] for a in range(d))
-            meas.append(Measurement(k=src.k, ls=src.ls, phi=ls, factors=factors))
+        # axis a, before its pick: entry u * k + v is entry (u, v) of each coordinate
+        axes = [pick(tuple(zip(*map(flat.__getitem__, factor))))
+                for pick, factor in zip(picks, src.factors)]
+        meas += [Measurement(src.k, src.ls, phi, factors)
+                 for phi, factors in zip(phis, zip(*axes))]
     return MeasurementSet(base, h.dims, "SimProper", h.r, tuple(meas))
 
 
@@ -583,21 +579,32 @@ def _in_field(t, ctx: FieldCtx) -> DenseTensor:
 def inner_products(t, h: MeasurementSet):
     """Yield <t, m> for each member m of h, in family order, as it is read.
 
-    t is taken to h's field (``family_tensor``).  Factored members that
-    share trailing factors reuse their partial contraction.
+    t is taken to h's field (``family_tensor``).  A factored member reads t
+    contracted with its trailing factors f[1:] from a memo; a run not seen
+    before is contracted axis by axis, each axis one ``FieldCtx.dots`` over
+    the rows of the part below it, packed once per scan (``_packed_part``).
     """
     t = family_tensor(t, h)
-    ctx, memo = h.ctx, {(): t.entries}
+    ctx, memo, packs = h.ctx, {(): t.entries}, {}  # memo: f[1:] -> t contracted with it
     for m in h.measurements:
         f = m.factors
         if f is None:
             yield m.inner(ctx, t)
             continue
-        j = next(i for i in range(1, len(f) + 1) if f[i:] in memo)  # longest suffix first
-        part = memo[f[j:]]
-        for i in range(j - 1, 0, -1):
-            part = memo[f[i:]] = _contract_last_axis(ctx, part, f[i])
+        part = memo.get(f[1:])
+        if part is None:
+            part = memo[f[1:]] = ctx.dots(f[1], _packed_part(ctx, t, packs, f[2:]), t.dims[0])
         yield ctx.dot(part, f[0])
+
+
+def _packed_part(ctx: FieldCtx, t: DenseTensor, packs: dict, s: tuple) -> list:
+    """The rows of t contracted with the trailing factors s, packed; memo ``packs``."""
+    rows = packs.get(s)
+    if rows is None:
+        part = (ctx.dots(s[0], _packed_part(ctx, t, packs, s[1:]), math.prod(t.dims[: -len(s)]))
+                if s else t.entries)
+        rows = packs[s] = ctx.pack(zip(*[iter(part)] * t.dims[-len(s) - 1]))
+    return rows
 
 
 def first_witness(t, h: MeasurementSet) -> int | None:
@@ -622,10 +629,7 @@ def hard_tensor(h: MeasurementSet) -> DenseTensor:
     (1, 0, 0, ...), so the output is deterministic.
     """
     rows = h.dense_rows()
-    ncols = 1
-    for n in h.dims:
-        ncols *= n
-    basis = linalg.nullspace_basis(h.ctx, rows, ncols)
+    basis = linalg.nullspace_basis(h.ctx, rows, math.prod(h.dims))
     if not basis:
         raise NoNullspace("measurement system has full rank")
     return DenseTensor(h.ctx, h.dims, basis[0])

@@ -150,15 +150,6 @@ def expand(t: LowRankTensor) -> DenseTensor:
     return DenseTensor(ctx, t.dims, ctx.sum_products(us, vs))
 
 
-def _contract_last_axis(ctx, entries, vec):
-    """Sum entries against vec along the final axis, of length len(vec)."""
-    inner = len(vec)
-    return [
-        ctx.dot(entries[base : base + inner], vec)
-        for base in range(0, len(entries), inner)
-    ]
-
-
 def eval_fT(t: DenseTensor, vectors: list[tuple[Fel, ...]]) -> Fel:
     """f_T(a_1, ..., a_d) = <T, a_1 x ... x a_d>, the paper's multilinear form of t.
 
@@ -169,8 +160,8 @@ def eval_fT(t: DenseTensor, vectors: list[tuple[Fel, ...]]) -> Fel:
     if tuple(map(len, vectors)) != t.dims:
         raise ShapeMismatch("vector length does not match axis")
     entries = t.entries
-    for v in reversed(vectors):
-        entries = _contract_last_axis(t.ctx, entries, v)
+    for v in reversed(vectors):  # contract the last axis, one dot per row
+        entries = [t.ctx.dot(entries[b : b + len(v)], v) for b in range(0, len(entries), len(v))]
     return entries[0]
 
 

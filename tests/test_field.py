@@ -484,6 +484,20 @@ def test_packed_dots_are_exact_when_every_entry_and_weight_is_p_minus_1(p):
         assert got == [ctx.dot([p - 1] * width, row) for row in rows]
 
 
+@pytest.mark.parametrize("p", [2, 65537, 2**64 - 59])
+def test_dots_reads_every_slot_of_a_table_of_hundreds_of_rows(p):
+    # past 64 rows the packed sum is read in halves, as a tensor scan's tall parts are
+    ctx, rng = make_prime_field(p), random.Random(p)
+    for nrows, width in ((65, 3), (130, 1), (1000, 4)):
+        rows = [[rng.randrange(p) for _ in range(width)] for _ in range(nrows)]
+        u = [rng.randrange(p) for _ in range(width)]
+        packed = ctx.pack(rows)
+        for count in (nrows, nrows - 1, 64, 65, (nrows + 65) // 2):
+            assert ctx.dots(u, packed, count) == [ctx.dot(u, row) for row in rows[:count]]
+    top = [p - 1] * 4
+    assert ctx.dots(top, ctx.pack([top] * 300), 300) == [4 * (p - 1) ** 2 % p] * 300
+
+
 @pytest.mark.parametrize("p,k", [(2, 4), (2, 8), (3, 5), (13, 2)],
                          ids=["GF(2^4)", "GF(2^8)", "GF(3^5)", "GF(13^2)"])
 def test_table_dots_are_exact_when_every_coefficient_is_p_minus_1(p, k):
@@ -607,7 +621,7 @@ def test_tables_agree_with_convolution_arithmetic(p, k):
 
 @pytest.mark.parametrize("name", ["add", "sub", "neg", "mul", "inv", "pow", "scalar", "dot",
                                   "axpy", "pivot", "powers", "horner", "_reduce",
-                                  "pack", "dots", "_from_slots", "sum_products"])
+                                  "pack", "dots", "_unpack", "_from_slots", "sum_products"])
 def test_element_ops_and_kernels_make_no_closure_cells(name):
     # a method with a closure cell makes it on every call; each class's own body is checked
     bodies = [vars(cls)[name] for cls in (FieldCtx, PrimeField, TableField) if name in vars(cls)]

@@ -16,7 +16,12 @@ from tensorhit.formats import (
     write_syndromes,
     write_tensor,
 )
-from tensorhit.hitting import hitting_set_B_prime, hitting_set_D_prime, simulate_improper
+from tensorhit.hitting import (
+    hitting_set_B,
+    hitting_set_B_prime,
+    hitting_set_D_prime,
+    simulate_improper,
+)
 from tensorhit.tensor import DenseTensor, LowRankTensor, Rank1Tensor
 
 GF13 = make_prime_field(13)
@@ -85,6 +90,15 @@ def test_measurements_roundtrip_simulated():
     back = read_measurements(write_measurements(sim))
     assert len(back) == len(sim)
     assert [m.phi for m in back.measurements] == [m.phi for m in sim.measurements]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_dense_family_reads_back_member_for_member(k):
+    sim = simulate_improper(hitting_set_B(make_extension(make_prime_field(3), k), 2, 3, 4))
+    assert all(m.entries is not None for m in sim.measurements)
+    back = read_measurements(write_measurements(sim))
+    assert back.measurements == sim.measurements
+    assert read_measurements(write_measurements(back)).measurements == back.measurements
 
 
 def test_measurements_roundtrip_rank1_family():

@@ -1,6 +1,7 @@
 """Hitting-set families: sizes, spans, the exponent schedule, PIT, simulation."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,8 @@ from tensorhit.field import embed_as_matrix, make_extension, make_prime_field
 from tensorhit.hitting import (
     L,
     Layout,
+    Measurement,
+    MeasurementSet,
     combine_simulated_syndromes,
     diag_row_count,
     dprime_size,
@@ -309,6 +312,25 @@ def test_simulate_identity_on_prime_field():
     assert simulate_proper(famb) is famb
 
 
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("build", [hitting_set_D_prime, hitting_set_B], ids=["Dprime", "B"])
+def test_simulate_improper_yields_coordinate_l_of_each_member_source_major(build, p, k):
+    K = make_extension(make_prime_field(p), k)
+    fam = build(K, 2, 3, 4)
+    sim = simulate_improper(fam)
+    assert sim.ctx == make_prime_field(p) and len(sim) == k * len(fam)
+    for i, m in enumerate(sim.measurements):
+        src, l = fam.measurements[i // k], i % k
+        assert (m.k, m.ls, m.phi, m.factors) == (src.k, src.ls, (l,), None)
+        if src.diag is not None:  # D': the diagonal's weights, coordinate l of each
+            assert m.diag == (src.diag[0], tuple(w[l] for w in src.diag[1]))
+            assert m.entries is None
+        else:  # B: the dense member, coordinate l of each entry
+            f0, f1 = src.factors
+            assert m.entries == tuple(K.mul(a, b)[l] for a in f0 for b in f1)
+            assert m.diag is None
+
+
 def test_simulate_improper_size():
     K = make_extension(make_prime_field(2), 2)
     fam = hitting_set_D(K, 1, 2, 2)
@@ -329,13 +351,24 @@ def test_simulate_proper_size_and_pin():
     assert all(m.factors is not None for m in sim.measurements)
 
 
-@pytest.mark.parametrize("p, k, dims", [(2, 4, (4, 5)), (3, 2, (3, 3)), (2, 9, (3, 4))])
+def _random_rank1_family(ctx, dims, count, seed):
+    rng = random.Random(seed)
+    members = tuple(
+        Measurement(i, (i,), factors=tuple(
+            tuple(ctx.from_index(rng.randrange(ctx.size)) for _ in range(n)) for n in dims))
+        for i in range(count))
+    return MeasurementSet(ctx, dims, "TensorB", 1, members)
+
+
+@pytest.mark.parametrize("p, k, dims", [(2, 4, (4, 5)), (3, 2, (3, 3)), (2, 9, (3, 4)),
+                                        (2, 4, (2, 2, 2)), (3, 2, (3, 3, 3))])
 def test_simulate_proper_matches_the_multiplication_matrix_formula(p, k, dims):
-    # GF(2^9) is above the exp/log table cap
+    # GF(2^9) is above the exp/log table cap; d = 3 sources are random rank-1 tensors
     K = make_extension(make_prime_field(p), k)
-    fam = hitting_set_B_prime(K, 2, *dims)
+    fam = (hitting_set_B_prime(K, 2, *dims) if len(dims) == 2
+           else _random_rank1_family(K, dims, 3, seed=p * k))
     sim = simulate_proper(fam)
-    per_source = list(itertools.product(range(k), repeat=2))
+    per_source = list(itertools.product(range(k), repeat=len(dims)))
     assert len(sim) == len(per_source) * len(fam)
     for i, m in enumerate(sim.measurements):
         src = fam.measurements[i // len(per_source)]
@@ -346,6 +379,23 @@ def test_simulate_proper_matches_the_multiplication_matrix_formula(p, k, dims):
             tuple(embed_as_matrix(K, c)[pins[a]][pins[a + 1]] for c in factor)
             for a, factor in enumerate(src.factors)
         )
+
+
+def test_a_measurement_is_a_frozen_hashable_tuple_of_its_fields():
+    fam = hitting_set_B_prime(GF13, 2, 3, 4)
+    m = fam.measurements[0]
+    with pytest.raises(AttributeError):
+        m.k = 1
+    with pytest.raises(AttributeError):
+        m.factors = None
+    assert m == tuple(m) == (m.k, m.ls, m.phi, m.factors, m.diag, m.entries)
+    assert m._replace(k=7) == Measurement(7, m.ls, m.phi, m.factors)
+    gf9 = make_extension(make_prime_field(3), 2)
+    for family in (fam, hitting_set_D_prime(GF13, 2, 3, 4),
+                   simulate_improper(hitting_set_B(gf9, 1, 3, 3))):
+        members = family.measurements
+        assert len(set(members)) == len(members)
+        assert all(hash(a) == hash(b) for a, b in zip(members, map(Measurement._make, members)))
 
 
 def test_simulate_proper_rejects_improper_input():
@@ -422,6 +472,11 @@ def _scan_families():
         simulate_proper(hitting_set_B_prime(gf8, 2, 3, 4)),
         simulate_proper(hitting_set_B_prime(gf9, 2, 3, 3)),
         simulate_proper(naive_set(gf8, (2, 2, 2))),  # shared suffixes of two levels
+        hitting_set_B_prime(make_prime_field(2**64 - 59), 2, 3, 4),  # the widest slots
+        hitting_set_B(gf13, 2, 3, 5),  # heads shorter than the suffix
+        hitting_set_B_prime(make_extension(gf2, 8), 2, 3, 4),  # a TableField packs logs
+        hitting_set_tensor(make_prime_field(65537), 3, 3, 2),  # packs an intermediate part
+        naive_set(gf13, (70, 2)),  # one packed part of more than 64 rows
     ]
 
 
@@ -430,7 +485,7 @@ SCAN_FAMILIES = _scan_families()
 
 @given(st.sampled_from(SCAN_FAMILIES), st.sampled_from(["zero", "sparse", "factored"]),
        st.booleans(), st.data())
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=240, derandomize=True, deadline=None)
 def test_the_memoized_scan_equals_the_member_by_member_scan(fam, kind, prime, data):
     ctx = make_prime_field(fam.ctx.p) if prime else fam.ctx
     dims = fam.dims
@@ -452,6 +507,26 @@ def test_the_memoized_scan_equals_the_member_by_member_scan(fam, kind, prime, da
     assert first_witness(t, fam) == next(
         (i for i, v in enumerate(want) if v != fam.ctx.zero), None
     )
+
+
+@pytest.mark.parametrize("fam", [hitting_set_B_prime(GF13, 2, 3, 4),
+                                 hitting_set_tensor(make_prime_field(65537), 3, 3, 2),
+                                 hitting_set_tensor(make_prime_field(65537), 4, 2, 2)],
+                         ids=["Bprime", "TensorB-d3", "TensorB-d4"])
+def test_a_scan_makes_one_dots_per_trailing_run_and_packs_each_part_once(fam, monkeypatch):
+    calls = {"pack": 0, "dots": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _kernel=getattr(type(fam.ctx), name)):
+            calls[_name] += 1
+            return _kernel(self, *args)
+        monkeypatch.setattr(type(fam.ctx), name, counted)
+    d = len(fam.dims)
+    t = DenseTensor(fam.ctx, fam.dims, [i % 7 for i in range(math.prod(fam.dims))])
+    assert len(list(inner_products(t, fam))) == len(fam)
+    runs = {m.factors[i:] for m in fam.measurements for i in range(1, d)}  # each one dots
+    parts = {m.factors[i:] for m in fam.measurements for i in range(2, d + 1)}  # each packed
+    assert calls == {"pack": len(parts), "dots": len(runs)}
+    assert len(runs) < (d - 1) * len(fam)  # members share trailing runs
 
 
 def test_pit_exhaustive_gf2_rank1_via_simulated_D():

@@ -1072,7 +1072,7 @@ def test_collapsed_measurement_equals_member_inner_products(data):
         entries = list(back.measurements[i].entries)
         entries[j] = ctx.add(entries[j], ctx.one)
         members = list(back.measurements)
-        members[i] = dataclasses.replace(members[i], entries=tuple(entries))
+        members[i] = members[i]._replace(entries=tuple(entries))
         altered = dataclasses.replace(back, measurements=tuple(members))
         got = measure_syndromes(t, altered)
         assert got == [m.inner(ctx, t) for m in altered.measurements]
