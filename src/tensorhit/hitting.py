@@ -128,7 +128,8 @@ def rank_preserver(
     return DenseTensor.from_rows(ctx, rows)
 
 
-FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB", "Naive")
+SCHEDULED_FAMILIES = ("B", "D", "Dprime", "Bprime", "TensorB")
+FAMILIES = SCHEDULED_FAMILIES + ("Naive",)
 MOMENT_FAMILIES = ("B", "Bprime", "TensorB")
 
 
@@ -243,6 +244,9 @@ class Schedule:
     ``g`` is the generator.  Block ``(ls, mults, count)`` of a moment family
     lists the members (k, ls), k < count, in family order: member (k, ls)
     evaluates sum_idx T[idx] prod_a mults[a]^idx_a x^(sum idx) at alphas[k].
+    D and D' have no blocks.  ``counts[k]`` of a matrix family is how many
+    table rows measure diagonal k: ``diag_row_count`` for D', ``table_rows``
+    for the others; it is empty for TensorB.
     Merge level i + 1 merges the variables of sizes ``levels[i]`` in pairs,
     2j (rows) and 2j + 1 (columns) into j, in base ``stride``; a matrix is
     the one level.  ``layouts[i]`` holds the cells level i + 1 solves for,
@@ -260,6 +264,7 @@ class Schedule:
     dims: tuple[int, ...]
     g: Fel
     table_rows: int
+    counts: tuple[int, ...]
     alphas: tuple[Fel, ...]
     blocks: tuple[tuple[tuple[int, ...], tuple[Fel, ...], int], ...]
     stride: int
@@ -333,7 +338,7 @@ def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Sche
     check_family(family, dims, R)
     if family == "Naive":
         raise ValueError("family Naive has no schedule")
-    alphas, blocks, levels, count = [], [], [], R
+    alphas, blocks, levels, count, counts = [], [], [], R, []
     if family == "TensorB":
         d, n = len(dims), dims[0]
         b = (d - 1).bit_length()
@@ -351,13 +356,15 @@ def _schedule(ctx: FieldCtx, family: str, dims: tuple[int, ...], R: int) -> Sche
         stride, levels = n + m - 1, [dims]  # the one level: the matrix's own cells
         g = ctx.element_of_order(m)
         count = min(R, (n + m) // 2)
+        counts = [diag_row_count(R, n, m, k) if family == "Dprime" else count
+                  for k in range(n + m - 1)]
         if family in MOMENT_FAMILIES:
             alphas = ctx.first_elements(n + m - 1)
             shrink = 2 if family == "Bprime" else 0  # B' drops 2l points from block l
             blocks = [((l,), (ctx.one, ctx.pow(g, l)), (n + m - 1) - shrink * l)
                       for l in range(R)]
-    return Schedule(ctx, dims, g, count, tuple(alphas), tuple(blocks), stride,
-                    tuple(levels))
+    return Schedule(ctx, dims, g, count, tuple(counts), tuple(alphas), tuple(blocks),
+                    stride, tuple(levels))
 
 
 def _moment_family(
@@ -408,15 +415,13 @@ def _diagonal_family(
     ctx: FieldCtx, family: str, dims: tuple[int, ...], r: int
 ) -> MeasurementSet:
     s = schedule(ctx, family, dims, r)
-    n, m = dims  # only after the schedule has checked the shape
     meas = []
-    for cells in s.layouts[0].diagonals:  # every cell, so every diagonal
+    for cells, count in zip(s.layouts[0].diagonals, s.counts):  # every cell, so every diagonal
         k = cells.k
-        count = r if family == "D" else diag_row_count(r, n, m, k)
         for l, row in enumerate(s.tables[0][:count]):
             weights = tuple(reversed(cells.at_cols(row)))  # by row: columns descend
             meas.append(Measurement(k=k, ls=(l,), diag=(k, weights)))
-    return MeasurementSet(ctx, (n, m), family, r, tuple(meas))
+    return MeasurementSet(ctx, s.dims, family, r, tuple(meas))
 
 
 def hitting_set_D(ctx: FieldCtx, r: int, n: int, m: int) -> MeasurementSet:
@@ -579,17 +584,23 @@ def _in_field(t, ctx: FieldCtx) -> DenseTensor:
 def inner_products(t, h: MeasurementSet):
     """Yield <t, m> for each member m of h, in family order, as it is read.
 
-    t is taken to h's field (``family_tensor``).  A factored member reads t
-    contracted with its trailing factors f[1:] from a memo; a run not seen
-    before is contracted axis by axis, each axis one ``FieldCtx.dots`` over
-    the rows of the part below it, packed once per scan (``_packed_part``).
+    t is taken to h's field (``family_tensor``), and each member is one
+    ``dot`` with a part of t read from a memo: t's entries for a dense member,
+    t's k-diagonal for a k-diagonal one, t contracted with the trailing
+    factors f[1:] for a factored one.  A run not seen before is contracted
+    axis by axis, each axis one ``FieldCtx.dots`` over the rows of the part
+    below it, packed once per scan (``_packed_part``).
     """
     t = family_tensor(t, h)
-    ctx, memo, packs = h.ctx, {(): t.entries}, {}  # memo: f[1:] -> t contracted with it
+    ctx, memo, packs = h.ctx, {(): t.entries}, {}  # memo: k or f[1:] -> the part it reads
     for m in h.measurements:
         f = m.factors
-        if f is None:
-            yield m.inner(ctx, t)
+        if f is None:  # a dense member reads the part of key (), t's entries
+            k, weights = m.diag or ((), m.entries)
+            part = memo.get(k)
+            if part is None:
+                part = memo[k] = diagonal(t, k)
+            yield ctx.dot(part, weights)
             continue
         part = memo.get(f[1:])
         if part is None:

@@ -35,11 +35,10 @@ from .errors import (
 )
 from .field import Fel, FieldCtx
 from .hitting import (
-    MOMENT_FAMILIES,
+    SCHEDULED_FAMILIES,
     Layout,
     Schedule,
     check_family,
-    diag_row_count,
     dprime_size,
     family_tensor,
     inner_products,
@@ -273,13 +272,7 @@ def _diagonal_syndromes(s: Schedule, i: int, entries, counts) -> list[list[Fel]]
 def measure_D(mat: DenseTensor, r: int) -> list[Fel]:
     """Syndromes of mat (dense or factored) against the D' family at 2r,
     in family order: ascending diagonal, then ascending weight exponent."""
-    check_recovery("Dprime", mat.dims, r)
-    if isinstance(mat, LowRankTensor):
-        mat = expand(mat)
-    n, m = mat.dims
-    s = schedule(mat.ctx, "Dprime", (n, m), 2 * r)
-    counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
-    return [y for ys in _diagonal_syndromes(s, 0, mat.entries, counts) for y in ys]
+    return measure(mat, "Dprime", r)
 
 
 def recover_from_D(
@@ -296,9 +289,8 @@ def recover_from_D(
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
     s = schedule(ctx, "Dprime", (n, m), 2 * r)
-    counts = [diag_row_count(2 * r, n, m, k) for k in range(n + m - 1)]
-    ends = itertools.accumulate(counts)
-    synd_by_k = [syndromes[e - c : e] for c, e in zip(counts, ends)]
+    ends = itertools.accumulate(s.counts)
+    synd_by_k = [syndromes[e - c : e] for c, e in zip(s.counts, ends)]
     return low_rank_recovery(ctx, r, s.layouts[0], s.tables[0], s.packed_tables[0], synd_by_k,
                              hooks=hooks)
 
@@ -361,7 +353,8 @@ def convert_B_to_D(
             h_vals.append(ctx.mul(ctx.sub(e, fringe), a_down))
         h = linalg.poly_interpolate(ctx, newton, h_vals)
         coeff.append(lows + h + highs)
-    return [coeff[l][k] for k in range(width) for l in range(diag_row_count(R, n, m, k))]
+    counts = schedule(ctx, "Dprime", (n, m), R).counts  # D' order; recover_from_D reuses it
+    return [coeff[l][k] for k, count in enumerate(counts) for l in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +425,20 @@ def tensor_recover(
 
 
 def measure_moments(t: DenseTensor, family: str, r: int) -> list[Fel]:
-    """Syndromes of t against the rank-1 moment family ``family`` at r.
+    """Syndromes of t against ``family`` at r, one of ``hitting.schedule``'s.
 
     Member (k, ls) of B, B' and TensorB evaluates the polynomial of block ls
-    at alpha_k (``hitting.schedule``).  Its coefficients come from
-    ``tensor_recover``'s levels run upward: at level i, row l of the D'
-    syndromes of prefix ls[:i - 1] is the flat list of prefix ls[:i - 1] +
-    (l,), and at level 1 the flat list is t's entries.
+    at alpha_k.  Its coefficients come from ``tensor_recover``'s levels run
+    upward: at level i, row l of the D' syndromes of prefix ls[:i - 1] is
+    the flat list of prefix ls[:i - 1] + (l,), and at level 1 the flat list
+    is t's entries.  Those of a matrix are D's: member (k, l) of D and D',
+    l < ``Schedule.counts[k]``, is the coefficient of x^k in block l.
     """
     if isinstance(t, LowRankTensor):
         t = expand(t)
-    if family not in MOMENT_FAMILIES:
-        raise ValueError(f"family {family} is not a rank-1 moment family")
     s = schedule(t.ctx, family, t.dims, r)
+    if not s.blocks:  # D and D': the coefficients are the syndromes
+        return [y for ys in _diagonal_syndromes(s, 0, t.entries, s.counts) for y in ys]
     rows = itertools.repeat(s.table_rows)
     polys = {(): t.entries}
     for i in range(len(s.levels)):
@@ -457,12 +451,14 @@ def measure_syndromes(t, fam) -> list[Fel]:
     """Inner products against a measurement family, in family order.
 
     t may be dense or factored, over the family's field or its prime
-    subfield; a shape other than the family's raises ShapeMismatch.
+    subfield; a shape other than the family's raises ShapeMismatch.  A family
+    tagged with a scheduled family and with no dense member is taken to be
+    the one ``hitting`` builds, and ``measure_moments`` measures it without
+    reading a member.  Every other family (a file's, which is dense, or a
+    simulation) is scanned (``hitting.inner_products``).
     """
     t = family_tensor(t, fam)
-    if fam.family in MOMENT_FAMILIES and all(
-        m.factors is not None for m in fam.measurements
-    ):
+    if fam.family in SCHEDULED_FAMILIES and all(m.entries is None for m in fam.measurements):
         return measure_moments(t, fam.family, fam.r)
     return list(inner_products(t, fam))
 
@@ -487,8 +483,6 @@ def check_recovery(family: str, dims: tuple[int, ...], r: int) -> None:
 def measure(t: DenseTensor, family: str, r: int) -> list[Fel]:
     """Syndromes of t (dense or factored) against the family for rank <= r."""
     check_recovery(family, t.dims, r)
-    if family == "Dprime":
-        return measure_D(t, r)
     return measure_moments(t, family, 2 * r)
 
 

@@ -167,18 +167,9 @@ def eval_fT(t: DenseTensor, vectors: list[tuple[Fel, ...]]) -> Fel:
 
 def eval_fhat(t: DenseTensor, xs: list[Fel]) -> Fel:
     """f-hat_T(xs): eval_fT at the moment vectors (1, x, x^2, ...) of xs."""
-    ctx = t.ctx
     if len(xs) != len(t.dims):
         raise ShapeMismatch("one scalar per axis required")
-    entries = t.entries
-    dims = list(t.dims)
-    for x in reversed(xs):
-        inner = dims.pop()
-        entries = [
-            ctx.horner(entries[base : base + inner], x)
-            for base in range(0, len(entries), inner)
-        ]
-    return entries[0]
+    return eval_fT(t, [t.ctx.powers(x, n) for x, n in zip(xs, t.dims)])
 
 
 def matrix_rank(m: DenseTensor) -> int:

@@ -1,5 +1,6 @@
 """Hitting-set families: sizes, spans, the exponent schedule, PIT, simulation."""
 
+import collections
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorhit import linalg
+from tensorhit import hitting, linalg
 from tensorhit.errors import (
     FieldTooSmall,
     NoNullspace,
@@ -149,6 +150,16 @@ def test_dprime_size_is_the_sum_of_the_diagonal_row_counts():
         for R in range(20):
             rows = [diag_row_count(R, n, m, k) for k in range(n + m - 1)]
             assert dprime_size(n, m, R) == sum(rows), (n, m, R)
+
+
+def test_schedule_counts_give_each_diagonal_its_row_count():
+    for n, m in itertools.product(range(1, 6), repeat=2):
+        for R, family in itertools.product(range(1, 8), ("B", "D", "Dprime", "Bprime")):
+            if family == "Dprime" or R <= n <= m:
+                want = [diag_row_count(R, n, m, k) if family == "Dprime" else R
+                        for k in range(n + m - 1)]
+                assert list(schedule(GF13, family, (n, m), R).counts) == want
+    assert schedule(make_prime_field(65537), "TensorB", (3, 3, 3), 2).counts == ()
 
 
 @pytest.mark.parametrize(
@@ -477,6 +488,8 @@ def _scan_families():
         hitting_set_B_prime(make_extension(gf2, 8), 2, 3, 4),  # a TableField packs logs
         hitting_set_tensor(make_prime_field(65537), 3, 3, 2),  # packs an intermediate part
         naive_set(gf13, (70, 2)),  # one packed part of more than 64 rows
+        hitting_set_D(gf13, 2, 3, 5),  # diagonal members, unsimulated, on a wide matrix
+        hitting_set_D_prime(make_extension(gf2, 8), 2, 3, 4),  # diagonal members over a TableField
     ]
 
 
@@ -527,6 +540,27 @@ def test_a_scan_makes_one_dots_per_trailing_run_and_packs_each_part_once(fam, mo
     parts = {m.factors[i:] for m in fam.measurements for i in range(2, d + 1)}  # each packed
     assert calls == {"pack": len(parts), "dots": len(runs)}
     assert len(runs) < (d - 1) * len(fam)  # members share trailing runs
+
+
+@pytest.mark.parametrize("fam", [hitting_set_D(GF13, 2, 3, 5),
+                                 simulate_improper(hitting_set_D_prime(
+                                     make_extension(make_prime_field(2), 3), 2, 3, 4))],
+                         ids=["D", "SimImproper-Dprime"])
+def test_a_scan_gathers_each_diagonal_once(fam, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(t, k, _diagonal=hitting.diagonal):
+        calls[k] += 1
+        return _diagonal(t, k)
+
+    monkeypatch.setattr(hitting, "diagonal", counted)
+    ctx = fam.ctx
+    t = DenseTensor(ctx, fam.dims, [ctx.from_index(i % ctx.size)
+                                    for i in range(math.prod(fam.dims))])
+    assert len(list(inner_products(t, fam))) == len(fam)
+    ks = {m.diag[0] for m in fam.measurements}
+    assert calls == {k: 1 for k in ks}
+    assert len(fam) > len(ks)  # members share diagonals
 
 
 def test_pit_exhaustive_gf2_rank1_via_simulated_D():

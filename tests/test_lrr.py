@@ -24,7 +24,6 @@ from tensorhit.errors import (
 )
 from tensorhit.field import FieldCtx, PrimeField, make_extension, make_prime_field
 from tensorhit.hitting import (
-    MOMENT_FAMILIES,
     combine_simulated_syndromes,
     diag_row_count,
     generate_family,
@@ -311,8 +310,7 @@ _ENTRY_POINTS = {
     pytest.param(family, dims, entry, id=f"{family}-{'x'.join(map(str, dims))}-{entry}")
     for family, dims in (("TensorB", (2, 2, 3)), ("Dprime", (2, 2, 2)), ("Bprime", (2, 2, 2)))
     for entry in _ENTRY_POINTS
-    if (entry != "tensor_measure" or family == "TensorB")
-    and (entry != "measure_moments" or family in MOMENT_FAMILIES)
+    if entry != "tensor_measure" or family == "TensorB"
 ])
 def test_every_entry_point_rejects_a_shape_outside_the_family(family, dims, entry):
     t = DenseTensor.zeros(make_prime_field(2**31 - 1), dims)
@@ -1009,8 +1007,16 @@ GF_2_64_MINUS_59 = make_prime_field(2**64 - 59)  # the widest slots of the packe
 
 def test_measure_moments_rejects_a_family_that_is_not_a_moment_family():
     t = DenseTensor(GF13, (3, 3), list(range(9)))
-    with pytest.raises(ValueError, match="family Dprime is not a rank-1 moment family"):
-        lrr.measure_moments(t, "Dprime", 2)
+    with pytest.raises(ValueError, match="family Naive has no schedule"):
+        lrr.measure_moments(t, "Naive", 2)
+
+
+@pytest.mark.parametrize("family", ["D", "Dprime"])
+def test_measure_moments_of_a_diagonal_family_equals_its_member_inner_products(family):
+    for dims, R in (((3, 3), 2), ((2, 5), 2), ((4, 6), 3)):
+        t = DenseTensor(GF13, dims, [i * 5 % 13 for i in range(math.prod(dims))])
+        fam = generate_family(GF13, family, dims, R)
+        assert lrr.measure_moments(t, family, R) == [m.inner(GF13, t) for m in fam.measurements]
 
 
 def test_an_all_p_minus_1_matrix_measures_exactly_over_gf_2_64_minus_59():
@@ -1034,7 +1040,7 @@ def test_collapsed_measurement_equals_member_inner_products(data):
     fields = [GF2, GF3, GF13, GF16, GF65537, GF_2_64_MINUS_59]
     ctx = data.draw(st.sampled_from(fields), label="field")
     large = ctx in (GF65537, GF_2_64_MINUS_59)
-    families = ["B", "Bprime", "Dprime"] + (["TensorB"] if large else [])
+    families = ["B", "Bprime", "D", "Dprime"] + (["TensorB"] if large else [])
     family = data.draw(st.sampled_from(families), label="family")
     if family == "TensorB":
         d = data.draw(st.integers(2, 4), label="d")
@@ -1042,7 +1048,7 @@ def test_collapsed_measurement_equals_member_inner_products(data):
         r = data.draw(st.integers(1, 3), label="r")
     else:
         # g needs order >= m, and B and B' need n + m - 1 distinct nonzero points
-        moment = family != "Dprime"
+        moment = family in ("B", "Bprime")
         n = data.draw(st.integers(1, min(4, ctx.size // 2 if moment else ctx.size - 1)),
                       label="n")
         m = data.draw(st.integers(n, min(6, ctx.size - n if moment else ctx.size - 1)),
