@@ -27,6 +27,7 @@ from tensorhit import formats, make_extension, make_prime_field, tensor  # noqa:
 M61, P64 = make_prime_field(2**61 - 1), make_prime_field(2**64 - 59)
 GF65537 = make_prime_field(65537)
 GF2_8, GF3_5 = make_extension(make_prime_field(2), 8), make_extension(make_prime_field(3), 5)
+GF2_9 = make_extension(make_prime_field(2), 9)
 
 
 def _moment_terms(ctx, n, rank):
@@ -60,6 +61,8 @@ CASES = {
     "96x96-GF(2^8)": (GF2_8, (96, 96), 2, ["Dprime", "Bprime"], _moment_terms(GF2_8, 96, 2)),
     # the TableField sum_products with four terms and odd-characteristic negation
     "48x48-GF(3^5)": (GF3_5, (48, 48), 4, ["Dprime", "Bprime"], _moment_terms(GF3_5, 48, 4)),
+    # above the TableField cap: the square inverses through the base-class pack and dots
+    "24x24-GF(2^9)": (GF2_9, (24, 24), 2, ["Dprime", "Bprime"], _moment_terms(GF2_9, 24, 2)),
 }
 
 

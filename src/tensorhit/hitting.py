@@ -29,10 +29,10 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import linalg
+from . import linalg, sparse
 from .errors import (
     NoNullspace,
     NotRank1,
@@ -253,8 +253,10 @@ class Schedule:
     ``places[i]`` = (row_at, col_at) puts cell (a, b) at row_at[a] +
     col_at[b] of the level's flat list (the tensor, row-major, at level 1),
     and ``gathers[i]`` read each diagonal's entries from that list.
-    ``tables[i]`` has ``table_rows`` rows, entry (l, b) g^(l cols[b]), and
-    ``packed_tables[i]`` is it packed.  ``vandermonde`` packs the rows
+    ``tables[i]`` is the ``WeightTable`` of ``layouts[i]``, ``table_rows``
+    rows with entry (l, b) g^(l cols[b]): every recovery on the schedule
+    reads its packed rows and shares the square inverses it keeps.
+    ``vandermonde`` packs the rows
     (alphas[k]^i)_i, i <= sum(dims) - d, and ``newton`` is
     ``linalg.newton_tables`` of the alphas.  Tables and layouts are built on
     first read.
@@ -271,14 +273,11 @@ class Schedule:
     levels: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
-    def tables(self) -> tuple[tuple[tuple[Fel, ...], ...], ...]:
+    def tables(self) -> tuple["WeightTable", ...]:
         rows = self.ctx.powers(self.g, self.table_rows)
-        return tuple(tuple(_powers_at(self.ctx, gl, layout.cols) for gl in rows)
+        return tuple(WeightTable(self.ctx, layout,
+                                 tuple(_powers_at(self.ctx, gl, layout.cols) for gl in rows))
                      for layout in self.layouts)
-
-    @functools.cached_property
-    def packed_tables(self) -> tuple[list, ...]:
-        return tuple(map(self.ctx.pack, self.tables))
 
     @functools.cached_property
     def vandermonde(self) -> list:
@@ -305,6 +304,45 @@ class Schedule:
     def gathers(self) -> tuple[tuple[Callable, ...], ...]:
         return tuple(tuple(_gather(_diagonal_places(*places, cells)) for cells in layout.diagonals)
                      for layout, places in zip(self.layouts, self.places))
+
+
+@dataclass(frozen=True)
+class WeightTable:
+    """The weights a ``Layout``'s diagonals are measured with, over ctx.
+
+    ``rows[l][b]`` weighs column position b in row l: row 0 is all ones and
+    row l is row 1 to the power l, so row 1 holds the points g^cols[b].
+    ``packed`` is ``ctx.pack(rows)``, built on first read.  ``inverse(i)``
+    is the packed L x L inverse of diagonal i's square system, L its cell
+    count: x = ``ctx.dots(y[:L], inverse(i), L)`` is the x with
+    <x, row l on the diagonal's cells> = y[l] for l < L.  Each inverse is
+    built on first call (``sparse.vandermonde_inverse``, O(L^2)) and kept;
+    points that coincide raise InconsistentSyndrome then.  Rows not all as
+    wide as the layout's columns raise ShapeMismatch.
+    """
+
+    ctx: FieldCtx
+    layout: Layout
+    rows: tuple[tuple[Fel, ...], ...]
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        width = len(self.layout.cols)
+        if {len(row) for row in self.rows} != {width}:
+            raise ShapeMismatch(f"table rows must be {width} wide, one entry per layout column")
+
+    @functools.cached_property
+    def packed(self) -> list:
+        return self.ctx.pack(self.rows)
+
+    def inverse(self, i: int) -> list:
+        inverse = self._inverses.get(i)
+        if inverse is None:
+            cells = self.layout.diagonals[i]
+            row = self.rows[1 if len(cells.cols) > 1 else 0]  # one cell takes any point
+            inverse = sparse.vandermonde_inverse(self.ctx, cells.at_cols(row))
+            inverse = self._inverses[i] = self.ctx.pack(inverse)
+        return inverse
 
 
 def _diagonal_places(row_at: Sequence[int], col_at: Sequence[int], cells: Cells) -> Sequence[int]:
@@ -418,7 +456,7 @@ def _diagonal_family(
     meas = []
     for cells, count in zip(s.layouts[0].diagonals, s.counts):  # every cell, so every diagonal
         k = cells.k
-        for l, row in enumerate(s.tables[0][:count]):
+        for l, row in enumerate(s.tables[0].rows[:count]):
             weights = tuple(reversed(cells.at_cols(row)))  # by row: columns descend
             meas.append(Measurement(k=k, ls=(l,), diag=(k, weights)))
     return MeasurementSet(ctx, s.dims, family, r, tuple(meas))

@@ -22,6 +22,7 @@ points for each family in ``RECOVERY_FAMILIES``.
 import bisect
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import linalg
@@ -38,6 +39,7 @@ from .hitting import (
     SCHEDULED_FAMILIES,
     Layout,
     Schedule,
+    WeightTable,
     check_family,
     dprime_size,
     family_tensor,
@@ -46,7 +48,7 @@ from .hitting import (
     tensor_size,
 )
 from .tensor import DenseTensor, LowRankTensor, expand
-from .sparse import prony_support, vandermonde_solve
+from .sparse import prony_support
 
 
 RowOp = tuple[int, int, Fel]  # (target_row, source_row, coefficient)
@@ -59,14 +61,14 @@ def _echelon_ops(ctx, p_diag: dict, pivot, under: list[tuple[int, int]], diag_ro
     ``under`` pairs each such row i with the slot t of column j on the
     diagonal, whose row is diag_rows[t]; p_diag maps the slots of the
     support, which holds every such t, to P's entries, and pivot[i] is
-    P[i][j].  Each op's target cell is zeroed in p_diag.
+    -1 / P[i][j].  Each op's target cell is zeroed in p_diag.
     """
     ops = []
     for i, t in sorted(under):
         v = p_diag[t]
         if v == ctx.zero:
             continue
-        ops.append((diag_rows[t], i, ctx.neg(ctx.mul(v, ctx.inv(pivot[i])))))
+        ops.append((diag_rows[t], i, ctx.mul(v, pivot[i])))
         p_diag[t] = ctx.zero
     return ops
 
@@ -78,9 +80,10 @@ class EchelonState:
     Matrices are over the layout's rows and columns: entry [a][b] is cell
     (layout.rows[a], layout.cols[b]), and lne maps row positions to column
     positions.  ``l_cols`` maps each off-identity column of the unit
-    lower-triangular L to its entries, negated.  ``L`` and ``P`` are built
-    on first read: P = L N on the diagonals <= ``solved``, zero beyond.
-    Read them during the hook call; the loop goes on to change N and l_cols.
+    lower-triangular L to its entries, negated.  ``L`` is built on first
+    read; ``P`` = L N on the diagonals <= ``solved``, zero beyond, is a
+    sequence of rows whose entries are computed when read.  Read them during the
+    hook call; the loop goes on to change N and l_cols.
     """
 
     ctx: FieldCtx
@@ -93,26 +96,77 @@ class EchelonState:
     @functools.cached_property
     def L(self) -> list:
         ctx, size = self.ctx, len(self.N)
-        unit = [ctx.zero] * size
-        cols = [list(map(ctx.neg, self.l_cols[c])) if c in self.l_cols
-                else unit[:c] + [ctx.one] + unit[c + 1 :] for c in range(size)]
-        return list(map(list, zip(*cols)))
+        rows = [[ctx.zero] * size for _ in range(size)]
+        for a, row in enumerate(rows):
+            row[a] = ctx.one
+        for c, col in self.l_cols.items():
+            for row, v in zip(rows, col):
+                row[c] = ctx.neg(v)
+        return rows
 
     @functools.cached_property
-    def P(self) -> list:
-        ctx, zero, cols = self.ctx, self.ctx.zero, self.layout.cols
-        out = []
-        for a, (i, lrow) in enumerate(zip(self.layout.rows, self.L)):
-            cut = bisect.bisect_right(cols, self.solved - i)  # the cells on solved diagonals
-            terms = [c for c in self.l_cols if c != a and lrow[c] != zero]
-            if terms:
-                terms.append(a)
-                prow = ctx.sum_products([[lrow[c]] * cut for c in terms],
-                                        [self.N[c][:cut] for c in terms])
-            else:
-                prow = self.N[a][:cut]
-            out.append(prow + [zero] * (len(cols) - cut))
-        return out
+    def P(self) -> "_ProductRows":
+        return _ProductRows(self)
+
+    def _p_row(self, a: int) -> list[Fel]:
+        ctx, zero, cols, l_cols = self.ctx, self.ctx.zero, self.layout.cols, self.l_cols
+        cut = bisect.bisect_right(cols, self.solved - self.layout.rows[a])  # on solved diagonals
+        terms = [c for c, col in l_cols.items() if c != a and col[a] != zero]
+        if terms:  # L[a][c] is -l_cols[c][a], and L[a][a] is one
+            lrow = [[ctx.neg(l_cols[c][a])] * cut for c in terms]
+            prow = ctx.sum_products(lrow + [[ctx.one] * cut],
+                                    [self.N[c][:cut] for c in terms] + [self.N[a][:cut]])
+        else:
+            prow = self.N[a][:cut]
+        return prow + [zero] * (len(cols) - cut)
+
+    def _p_entry(self, a: int, b: int) -> Fel:
+        ctx, N = self.ctx, self.N
+        if self.layout.rows[a] + self.layout.cols[b] > self.solved:
+            return ctx.zero
+        acc = N[a][b]
+        for c, col in self.l_cols.items():
+            if c != a and col[a] != ctx.zero:
+                acc = ctx.sub(acc, ctx.mul(col[a], N[c][b]))
+        return acc
+
+
+class _ProductRows(Sequence):
+    """P of an ``EchelonState``: P[a] is row a as a ``_ProductRow``, and
+    iterating P gives each row as a list."""
+
+    def __init__(self, state: EchelonState):
+        self._state, self._size = state, len(state.layout.rows)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return [self[i] for i in range(*a.indices(self._size))]
+        return _ProductRow(self._state, range(self._size)[a])
+
+    def __iter__(self):
+        return map(self._state._p_row, range(self._size))
+
+
+class _ProductRow(Sequence):
+    """Row a of an ``EchelonState``'s P, each entry computed when read."""
+
+    def __init__(self, state: EchelonState, a: int):
+        self._entry, self._row, self._a = state._p_entry, state._p_row, a
+        self._width = len(state.layout.cols)
+
+    def __len__(self) -> int:
+        return self._width
+
+    def __getitem__(self, b):
+        if isinstance(b, slice):
+            return [self[j] for j in range(*b.indices(self._width))]
+        return self._entry(self._a, b)
+
+    def __iter__(self):
+        return iter(self._row(self._a))
 
 
 @dataclass(frozen=True)
@@ -130,42 +184,43 @@ class RecoveryHooks:
     after_iteration: object = None
 
 
-def _solve_diagonal(ctx, weights, ys) -> list[Fel]:
-    """A diagonal's entries x from ys[l] = <x, weights[l]>, with row 0 of
-    weights all ones and row l row 1 to the power l; a row past the first
-    len(x) that x does not satisfy raises InconsistentSyndrome."""
-    length = len(weights[0])
-    points = weights[1] if length > 1 else weights[0]  # one entry needs no point
-    x = vandermonde_solve(ctx, linalg.poly_from_roots(ctx, points), points, ys)
-    for row, target in zip(weights[length:], ys[length:]):
-        if ctx.dot(x, row) != target:
-            raise InconsistentSyndrome("redundant row mismatch")
+def _solve_diagonal(ctx, table: WeightTable, i: int, y: list[Fel]) -> list[Fel]:
+    """The entries x of diagonal i of table.layout, which has at most len(y)
+    cells, from y[l] = <x, row l of table on the diagonal's cells>.
+
+    One ``dots`` on the table's packed inverse of the diagonal gives x; when
+    y has more rows, one ``dots`` on the packed table checks them all, and
+    a mismatch raises InconsistentSyndrome.
+    """
+    cells = table.layout.diagonals[i]
+    size = len(cells.cols)
+    x = ctx.dots(y[:size], table.inverse(i), size)
+    if len(y) > size and ctx.dots(x, table.packed, len(y), cells.at_cols) != y:
+        raise InconsistentSyndrome("redundant row mismatch")
     return x
 
 
 def low_rank_recovery(
     ctx: FieldCtx,
     r: int,
-    layout: Layout,
-    table: list[list[Fel]],
-    packed_table: list,
+    table: WeightTable,
     syndromes_by_k,
     hooks: RecoveryHooks | None = None,
 ) -> DenseTensor:
     """Reconstruct the unique rank <= r matrix matching the syndromes.
 
-    ``layout`` (``hitting.Layout``) names the cells that may be nonzero, and
-    the returned matrix is over its rows and columns.  syndromes_by_k holds
-    one vector per entry of ``layout.diagonals``, in that order; entry l of
-    diagonal k's vector is its inner product with row l of ``table`` on the
-    diagonal's column positions (``Cells.at_cols``).  ``table`` is the
-    layout's weight table (``hitting.Schedule.tables``: row 0 all ones, row
-    l row 1 to the power l, one entry per layout column) and
-    ``packed_table`` is ``ctx.pack(table)``.  A diagonal with at least as
-    many syndromes as cells is solved outright; a longer one must have 2r.
-    Another vector count, another table width, or more syndromes than
-    ``table`` has rows raises ShapeMismatch.  Syndromes no rank <= r matrix
-    explains raise a PromiseViolation naming the diagonal where it showed.
+    ``table`` (``hitting.WeightTable`` over ctx, as ``Schedule.tables``
+    holds) carries the layout, whose cells may be nonzero, and the returned
+    matrix is over its rows and columns.  syndromes_by_k holds one vector
+    per entry of ``layout.diagonals``, in that order; entry l of diagonal
+    k's vector is its inner product with row l of the table on the
+    diagonal's column positions (``Cells.at_cols``).  A diagonal with at
+    least as many syndromes as cells is solved outright, one ``dots`` on
+    the inverse the table keeps for it, so every recovery on one table
+    builds each inverse once; a longer one must have 2r, for Prony's
+    method.  Another vector count, or more syndromes than the table has
+    rows, raises ShapeMismatch.  Syndromes no rank <= r matrix explains
+    raise a PromiseViolation naming the diagonal where it showed.
 
     The loop keeps L, the unit lower-triangular row operations, as its <= r
     off-identity columns negated, and of the reduced matrix P = L N only
@@ -173,22 +228,22 @@ def low_rank_recovery(
     entries; hooks get an ``EchelonState`` built from them.
     """
     syndromes_by_k = list(syndromes_by_k)
+    layout, packed_table = table.layout, table.packed
     expected = len(layout.diagonals)
     if len(syndromes_by_k) != expected:
         raise ShapeMismatch(f"expected {expected} diagonals, got {len(syndromes_by_k)}")
     size, width = len(layout.rows), len(layout.cols)
-    if {len(row) for row in table} != {width}:
-        raise ShapeMismatch(f"table rows must be {width} wide, one entry per layout column")
     zero, minus_one = ctx.zero, ctx.neg(ctx.one)
     l_cols: dict[int, list[Fel]] = {}  # off-identity column c of L -> its entries, negated
     N = [[zero] * width for _ in range(size)]
     lne: dict[int, int] = {}
-    pivot: dict[int, Fel] = {}  # row i -> P[i][lne[i]]
+    pivot: dict[int, Fel] = {}  # row i -> -1 / P[i][lne[i]]
 
-    for cells, synd in zip(layout.diagonals, syndromes_by_k):
+    for pos, (cells, synd) in enumerate(zip(layout.diagonals, syndromes_by_k)):
         k, rows, cols = cells.k, cells.rows, cells.cols
-        if len(synd) > len(table):
-            raise ShapeMismatch(f"diagonal {k}: {len(synd)} syndromes, {len(table)} table rows")
+        if len(synd) > len(table.rows):
+            raise ShapeMismatch(
+                f"diagonal {k}: {len(synd)} syndromes, {len(table.rows)} table rows")
 
         if l_cols:  # minus the correction ((L - I) N) on this diagonal
             b = ctx.sum_products(list(map(cells.at_rows, l_cols.values())),
@@ -218,9 +273,9 @@ def low_rank_recovery(
         try:
             if len(y) >= len(cols):
                 support = range(len(cols))
-                values = _solve_diagonal(ctx, list(map(at, table[: len(y)])), y)
+                values = _solve_diagonal(ctx, table, pos, y)
             else:  # a long diagonal has all 2r >= 2 rows; row 1 holds the points g^j
-                support, values = prony_support(ctx, len(cols), r, advice, y, at(table[1]))
+                support, values = prony_support(ctx, len(cols), r, advice, y, at(table.rows[1]))
         except PromiseViolation as e:
             raise type(e)(f"diagonal {k}: {e}") from e
         except TensorhitError as e:
@@ -247,7 +302,7 @@ def low_rank_recovery(
         for t, v in sorted(p_diag.items()):
             if v != zero and rows[t] not in lne:
                 lne[rows[t]] = cols[t]
-                pivot[rows[t]] = v
+                pivot[rows[t]] = ctx.neg(ctx.inv(v))
         if len(lne) > r:
             raise RankPromiseViolated(
                 f"{len(lne)} leading entries below diagonal {k + 1}; rank promise was {r}"
@@ -264,7 +319,7 @@ def low_rank_recovery(
 def _diagonal_syndromes(s: Schedule, i: int, entries, counts) -> list[list[Fel]]:
     """[<diagonal k, row l of s.tables[i]> for l < counts[k]] for each diagonal k
     of s.layouts[i], read from the level's flat list ``entries``."""
-    table = s.packed_tables[i]
+    table = s.tables[i].packed
     return [s.ctx.dots(at(entries), table, count, cells.at_cols)
             for cells, at, count in zip(s.layouts[i].diagonals, s.gathers[i], counts)]
 
@@ -291,8 +346,7 @@ def recover_from_D(
     s = schedule(ctx, "Dprime", (n, m), 2 * r)
     ends = itertools.accumulate(s.counts)
     synd_by_k = [syndromes[e - c : e] for c, e in zip(s.counts, ends)]
-    return low_rank_recovery(ctx, r, s.layouts[0], s.tables[0], s.packed_tables[0], synd_by_k,
-                             hooks=hooks)
+    return low_rank_recovery(ctx, r, s.tables[0], synd_by_k, hooks=hooks)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +370,10 @@ def convert_B_to_D(
     if len(syndromes) != expected:
         raise ShapeMismatch(f"expected {expected} syndromes, got {len(syndromes)}")
     s = schedule(ctx, "Bprime", (n, m), R)
-    alphas, newton, table = s.alphas, s.newton, s.tables[0]
-    diagonals = s.layouts[0].diagonals  # every cell: diagonal k is diagonals[k]
+    # D' has B''s layout and table rows, and recover_from_D reads the same table
+    d_prime = schedule(ctx, "Dprime", (n, m), R)
+    alphas, newton, table = s.alphas, s.newton, d_prime.tables[0]
+    rows, diagonals = table.rows, table.layout.diagonals  # every cell: diagonal k is diagonals[k]
     width = len(alphas)
     inv_alphas = [ctx.inv(a) for a in alphas]
     down = [ctx.one] * width  # a^-l at block l, for each point a
@@ -329,7 +385,7 @@ def convert_B_to_D(
     def fringe_value(l: int, kp: int) -> Fel:
         # sum_j c_j g^(l j) over the columns j of diagonal kp, from its first
         first = diagonals[kp].cols[0]
-        return ctx.mul(table[l][first], ctx.horner(diag_vals[kp], table[l][1]))
+        return ctx.mul(rows[l][first], ctx.horner(diag_vals[kp], rows[l][1]))
 
     off = 0
     for l, (_, _, cnt) in enumerate(s.blocks):
@@ -340,8 +396,7 @@ def convert_B_to_D(
             continue
         # diagonals l - 1 and width - l have l entries, all measured by now
         for kp in (l - 1, width - l):
-            weights = list(map(diagonals[kp].at_cols, table[:l]))
-            diag_vals[kp] = _solve_diagonal(ctx, weights, [c[kp] for c in coeff])
+            diag_vals[kp] = _solve_diagonal(ctx, table, kp, [c[kp] for c in coeff])
         lows = [fringe_value(l, kp) for kp in range(l)]
         highs = [fringe_value(l, kp) for kp in range(width - l, width)]
         down = list(map(ctx.mul, down[:cnt], inv_alphas))
@@ -353,8 +408,7 @@ def convert_B_to_D(
             h_vals.append(ctx.mul(ctx.sub(e, fringe), a_down))
         h = linalg.poly_interpolate(ctx, newton, h_vals)
         coeff.append(lows + h + highs)
-    counts = schedule(ctx, "Dprime", (n, m), R).counts  # D' order; recover_from_D reuses it
-    return [coeff[l][k] for k, count in enumerate(counts) for l in range(count)]
+    return [coeff[l][k] for k, count in enumerate(d_prime.counts) for l in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +461,12 @@ def tensor_recover(
         polys[ls] = cs
 
     for level in range(len(s.levels), 0, -1):
-        layout, places = s.layouts[level - 1], s.places[level - 1]
-        table, packed_table = s.tables[level - 1], s.packed_tables[level - 1]
+        table, places = s.tables[level - 1], s.places[level - 1]
         new_polys = {}
         for prefix in itertools.product(range(R), repeat=level - 1):
             univs = [polys[prefix + (i,)] for i in range(R)]
             try:
-                w = low_rank_recovery(ctx, r, layout, table, packed_table, zip(*univs))
+                w = low_rank_recovery(ctx, r, table, zip(*univs))
             except PromiseViolation as e:
                 raise type(e)(f"level {level}: {e}") from e
             new_polys[prefix] = _unpack(w, *places)

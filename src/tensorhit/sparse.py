@@ -14,6 +14,7 @@ Lakshman, ISSAC 1988, for this step of Ben-Or and Tiwari's sparse
 interpolation).
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -160,6 +161,29 @@ def vandermonde_solve(ctx: FieldCtx, master: list[Fel], points, y: list[Fel]) ->
             raise InconsistentSyndrome("unsolvable square system")
         out.append(ctx.mul(ctx.horner(h, p), ctx.inv(d)))
     return out
+
+
+def vandermonde_inverse(ctx: FieldCtx, points) -> list[list[Fel]]:
+    """Rows W, x = W y solving sum_j x_j points[j]^l = y[l] for l < len(points).
+
+    Row t holds the coefficients of M / (z - p_t), constant term first,
+    divided by M'(p_t), with M = prod_j (z - p_j): the Lagrange form of
+    ``vandermonde_solve``.  O(len^2): M once, one synthetic division and one
+    inversion per point.  Two coinciding points raise InconsistentSyndrome.
+    """
+    points = list(points)
+    master = linalg.poly_from_roots(ctx, points)
+    rows = []
+    for p in points:
+        quotient = [ctx.one]  # M / (z - p), leading coefficient first
+        for c in master[-2:0:-1]:
+            quotient.append(ctx.add(c, ctx.mul(p, quotient[-1])))
+        quotient.reverse()
+        d = ctx.horner(quotient, p)  # M'(p)
+        if d == ctx.zero:
+            raise InconsistentSyndrome("unsolvable square system")
+        rows.append(list(map(ctx.mul, quotient, itertools.repeat(ctx.inv(d)))))
+    return rows
 
 
 def _berlekamp_massey(ctx: FieldCtx, f: list[Fel], bound: int) -> list[Fel]:

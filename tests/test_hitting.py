@@ -679,10 +679,10 @@ def test_each_tensor_level_weighs_its_lattice_columns_by_position(d):
     b = (d - 1).bit_length()
     assert ctx.order_at_least(s.g, (2 * d * n) ** d) and s.stride == n << b
     assert len(s.levels) == b and s.levels[0] == (n,) * d + (1,) * ((1 << b) - d)
-    assert len(s.tables) == len(s.packed_tables) == len(s.layouts) == b
+    assert len(s.tables) == len(s.layouts) == b
     for layout, table in zip(s.layouts, s.tables):
-        assert len(table) == R
-        for l, row in enumerate(table):
+        assert table.layout is layout and len(table.rows) == R
+        for l, row in enumerate(table.rows):
             assert list(row) == [ctx.pow(s.g, l * j) for j in layout.cols]
 
 
@@ -694,9 +694,9 @@ def test_the_tables_of_an_order_8_tensor_are_as_wide_as_its_lattices(n, widths):
     s = schedule(ctx, "TensorB", (n,) * 8, 2)
     assert s.layouts[0].m == {3: 28_851, 4: 101_476}[n]
     assert [len(layout.cols) for layout in s.layouts] == widths
-    assert [{len(row) for row in table} for table in s.tables] == [{w} for w in widths]
+    assert [{len(row) for row in table.rows} for table in s.tables] == [{w} for w in widths]
     for layout, table in zip(s.layouts, s.tables):
-        assert list(table[1]) == [ctx.pow(s.g, j) for j in layout.cols]
+        assert list(table.rows[1]) == [ctx.pow(s.g, j) for j in layout.cols]
 
 
 @pytest.mark.parametrize("ctx", [make_prime_field(65537), make_extension(make_prime_field(2), 8),
@@ -708,8 +708,8 @@ def test_a_matrix_family_has_one_table_of_every_column(ctx):
         rows = min(R, sum(dims) // 2)
         assert len(s.layouts) == 1
         assert _cells(s.layouts[0]) == _walk(range(dims[0]), range(dims[1]))
-        assert s.tables == (tuple(tuple(ctx.powers(gl, dims[1]))
-                                  for gl in ctx.powers(s.g, rows)),)
+        assert [table.rows for table in s.tables] == [tuple(tuple(ctx.powers(gl, dims[1]))
+                                                            for gl in ctx.powers(s.g, rows))]
 
 
 def _walk(rows, cols):

@@ -12,7 +12,7 @@ from _invariants import InvariantChecker, LatticeSupportChecker
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorhit import formats, hitting, linalg, lrr
+from tensorhit import formats, hitting, linalg, lrr, sparse
 from tensorhit.errors import (
     FieldTooSmall,
     InconsistentSyndrome,
@@ -238,16 +238,16 @@ def test_low_rank_recovery_rejects_a_missing_diagonal():
     # a dropped last diagonal used to come back as zeros: entry (2, 2) read 0, not 9
     mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
     s = schedule(GF13, "Dprime", (3, 3), 4)
-    layout, table, packed_table = s.layouts[0], s.tables[0], s.packed_tables[0]
+    table = s.tables[0]
     synd = measure_D(mat, 2)
     by_k, off = [], 0
     for k in range(5):
         count = diag_row_count(4, 3, 3, k)
         by_k.append(synd[off : off + count])
         off += count
-    assert lrr.low_rank_recovery(GF13, 2, layout, table, packed_table, by_k).entries == mat.entries
+    assert lrr.low_rank_recovery(GF13, 2, table, by_k).entries == mat.entries
     with pytest.raises(ShapeMismatch, match="expected 5 diagonals, got 4"):
-        lrr.low_rank_recovery(GF13, 2, layout, table, packed_table, by_k[:-1])
+        lrr.low_rank_recovery(GF13, 2, table, by_k[:-1])
 
 
 @pytest.mark.parametrize("ctx", [GF13, make_extension(make_prime_field(2), 4)], ids=repr)
@@ -256,11 +256,11 @@ def test_low_rank_recovery_rejects_more_syndromes_than_table_rows(ctx):
     # reads nothing there: neither may stand in for a syndrome's weights
     s = schedule(ctx, "Dprime", (3, 3), 4)
     table = s.tables[0]
-    assert len(table) == 3
+    assert len(table.rows) == 3
     by_k = [[ctx.zero] * diag_row_count(4, 3, 3, k) for k in range(5)]
     by_k[2] = [ctx.zero] * 4
     with pytest.raises(ShapeMismatch, match="^diagonal 2: 4 syndromes, 3 table rows$"):
-        lrr.low_rank_recovery(ctx, 2, s.layouts[0], table, s.packed_tables[0], by_k)
+        lrr.low_rank_recovery(ctx, 2, table, by_k)
 
 
 def test_low_rank_recovery_rejects_a_table_not_as_wide_as_its_layout():
@@ -270,23 +270,23 @@ def test_low_rank_recovery_rejects_a_table_not_as_wide_as_its_layout():
     # which on a lattice (handed the padded matrix's table) are the wrong ones
     mat = DenseTensor(GF13, (3, 3), list(range(1, 10)))
     s = schedule(GF13, "Dprime", (3, 3), 4)
-    layout, table = s.layouts[0], s.tables[0]
+    layout, table = s.layouts[0], s.tables[0].rows
     synd = iter(measure_D(mat, 2))
     by_k = [[next(synd) for _ in range(diag_row_count(4, 3, 3, k))] for k in range(5)]
-    assert lrr.low_rank_recovery(GF13, 2, layout, table, s.packed_tables[0], by_k) == mat
+    assert lrr.low_rank_recovery(GF13, 2, s.tables[0], by_k) == mat
     for bad in ([row[:2] for row in table], [table[0][:2], *table[1:]],
                 [[*row, GF13.one] for row in table]):
         with pytest.raises(ShapeMismatch, match="^table rows must be 3 wide"):
-            lrr.low_rank_recovery(GF13, 2, layout, bad, GF13.pack(bad), by_k)
+            lrr.low_rank_recovery(GF13, 2, hitting.WeightTable(GF13, layout, bad), by_k)
     ctx = make_prime_field(_prime_at_least((2 * 4 * 2) ** 4))
     s = schedule(ctx, "TensorB", (2, 2, 2, 2), 2)
     layout = s.layouts[0]  # rows and columns 0, 1, 8, 9 of a 10 x 10 matrix
     assert layout.cols == (0, 1, 8, 9) and layout.m == 10
     padded = [ctx.powers(gl, 10) for gl in ctx.powers(s.g, 2)]
     zeros = [[ctx.zero] * 2 for _ in layout.diagonals]
-    assert lrr.low_rank_recovery(ctx, 1, layout, s.tables[0], s.packed_tables[0], zeros).is_zero()
+    assert lrr.low_rank_recovery(ctx, 1, s.tables[0], zeros).is_zero()
     with pytest.raises(ShapeMismatch, match="^table rows must be 4 wide"):
-        lrr.low_rank_recovery(ctx, 1, layout, padded, ctx.pack(padded), zeros)
+        lrr.low_rank_recovery(ctx, 1, hitting.WeightTable(ctx, layout, padded), zeros)
 
 
 def test_recover_checks_the_syndrome_count_before_any_work_of_that_size():
@@ -587,7 +587,7 @@ def test_a_diagonal_short_of_its_prony_rows_raises_oracle_failure():
     by_k[5] = by_k[5][:1]
     s = schedule(GF13, "Dprime", (6, 6), 2)
     with pytest.raises(OracleFailure, match="^diagonal 5: expected 2 syndrome values, got 1$"):
-        lrr.low_rank_recovery(GF13, 1, s.layouts[0], s.tables[0], s.packed_tables[0], by_k)
+        lrr.low_rank_recovery(GF13, 1, s.tables[0], by_k)
 
 
 def test_a_caller_table_whose_points_repeat_gives_an_unsolvable_square_system():
@@ -598,7 +598,7 @@ def test_a_caller_table_whose_points_repeat_gives_an_unsolvable_square_system():
     by_k = [[0], [1, 2], [0, 0], [0, 0], [0]]
     layout = hitting.Layout.of((3,), (3,), 5)
     with pytest.raises(InconsistentSyndrome, match="^diagonal 1: unsolvable square system$"):
-        lrr.low_rank_recovery(GF13, 1, layout, table, GF13.pack(table), by_k)
+        lrr.low_rank_recovery(GF13, 1, hitting.WeightTable(GF13, layout, table), by_k)
 
 
 def test_a_consistent_square_system_on_repeated_points_is_unsolvable_too():
@@ -608,7 +608,98 @@ def test_a_consistent_square_system_on_repeated_points_is_unsolvable_too():
     by_k = [[0], [1, 1], [0, 0], [0, 0], [0]]
     layout = hitting.Layout.of((3,), (3,), 5)
     with pytest.raises(InconsistentSyndrome, match="^diagonal 1: unsolvable square system$"):
-        lrr.low_rank_recovery(GF13, 1, layout, table, GF13.pack(table), by_k)
+        lrr.low_rank_recovery(GF13, 1, hitting.WeightTable(GF13, layout, table), by_k)
+
+
+SQUARE_FIELDS = {
+    "GF13": GF13,
+    "GF(2^64-59)": make_prime_field(2**64 - 59),
+    "GF(2^8)-tables": make_extension(make_prime_field(2), 8),
+    "GF(2^9)-convolution": make_extension(make_prime_field(2), 9),
+}
+
+
+@pytest.mark.parametrize("ctx", SQUARE_FIELDS.values(), ids=SQUARE_FIELDS)
+def test_each_packed_square_inverse_equals_elimination(ctx):
+    # D' 8 x 8 at R = 6: diagonals 0 to 5 have 1 to 6 cells and as many rows,
+    # and so, from the other end, do diagonals 14 down to 9
+    r, n = 3, 8
+    table = schedule(ctx, "Dprime", (n, n), 2 * r).tables[0]
+    rng = random.Random(f"inverse {ctx!r}")
+    sizes = []
+    for i, cells in enumerate(table.layout.diagonals):
+        size = len(cells.cols)
+        if size <= 2 * r:
+            rows = [list(cells.at_cols(row)) for row in table.rows[:size]]
+            y = [ctx.from_index(rng.randrange(ctx.size)) for _ in range(size)]
+            assert ctx.dots(y, table.inverse(i), size) == linalg.solve(ctx, rows, y)
+            sizes.append(size)
+    assert sorted(sizes) == sorted([*range(1, 2 * r + 1)] * 2)
+
+
+def _spy_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("ctx", [GF13, make_extension(make_prime_field(2), 8)], ids=repr)
+def test_warm_square_solves_build_no_polynomial_and_solve_no_system(ctx, monkeypatch):
+    # 6 x 6 at r = 3: D' measures every diagonal on as many rows as it has
+    # cells, so recovery never reaches Prony's method, and the B' conversion
+    # solves diagonals 0 to 4 and 6 to 10 on the same table
+    n, r = 6, 3
+    mat = _rand_low_rank(ctx, random.Random(f"square {ctx!r}"), (n, n), r)
+    ds, bs = measure_D(mat, r), lrr.measure(mat, "Bprime", r)
+    calls = collections.Counter()
+    for module, name in ((linalg, "poly_from_roots"), (sparse, "vandermonde_solve"),
+                         (sparse, "vandermonde_inverse")):
+        _spy_calls(monkeypatch, module, name, calls)
+    hitting._schedule.cache_clear()
+    assert recover_from_D(ctx, n, n, r, ds) == mat
+    assert convert_B_to_D(ctx, n, n, 2 * r, bs) == ds
+    assert calls == {"poly_from_roots": 2 * n - 1, "vandermonde_inverse": 2 * n - 1}
+    calls.clear()
+    assert recover_from_D(ctx, n, n, r, ds) == mat
+    assert convert_B_to_D(ctx, n, n, 2 * r, bs) == ds
+    assert calls == {}
+
+
+def test_a_schedule_builds_each_square_inverse_once(monkeypatch):
+    # D' 12 x 12 at r = 2: diagonals 0 to 3 and 19 to 22 have 1 to 4 cells
+    # and as many rows; the B' conversion solves 0 to 2 and 20 to 22
+    n, r = 12, 2
+    built, real = [], sparse.vandermonde_inverse
+    monkeypatch.setattr(sparse, "vandermonde_inverse",
+                        lambda ctx, points: built.append(len(points)) or real(ctx, points))
+    mat = _rand_low_rank(GF65537, random.Random("inverses once"), (n, n), r)
+    ds, bs = measure_D(mat, r), lrr.measure(mat, "Bprime", r)
+    hitting._schedule.cache_clear()
+    for _ in range(3):
+        assert convert_B_to_D(GF65537, n, n, 2 * r, bs) == ds
+        assert recover_from_D(GF65537, n, n, r, ds) == mat
+    assert sorted(built) == [1, 1, 2, 2, 3, 3, 4, 4]
+
+
+def test_an_altered_redundant_row_of_a_square_diagonal_raises():
+    # every diagonal measured on all four table rows, as B' and TensorB levels
+    # are: diagonals 0 to 2 and 8 to 10 of 6 x 6 have fewer cells than rows
+    mat = _rand_low_rank(GF13, random.Random("redundant rows"), (6, 6), 2)
+    table, rows = schedule(GF13, "Dprime", (6, 6), 4).tables[0], mat.rows()
+    by_k = [[GF13.dot([rows[i][j] for i, j in zip(cells.rows, cells.cols)], cells.at_cols(w))
+             for w in table.rows] for cells in table.layout.diagonals]
+    assert lrr.low_rank_recovery(GF13, 2, table, by_k) == mat
+    for k in (0, 1, 2, 8, 9, 10):
+        for l in range(min(k, 10 - k) + 1, 4):
+            bad = [list(v) for v in by_k]
+            bad[k][l] = GF13.add(bad[k][l], GF13.one)
+            with pytest.raises(InconsistentSyndrome,
+                               match=f"^diagonal {k}: redundant row mismatch$"):
+                lrr.low_rank_recovery(GF13, 2, table, bad)
 
 
 @pytest.mark.parametrize("family", ["Dprime", "Bprime"])
@@ -727,10 +818,10 @@ def _level_calls(d, n, r, seed):
     t = _rand_low_rank(GF_M31, random.Random(seed), (n,) * d, r)
     calls, real = [], lrr.low_rank_recovery
 
-    def spy(ctx, r, layout, table, packed_table, by_k, hooks=None):
+    def spy(ctx, r, table, by_k, hooks=None):
         by_k = [list(v) for v in by_k]
-        calls.append((layout, table, by_k))
-        return real(ctx, r, layout, table, packed_table, by_k, hooks=hooks)
+        calls.append((table.layout, table.rows, by_k))
+        return real(ctx, r, table, by_k, hooks=hooks)
 
     lrr.low_rank_recovery = spy
     try:
@@ -741,7 +832,7 @@ def _level_calls(d, n, r, seed):
 
 
 def _on_lattice(ctx, layout, r, table, by_k):
-    return lrr.low_rank_recovery(ctx, r, layout, table, ctx.pack(table), by_k)
+    return lrr.low_rank_recovery(ctx, r, hitting.WeightTable(ctx, layout, table), by_k)
 
 
 def _on_every_cell(ctx, layout, r, g, by_pos, hooks=None, off=None):
@@ -757,7 +848,7 @@ def _on_every_cell(ctx, layout, r, g, by_pos, hooks=None, off=None):
     for k, synd in (off or {}).items():
         by_k[k] = synd
     every_cell = hitting.Layout.of((layout.n,), (layout.m,), layout.n + layout.m - 1)
-    rows = lrr.low_rank_recovery(ctx, r, every_cell, table, ctx.pack(table), by_k,
+    rows = lrr.low_rank_recovery(ctx, r, hitting.WeightTable(ctx, every_cell, table), by_k,
                                  hooks=hooks).rows()
     on = [[rows[i][j] for j in layout.cols] for i in layout.rows]
     nonzero = sum(v != ctx.zero for row in rows for v in row)
@@ -860,11 +951,11 @@ def test_a_level_names_itself_and_the_diagonal_off_its_lattice():
     assert [c.k for c in top.diagonals] == list(range(top.n + top.m - 1))
     real = lrr.low_rank_recovery
 
-    def spy(ctx, r, layout, table, packed_table, by_k, hooks=None):
+    def spy(ctx, r, table, by_k, hooks=None):
         by_k = [list(v) for v in by_k]
-        if layout is s.layouts[0]:
+        if table.layout is s.layouts[0]:
             by_k[-1][1] = ctx.one  # the redundant row of diagonal 10's one cell (9, 1)
-        return real(ctx, r, layout, table, packed_table, by_k, hooks=hooks)
+        return real(ctx, r, table, by_k, hooks=hooks)
 
     lrr.low_rank_recovery = spy
     try:
@@ -885,11 +976,11 @@ def test_packed_corrections_equal_one_dot_per_row_on_every_tensor_layout(d, n):
     ctx = make_prime_field(2**61 - 1)
     s = schedule(ctx, "TensorB", (n,) * d, 4)
     rng = random.Random(f"corrections {d} {n}")
-    for layout, table, packed_table in zip(s.layouts, s.tables, s.packed_tables):
-        for cells in layout.diagonals:
+    for table in s.tables:
+        for cells in table.layout.diagonals:
             for a in ([ctx.p - 1] * len(cells.cols), [rng.randrange(ctx.p) for _ in cells.cols]):
-                want = [ctx.dot(a, cells.at_cols(row)) for row in table]
-                assert ctx.dots(a, packed_table, len(table), cells.at_cols) == want
+                want = [ctx.dot(a, cells.at_cols(row)) for row in table.rows]
+                assert ctx.dots(a, table.packed, len(table.rows), cells.at_cols) == want
 
 
 def test_a_rank_1_tensor_of_shape_2_to_the_8_round_trips_over_gf_2_61_minus_1():
@@ -915,20 +1006,20 @@ def test_level_1_of_a_3_to_the_8_tensor_is_handed_only_the_625_diagonals_its_lat
     assert (len(layout.rows), len(layout.cols), layout.n + layout.m - 1) == (81, 81, 57_701)
     handed, real = [], lrr.low_rank_recovery
 
-    def spy(ctx, r, layout, table, packed_table, by_k, hooks=None):
+    def spy(ctx, r, table, by_k, hooks=None):
         by_k = [list(v) for v in by_k]
-        handed.append((layout, by_k))
-        return real(ctx, r, layout, table, packed_table, by_k, hooks=hooks)
+        handed.append((table.layout, by_k))
+        return real(ctx, r, table, by_k, hooks=hooks)
 
     monkeypatch.setattr(lrr, "low_rank_recovery", spy)
     assert tensor_recover(ctx, 8, 3, 1, tensor_measure(t, 1)).entries == t.entries
     [by_k] = [by_k for got, by_k in handed if got is layout]
     assert len(by_k) == len(layout.diagonals) == 625
-    padded = [[ctx.zero] * len(s.tables[0]) for _ in range(57_701)]
+    padded = [[ctx.zero] * len(s.tables[0].rows) for _ in range(57_701)]
     for cells, synd in zip(layout.diagonals, by_k):
         padded[cells.k] = synd
     with pytest.raises(ShapeMismatch, match="expected 625 diagonals, got 57701"):
-        real(ctx, 1, layout, s.tables[0], s.packed_tables[0], padded)
+        real(ctx, 1, s.tables[0], padded)
 
 
 GF7919 = make_prime_field(7919)  # order >= (2dn)^d for d, n <= 3

@@ -13,7 +13,13 @@ from tensorhit import linalg
 from tensorhit.errors import AdviceTooLarge, DuplicatePoints, InconsistentSyndrome, ShapeMismatch
 from tensorhit.errors import TensorhitError
 from tensorhit.field import make_extension, make_prime_field
-from tensorhit.sparse import dual_rs, prony_support, pronys_method, vandermonde_solve
+from tensorhit.sparse import (
+    dual_rs,
+    prony_support,
+    pronys_method,
+    vandermonde_inverse,
+    vandermonde_solve,
+)
 
 GF7 = make_prime_field(7)
 GF13 = make_prime_field(13)
@@ -216,6 +222,29 @@ def test_the_transposed_vandermonde_solve_equals_elimination(name, data):
     x = data.draw(st.lists(elements, min_size=len(points), max_size=len(points)))
     y = [ctx.dot(row, x) for row in rows]
     assert vandermonde_solve(ctx, master, iter(points), y) == linalg.solve(ctx, rows, y) == x
+
+
+@given(st.sampled_from(sorted(SOLVE_FIELDS)), st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_the_transposed_vandermonde_inverse_equals_elimination(name, data):
+    ctx = SOLVE_FIELDS[name]
+    elements = st.integers(0, ctx.size - 1).map(ctx.from_index)
+    points = data.draw(st.lists(elements, min_size=1, max_size=8, unique=True))
+    rows = [[ctx.pow(p, l) for p in points] for l in range(len(points))]
+    y = data.draw(st.lists(elements, min_size=len(points), max_size=len(points)))
+    inverse = vandermonde_inverse(ctx, iter(points))
+    assert [ctx.dot(row, y) for row in inverse] == linalg.solve(ctx, rows, y)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda ctx, points: vandermonde_solve(ctx, linalg.poly_from_roots(ctx, points), points,
+                                          [ctx.one] * len(points)),
+    vandermonde_inverse,
+], ids=["solve", "inverse"])
+def test_two_coinciding_points_make_an_unsolvable_square_system(solve):
+    for points in ([3, 3], [1, 5, 1], [2, 7, 9, 7]):
+        with pytest.raises(InconsistentSyndrome, match="^unsolvable square system$"):
+            solve(GF13, points)
 
 
 @given(st.data())
