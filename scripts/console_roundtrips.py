@@ -5,12 +5,13 @@
 
 For each case the script writes a ``lowrank`` file and the ``tensor``
 file of its dense expansion into a temporary directory.  Then, for each family of the case, it runs
-``python -m tensorhit.cli measure`` on the low-rank file and ``recover``
-on the syndromes, each in a new process under a 60 s timeout, and compares
-the recovered file with the expansion byte for byte.  It imports tensorhit,
+``python -m tensorhit.cli measure`` on the low-rank file and on the dense
+file, and ``recover`` on the syndromes, each in a new process under a 60 s
+timeout.  The two syndrome files must be byte-identical, and the recovered
+file must equal the expansion byte for byte.  It imports tensorhit,
 and runs the CLI, from the ``src/`` next to its own directory.  One line
-per round trip gives the case, the family and the two wall times; the
-script exits 1 if any command fails, times out or recovers other bytes.
+per round trip gives the case, the family and the three wall times; the
+script exits 1 if any command fails, times out, or writes other bytes.
 """
 
 import os
@@ -78,6 +79,11 @@ def _cli(*args):
     return proc.returncode, proc.stderr.strip(), time.perf_counter() - t0
 
 
+def _same_bytes(a, b) -> bool:
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        return fa.read() == fb.read()
+
+
 def run_case(name, tmp) -> bool:
     ctx, dims, r, families, terms = CASES[name]
     t = tensor.LowRankTensor.from_factor_lists(ctx, dims, terms)
@@ -88,20 +94,25 @@ def run_case(name, tmp) -> bool:
         fh.write(formats.write_tensor(tensor.expand(t)))
     ok = True
     for family in families:
-        synd, rec = (os.path.join(tmp, f"{name}-{family}-{s}.txt") for s in ("synd", "rec"))
+        synd, dense_synd, rec = (os.path.join(tmp, f"{name}-{family}-{s}.txt")
+                                 for s in ("synd", "dense-synd", "rec"))
         code, err, measure_s = _cli("measure", "--tensor", src, "--family", family,
                                     "--r", str(r), "--out", synd)
-        recover_s = 0.0
+        dense_s = recover_s = 0.0
         if code == 0:
+            code, err, dense_s = _cli("measure", "--tensor", dense, "--family", family,
+                                      "--r", str(r), "--out", dense_synd)
+        if code == 0 and not _same_bytes(synd, dense_synd):
+            err = "syndromes of the dense file differ from those of the low-rank file"
+        if code == 0 and not err:
             code, err, recover_s = _cli("recover", "--syndromes", synd, "--out", rec)
-        if code == 0:
-            with open(dense, "rb") as a, open(rec, "rb") as b:
-                same = a.read() == b.read()
-            err = "" if same else "recovered file differs from the expansion"
+        if code == 0 and not err and not _same_bytes(dense, rec):
+            err = "recovered file differs from the expansion"
         status = "ok" if code == 0 and not err else "FAIL"
         ok &= status == "ok"
-        print(f"{status} {name} {family} measure {measure_s:.2f}s recover {recover_s:.2f}s"
-              + (f": {err}" if status == "FAIL" else ""), flush=True)
+        print(f"{status} {name} {family} measure {measure_s:.2f}s dense {dense_s:.2f}s "
+              f"recover {recover_s:.2f}s" + (f": {err}" if status == "FAIL" else ""),
+              flush=True)
     return ok
 
 

@@ -8,6 +8,7 @@ that naturally varies.
 """
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -236,7 +237,9 @@ def _cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args call fills a fresh namespace."""
     p = argparse.ArgumentParser(prog="tensorhit")
     sub = p.add_subparsers(dest="verb", required=True)
 

@@ -11,11 +11,12 @@ invocations produce byte-identical files.
 """
 
 import math
+from itertools import islice, repeat
 
 from .errors import ShapeMismatch
 from .field import FieldCtx, make_field
 from .hitting import Measurement, MeasurementSet
-from .tensor import DenseTensor, LowRankTensor, Rank1Tensor
+from .tensor import DenseTensor, LowRankTensor, Rank1Tensor, expand
 
 
 def field_header(ctx: FieldCtx) -> str:
@@ -43,6 +44,25 @@ def _parse(no: int, parse, s: str):
         return parse(s)
     except ValueError as e:
         raise ShapeMismatch(f"line {no}: {e}") from e
+
+
+def _values(ctx: FieldCtx, toks: list[str], nos) -> list:
+    """ctx.parse of each of toks; nos yields the line number of each token.
+
+    All tokens convert at once: one int() pass over them joined on commas, a
+    check that each holds k - 1 commas, and one range check.  Only if any of
+    that fails are nos read and the tokens parsed one by one, so a malformed
+    file fails at its first bad token with that token's message and line.
+    """
+    k = ctx.k
+    try:
+        cs = list(map(int, ",".join(toks).split(",")))
+    except ValueError:
+        cs = []
+    if (cs and set(map(str.count, toks, repeat(","))) == {k - 1}
+            and 0 <= min(cs) and max(cs) < ctx.p):
+        return cs if k == 1 else list(zip(*[iter(cs)] * k))
+    return [_parse(no, ctx.parse, tok) for no, tok in zip(nos, toks)]
 
 
 def _keyed(no: int, line: str, tag: str, keys: tuple[str, ...]) -> dict[str, str]:
@@ -108,9 +128,7 @@ def _tensor_body(ctx: FieldCtx, t: DenseTensor) -> list[str]:
     lines = [f"tensor dims={_dims_str(t.dims)}"]
     row_len = t.dims[-1]
     for base in range(0, len(t.entries), row_len):
-        lines.append(
-            " ".join(ctx.serialize(e) for e in t.entries[base : base + row_len])
-        )
+        lines.append(" ".join(map(ctx.serialize, t.entries[base : base + row_len])))
     return lines
 
 
@@ -124,18 +142,20 @@ def _read_tensor_body(ctx: FieldCtx, lines, at: int, end: int | None = None):
     kv = _keyed(no, header, "tensor", ("dims",))
     dims = _parse(no, _parse_dims, kv["dims"])
     total = math.prod(dims)
-    tokens = [(vno, tok) for vno, ln in lines[at + 1 : end] for tok in ln.split()]
-    if len(tokens) < total:
+    body = lines[at + 1 : end]
+    toks = " ".join([ln for _, ln in body]).split()
+    nos = (vno for vno, ln in body for _ in ln.split())
+    if len(toks) < total:
         raise ShapeMismatch(
             f"line {no}: tensor dims={kv['dims']} needs {total} values, "
-            f"found {len(tokens)}"
+            f"found {len(toks)}"
         )
-    if len(tokens) > total:
+    if len(toks) > total:
         raise ShapeMismatch(
-            f"line {tokens[total][0]}: tensor dims={kv['dims']} holds {total} "
-            f"values, found {len(tokens)}"
+            f"line {next(islice(nos, total, None))}: tensor dims={kv['dims']} holds "
+            f"{total} values, found {len(toks)}"
         )
-    return DenseTensor(ctx, dims, [_parse(vno, ctx.parse, tok) for vno, tok in tokens])
+    return DenseTensor(ctx, dims, _values(ctx, toks, nos))
 
 
 def read_tensor(text: str) -> DenseTensor:
@@ -147,10 +167,8 @@ def read_tensor_or_lowrank(text: str) -> DenseTensor:
     """Read either format, expanding a factored file to its dense tensor."""
     lines = _numbered(text)
     if len(lines) > 1 and lines[1][1].startswith("lowrank"):
-        from .tensor import expand
-
-        return expand(read_lowrank(text))
-    return read_tensor(text)
+        return expand(_read_lowrank_lines(lines))
+    return _read_tensor_body(_read_field(lines), lines, 1)
 
 
 def write_lowrank(t: LowRankTensor) -> str:
@@ -161,30 +179,34 @@ def write_lowrank(t: LowRankTensor) -> str:
     ]
     for term in t.terms:
         for v in term.factors:
-            lines.append(" ".join(ctx.serialize(c) for c in v))
+            lines.append(" ".join(map(ctx.serialize, v)))
     return "\n".join(lines) + "\n"
 
 
 def read_lowrank(text: str) -> LowRankTensor:
-    lines = _numbered(text)
+    return _read_lowrank_lines(_numbered(text))
+
+
+def _read_lowrank_lines(lines) -> LowRankTensor:
     ctx, no, kv = _read_header(lines, "lowrank", ("dims", "terms"))
     dims = _parse(no, _parse_dims, kv["dims"])
     terms = _parse(no, int, kv["terms"])
-    at = 2
-    factor_lists = []
-    for _ in range(terms):
-        factors = []
-        for n in dims:
-            vno, line = _line(lines, at, "factor vectors")
-            vec = [_parse(vno, ctx.parse, tok) for tok in line.split()]
-            if len(vec) != n:
-                raise ShapeMismatch(
-                    f"line {vno}: factor vector length does not match dims"
-                )
-            factors.append(tuple(vec))
-            at += 1
-        factor_lists.append(tuple(factors))
-    terms_t = tuple(Rank1Tensor(ctx, f) for f in factor_lists)
+    toks, nos = [], []
+    for at in range(2, 2 + terms * len(dims)):
+        if at == len(lines):  # a bad token above the end of the file fails first
+            _values(ctx, toks, nos)
+        vno, line = _line(lines, at, "factor vectors")
+        vec = line.split()
+        toks += vec
+        nos += repeat(vno, len(vec))
+        if len(vec) != dims[(at - 2) % len(dims)]:
+            _values(ctx, toks, nos)  # as does one up to the end of this line
+            raise ShapeMismatch(f"line {vno}: factor vector length does not match dims")
+    vals = iter(_values(ctx, toks, nos))
+    terms_t = tuple(
+        Rank1Tensor(ctx, tuple(tuple(islice(vals, n)) for n in dims))
+        for _ in range(terms)
+    )
     return LowRankTensor(ctx, dims, terms_t)
 
 
@@ -237,7 +259,7 @@ def write_syndromes(
         field_header(ctx),
         f"syndromes family={family} r={r} dims={_dims_str(dims)}",
     ]
-    lines.extend(ctx.serialize(s) for s in syndromes)
+    lines.extend(map(ctx.serialize, syndromes))
     return "\n".join(lines) + "\n"
 
 
@@ -247,5 +269,6 @@ def read_syndromes(text: str):
     ctx, no, kv = _read_header(lines, "syndromes", ("family", "r", "dims"))
     r = _parse(no, int, kv["r"])
     dims = _parse(no, _parse_dims, kv["dims"])
-    syndromes = [_parse(sno, ctx.parse, ln.strip()) for sno, ln in lines[2:]]
+    toks = [ln.strip() for _, ln in lines[2:]]
+    syndromes = _values(ctx, toks, (sno for sno, _ in lines[2:]))
     return ctx, kv["family"], r, dims, syndromes

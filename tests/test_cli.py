@@ -139,6 +139,31 @@ def test_usage_error_exit_code_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once per process, so no call may leave a flag or an
+    # error behind for the next
+    msg = tmp_path / "msg.txt"
+    msg.write_text(formats.write_tensor(DenseTensor(GF13, (4,), [1, 2, 3, 4])))
+    cw = tmp_path / "cw.txt"
+    assert run("encode", "--p", "13", "--dims", "4x4", "--r", "1",
+               "--message", str(msg), "--out", str(cw)) == 0
+    err = tmp_path / "err.txt"
+    assert run("decode", "--p", "13", "--dims", "4x4", "--r", "1", "--word", str(cw),
+               "--out", str(tmp_path / "dec.txt"), "--error-out", str(err)) == 0
+    err.unlink()
+    assert run("decode", "--p", "13", "--dims", "4x4", "--r", "1", "--word", str(cw),
+               "--out", str(tmp_path / "dec.txt")) == 0
+    assert not err.exists()
+
+    with pytest.raises(SystemExit) as exc:
+        run("measure", "--tensor", str(cw), "--family", "Dprime", "--r", "x",
+            "--out", str(tmp_path / "s.txt"))
+    assert exc.value.code == 2
+    assert run("measure", "--tensor", str(cw), "--family", "Dprime", "--r", "1",
+               "--out", str(tmp_path / "s.txt")) == 0
+    assert formats.read_syndromes((tmp_path / "s.txt").read_text())[2] == 1
+
+
 @pytest.mark.parametrize("k", [0, -2])
 @pytest.mark.parametrize("verb", ["gen-hit", "encode", "decode"])
 def test_a_field_degree_below_one_exits_2(tmp_path, capsys, verb, k):

@@ -1,7 +1,10 @@
 """File format round-trips and header validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tensorhit import formats
 from tensorhit.errors import ShapeMismatch
 from tensorhit.field import make_extension, make_prime_field
 from tensorhit.formats import (
@@ -149,3 +152,80 @@ def test_bad_headers_rejected():
 def test_malformed_files_name_the_line(reader, text, line):
     with pytest.raises(ShapeMismatch, match=rf"^line {line}: "):
         reader(text)
+
+
+BULK_FIELDS = [
+    make_prime_field(65537),
+    make_prime_field(2**61 - 1),
+    make_extension(make_prime_field(2), 8),  # a TableField
+    make_extension(make_prime_field(2), 9),
+    make_extension(make_prime_field(3), 5),
+]
+TOKEN_FAULTS = ["empty part", "extra comma", "missing comma", "plus", "underscore",
+                "at least p", "negative", "tab"]
+
+
+def _fault(ctx, tok, kind, at):
+    """tok with one fault of the given kind; at picks where in it."""
+    parts = tok.split(",")
+    j, i = at % len(parts), at % (len(tok) + 1)
+    if kind == "extra comma":
+        return tok[:i] + "," + tok[i:]
+    if kind == "tab":
+        return tok[:i] + "\t" + tok[i:]
+    if kind == "missing comma":
+        del parts[j]
+    else:
+        parts[j] = {"empty part": "",
+                    "plus": "+" + parts[j],
+                    "underscore": parts[j][:1] + "_" + parts[j][1:] + "0",
+                    "at least p": str(ctx.p + at),
+                    "negative": "-" + parts[j]}[kind]
+    return ",".join(parts)
+
+
+def _per_token(ctx, rows):
+    """The reference reader: ctx.parse token by token, or the first error's message."""
+    try:
+        return [formats._parse(no, ctx.parse, tok) for no, toks in rows for tok in toks]
+    except ShapeMismatch as e:
+        return str(e)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ShapeMismatch as e:
+        return str(e)
+
+
+@given(st.sampled_from(BULK_FIELDS), st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_bulk_token_reads_agree_with_the_per_token_loop(ctx, data):
+    indices = data.draw(st.lists(st.integers(0, ctx.size - 1), min_size=1, max_size=12))
+    tokens = [ctx.serialize(ctx.from_index(i)) for i in indices]
+    faults = st.tuples(st.sampled_from(TOKEN_FAULTS), st.integers(0, 99), st.integers(0, 99))
+    for kind, at, where in data.draw(st.lists(faults, max_size=3)):
+        tokens[where % len(tokens)] = _fault(ctx, tokens[where % len(tokens)], kind, at)
+    width = data.draw(st.integers(1, 4))
+    body = [" ".join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
+    body = [ln for ln in body if ln.split()]
+    header = field_header(ctx)
+
+    text = "\n".join([header, "syndromes family=Dprime r=1 dims=2x2", *tokens]) + "\n"
+    rows = [(no, [ln.strip()]) for no, ln in formats._numbered(text)[2:]]
+    assert _outcome(lambda t: read_syndromes(t)[4], text) == _per_token(ctx, rows)
+
+    rows = [(no, ln.split()) for no, ln in enumerate(body, 3)]
+    if rows:
+        count = sum(len(toks) for _, toks in rows)
+        text = "\n".join([header, f"tensor dims={count}", *body]) + "\n"
+        assert _outcome(lambda t: read_tensor(t).entries, text) == _per_token(ctx, rows)
+        # each factor opens with a one, so no factor is all zero
+        rows = [(no, ["1", *toks]) for no, toks in rows]
+        dims = "x".join(str(len(toks)) for _, toks in rows)
+        text = "\n".join([header, f"lowrank dims={dims} terms=1",
+                          *(f"1 {ln}" for ln in body)]) + "\n"
+        factors = _outcome(lambda t: read_lowrank(t).terms[0].factors, text)
+        got = factors if isinstance(factors, str) else [c for f in factors for c in f]
+        assert got == _per_token(ctx, rows)
