@@ -48,6 +48,7 @@ prime field's inverse table, an extension's GF(p), a TableField's
 ``kexp``), so they may be shared across threads.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -691,8 +692,10 @@ def make_extension(base: FieldCtx, k: int) -> FieldCtx:
     return ring
 
 
+@functools.lru_cache(maxsize=32)
 def make_field(p: int, k: int) -> FieldCtx:
-    """GF(p^k): GF(p) for k = 1, else its canonical extension (k >= 2)."""
+    """GF(p^k): GF(p) for k = 1, else its canonical extension (k >= 2).
+    One field per (p, k) per process, from a bounded cache."""
     ctx = make_prime_field(p)
     return ctx if k == 1 else make_extension(ctx, k)
 

@@ -7,10 +7,17 @@ by recovering the error tensor from the syndrome alone.  Encoding is
 systematic in the free positions of the echelonized nullspace basis; the
 theory pins down only the subspace, so the encoder map is a convention of
 this implementation.
+
+A D' code's basis is built diagonal by diagonal from the one packed
+Vandermonde inverse its schedule keeps (``_diagonal_basis``), with no
+dense elimination; B' and D' at 2r span one row space, so a B' code shares
+D''s basis.  TensorB codes eliminate their dense parity rows
+(``linalg.nullspace_basis``).
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import linalg, lrr
@@ -22,7 +29,7 @@ from .errors import (
     TooLarge,
 )
 from .field import FieldCtx
-from .hitting import MeasurementSet, generate_family
+from .hitting import MeasurementSet, generate_family, schedule
 from .tensor import DenseTensor, matrix_rank
 
 
@@ -49,9 +56,45 @@ def build_code(
     dims = tuple(dims)
     lrr.check_recovery(family, dims, r)
     parity = generate_family(ctx, family, dims, 2 * r)
-    rows = parity.dense_rows()
-    basis = linalg.nullspace_basis(ctx, rows, math.prod(dims))
-    return RankMetricCode(ctx, dims, r, family, parity, tuple(tuple(v) for v in basis))
+    if family == "TensorB":
+        basis = map(tuple, linalg.nullspace_basis(ctx, parity.dense_rows(), math.prod(dims)))
+    else:  # B' and D' at 2r span one row space
+        basis = _diagonal_basis(ctx, dims, 2 * r)
+    return RankMetricCode(ctx, dims, r, family, parity, tuple(basis))
+
+
+def _diagonal_basis(ctx: FieldCtx, dims: tuple[int, ...], R: int) -> list[tuple]:
+    """``linalg.nullspace_basis`` of D' at R on dims, built diagonal by diagonal.
+
+    D''s rows on diagonal k are the first counts[k] rows of its Vandermonde
+    block, so its pivots are its first counts[k] cells in flat order, the
+    last in column order.  A diagonal with free cells has counts[k] = R and
+    pivot columns j0 ... j0 + R - 1; factoring out g^(l j0), the free cell
+    at column j0 - d is the pivots' combination x_d with sum_c x_d[c]
+    g^(l c) = g^(-d l) for l < R, the system of diagonal R - 1's packed
+    inverse.  Its vector has 1 there and -x_d on the pivots; the vectors
+    list the free cells in ascending flat order.
+    """
+    s = schedule(ctx, "Dprime", dims, R)
+    m, total = dims[1], math.prod(dims)
+    ginv, solved = ctx.inv(s.g), [None]  # solved[d] = -x_d
+    by_cell = []
+    for cells, count in zip(s.layouts[0].diagonals, s.counts):
+        free = len(cells.cols) - count
+        if free <= 0:
+            continue
+        while len(solved) <= free:
+            y = ctx.powers(ctx.pow(ginv, len(solved)), R)
+            solved.append([ctx.neg(x) for x in ctx.dots(y, s.tables[0].inverse(R - 1), R)])
+        flat = [a * m + b for a, b in zip(cells.rows, cells.cols)]
+        for t, f in enumerate(flat[:free]):
+            v = [ctx.zero] * total
+            v[f] = ctx.one
+            for at, x in zip(flat[free:], solved[free - t]):
+                v[at] = x
+            by_cell.append((f, tuple(v)))
+    by_cell.sort(key=operator.itemgetter(0))
+    return [v for _, v in by_cell]
 
 
 def encode(code: RankMetricCode, message: list) -> DenseTensor:

@@ -42,6 +42,12 @@ def test_field_header_extension():
     assert parse_field_header(hdr) == GF8
 
 
+def test_two_headers_of_one_field_yield_one_field_object():
+    hdr = field_header(make_extension(make_prime_field(2), 8))
+    assert parse_field_header(hdr) is parse_field_header(hdr)
+    assert parse_field_header("field p=257 k=1") is parse_field_header("field p=257 k=1")
+
+
 def test_field_header_rejects_wrong_modulus():
     # x^3 + x + 1 is irreducible but not the canonical (lex-least) choice
     with pytest.raises(ShapeMismatch):

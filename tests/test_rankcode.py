@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorhit import rankcode
+from tensorhit import linalg, rankcode
 from tensorhit.errors import DecodeFailure, LengthMismatch, ShapeMismatch, TooLarge
-from tensorhit.field import make_prime_field
+from tensorhit.field import make_extension, make_prime_field
 from tensorhit.lrr import measure_syndromes
 from tensorhit.rankcode import (
     build_code,
@@ -24,6 +24,12 @@ from tensorhit.tensor import DenseTensor, matrix_rank
 
 GF7 = make_prime_field(7)
 GF13 = make_prime_field(13)
+GF257 = make_prime_field(257)
+GF65537 = make_prime_field(65537)
+GF2_4 = make_extension(make_prime_field(2), 4)
+GF2_8 = make_extension(make_prime_field(2), 8)  # exp/log tables
+GF3_5 = make_extension(make_prime_field(3), 5)  # exp/log tables
+GF2_9 = make_extension(make_prime_field(2), 9)  # above the table cap: convolution
 
 
 def _rand_low_rank(ctx, rng, dims, r):
@@ -116,6 +122,48 @@ def test_decode_roundtrip_families(family):
         got_word, got_err = decode(code, recv)
         assert got_word.entries == word.entries
         assert got_err.entries == err.entries
+
+
+@given(st.sampled_from([GF13, GF257, GF65537, GF2_4, GF2_8, GF3_5, GF2_9]),
+       st.sampled_from(["Dprime", "Bprime"]), st.integers(1, 3), st.integers(1, 11),
+       st.integers(1, 11))
+# the D' and B' cases the per-diagonal build was first checked on
+@example(GF257, "Dprime", 2, 8, 8)
+@example(GF257, "Dprime", 2, 32, 32)
+@example(GF13, "Dprime", 1, 5, 7)
+@example(GF13, "Dprime", 1, 6, 10)
+@example(GF13, "Dprime", 1, 10, 6)
+@example(GF13, "Dprime", 2, 3, 12)  # R > n: no free cell
+@example(GF13, "Dprime", 1, 4, 4)
+@example(GF7, "Dprime", 1, 3, 3)
+@example(GF2_8, "Dprime", 2, 10, 10)
+@example(GF3_5, "Dprime", 3, 9, 9)
+@example(GF65537, "Dprime", 1, 12, 12)
+@example(GF2_9, "Dprime", 2, 9, 5)
+@example(GF13, "Bprime", 1, 6, 6)
+@example(GF257, "Bprime", 2, 6, 11)
+@example(GF2_4, "Bprime", 2, 7, 9)
+@example(GF2_9, "Bprime", 2, 6, 8)
+@example(GF13, "Bprime", 1, 2, 2)  # no free cell
+@example(GF13, "Dprime", 1, 1, 9)  # one row: no free cell
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_diagonal_code_basis_is_the_nullspace_of_its_parity_rows(ctx, family, r, n, m):
+    if family == "Bprime":  # B' needs 2r <= n <= m and n + m - 1 nonzero alphas
+        n, m = sorted((max(n, 2 * r), max(m, 2 * r)))
+        n = min(n, ctx.size // 2)
+    m = min(m, ctx.size - (n if family == "Bprime" else 1))  # D''s g needs order >= m
+    code = build_code(ctx, (n, m), r, family)
+    expected = linalg.nullspace_basis(ctx, code.parity.dense_rows(), n * m)
+    assert code.basis == tuple(map(tuple, expected))
+
+
+def test_only_a_tensor_code_is_built_by_elimination(monkeypatch):
+    calls = []
+    real = linalg.nullspace_basis
+    monkeypatch.setattr(linalg, "nullspace_basis", lambda *a: calls.append(a) or real(*a))
+    for family, dims in (("Dprime", (4, 4)), ("Bprime", (4, 4)), ("TensorB", (2, 2))):
+        build_code(GF257, dims, 1, family)
+    assert [len(rows) for _, rows, _ in calls] == [8]  # TensorB's 2 * 2 * 2 members
 
 
 def test_decode_tensor_code():
